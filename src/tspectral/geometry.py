@@ -8,6 +8,15 @@ distance
 and the log-Euclidean distance ``||log A - log B||_F``, together with the
 geodesic ``G(t) = A^(1/2) * (A^(-1/2) * B * A^(-1/2))^t * A^(1/2)``.
 
+The geodesic is set up once per operand pair: one eigendecomposition of A
+(Hermitian and positive-definiteness checks, A^(1/2) and A^(-1/2)), one PSD
+check of B and one eigendecomposition of M = A^(-1/2) * B * A^(-1/2) =
+Q * W * Q^H.  With X = A^(1/2) * Q, Fourier slice k of G(t) is
+X_k diag(w_k^t) X_k^H, so a trace sample costs O(np):
+tr G(t) = sum_k sum_i w_ik^t ||X_k e_i||^2.  Eigenvalues of M within
+``n * eps * lambda_max(M)`` of zero are roundoff in B's null space and are
+set to 0, so for singular B every G(t) with t > 0 has B's rank.
+
 Trace conventions: traces default to the block-circulant convention.
 Passing ``convention="slice1"`` rescales every trace by ``1/p`` (first
 frontal-slice trace), which divides squared distances by ``p``.
@@ -22,8 +31,9 @@ import numpy as np
 
 from .core import Tensor3, frobenius_norm, identity, trace
 from .errors import DomainError, NumericError, ShapeError, SingularityError
-from .spectral import is_psd, pd_tolerance, t_eigenvalues, t_function
-from .transform import to_fourier, tprod_fft
+from .spectral import hermitian_eig, is_psd, pd_tolerance, psd_tolerance, t_function
+from .spectral import t_eigenvalues  # noqa: F401  (perfbench's tracing check reads it here)
+from .transform import SpectralSlices, from_fourier, to_fourier
 
 __all__ = [
     "GeodesicProfile",
@@ -38,6 +48,10 @@ _CONVENTIONS = ("bcirc", "slice1")
 
 # Floor for the Bures-Wasserstein radicand before declaring a numeric failure.
 RADICAND_FLOOR = -1e-8
+
+# Eigenvalues of A^(-1/2) B A^(-1/2) with |w| <= n * eps * lambda_max count as 0:
+# numpy.linalg.matrix_rank's rule, the backward error of an n x n Hermitian eigensolve.
+NULL_EIGENVALUE_RTOL = float(np.finfo(np.float64).eps)
 
 
 def _convention_scale(convention: str, p: int) -> float:
@@ -124,6 +138,69 @@ def dist_log_euclidean(a: Tensor3, b: Tensor3, convention: str = "bcirc") -> flo
     return scale * frobenius_norm(t_function(a, "log") - t_function(b, "log"))
 
 
+def _fourier_stack(t: Tensor3) -> np.ndarray:
+    """Fourier slices of ``t`` stacked first, shape (p, m, n), for batched matmul."""
+    return np.moveaxis(to_fourier(t).slices, 2, 0)
+
+
+def _from_stack(stack: np.ndarray, kind: str) -> Tensor3:
+    return from_fourier(SpectralSlices(np.moveaxis(stack, 0, 2)), kind=kind)
+
+
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().transpose(0, 2, 1)
+
+
+@dataclass(frozen=True)
+class _GeodesicFactors:
+    """A #_t B in the Fourier domain: slice k of G(t) is x[k] diag(w[k]^t) x[k]^H."""
+
+    x: np.ndarray  # (p, n, n): X_k = A_k^(1/2) Q_k, where M_k = Q_k diag(w_k) Q_k^H
+    w: np.ndarray  # (p, n): eigenvalues of M_k, null space set to 0
+    kind: str
+
+    def tensor(self, t: float) -> Tensor3:
+        return _from_stack((self.x * self.w[:, None, :] ** t) @ _adjoint(self.x), self.kind)
+
+    def traces(self, ts: np.ndarray) -> np.ndarray:
+        col_norms = np.sum(np.abs(self.x) ** 2, axis=1)  # ||X_k e_i||^2, shape (p, n)
+        return np.array([float(np.sum(self.w**t * col_norms)) for t in ts])
+
+
+def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFactors:
+    """Validate A and B and decompose A and M = A^(-1/2) B A^(-1/2), once each."""
+    _require_same_shape(a, b, "geodesic")
+    if regularize < 0.0:
+        raise DomainError(f"regularize must be >= 0, got {regularize!r}")
+    if regularize > 0.0:
+        a = a + regularize * identity(a.n, a.p)
+    eig_a = hermitian_eig(a)
+    lam = eig_a.fourier_eigenvalues.T
+    lam_min, lam_max = float(lam.min()), float(lam.max())
+    if lam_min <= pd_tolerance(lam_max):
+        raise SingularityError(
+            f"geodesic requires positive definite A; min eigenvalue {lam_min:.3e} "
+            "(pass regularize=eps to shift explicitly)"
+        )
+    _require_psd(b, "geodesic", "B")
+    kind = "real" if a.kind == "real" and b.kind == "real" else "complex"
+    q_a = _fourier_stack(eig_a.q)
+    root = np.sqrt(lam)[:, None, :]
+    inv_root_a = (q_a / root) @ _adjoint(q_a)
+    mid = inv_root_a @ _fourier_stack(b) @ inv_root_a
+    eig_m = hermitian_eig(_from_stack(0.5 * (mid + _adjoint(mid)), kind))
+    w = eig_m.fourier_eigenvalues.T.copy()
+    w_max = float(w.max())
+    if w.min() < -psd_tolerance(w_max):
+        raise DomainError(
+            f"geodesic requires A^(-1/2) B A^(-1/2) PSD; min eigenvalue {w.min():.3e}"
+        )
+    w[np.abs(w) <= a.n * NULL_EIGENVALUE_RTOL * w_max] = 0.0
+    np.clip(w, 0.0, None, out=w)
+    x = (q_a * root) @ _adjoint(q_a) @ _fourier_stack(eig_m.q)
+    return _GeodesicFactors(x, w, kind)
+
+
 def geodesic(a: Tensor3, b: Tensor3, t: float, regularize: float = 0.0) -> Tensor3:
     """Point on the geodesic G(t) = A^(1/2) (A^(-1/2) B A^(-1/2))^t A^(1/2).
 
@@ -132,27 +209,9 @@ def geodesic(a: Tensor3, b: Tensor3, t: float, regularize: float = 0.0) -> Tenso
     Passing ``regularize=eps > 0`` explicitly adds ``eps * I`` to ``a``
     first.  ``b`` must be PSD and ``t`` must lie in [0, 1].
     """
-    _require_same_shape(a, b, "geodesic")
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"geodesic parameter must lie in [0, 1], got {t!r}")
-    if regularize < 0.0:
-        raise DomainError(f"regularize must be >= 0, got {regularize!r}")
-    if regularize > 0.0:
-        a = a + regularize * identity(a.n, a.p)
-    spec = t_eigenvalues(a)
-    lam_min = float(np.real(spec.values).min())
-    lam_max = float(np.real(spec.values).max())
-    if lam_min <= pd_tolerance(lam_max):
-        raise SingularityError(
-            f"geodesic requires positive definite A; min eigenvalue {lam_min:.3e} "
-            "(pass regularize=eps to shift explicitly)"
-        )
-    _require_psd(b, "geodesic", "B")
-    root_a = t_function(a, "sqrt")
-    inv_root_a = t_function(a, "inv_sqrt")
-    mid = tprod_fft(tprod_fft(inv_root_a, b), inv_root_a)
-    powered = t_function(mid, "pow", exponent=float(t))
-    return tprod_fft(tprod_fft(root_a, powered), root_a)
+    return _geodesic_factors(a, b, regularize).tensor(float(t))
 
 
 def geodesic_trace_profile(
@@ -162,15 +221,18 @@ def geodesic_trace_profile(
     keep_tensors: bool = False,
     regularize: float = 0.0,
 ) -> GeodesicProfile:
-    """Uniformly sampled traces of the geodesic over t in [0, 1]."""
+    """Traces of the geodesic at ``num_samples`` uniform t in [0, 1].
+
+    A and M = A^(-1/2) B A^(-1/2) are decomposed once; after that each
+    sample costs O(np) (``keep_tensors=True`` adds one O(n^3 p) slice
+    product and an inverse FFT per sample).  Eigenvalues of M within
+    ``n * eps * lambda_max(M)`` of zero are set to 0, so for singular B
+    every G(t) with t > 0 has B's rank; roundoff is not raised to the power t.
+    Preconditions and errors are those of :func:`geodesic`.
+    """
     if num_samples < 2:
         raise DomainError(f"num_samples must be >= 2, got {num_samples}")
+    factors = _geodesic_factors(a, b, regularize)
     ts = np.linspace(0.0, 1.0, num_samples)
-    tensors = []
-    traces = np.empty(num_samples)
-    for i, t in enumerate(ts):
-        g = geodesic(a, b, float(t), regularize=regularize)
-        traces[i] = float(np.real(trace(g)))
-        if keep_tensors:
-            tensors.append(g)
-    return GeodesicProfile(ts, traces, tuple(tensors) if keep_tensors else None)
+    tensors = tuple(factors.tensor(float(t)) for t in ts) if keep_tensors else None
+    return GeodesicProfile(ts, factors.traces(ts), tensors)

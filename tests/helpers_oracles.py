@@ -90,6 +90,24 @@ def bw_bcirc_oracle(a_slices, b_slices, convention="bcirc"):
     return complex(np.sqrt(rad))
 
 
+def geodesic_bcirc_oracle(a_slices, b_slices, t, null_rtol=1e-10):
+    """Dense A #_t B = S (S^-1 B S^-1)^t S, S = A^(1/2), on block-circulant
+    matrices, with every factor from ``numpy.linalg.eigh``.
+
+    Eigenvalues of the middle factor at or below ``null_rtol`` times its
+    largest one are B's null space seen through roundoff and count as 0.
+    """
+    ba = oracle_bcirc(a_slices)
+    bb = oracle_bcirc(b_slices)
+    lam, v = np.linalg.eigh(ba)
+    root = (v * np.sqrt(lam)) @ v.conj().T
+    inv_root = (v / np.sqrt(lam)) @ v.conj().T
+    mid = inv_root @ bb @ inv_root
+    w, q = np.linalg.eigh(0.5 * (mid + mid.conj().T))
+    w = np.where(np.abs(w) <= null_rtol * w.max(), 0.0, np.clip(w, 0.0, None))
+    return root @ ((q * w**t) @ q.conj().T) @ root
+
+
 def random_spd_matrix(rng, n):
     g = rng.standard_normal((n, n))
     return g @ g.T + 0.05 * np.eye(n)

@@ -8,6 +8,7 @@ from tspectral import (
     PreconditionError,
     SingularityError,
     Tensor3,
+    TSpectralError,
     dist_bures_wasserstein,
     dist_frobenius,
     dist_log_euclidean,
@@ -18,9 +19,16 @@ from tspectral import (
     is_hermitian,
     is_psd,
     trace,
+    write_tensor,
 )
-from conftest import random_pd_tensor, random_psd_tensor
-from helpers_oracles import matrix_bures_wasserstein, random_spd_matrix
+from tspectral.cli import main
+from conftest import random_pd_tensor, random_psd_tensor, random_tensor
+from helpers_oracles import (
+    geodesic_bcirc_oracle,
+    matrix_bures_wasserstein,
+    oracle_bcirc,
+    random_spd_matrix,
+)
 
 
 class TestFrobeniusDistance:
@@ -250,3 +258,140 @@ class TestGeodesicProfile:
         a = random_pd_tensor(rng, 2, 2)
         with pytest.raises(DomainError):
             geodesic_trace_profile(a, a, 1)
+
+
+def _slices(t):
+    return [t.data[:, :, k] for k in range(t.p)]
+
+
+def _psd_with_fourier_ranks(rng, n, p, complex_kind, ranks):
+    """M * M^H where Fourier slice k of M keeps only its first ranks[k] columns.
+
+    For real kind, ranks[k] must equal ranks[p - k] so that M stays real.
+    """
+    mhat = np.fft.fft(random_tensor(rng, n, n, p, complex_kind).data, axis=2)
+    for k, r in enumerate(ranks):
+        mhat[:, r:, k] = 0.0
+    data = np.fft.ifft(np.einsum("ijk,ljk->ilk", mhat, mhat.conj()), axis=2)
+    return Tensor3(data if complex_kind else data.real)
+
+
+def _singular_ranks(n, p):
+    """Fourier-slice ranks of a singular B: n - 1 (at least 1) on slice 0 and
+    n // 2 on the others; at n = p = 1 that would be full rank, so B = 0."""
+    ranks = [max(n - 1, 1) if k == 0 else n // 2 for k in range(p)]
+    return [0] if ranks == [n] else ranks
+
+
+def _geodesic_pair(seed, n, p, complex_kind, singular_b):
+    rng = np.random.default_rng(seed)
+    a = _psd_with_fourier_ranks(rng, n, p, complex_kind, [n] * p) + 0.5 * identity(n, p)
+    if singular_b:
+        return a, _psd_with_fourier_ranks(rng, n, p, complex_kind, _singular_ranks(n, p))
+    b = _psd_with_fourier_ranks(rng, n, p, complex_kind, [n] * p) + 0.1 * identity(n, p)
+    return a, b
+
+
+GEODESIC_TS = (0.0, 0.1, 0.5, 0.9, 1.0)
+
+
+@pytest.mark.parametrize("singular_b", [False, True], ids=["pd_b", "singular_b"])
+@pytest.mark.parametrize("complex_kind", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("p", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 3])
+class TestGeodesicDenseOracle:
+    def test_geodesic_matches_oracle(self, n, p, complex_kind, singular_b):
+        a, b = _geodesic_pair(379, n, p, complex_kind, singular_b)
+        for t in GEODESIC_TS:
+            g = geodesic(a, b, t)
+            want = geodesic_bcirc_oracle(_slices(a), _slices(b), t)
+            err = np.linalg.norm(oracle_bcirc(_slices(g)) - want)
+            assert err <= 1e-9 * np.linalg.norm(want), f"t={t}: |G - oracle| = {err:.3e}"
+            if not complex_kind:
+                assert g.kind == "real"
+
+    def test_profile_matches_oracle(self, n, p, complex_kind, singular_b):
+        a, b = _geodesic_pair(383, n, p, complex_kind, singular_b)
+        prof = geodesic_trace_profile(a, b, 11)
+        want = [
+            np.trace(geodesic_bcirc_oracle(_slices(a), _slices(b), t)).real for t in prof.ts
+        ]
+        np.testing.assert_allclose(prof.traces, want, rtol=1e-9, atol=0.0)
+
+    def test_kept_tensors_are_geodesic_points(self, n, p, complex_kind, singular_b):
+        a, b = _geodesic_pair(389, n, p, complex_kind, singular_b)
+        prof = geodesic_trace_profile(a, b, 4, keep_tensors=True)
+        for t, tr, g in zip(prof.ts, prof.traces, prof.tensors):
+            expected = geodesic(a, b, float(t))
+            assert g.kind == expected.kind
+            np.testing.assert_array_equal(g.data, expected.data)
+            assert float(np.real(trace(g))) == pytest.approx(tr, rel=1e-12, abs=0.0)
+
+
+def test_singular_b_profile_at_small_t():
+    """With rank-deficient B, M = A^(-1/2) B A^(-1/2) has eigenvalues that are
+    zero up to roundoff; raised to a small power t they must stay zero."""
+    n, p = 8, 8
+    rng = np.random.default_rng(397)
+    a = _psd_with_fourier_ranks(rng, n, p, False, [n] * p) + 0.5 * identity(n, p)
+    b = _psd_with_fourier_ranks(rng, n, p, False, [n // 2] * p)
+    prof = geodesic_trace_profile(a, b, 11)
+    assert prof.ts[1] == pytest.approx(0.1)
+    want = np.trace(geodesic_bcirc_oracle(_slices(a), _slices(b), prof.ts[1])).real
+    assert prof.traces[1] == pytest.approx(want, rel=1e-9)
+    assert prof.traces[0] == pytest.approx(trace(a), rel=1e-10)
+    assert prof.traces[-1] == pytest.approx(trace(b), rel=1e-10)
+    for c in (1e-6, 1e6):
+        scaled = geodesic_trace_profile(c * a, c * b, 11)
+        np.testing.assert_allclose(scaled.traces, c * prof.traces, rtol=1e-10, atol=0.0)
+
+
+def _profile_error_case(case, a2):
+    """(A, B, keyword arguments) that make geodesic_trace_profile raise."""
+    rng = np.random.default_rng(401)
+    a = random_pd_tensor(rng, 2, 2)
+    kwargs = {"num_samples": 5, "regularize": 0.0}
+    if case == "singular A":
+        return a2, identity(2, 2), kwargs  # a2 has a zero eigenvalue
+    if case == "B not PSD":
+        return a, -1.0 * identity(2, 2), kwargs
+    if case == "negative regularize":
+        return a, a, {**kwargs, "regularize": -1e-3}
+    if case == "one sample":
+        return a, a, {**kwargs, "num_samples": 1}
+    if case == "non-Hermitian A":
+        return random_tensor(rng, 2, 2, 2) + 3.0 * identity(2, 2), a, kwargs
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize(
+    "case, error, fix",
+    [
+        ("singular A", SingularityError, {"regularize": 1e-6}),
+        ("B not PSD", DomainError, None),
+        ("negative regularize", DomainError, None),
+        ("one sample", DomainError, None),
+        ("non-Hermitian A", TSpectralError, None),
+    ],
+)
+def test_profile_errors(case, error, fix, a2, tmp_path, capsys):
+    a, b, kwargs = _profile_error_case(case, a2)
+    with pytest.raises(error):
+        geodesic_trace_profile(a, b, **kwargs)
+    fa, fb, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "profile.csv"
+    write_tensor(a, fa)
+    write_tensor(b, fb)
+
+    def cli(options):
+        argv = ["geodesic", str(fa), str(fb), "--samples", str(options["num_samples"]),
+                "--regularize", repr(options["regularize"]), "-o", str(out)]
+        code = main(argv)
+        capsys.readouterr()
+        return code
+
+    assert cli(kwargs) == 2
+    if fix is not None:
+        fixed = {**kwargs, **fix}
+        prof = geodesic_trace_profile(a, b, **fixed)
+        assert np.all(np.isfinite(prof.traces))
+        assert cli(fixed) == 0
