@@ -16,14 +16,8 @@ import numpy as np
 
 from .core import Tensor3, bcirc, conj_transpose, frobenius_norm, identity, trace, unfold
 from .errors import DomainError, NumericError, PreconditionError, ShapeError
-from .spectral import (
-    HERMITIAN_IMAG_ATOL,
-    hermitian_eig,
-    is_hermitian,
-    is_psd,
-    t_eigenvalues,
-)
-from .transform import SpectralSlices, from_fourier, to_fourier, tprod_fft
+from .spectral import _eigenvalues, _psd_spectrum, hermitian_eig, is_hermitian, t_eigenvalues
+from .transform import _adjoint, _from_stack, tprod_fft
 
 __all__ = [
     "BoundReport",
@@ -41,6 +35,10 @@ __all__ = [
 ]
 
 REPORT_RTOL = 1e-8
+
+# An eigenvalue whose imaginary part is at most this share of the spectral
+# radius (or of 1) is real up to the roundoff of a slice eigensolve.
+HERMITIAN_IMAG_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -97,8 +95,8 @@ def _real_trace(t: Tensor3) -> float:
 
 
 def _hermitian_spectrum(t: Tensor3) -> np.ndarray:
-    """Full real spectrum of a Hermitian tensor, descending, length n*p."""
-    return np.asarray(t_eigenvalues(t).values, dtype=np.float64)
+    """Full real spectrum of a tensor already checked Hermitian, descending, length n*p."""
+    return _eigenvalues(t, "fourier", hermitian=True).values
 
 
 def _require_square(t: Tensor3, op: str) -> None:
@@ -111,12 +109,14 @@ def _require_same_shape(a: Tensor3, b: Tensor3, op: str) -> None:
         raise ShapeError(f"{op} requires equal shapes, got {a.shape} vs {b.shape}")
 
 
-def _require_psd(t: Tensor3, op: str, name: str) -> None:
-    chk = is_psd(t)
+def _require_psd(t: Tensor3, op: str, name: str) -> np.ndarray:
+    """Full spectrum of a PSD operand, descending; raises if it is not PSD."""
+    lam, chk = _psd_spectrum(t)
     if not chk.ok:
         raise PreconditionError(
             f"{op} requires {name} PSD; min eigenvalue {chk.min_eigenvalue:.3e}"
         )
+    return lam
 
 
 def rayleigh_value(a: Tensor3, x: Tensor3) -> float:
@@ -185,10 +185,8 @@ def vn_trace_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
         sum_i lam_i(A) lam_{N-i+1}(B)  <=  tr(A*B)  <=  sum_i lam_i(A) lam_i(B).
     """
     _require_same_shape(a, b, "vn_trace_bounds")
-    _require_psd(a, "vn_trace_bounds", "first operand")
-    _require_psd(b, "vn_trace_bounds", "second operand")
-    lam_a = _hermitian_spectrum(a)
-    lam_b = _hermitian_spectrum(b)
+    lam_a = _require_psd(a, "vn_trace_bounds", "first operand")
+    lam_b = _require_psd(b, "vn_trace_bounds", "second operand")
     value = _real_trace(tprod_fft(a, b))
     lower, upper = _vn_sums(lam_a, lam_b)
     return BoundReport.build(lower, value, upper, "trace-product-psd")
@@ -236,8 +234,7 @@ def sandwich_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     """
     _require_same_shape(a, b, "sandwich_bounds")
     _require_psd(a, "sandwich_bounds", "first operand")
-    _require_psd(b, "sandwich_bounds", "second operand")
-    lam_b = _hermitian_spectrum(b)
+    lam_b = _require_psd(b, "sandwich_bounds", "second operand")
     tr_a = _real_trace(a)
     big_n = a.n * a.p
     value = _real_trace(tprod_fft(tprod_fft(a, b), a))
@@ -271,27 +268,20 @@ def extremal_ratio_witness(a: Tensor3, which: str = "max") -> Tensor3:
     """Construct a PSD tensor B achieving the extremal trace ratio for A.
 
     The witness concentrates a rank-one projector on the Fourier slice that
-    carries the extreme eigenvalue of A (mirrored onto the conjugate slice
-    when A is real, so the witness stays real).  By construction
-    ``tr(A*B)/tr(B)`` equals the extreme eigenvalue.
+    carries the extreme eigenvalue of A (for real A the inverse transform
+    puts its conjugate on the mirrored slice, so the witness stays real).
+    By construction ``tr(A*B)/tr(B)`` equals the extreme eigenvalue.
     """
     if which not in ("max", "min"):
         raise ValueError(f"which must be 'max' or 'min', got {which!r}")
     factors = hermitian_eig(a)
-    w = factors.fourier_eigenvalues  # (n, p), descending per slice
-    if which == "max":
-        row, col = np.unravel_index(np.argmax(w), w.shape)
-    else:
-        row, col = np.unravel_index(np.argmin(w), w.shape)
-    qhat = to_fourier(factors.q).slices
-    u = qhat[:, row, col]
-    bhat = np.zeros((a.n, a.n, a.p), dtype=np.complex128)
-    bhat[:, :, col] = np.outer(u, u.conj())
-    mirror = (-col) % a.p
-    if a.kind == "real" and mirror != col:
-        bhat[:, :, mirror] = bhat[:, :, col].conj()
-    kind = "real" if a.kind == "real" else None
-    return from_fourier(SpectralSlices(bhat), kind=kind)
+    w = factors._w.T  # (n, p'), descending per slice
+    pick = np.argmax if which == "max" else np.argmin
+    row, col = np.unravel_index(pick(w), w.shape)
+    u = factors._q_stack[col, :, row : row + 1]
+    bhat = np.zeros((w.shape[1], a.n, a.n), dtype=np.complex128)
+    bhat[col] = u @ _adjoint(u)
+    return _from_stack(bhat, a.p, factors._kind)
 
 
 def symmetric_relax_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
@@ -341,18 +331,9 @@ def ky_fan_sum(h: Tensor3, k: int, which: str = "max") -> KyFanResult:
         raise DomainError(f"k must satisfy 1 <= k <= {h.n}, got {k}")
 
     factors = hermitian_eig(h)
-    w = factors.fourier_eigenvalues  # descending per slice
-    if which == "max":
-        value = float(w[:k, :].sum())
-        chosen = slice(0, k)
-    else:
-        value = float(w[h.n - k :, :].sum())
-        chosen = slice(h.n - k, h.n)
-
-    qhat = to_fourier(factors.q).slices
-    uhat = np.transpose(qhat[:, chosen, :].conj(), (1, 0, 2))  # (k, n, p)
-    kind = "real" if h.kind == "real" else None
-    u = from_fourier(SpectralSlices(uhat), kind=kind)
+    chosen = slice(0, k) if which == "max" else slice(h.n - k, h.n)  # eigenvalues descend
+    value = float(factors.fourier_eigenvalues[chosen].sum())
+    u = _from_stack(_adjoint(factors._q_stack[:, :, chosen]), h.p, factors._kind)
 
     gram = tprod_fft(u, conj_transpose(u))
     resid = frobenius_norm(gram - identity(k, h.p))

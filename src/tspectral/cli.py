@@ -59,7 +59,7 @@ from .spectral import (
     t_eigenvalues,
     t_function,
 )
-from .transform import SpectralSlices, from_fourier, tprod, tprod_fft
+from .transform import _adjoint, _from_stack, tprod, tprod_fft
 
 SEED_ENV_VAR = "TSPECTRAL_SEED"
 
@@ -125,11 +125,6 @@ def _default_seed() -> int:
 def _random_hermitian(n: int, p: int, rng: np.random.Generator) -> Tensor3:
     m = Tensor3(rng.standard_normal((n, n, p)))
     return (m + conj_transpose(m)) * 0.5
-
-
-def _random_psd_from(rng: np.random.Generator, n: int, p: int) -> Tensor3:
-    m = Tensor3(rng.standard_normal((n, n, p)))
-    return tprod_fft(m, conj_transpose(m))
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +320,16 @@ def cmd_verify(args) -> int:
 def _sweep_vn(rng: np.random.Generator) -> bool:
     n = int(rng.integers(1, 5))
     p = int(rng.integers(1, 5))
-    a = _random_psd_from(rng, n, p)
-    b = _random_psd_from(rng, n, p)
+    a = random_psd(n, p, rng)
+    b = random_psd(n, p, rng)
     return vn_trace_bounds(a, b).satisfied
 
 
 def _sweep_sandwich(rng: np.random.Generator) -> bool:
     n = int(rng.integers(1, 5))
     p = int(rng.integers(1, 4))
-    a = _random_psd_from(rng, n, p)
-    b = _random_psd_from(rng, n, p)
+    a = random_psd(n, p, rng)
+    b = random_psd(n, p, rng)
     return sandwich_bounds(a, b).satisfied
 
 
@@ -342,7 +337,7 @@ def _sweep_ratio(rng: np.random.Generator) -> bool:
     n = int(rng.integers(1, 5))
     p = int(rng.integers(1, 4))
     a = _random_hermitian(n, p, rng)
-    b = _random_psd_from(rng, n, p)
+    b = random_psd(n, p, rng)
     return extremal_ratio_bounds(a, b).satisfied
 
 
@@ -363,19 +358,16 @@ def _sweep_kyfan(rng: np.random.Generator) -> bool:
 
 def _random_partial_isometry(rng: np.random.Generator, k: int, n: int, p: int) -> Tensor3:
     """Slice-wise orthonormalized Gaussian rows in the Fourier domain."""
-    uhat = np.empty((k, n, p), dtype=np.complex128)
-    for s in range(p):
-        g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-        q, _ = np.linalg.qr(g)
-        uhat[:, :, s] = q.conj().T
-    return from_fourier(SpectralSlices(uhat), kind="complex")
+    g = rng.standard_normal((p, 2, n, k))  # per slice: real parts, then imaginary parts
+    q, _ = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    return _from_stack(_adjoint(q), p, "complex")
 
 
 def _sweep_concavity(rng: np.random.Generator) -> bool:
     n = int(rng.integers(1, 4))
     p = int(rng.integers(1, 4))
-    x = _random_psd_from(rng, n, p)
-    y = _random_psd_from(rng, n, p)
+    x = random_psd(n, p, rng)
+    y = random_psd(n, p, rng)
     a = float(rng.uniform(0.1, 0.9))
     mixed = float(np.real(trace(t_function(a * x + (1.0 - a) * y, "sqrt"))))
     split = a * float(np.real(trace(t_function(x, "sqrt")))) + (1.0 - a) * float(
@@ -387,9 +379,9 @@ def _sweep_concavity(rng: np.random.Generator) -> bool:
 def _sweep_bw_axioms(rng: np.random.Generator) -> bool:
     n = int(rng.integers(1, 4))
     p = int(rng.integers(1, 4))
-    a = _random_psd_from(rng, n, p)
-    b = _random_psd_from(rng, n, p)
-    c = _random_psd_from(rng, n, p)
+    a = random_psd(n, p, rng)
+    b = random_psd(n, p, rng)
+    c = random_psd(n, p, rng)
     dab = dist_bures_wasserstein(a, b)
     if dab < 0 or abs(dab - dist_bures_wasserstein(b, a)) > 1e-8:
         return False
@@ -461,8 +453,8 @@ def _bench_callable(op: str, n: int, p: int, seed: int):
         a = Tensor3(rng.standard_normal((n, n, p)))
         return lambda: t_eigenvalues(a, method="bcirc")
     if op == "bw-dist":
-        a = _random_psd_from(rng, n, p)
-        b = _random_psd_from(rng, n, p)
+        a = random_psd(n, p, rng)
+        b = random_psd(n, p, rng)
         return lambda: dist_bures_wasserstein(a, b)
     if op == "kyfan":
         h = _random_hermitian(n, p, rng)

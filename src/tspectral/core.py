@@ -113,8 +113,7 @@ class Tensor3:
 
     def slices(self):
         """Iterate over copies of the frontal slices."""
-        for k in range(self.p):
-            yield self.data[:, :, k].copy()
+        yield from np.moveaxis(self.data, 2, 0).copy()
 
     # Linear-space operators; these stay closed over Tensor3 so that bound
     # and geometry code can form combinations like a*X + (1-a)*Y.

@@ -31,9 +31,9 @@ import numpy as np
 
 from .core import Tensor3, frobenius_norm, identity, trace
 from .errors import DomainError, NumericError, ShapeError, SingularityError
-from .spectral import hermitian_eig, is_psd, pd_tolerance, psd_tolerance, t_function
+from .spectral import _psd_eig, hermitian_eig, is_psd, pd_tolerance, psd_tolerance, t_function
 from .spectral import t_eigenvalues  # noqa: F401  (perfbench's tracing check reads it here)
-from .transform import SpectralSlices, from_fourier, to_fourier
+from .transform import _adjoint, _all_slices, _from_stack, _slice_weights, _to_stack
 
 __all__ = [
     "GeodesicProfile",
@@ -86,15 +86,6 @@ def _require_same_shape(a: Tensor3, b: Tensor3, op: str) -> None:
         raise ShapeError(f"{op} requires equal shapes, got {a.shape} vs {b.shape}")
 
 
-def _require_psd(t: Tensor3, op: str, name: str):
-    chk = is_psd(t)
-    if not chk.ok:
-        raise DomainError(
-            f"{op} requires {name} PSD; min eigenvalue {chk.min_eigenvalue:.3e}"
-        )
-    return chk
-
-
 def dist_frobenius(a: Tensor3, b: Tensor3, convention: str = "bcirc") -> float:
     """Frobenius distance ||A - B||_F under the chosen trace convention."""
     _require_same_shape(a, b, "dist_frobenius")
@@ -109,19 +100,29 @@ def dist_bures_wasserstein(a: Tensor3, b: Tensor3, convention: str = "bcirc") ->
     The two forms agree exactly for PSD operands, but the nuclear-norm form
     never squares small eigenvalues, so near-singular inputs do not see the
     square root's infinite slope at zero amplify roundoff (this is what
-    keeps d(A, A) at the 1e-7 level instead of 1e-5).  A radicand below
-    -1e-8 raises; one in [-1e-8, 0] clamps to zero.
+    keeps d(A, A) at the 1e-7 level instead of 1e-5).  With A_k = Q W Q^H
+    and B_k = R V R^H, A_k^(1/2) B_k^(1/2) has the singular values of
+    W^(1/2) (Q^H R) V^(1/2), so one eigendecomposition per operand serves
+    both its PSD check and its root.  A radicand below -1e-8 raises; one in
+    [-1e-8, 0] clamps to zero.
     """
     _require_same_shape(a, b, "dist_bures_wasserstein")
-    _require_psd(a, "dist_bures_wasserstein", "A")
-    _require_psd(b, "dist_bures_wasserstein", "B")
-    root_a_hat = to_fourier(t_function(a, "sqrt")).slices
-    root_b_hat = to_fourier(t_function(b, "sqrt")).slices
-    cross = 0.0
-    for k in range(a.p):
-        cross += float(
-            np.linalg.svd(root_a_hat[:, :, k] @ root_b_hat[:, :, k], compute_uv=False).sum()
-        )
+    roots = []
+    for t, name in ((a, "A"), (b, "B")):
+        factors, chk = _psd_eig(t)
+        if not chk.ok:
+            raise DomainError(
+                f"dist_bures_wasserstein requires {name} PSD; "
+                f"min eigenvalue {chk.min_eigenvalue:.3e}"
+            )
+        w, q = factors._w, factors._q_stack
+        if a.kind != b.kind:  # the real operand's rfft half, on all p slices
+            w, q = _all_slices(w, t.p), _all_slices(q, t.p)
+        roots.append((np.sqrt(np.clip(w, 0.0, None)), q))
+    (root_wa, qa), (root_wb, qb) = roots
+    core = root_wa[:, :, None] * (_adjoint(qa) @ qb) * root_wb[:, None, :]
+    nuclear = np.linalg.svd(core, compute_uv=False).sum(axis=1)
+    cross = float(_slice_weights(len(nuclear), a.p) @ nuclear)
     radicand = float(np.real(trace(a)) + np.real(trace(b))) - 2.0 * cross
     radicand *= _convention_scale(convention, a.p)
     if radicand < RADICAND_FLOOR:
@@ -138,32 +139,21 @@ def dist_log_euclidean(a: Tensor3, b: Tensor3, convention: str = "bcirc") -> flo
     return scale * frobenius_norm(t_function(a, "log") - t_function(b, "log"))
 
 
-def _fourier_stack(t: Tensor3) -> np.ndarray:
-    """Fourier slices of ``t`` stacked first, shape (p, m, n), for batched matmul."""
-    return np.moveaxis(to_fourier(t).slices, 2, 0)
-
-
-def _from_stack(stack: np.ndarray, kind: str) -> Tensor3:
-    return from_fourier(SpectralSlices(np.moveaxis(stack, 0, 2)), kind=kind)
-
-
-def _adjoint(stack: np.ndarray) -> np.ndarray:
-    return stack.conj().transpose(0, 2, 1)
-
-
 @dataclass(frozen=True)
 class _GeodesicFactors:
     """A #_t B in the Fourier domain: slice k of G(t) is x[k] diag(w[k]^t) x[k]^H."""
 
-    x: np.ndarray  # (p, n, n): X_k = A_k^(1/2) Q_k, where M_k = Q_k diag(w_k) Q_k^H
-    w: np.ndarray  # (p, n): eigenvalues of M_k, null space set to 0
+    x: np.ndarray  # (p', n, n) stack: X_k = A_k^(1/2) Q_k, where M_k = Q_k diag(w_k) Q_k^H
+    w: np.ndarray  # (p', n): eigenvalues of M_k, null space set to 0
     kind: str
+    p: int
 
     def tensor(self, t: float) -> Tensor3:
-        return _from_stack((self.x * self.w[:, None, :] ** t) @ _adjoint(self.x), self.kind)
+        return _from_stack((self.x * self.w[:, None, :] ** t) @ _adjoint(self.x), self.p, self.kind)
 
     def traces(self, ts: np.ndarray) -> np.ndarray:
-        col_norms = np.sum(np.abs(self.x) ** 2, axis=1)  # ||X_k e_i||^2, shape (p, n)
+        col_norms = np.sum(np.abs(self.x) ** 2, axis=1)  # ||X_k e_i||^2, shape (p', n)
+        col_norms *= _slice_weights(len(self.x), self.p)[:, None]
         return np.array([float(np.sum(self.w**t * col_norms)) for t in ts])
 
 
@@ -175,21 +165,24 @@ def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFac
     if regularize > 0.0:
         a = a + regularize * identity(a.n, a.p)
     eig_a = hermitian_eig(a)
-    lam = eig_a.fourier_eigenvalues.T
-    lam_min, lam_max = float(lam.min()), float(lam.max())
+    lam_min = float(eig_a.fourier_eigenvalues.min())
+    lam_max = float(eig_a.fourier_eigenvalues.max())
     if lam_min <= pd_tolerance(lam_max):
         raise SingularityError(
             f"geodesic requires positive definite A; min eigenvalue {lam_min:.3e} "
             "(pass regularize=eps to shift explicitly)"
         )
-    _require_psd(b, "geodesic", "B")
-    kind = "real" if a.kind == "real" and b.kind == "real" else "complex"
-    q_a = _fourier_stack(eig_a.q)
+    chk = is_psd(b)
+    if not chk.ok:
+        raise DomainError(f"geodesic requires B PSD; min eigenvalue {chk.min_eigenvalue:.3e}")
+    kind = "real" if a.kind == b.kind == "real" else "complex"
+    lam, q_a = eig_a._w, eig_a._q_stack
+    if kind != a.kind:  # real A, complex B: A's rfft half on all p slices
+        lam, q_a = _all_slices(lam, a.p), _all_slices(q_a, a.p)
     root = np.sqrt(lam)[:, None, :]
     inv_root_a = (q_a / root) @ _adjoint(q_a)
-    mid = inv_root_a @ _fourier_stack(b) @ inv_root_a
-    eig_m = hermitian_eig(_from_stack(0.5 * (mid + _adjoint(mid)), kind))
-    w = eig_m.fourier_eigenvalues.T.copy()
+    mid = inv_root_a @ _to_stack(b, kind) @ inv_root_a
+    w, q_m = np.linalg.eigh(0.5 * (mid + _adjoint(mid)))
     w_max = float(w.max())
     if w.min() < -psd_tolerance(w_max):
         raise DomainError(
@@ -197,8 +190,8 @@ def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFac
         )
     w[np.abs(w) <= a.n * NULL_EIGENVALUE_RTOL * w_max] = 0.0
     np.clip(w, 0.0, None, out=w)
-    x = (q_a * root) @ _adjoint(q_a) @ _fourier_stack(eig_m.q)
-    return _GeodesicFactors(x, w, kind)
+    x = (q_a * root) @ _adjoint(q_a) @ q_m
+    return _GeodesicFactors(x, w, kind, a.p)
 
 
 def geodesic(a: Tensor3, b: Tensor3, t: float, regularize: float = 0.0) -> Tensor3:

@@ -2,20 +2,22 @@
 
 All spectral data of a tensor lives in its block-circulant matrix.  The
 fast path never forms that matrix: each Fourier slice is a diagonal block
-of it, so eigenvalues, singular values and Hermitian functions are computed
-slice by slice and mapped back with the inverse DFT.  The dense
-block-circulant route is kept available as an oracle (``method="bcirc"``).
+of it, so eigenvalues, singular values and Hermitian functions come from one
+batched LAPACK call over the Fourier stack of :mod:`tspectral.transform` and
+are mapped back with the inverse DFT.  The dense block-circulant route is
+kept available as an oracle (``method="bcirc"``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .core import Tensor3, bcirc, frobenius_norm, conj_transpose, identity
-from .errors import DomainError, NumericError, PreconditionError, ShapeError, SingularityError
-from .transform import SpectralSlices, from_fourier, to_fourier, tprod_fft
+from .errors import DomainError, PreconditionError, ShapeError, SingularityError
+from .transform import _adjoint, _all_slices, _from_stack, _to_stack, tprod_fft
 
 __all__ = [
     "Spectrum",
@@ -34,7 +36,6 @@ __all__ = [
 ]
 
 HERMITIAN_RTOL = 1e-10
-HERMITIAN_IMAG_ATOL = 1e-9
 
 
 def psd_tolerance(lam_max: float) -> float:
@@ -94,38 +95,80 @@ class Spectrum:
         return float(np.abs(self.values).max())
 
 
+def _diagonal_stack(d: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Stack of m x n slices whose diagonals are the rows of ``d``."""
+    out = np.zeros((len(d), m, n))
+    k = d.shape[1]
+    out[:, np.arange(k), np.arange(k)] = d
+    return out
+
+
 @dataclass(frozen=True)
 class EigFactors:
     """Unitary factorization A = Q * L * Q^H of a Hermitian tensor.
 
     ``L`` is f-diagonal; its Fourier-slice diagonals are the (real)
     eigenvalues, exposed as ``fourier_eigenvalues`` with shape (n, p) in
-    descending order per slice.
+    descending order per slice.  The factors are held as the Fourier stack
+    of Q; the tensors ``q`` and ``l`` are built when first read.
     """
 
-    q: Tensor3
-    l: Tensor3
     fourier_eigenvalues: np.ndarray
+    _q_stack: np.ndarray = field(repr=False)  # (p', n, n) Fourier stack of Q
+    _kind: str | None = field(repr=False)  # kind passed to the inverse transform
 
     def __post_init__(self):
         ev = np.asarray(self.fourier_eigenvalues, dtype=np.float64).copy()
         ev.setflags(write=False)
         object.__setattr__(self, "fourier_eigenvalues", ev)
 
+    @property
+    def _w(self) -> np.ndarray:
+        """Eigenvalues of the stacked slices, shape (p', n)."""
+        return self.fourier_eigenvalues.T[: len(self._q_stack)]
+
+    @cached_property
+    def q(self) -> Tensor3:
+        return _from_stack(self._q_stack, self.fourier_eigenvalues.shape[1], self._kind)
+
+    @cached_property
+    def l(self) -> Tensor3:
+        n, p = self.fourier_eigenvalues.shape
+        return _from_stack(_diagonal_stack(self._w, n, n), p, self._kind)
+
 
 @dataclass(frozen=True)
 class TSvdFactors:
-    """t-SVD triple A = U * S * V^H with f-diagonal non-negative S."""
+    """t-SVD triple A = U * S * V^H with f-diagonal non-negative S.
 
-    u: Tensor3
-    s: Tensor3
-    v: Tensor3
+    The factors are held as the Fourier stacks of U and V; the tensors
+    ``u``, ``s`` and ``v`` are built when first read.
+    """
+
     fourier_singular_values: np.ndarray
+    _u_stack: np.ndarray = field(repr=False)  # (p', m, m) Fourier stack of U
+    _v_stack: np.ndarray = field(repr=False)  # (p', n, n) Fourier stack of V
+    _kind: str | None = field(repr=False)
 
     def __post_init__(self):
         sv = np.asarray(self.fourier_singular_values, dtype=np.float64).copy()
         sv.setflags(write=False)
         object.__setattr__(self, "fourier_singular_values", sv)
+
+    @cached_property
+    def u(self) -> Tensor3:
+        return _from_stack(self._u_stack, self.fourier_singular_values.shape[1], self._kind)
+
+    @cached_property
+    def s(self) -> Tensor3:
+        sv = self.fourier_singular_values
+        m, n = self._u_stack.shape[1], self._v_stack.shape[1]
+        stack = _diagonal_stack(sv.T[: len(self._u_stack)], m, n)
+        return _from_stack(stack, sv.shape[1], self._kind)
+
+    @cached_property
+    def v(self) -> Tensor3:
+        return _from_stack(self._v_stack, self.fourier_singular_values.shape[1], self._kind)
 
 
 @dataclass(frozen=True)
@@ -163,6 +206,10 @@ def _require_hermitian(t: Tensor3, op: str) -> None:
         )
 
 
+def _psd_check(lam_min: float, lam_max: float) -> PsdCheck:
+    return PsdCheck(lam_min >= -psd_tolerance(lam_max), lam_min)
+
+
 def _sorted_spectrum(values: np.ndarray, provenance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # descending real, then descending imag, ties by ascending slice index
     order = np.lexsort((provenance, -values.imag, -values.real))
@@ -174,86 +221,42 @@ def t_eigenvalues(t: Tensor3, method: str = "fourier") -> Spectrum:
 
     ``method="fourier"`` unions the spectra of the p Fourier slices;
     ``method="bcirc"`` decomposes the dense block-circulant matrix instead
-    and is the slow cross-check.  For Hermitian input the values are real
-    (imaginary parts below 1e-9 are zeroed; larger ones raise).
+    and is the slow cross-check.  For Hermitian input the values are real.
     """
     if t.m != t.n:
         raise ShapeError(f"eigenvalues require square slices, got {t.m}x{t.n}")
-    hermitian = is_hermitian(t).ok
+    return _eigenvalues(t, method, is_hermitian(t).ok)
 
+
+def _eigenvalues(t: Tensor3, method: str, hermitian: bool) -> Spectrum:
+    """:func:`t_eigenvalues` for a tensor whose Hermitian check is done."""
+    eig = np.linalg.eigvalsh if hermitian else np.linalg.eigvals
     if method == "fourier":
-        slices = to_fourier(t).slices
-        if hermitian:
-            vals = np.concatenate(
-                [np.linalg.eigvalsh(slices[:, :, k]) for k in range(t.p)]
-            ).astype(np.complex128)
-        else:
-            vals = np.concatenate([np.linalg.eigvals(slices[:, :, k]) for k in range(t.p)])
+        vals = _all_slices(eig(_to_stack(t)), t.p).ravel()
         prov = np.repeat(np.arange(1, t.p + 1), t.n)
-    elif method == "bcirc":
-        mat = bcirc(t)
-        if hermitian:
-            vals = np.linalg.eigvalsh(mat).astype(np.complex128)
-        else:
-            vals = np.linalg.eigvals(mat)
-        prov = np.zeros(len(vals), dtype=int)
-    else:
-        raise ValueError(f"unknown eigenvalue method {method!r}; use 'fourier' or 'bcirc'")
-
-    if hermitian:
-        worst = float(np.abs(vals.imag).max()) if len(vals) else 0.0
-        if worst > HERMITIAN_IMAG_ATOL:
-            raise NumericError(
-                f"Hermitian tensor produced imaginary eigenvalue part {worst:.3e}"
-            )
-        vals = vals.real.astype(np.float64)
-
-    vals, prov = _sorted_spectrum(np.atleast_1d(vals).astype(vals.dtype), prov)
-    return Spectrum(vals, prov if method == "fourier" else None)
+        return Spectrum(*_sorted_spectrum(vals, prov))
+    if method == "bcirc":
+        vals = eig(bcirc(t))
+        return Spectrum(_sorted_spectrum(vals, np.zeros(len(vals), dtype=int))[0])
+    raise ValueError(f"unknown eigenvalue method {method!r}; use 'fourier' or 'bcirc'")
 
 
-def _mirror_pairs(p: int):
-    """Indices (k, p-k) with k < p-k; Fourier slices of a real tensor are
-    conjugate across these pairs."""
-    return [(k, p - k) for k in range(1, (p + 1) // 2)]
+def _eig(t: Tensor3) -> EigFactors:
+    """:func:`hermitian_eig` without the Hermitian check."""
+    w, q = np.linalg.eigh(_to_stack(t))
+    kind = "real" if t.kind == "real" else None
+    return EigFactors(_all_slices(w[:, ::-1], t.p).T, q[:, :, ::-1], kind)
 
 
 def hermitian_eig(t: Tensor3) -> EigFactors:
     """Slice-wise unitary eigendecomposition of a Hermitian tensor.
 
-    Eigenvalues are sorted descending within each Fourier slice.  For real
-    input the conjugate slice pairs share one decomposition so that the Q
-    and L factors come back real.
+    Eigenvalues are sorted descending within each Fourier slice.  Real
+    input is decomposed on its p // 2 + 1 independent Fourier slices, so
+    the Q and L factors come back real.
     """
     _require_hermitian(t, "hermitian_eig")
-    n, p = t.n, t.p
-    shat = to_fourier(t).slices
-    qhat = np.empty((n, n, p), dtype=np.complex128)
-    w = np.empty((n, p), dtype=np.float64)
-
-    def decompose(k: int):
-        wk, vk = np.linalg.eigh(shat[:, :, k])
-        w[:, k] = wk[::-1]
-        qhat[:, :, k] = vk[:, ::-1]
-
-    if t.kind == "real":
-        decompose(0)
-        if p % 2 == 0:
-            decompose(p // 2)
-        for k, mirror in _mirror_pairs(p):
-            decompose(k)
-            w[:, mirror] = w[:, k]
-            qhat[:, :, mirror] = qhat[:, :, k].conj()
-    else:
-        for k in range(p):
-            decompose(k)
-
-    lhat = np.zeros((n, n, p), dtype=np.complex128)
-    lhat[np.arange(n), np.arange(n), :] = w
-    kind = "real" if t.kind == "real" else None
-    q = from_fourier(SpectralSlices(qhat), kind=kind)
-    l = from_fourier(SpectralSlices(lhat), kind=kind)
-    return EigFactors(q, l, w)
+    return _eig(t)
 
 
 def t_svd(t: Tensor3) -> TSvdFactors:
@@ -263,40 +266,9 @@ def t_svd(t: Tensor3) -> TSvdFactors:
     descending non-negative diagonal tubes in the Fourier domain, V is
     n x n x p.
     """
-    m, n, p = t.shape
-    shat = to_fourier(t).slices
-    uhat = np.empty((m, m, p), dtype=np.complex128)
-    vhat = np.empty((n, n, p), dtype=np.complex128)
-    sv = np.zeros((min(m, n), p), dtype=np.float64)
-
-    def decompose(k: int):
-        uk, sk, vhk = np.linalg.svd(shat[:, :, k])
-        uhat[:, :, k] = uk
-        vhat[:, :, k] = vhk.conj().T
-        sv[:, k] = sk
-
-    if t.kind == "real":
-        decompose(0)
-        if p % 2 == 0:
-            decompose(p // 2)
-        for k, mirror in _mirror_pairs(p):
-            decompose(k)
-            uhat[:, :, mirror] = uhat[:, :, k].conj()
-            vhat[:, :, mirror] = vhat[:, :, k].conj()
-            sv[:, mirror] = sv[:, k]
-    else:
-        for k in range(p):
-            decompose(k)
-
-    smat = np.zeros((m, n, p), dtype=np.complex128)
-    smat[np.arange(min(m, n)), np.arange(min(m, n)), :] = sv
+    u, sv, vh = np.linalg.svd(_to_stack(t))
     kind = "real" if t.kind == "real" else None
-    return TSvdFactors(
-        from_fourier(SpectralSlices(uhat), kind=kind),
-        from_fourier(SpectralSlices(smat), kind=kind),
-        from_fourier(SpectralSlices(vhat), kind=kind),
-        sv,
-    )
+    return TSvdFactors(_all_slices(sv, t.p).T, u, _adjoint(vh), kind)
 
 
 _FUNCTION_TAGS = ("sqrt", "log", "inv_sqrt", "pow")
@@ -320,8 +292,8 @@ def t_function(t: Tensor3, fn: str, exponent: float | None = None) -> Tensor3:
         raise ValueError(f"exponent is only meaningful for 'pow', not {fn!r}")
 
     factors = hermitian_eig(t)
-    w = factors.fourier_eigenvalues.copy()
-    lam_max = float(w.max()) if w.size else 0.0
+    w = factors._w.copy()
+    lam_max = float(w.max())
     psd_tol = psd_tolerance(lam_max)
     pd_tol = pd_tolerance(lam_max)
 
@@ -351,10 +323,8 @@ def t_function(t: Tensor3, fn: str, exponent: float | None = None) -> Tensor3:
             return identity(t.n, t.p)
         fw = np.power(w, float(exponent))
 
-    qhat = to_fourier(factors.q).slices
-    fhat = np.einsum("ijk,jk,ljk->ilk", qhat, fw, qhat.conj())
-    kind = "real" if t.kind == "real" else None
-    return from_fourier(SpectralSlices(fhat), kind=kind)
+    q = factors._q_stack
+    return _from_stack((q * fw[:, None, :]) @ _adjoint(q), t.p, factors._kind)
 
 
 def is_psd(t: Tensor3) -> PsdCheck:
@@ -363,11 +333,24 @@ def is_psd(t: Tensor3) -> PsdCheck:
     True when the smallest block-circulant eigenvalue is at least
     ``-1e-9 * max(1, lambda_max)``.  Non-Hermitian input raises.
     """
+    return _psd_spectrum(t)[1]
+
+
+def _psd_spectrum(t: Tensor3) -> tuple[np.ndarray, PsdCheck]:
+    """Descending Fourier spectrum and :func:`is_psd` verdict, from one
+    Hermitian check and one batched ``eigvalsh``."""
     _require_hermitian(t, "is_psd")
-    spec = t_eigenvalues(t)
-    lam_min = float(spec.values.min())
-    lam_max = float(spec.values.max())
-    return PsdCheck(lam_min >= -psd_tolerance(lam_max), lam_min)
+    lam = _eigenvalues(t, "fourier", hermitian=True).values
+    return lam, _psd_check(float(lam[-1]), float(lam[0]))
+
+
+def _psd_eig(t: Tensor3) -> tuple[EigFactors, PsdCheck]:
+    """Eigendecomposition and :func:`is_psd` verdict, from one Hermitian
+    check and one batched ``eigh``."""
+    _require_hermitian(t, "is_psd")
+    factors = _eig(t)
+    w = factors.fourier_eigenvalues
+    return factors, _psd_check(float(w.min()), float(w.max()))
 
 
 def psd_factor(t: Tensor3) -> Tensor3:
@@ -376,21 +359,21 @@ def psd_factor(t: Tensor3) -> Tensor3:
     The eigendecomposition doubles as the t-SVD here (U = V = Q, S = L), so
     the factor reproduces A exactly rather than only up to a unitary.
     """
-    chk = is_psd(t)
+    factors, chk = _psd_eig(t)
     if not chk.ok:
         raise DomainError(
             f"psd_factor requires a PSD tensor; min eigenvalue {chk.min_eigenvalue:.3e}"
         )
-    factors = hermitian_eig(t)
-    w = np.clip(factors.fourier_eigenvalues, 0.0, None)
-    qhat = to_fourier(factors.q).slices
-    mhat = qhat * np.sqrt(w)[None, :, :]
-    kind = "real" if t.kind == "real" else None
-    return from_fourier(SpectralSlices(mhat), kind=kind)
+    root = np.sqrt(np.clip(factors._w, 0.0, None))
+    return _from_stack(factors._q_stack * root[:, None, :], t.p, factors._kind)
 
 
-def random_psd(n: int, p: int, seed: int) -> Tensor3:
-    """Deterministic random PSD tensor M * M^T with M standard Gaussian."""
+def random_psd(n: int, p: int, seed: int | np.random.Generator) -> Tensor3:
+    """Deterministic random PSD tensor M * M^T with M standard Gaussian.
+
+    ``seed`` is anything ``numpy.random.default_rng`` accepts; a Generator
+    is drawn from directly, so consecutive calls on it give new tensors.
+    """
     if n < 1 or p < 1:
         raise ShapeError(f"random_psd requires n, p >= 1, got n={n}, p={p}")
     rng = np.random.default_rng(seed)

@@ -11,6 +11,12 @@ algebra on ``bcirc``.  The forward transform itself is unnormalized
 the Fourier slices equal to the diagonal blocks above.  ``tprod_dense`` is the literal fold/bcirc/unfold
 definition and serves as the reference oracle; ``tprod_fft`` is the fast
 path.  Callers pick the path explicitly.
+
+Every fast kernel works on the private Fourier stack, shape ``(p', m, n)``,
+with one batched numpy call over all slices.  A real tensor's slice ``p - k``
+is the conjugate of slice ``k``, so its stack holds the ``p' = p // 2 + 1``
+slices of ``rfft`` (back through ``irfft``); a complex one all ``p`` of
+``fft``.  Only the stack helpers below know about this symmetry.
 """
 
 from __future__ import annotations
@@ -83,19 +89,61 @@ def from_fourier(s: SpectralSlices, kind: str | None = None) -> Tensor3:
         exceeds ``1e-8 * (1 + max|entry|)``.  ``None`` coerces to real only
         when the residue is below that same threshold.
     """
-    data = np.fft.ifft(s.slices, axis=2)
-    resid = float(np.abs(data.imag).max()) if data.size else 0.0
-    scale = 1.0 + (float(np.abs(data).max()) if data.size else 0.0)
-    if kind == "complex":
-        return Tensor3(data)
-    if resid <= REAL_COERCION_RTOL * scale:
-        return Tensor3(data.real.copy())
-    if kind == "real":
+    return _from_stack(np.moveaxis(s.slices, 2, 0), s.p, kind)
+
+
+def _to_stack(t: Tensor3, kind: str | None = None) -> np.ndarray:
+    """Fourier stack of ``t``, shape (p', m, n): the rfft half when ``kind``
+    (default ``t.kind``) is ``"real"``, all p slices otherwise."""
+    if (kind or t.kind) == "real":
+        return np.moveaxis(np.fft.rfft(t.data, axis=2), 2, 0)
+    return np.moveaxis(np.fft.fft(t.data, axis=2), 2, 0)
+
+
+def _from_stack(stack: np.ndarray, p: int, kind: str | None = None) -> Tensor3:
+    """Inverse of :func:`_to_stack`, with the ``kind`` rules of :func:`from_fourier`.
+
+    With ``kind="real"`` a stack of fewer than p slices is an rfft half.
+    ``irfft`` drops the imaginary parts of its DC and (for even p) Nyquist
+    slices; their sum over p is the imaginary residue the full inverse DFT
+    would show, so that is what is checked.
+    """
+    if kind == "real" and len(stack) < p:
+        edges = stack[:1] if p % 2 else stack[[0, p // 2]]
+        resid = float(np.abs(edges.imag).sum(axis=0).max(initial=0.0)) / p
+        data = np.fft.irfft(stack, n=p, axis=0)
+    else:
+        data = np.fft.ifft(stack, axis=0)
+        resid = float(np.abs(data.imag).max(initial=0.0))
+    scale = 1.0 + float(np.abs(data).max(initial=0.0))
+    if kind != "complex" and resid <= REAL_COERCION_RTOL * scale:
+        data = data.real
+    elif kind == "real":
         raise NumericError(
             f"imaginary residue {resid:.3e} exceeds {REAL_COERCION_RTOL * scale:.3e}; "
             "spectral slices are not conjugate-symmetric"
         )
-    return Tensor3(data)
+    return Tensor3(np.moveaxis(data, 0, 2))
+
+
+def _all_slices(x: np.ndarray, p: int) -> np.ndarray:
+    """Per-slice data of a stack (leading axis p') extended to all p slices:
+    the slices an rfft half leaves out are conjugates of stacked ones."""
+    return np.concatenate([x, x[1 : p - len(x) + 1][::-1].conj()])
+
+
+def _slice_weights(stack_len: int, p: int) -> np.ndarray:
+    """How often each stacked slice occurs among the p slices, for sums such
+    as traces: twice for the interior slices of an rfft half, else once."""
+    weights = np.ones(stack_len)
+    if stack_len < p:
+        weights[1 : (p + 1) // 2] = 2.0
+    return weights
+
+
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every slice of a stack."""
+    return stack.conj().swapaxes(-1, -2)
 
 
 def _check_conformable(a: Tensor3, b: Tensor3) -> None:
@@ -114,11 +162,8 @@ def tprod_dense(a: Tensor3, b: Tensor3) -> Tensor3:
 def tprod_fft(a: Tensor3, b: Tensor3) -> Tensor3:
     """Fast t-product via slice-wise products in the Fourier domain."""
     _check_conformable(a, b)
-    ahat = np.fft.fft(a.data, axis=2)
-    bhat = np.fft.fft(b.data, axis=2)
-    chat = np.einsum("ijk,jlk->ilk", ahat, bhat)
-    want_real = a.kind == "real" and b.kind == "real"
-    return from_fourier(SpectralSlices(chat), kind="real" if want_real else "complex")
+    kind = "real" if a.kind == b.kind == "real" else "complex"
+    return _from_stack(_to_stack(a, kind) @ _to_stack(b, kind), a.p, kind)
 
 
 def tprod(a: Tensor3, b: Tensor3, path: str = "fft") -> Tensor3:

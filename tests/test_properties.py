@@ -1,0 +1,217 @@
+"""Property tests: the batched Fourier-stack kernels against the dense oracles.
+
+Every case draws n in 1..4, p in {1, 2, 3, 4, 5, 8} and real or complex
+entries.  A real tensor is decomposed on its p // 2 + 1 independent Fourier
+slices: for p = 1 and 2 those are all slices, odd p adds mirrored interior
+slices, and even p >= 4 has interior slices plus a Nyquist slice that, like
+DC, occurs once.  The oracles in ``helpers_oracles`` work on the dense
+block-circulant matrix and never touch the library's FFT code.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tspectral import (
+    NumericError,
+    SpectralSlices,
+    Tensor3,
+    conj_transpose,
+    dist_bures_wasserstein,
+    from_fourier,
+    geodesic,
+    geodesic_trace_profile,
+    hermitian_eig,
+    identity,
+    t_eigenvalues,
+    t_function,
+    t_svd,
+    tprod_dense,
+    tprod_fft,
+)
+from helpers_oracles import (
+    assert_multiset_close,
+    bw_bcirc_oracle,
+    geodesic_bcirc_oracle,
+    oracle_bcirc,
+    oracle_eigenvalues,
+)
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+sizes = st.integers(1, 4)
+tube_lengths = st.sampled_from([1, 2, 3, 4, 5, 8])
+kinds = st.sampled_from(["real", "complex"])
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _tensor(rng, m, n, p, kind):
+    data = rng.standard_normal((m, n, p))
+    if kind == "complex":
+        data = data + 1j * rng.standard_normal((m, n, p))
+    return Tensor3(data)
+
+
+def _hermitian(rng, n, p, kind):
+    m = _tensor(rng, n, n, p, kind)
+    return (m + conj_transpose(m)) * 0.5
+
+
+def _psd(rng, n, p, kind, shift=0.0, rank=None):
+    """M * M^H + shift * I with M of n x rank x p, so every Fourier slice has rank <= rank."""
+    m = _tensor(rng, n, n if rank is None else rank, p, kind)
+    return tprod_fft(m, conj_transpose(m)) + shift * identity(n, p)
+
+
+def _dense(t):
+    return oracle_bcirc(list(t.slices()))
+
+
+def _assert_kind(result, *operands):
+    """Real operands give a real-kind result."""
+    if all(t.kind == "real" for t in operands):
+        assert result.kind == "real"
+
+
+def _assert_dense_close(t, want, rtol=1e-9):
+    err = np.linalg.norm(_dense(t) - want)
+    assert err <= rtol * (1.0 + np.linalg.norm(want)), f"dense mismatch {err:.3e}"
+
+
+@PROPERTY_SETTINGS
+@given(sizes, sizes, sizes, tube_lengths, kinds, kinds, seeds)
+def test_tprod_fft_matches_dense(m, n, l, p, kind_a, kind_b, seed):
+    rng = np.random.default_rng(seed)
+    a, b = _tensor(rng, m, n, p, kind_a), _tensor(rng, n, l, p, kind_b)
+    fast, dense = tprod_fft(a, b), tprod_dense(a, b)
+    assert fast.shape == (m, l, p)
+    np.testing.assert_allclose(fast.data, dense.data, rtol=0.0, atol=1e-12 * (1 + n * p))
+    assert fast.kind == ("real" if kind_a == kind_b == "real" else "complex")
+
+
+@PROPERTY_SETTINGS
+@given(sizes, tube_lengths, kinds, st.booleans(), seeds)
+def test_eigenvalues_match_bcirc(n, p, kind, hermitian, seed):
+    rng = np.random.default_rng(seed)
+    t = _hermitian(rng, n, p, kind) if hermitian else _tensor(rng, n, n, p, kind)
+    spec = t_eigenvalues(t)
+    assert len(spec) == n * p
+    assert sorted(spec.provenance) == sorted(np.repeat(np.arange(1, p + 1), n))
+    assert_multiset_close(spec.values, oracle_eigenvalues(list(t.slices())), 1e-9 * (1 + n * p))
+    if hermitian:
+        assert spec.is_real
+
+
+@PROPERTY_SETTINGS
+@given(sizes, tube_lengths, kinds, seeds)
+def test_hermitian_eig_reconstructs(n, p, kind, seed):
+    rng = np.random.default_rng(seed)
+    h = _hermitian(rng, n, p, kind)
+    f = hermitian_eig(h)
+    assert f.fourier_eigenvalues.shape == (n, p)
+    assert np.all(np.diff(f.fourier_eigenvalues, axis=0) <= 0.0)
+    assert_multiset_close(f.fourier_eigenvalues, np.linalg.eigvalsh(_dense(h)), 1e-9 * (1 + n))
+    rebuilt = tprod_fft(tprod_fft(f.q, f.l), conj_transpose(f.q))
+    _assert_dense_close(rebuilt, _dense(h))
+    _assert_dense_close(tprod_fft(f.q, conj_transpose(f.q)), np.eye(n * p))
+    _assert_kind(f.q, h)
+    _assert_kind(f.l, h)
+
+
+@PROPERTY_SETTINGS
+@given(sizes, sizes, tube_lengths, kinds, seeds)
+def test_t_svd_reconstructs(m, n, p, kind, seed):
+    rng = np.random.default_rng(seed)
+    t = _tensor(rng, m, n, p, kind)
+    f = t_svd(t)
+    assert (f.u.shape, f.s.shape, f.v.shape) == ((m, m, p), (m, n, p), (n, n, p))
+    assert f.fourier_singular_values.shape == (min(m, n), p)
+    want = np.linalg.svd(_dense(t), compute_uv=False)
+    assert_multiset_close(f.fourier_singular_values, want, 1e-9 * (1 + n * p))
+    _assert_dense_close(tprod_fft(tprod_fft(f.u, f.s), conj_transpose(f.v)), _dense(t))
+    _assert_dense_close(tprod_fft(f.u, conj_transpose(f.u)), np.eye(m * p))
+    _assert_dense_close(tprod_fft(f.v, conj_transpose(f.v)), np.eye(n * p))
+    for factor in (f.u, f.s, f.v):
+        _assert_kind(factor, t)
+
+
+def _dense_function(mat, fn):
+    w, v = np.linalg.eigh(mat)
+    fw = {"sqrt": np.sqrt, "log": np.log, "inv_sqrt": lambda x: 1.0 / np.sqrt(x)}.get(
+        fn, lambda x: x**0.3
+    )(w)
+    return (v * fw) @ v.conj().T
+
+
+@PROPERTY_SETTINGS
+@given(sizes, tube_lengths, kinds, st.sampled_from(["sqrt", "log", "inv_sqrt", "pow"]), seeds)
+def test_t_function_matches_dense(n, p, kind, fn, seed):
+    rng = np.random.default_rng(seed)
+    a = _psd(rng, n, p, kind, shift=0.5)
+    out = t_function(a, fn, exponent=0.3 if fn == "pow" else None)
+    _assert_dense_close(out, _dense_function(_dense(a), fn))
+    _assert_kind(out, a)
+
+
+@PROPERTY_SETTINGS
+@given(sizes, tube_lengths, kinds, kinds, seeds)
+def test_bures_wasserstein_matches_oracle(n, p, kind_a, kind_b, seed):
+    rng = np.random.default_rng(seed)
+    a, b = _psd(rng, n, p, kind_a, shift=0.1), _psd(rng, n, p, kind_b, shift=0.1)
+    want = bw_bcirc_oracle(list(a.slices()), list(b.slices()))
+    scale = np.sqrt(np.trace(_dense(a)).real + np.trace(_dense(b)).real)
+    assert abs(want.imag) <= 1e-9 * scale
+    assert abs(dist_bures_wasserstein(a, b) - want.real) <= 1e-9 * scale
+
+
+@PROPERTY_SETTINGS
+@given(sizes, tube_lengths, kinds, kinds, st.booleans(), seeds)
+def test_geodesic_traces_match_oracle(n, p, kind_a, kind_b, singular_b, seed):
+    rng = np.random.default_rng(seed)
+    a = _psd(rng, n, p, kind_a, shift=0.5)
+    if not singular_b:
+        b = _psd(rng, n, p, kind_b, shift=0.5)
+    elif n > 1:
+        b = _psd(rng, n, p, kind_b, rank=n - 1)
+    else:
+        b = 0.0 * _psd(rng, n, p, kind_b)
+    prof = geodesic_trace_profile(a, b, 5)
+    slices_a, slices_b = list(a.slices()), list(b.slices())
+    want = [np.trace(geodesic_bcirc_oracle(slices_a, slices_b, t)).real for t in prof.ts]
+    np.testing.assert_allclose(prof.traces, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
+    _assert_kind(geodesic(a, b, 0.5), a, b)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 8])
+def test_half_stack_round_trip_and_weights(p):
+    from tspectral.transform import _all_slices, _from_stack, _slice_weights, _to_stack
+
+    rng = np.random.default_rng(p)
+    t = _tensor(rng, 2, 3, p, "real")
+    half = _to_stack(t)
+    assert half.shape == (p // 2 + 1, 2, 3)
+    full = np.moveaxis(np.fft.fft(t.data, axis=2), 2, 0)
+    np.testing.assert_allclose(_all_slices(half, p), full, atol=1e-12)
+    assert _slice_weights(len(half), p).sum() == p
+    back = _from_stack(half, p, "real")
+    assert back.kind == "real"
+    np.testing.assert_allclose(back.data, t.data, atol=1e-12)
+
+
+@pytest.mark.parametrize("p, edge", [(3, 0), (4, 0), (4, 2), (5, 0), (8, 4)])
+def test_half_stack_edge_imaginary_part_is_not_dropped(p, edge):
+    """irfft ignores the imaginary parts of the DC and Nyquist slices; a real
+    inverse must refuse them rather than lose them, as from_fourier does."""
+    from tspectral.transform import _from_stack, _to_stack
+
+    half = _to_stack(identity(2, p)).copy()
+    half[edge, 0, 1] += 1e-3j
+    with pytest.raises(NumericError, match="residue"):
+        _from_stack(half, p, "real")
+    full = np.concatenate([half, half[1 : p - len(half) + 1][::-1].conj()])
+    with pytest.raises(NumericError, match="residue"):
+        from_fourier(SpectralSlices(np.moveaxis(full, 0, 2)), kind="real")
+    half[edge, 0, 1] -= 1e-3j
+    half[1, 0, 1] += 1e-3j  # an interior slice stands for a conjugate pair: no residue
+    assert _from_stack(half, p, "real").kind == "real"
