@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Tensor3, bcirc, conj_transpose, frobenius_norm, identity, trace, unfold
 from .errors import DomainError, NumericError, PreconditionError, ShapeError
-from .spectral import _eigenvalues, _psd_spectrum, hermitian_eig, is_hermitian, t_eigenvalues
+from .spectral import _decompose, hermitian_eig, t_eigenvalues
 from .transform import _adjoint, _from_stack, tprod_fft
 
 __all__ = [
@@ -94,11 +94,6 @@ def _real_trace(t: Tensor3) -> float:
     return float(np.real(val))
 
 
-def _hermitian_spectrum(t: Tensor3) -> np.ndarray:
-    """Full real spectrum of a tensor already checked Hermitian, descending, length n*p."""
-    return _eigenvalues(t, "fourier", hermitian=True).values
-
-
 def _require_square(t: Tensor3, op: str) -> None:
     if t.m != t.n:
         raise ShapeError(f"{op} requires square slices, got {t.m}x{t.n}")
@@ -109,14 +104,13 @@ def _require_same_shape(a: Tensor3, b: Tensor3, op: str) -> None:
         raise ShapeError(f"{op} requires equal shapes, got {a.shape} vs {b.shape}")
 
 
-def _require_psd(t: Tensor3, op: str, name: str) -> np.ndarray:
-    """Full spectrum of a PSD operand, descending; raises if it is not PSD."""
-    lam, chk = _psd_spectrum(t)
-    if not chk.ok:
-        raise PreconditionError(
-            f"{op} requires {name} PSD; min eigenvalue {chk.min_eigenvalue:.3e}"
-        )
-    return lam
+def _spectrum(t: Tensor3, op: str, name: str, psd: bool = False) -> np.ndarray:
+    """Full real spectrum of a Hermitian operand, descending, length n*p;
+    raises :class:`PreconditionError` if it is not Hermitian (or not PSD)."""
+    factors = _decompose(t, f"{op} ({name})", vectors=False)
+    if psd:
+        factors._require(f"{op} requires {name} PSD", error=PreconditionError)
+    return np.sort(factors.fourier_eigenvalues, axis=None)[::-1]
 
 
 def rayleigh_value(a: Tensor3, x: Tensor3) -> float:
@@ -185,8 +179,8 @@ def vn_trace_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
         sum_i lam_i(A) lam_{N-i+1}(B)  <=  tr(A*B)  <=  sum_i lam_i(A) lam_i(B).
     """
     _require_same_shape(a, b, "vn_trace_bounds")
-    lam_a = _require_psd(a, "vn_trace_bounds", "first operand")
-    lam_b = _require_psd(b, "vn_trace_bounds", "second operand")
+    lam_a = _spectrum(a, "vn_trace_bounds", "first operand", psd=True)
+    lam_b = _spectrum(b, "vn_trace_bounds", "second operand", psd=True)
     value = _real_trace(tprod_fft(a, b))
     lower, upper = _vn_sums(lam_a, lam_b)
     return BoundReport.build(lower, value, upper, "trace-product-psd")
@@ -203,14 +197,8 @@ def hermitian_trace_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     is verified numerically here and raises on disagreement.
     """
     _require_same_shape(a, b, "hermitian_trace_bounds")
-    for t, name in ((a, "first operand"), (b, "second operand")):
-        chk = is_hermitian(t)
-        if not chk.ok:
-            raise PreconditionError(
-                f"hermitian_trace_bounds requires {name} Hermitian; residual {chk.residual:.3e}"
-            )
-    lam_a = _hermitian_spectrum(a)
-    lam_b = _hermitian_spectrum(b)
+    lam_a = _spectrum(a, "hermitian_trace_bounds", "first operand")
+    lam_b = _spectrum(b, "hermitian_trace_bounds", "second operand")
     value = _real_trace(tprod_fft(a, b))
     lower, upper = _vn_sums(lam_a, lam_b)
 
@@ -233,8 +221,8 @@ def sandwich_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
         lam_min(B) tr(A)^2 / N  <=  tr(A*B*A)  <=  lam_max(B) tr(A)^2.
     """
     _require_same_shape(a, b, "sandwich_bounds")
-    _require_psd(a, "sandwich_bounds", "first operand")
-    lam_b = _require_psd(b, "sandwich_bounds", "second operand")
+    _spectrum(a, "sandwich_bounds", "first operand", psd=True)
+    lam_b = _spectrum(b, "sandwich_bounds", "second operand", psd=True)
     tr_a = _real_trace(a)
     big_n = a.n * a.p
     value = _real_trace(tprod_fft(tprod_fft(a, b), a))
@@ -250,16 +238,11 @@ def extremal_ratio_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     both endpoints are attained (see :func:`extremal_ratio_witness`).
     """
     _require_same_shape(a, b, "extremal_ratio_bounds")
-    chk = is_hermitian(a)
-    if not chk.ok:
-        raise PreconditionError(
-            f"extremal_ratio_bounds requires Hermitian A; residual {chk.residual:.3e}"
-        )
-    _require_psd(b, "extremal_ratio_bounds", "B")
+    lam_a = _spectrum(a, "extremal_ratio_bounds", "A")
+    _spectrum(b, "extremal_ratio_bounds", "B", psd=True)
     tr_b = _real_trace(b)
     if tr_b <= 0.0:
         raise DomainError(f"extremal_ratio_bounds requires trace(B) > 0, got {tr_b!r}")
-    lam_a = _hermitian_spectrum(a)
     value = _real_trace(tprod_fft(a, b)) / tr_b
     return BoundReport.build(float(lam_a[-1]), value, float(lam_a[0]), "extremal-ratio")
 
@@ -294,14 +277,8 @@ def symmetric_relax_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     _require_same_shape(a, b, "symmetric_relax_bounds")
     if a.kind != "real" or b.kind != "real":
         raise PreconditionError("symmetric_relax_bounds is defined for real tensors")
-    chk = is_hermitian(b)
-    if not chk.ok:
-        raise PreconditionError(
-            f"symmetric_relax_bounds requires symmetric B; residual {chk.residual:.3e}"
-        )
-    a_bar = (a + conj_transpose(a)) * 0.5
-    lam_bar = _hermitian_spectrum(a_bar)
-    lam_b = _hermitian_spectrum(b)
+    lam_b = _spectrum(b, "symmetric_relax_bounds", "B")
+    lam_bar = _spectrum((a + conj_transpose(a)) * 0.5, "symmetric_relax_bounds", "(A + A^T)/2")
     big_n = a.n * a.p
     tr_a = _real_trace(a)
     tr_b = _real_trace(b)
@@ -324,13 +301,9 @@ def ky_fan_sum(h: Tensor3, k: int, which: str = "max") -> KyFanResult:
     """
     if which not in ("max", "min"):
         raise ValueError(f"which must be 'max' or 'min', got {which!r}")
-    chk = is_hermitian(h)
-    if not chk.ok:
-        raise PreconditionError(f"ky_fan_sum requires Hermitian H; residual {chk.residual:.3e}")
     if not 1 <= k <= h.n:
         raise DomainError(f"k must satisfy 1 <= k <= {h.n}, got {k}")
-
-    factors = hermitian_eig(h)
+    factors = _decompose(h, "ky_fan_sum")
     chosen = slice(0, k) if which == "max" else slice(h.n - k, h.n)  # eigenvalues descend
     value = float(factors.fourier_eigenvalues[chosen].sum())
     u = _from_stack(_adjoint(factors._q_stack[:, :, chosen]), h.p, factors._kind)

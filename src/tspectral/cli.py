@@ -52,9 +52,9 @@ from .geometry import (
     geodesic_trace_profile,
 )
 from .spectral import (
+    PsdCheck,
+    _decompose,
     is_hermitian,
-    is_psd,
-    pd_tolerance,
     random_psd,
     t_eigenvalues,
     t_function,
@@ -287,28 +287,27 @@ def cmd_gen(args) -> int:
 def cmd_verify(args) -> int:
     a = read_tensor(args.a)
     checks = args.checks.split(",")
+    herm = is_hermitian(a)
+    factors = None  # one eigvalsh pass, shared by the psd and pd checks
     ok = True
     for check in checks:
         if check == "hermitian":
-            res = is_hermitian(a)
+            res = herm
             print(f"hermitian: residual = {_fmt(res.residual)} -> {'ok' if res.ok else 'FAIL'}")
-            ok &= res.ok
-        elif check == "psd":
-            res = is_psd(a)
+        elif check in ("psd", "pd"):
+            if check == "pd" and not herm.ok:  # not PD; report the least real eigenvalue part
+                res = PsdCheck(False, float(np.real(t_eigenvalues(a).values).min()))
+            else:
+                if factors is None:
+                    factors = _decompose(a, "is_psd", vectors=False, hermitian=herm)
+                res = factors._verdict(definite=check == "pd")
             print(
-                f"psd: min_eigenvalue = {_fmt(res.min_eigenvalue)} -> "
+                f"{check}: min_eigenvalue = {_fmt(res.min_eigenvalue)} -> "
                 f"{'ok' if res.ok else 'FAIL'}"
             )
-            ok &= res.ok
-        elif check == "pd":
-            spec = t_eigenvalues(a)
-            lam = np.real(np.asarray(spec.values))
-            lam_min, lam_max = float(lam.min()), float(lam.max())
-            good = is_hermitian(a).ok and lam_min > pd_tolerance(lam_max)
-            print(f"pd: min_eigenvalue = {_fmt(lam_min)} -> {'ok' if good else 'FAIL'}")
-            ok &= good
         else:
             raise ValueError(f"unknown check {check!r}; use hermitian, psd, pd")
+        ok &= res.ok
     return 0 if ok else 1
 
 

@@ -291,7 +291,10 @@ def read_tensor(path) -> Tensor3:
         for i, v in enumerate(raw):
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise ParseError(f"{path}: data[{i}] is not a real number: {v!r}")
-            flat[i] = v
+            try:
+                flat[i] = v
+            except OverflowError:
+                raise ParseError(f"{path}: data[{i}] is an integer beyond float range") from None
     else:
         flat = np.empty(m * n * p, dtype=np.complex128)
         for i, v in enumerate(raw):
@@ -301,7 +304,10 @@ def read_tensor(path) -> Tensor3:
                 or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)
             ):
                 raise ParseError(f"{path}: data[{i}] is not a [re, im] pair: {v!r}")
-            flat[i] = complex(v[0], v[1])
+            try:
+                flat[i] = complex(v[0], v[1])
+            except OverflowError:
+                raise ParseError(f"{path}: data[{i}] holds an integer beyond float range") from None
 
     if not np.all(np.isfinite(flat.view(np.float64) if kind == "complex" else flat)):
         bad = int(np.flatnonzero(~np.isfinite(flat))[0])

@@ -8,14 +8,21 @@ distance
 and the log-Euclidean distance ``||log A - log B||_F``, together with the
 geodesic ``G(t) = A^(1/2) * (A^(-1/2) * B * A^(-1/2))^t * A^(1/2)``.
 
+Hermitian, PSD and positive-definiteness decisions are made in
+:mod:`tspectral.spectral`: each operand is checked and decomposed once, and
+A^(1/2), A^(-1/2) and log A are built from its factors as Fourier stacks.
+The log-Euclidean distance never leaves the Fourier domain:
+||T||_F^2 = sum_k ||T_k||_F^2 over the p Fourier slices.
+
 The geodesic is set up once per operand pair: one eigendecomposition of A
 (Hermitian and positive-definiteness checks, A^(1/2) and A^(-1/2)), one PSD
 check of B and one eigendecomposition of M = A^(-1/2) * B * A^(-1/2) =
 Q * W * Q^H.  With X = A^(1/2) * Q, Fourier slice k of G(t) is
 X_k diag(w_k^t) X_k^H, so a trace sample costs O(np):
 tr G(t) = sum_k sum_i w_ik^t ||X_k e_i||^2.  Eigenvalues of M within
-``n * eps * lambda_max(M)`` of zero are roundoff in B's null space and are
-set to 0, so for singular B every G(t) with t > 0 has B's rank.
+``n * eps * lambda_max(B) / lambda_min(A)`` of zero, the roundoff of forming
+M, are B's null space and are set to 0, so for singular B every G(t) with
+t > 0 has B's rank, also when A is ill-conditioned.
 
 Trace conventions: traces default to the block-circulant convention.
 Passing ``convention="slice1"`` rescales every trace by ``1/p`` (first
@@ -30,10 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Tensor3, frobenius_norm, identity, trace
-from .errors import DomainError, NumericError, ShapeError, SingularityError
-from .spectral import _psd_eig, hermitian_eig, is_psd, pd_tolerance, psd_tolerance, t_function
+from .errors import DomainError, NumericError, ShapeError
+from .spectral import EigFactors, _decompose, _stack_eig
 from .spectral import t_eigenvalues  # noqa: F401  (perfbench's tracing check reads it here)
-from .transform import _adjoint, _all_slices, _from_stack, _slice_weights, _to_stack
+from .transform import _adjoint, _from_stack, _slice_weights, _to_stack
 
 __all__ = [
     "GeodesicProfile",
@@ -46,11 +53,12 @@ __all__ = [
 
 _CONVENTIONS = ("bcirc", "slice1")
 
-# Floor for the Bures-Wasserstein radicand before declaring a numeric failure.
-RADICAND_FLOOR = -1e-8
+# A Bures-Wasserstein radicand below -RADICAND_RTOL * (tr A + tr B) raises: its roundoff is a
+# few n * eps of the traces, so anything further below zero is a failure, not roundoff.
+RADICAND_RTOL = 1e-10
 
-# Eigenvalues of A^(-1/2) B A^(-1/2) with |w| <= n * eps * lambda_max count as 0:
-# numpy.linalg.matrix_rank's rule, the backward error of an n x n Hermitian eigensolve.
+# Eigenvalues of M = A^(-1/2) B A^(-1/2) with |w| <= n * eps * lambda_max(B) / lambda_min(A)
+# count as 0: the roundoff of forming M, never below matrix_rank's n * eps * lambda_max(M).
 NULL_EIGENVALUE_RTOL = float(np.finfo(np.float64).eps)
 
 
@@ -86,6 +94,19 @@ def _require_same_shape(a: Tensor3, b: Tensor3, op: str) -> None:
         raise ShapeError(f"{op} requires equal shapes, got {a.shape} vs {b.shape}")
 
 
+def _checked_pair(a: Tensor3, b: Tensor3, op: str, definite: bool = False) -> list[EigFactors]:
+    """A and B checked (PSD, or positive definite) and decomposed once each;
+    when their kinds differ the real one's rfft half is put on all p slices."""
+    _require_same_shape(a, b, op)
+    need = "positive definite" if definite else "PSD"
+    pair = []
+    for t, name in ((a, "A"), (b, "B")):
+        factors = _decompose(t, op)
+        factors._require(f"{op} requires {name} {need}", definite=definite)
+        pair.append(factors._on_all_slices() if a.kind != b.kind else factors)
+    return pair
+
+
 def dist_frobenius(a: Tensor3, b: Tensor3, convention: str = "bcirc") -> float:
     """Frobenius distance ||A - B||_F under the chosen trace convention."""
     _require_same_shape(a, b, "dist_frobenius")
@@ -103,40 +124,35 @@ def dist_bures_wasserstein(a: Tensor3, b: Tensor3, convention: str = "bcirc") ->
     keeps d(A, A) at the 1e-7 level instead of 1e-5).  With A_k = Q W Q^H
     and B_k = R V R^H, A_k^(1/2) B_k^(1/2) has the singular values of
     W^(1/2) (Q^H R) V^(1/2), so one eigendecomposition per operand serves
-    both its PSD check and its root.  A radicand below -1e-8 raises; one in
-    [-1e-8, 0] clamps to zero.
+    both its PSD check and its root.  A radicand below ``-1e-10 * (tr A +
+    tr B)`` (both traces under ``convention``) raises; one between that
+    floor and 0 clamps to zero, so d(cA, cB) = sqrt(c) d(A, B) at any scale.
     """
-    _require_same_shape(a, b, "dist_bures_wasserstein")
-    roots = []
-    for t, name in ((a, "A"), (b, "B")):
-        factors, chk = _psd_eig(t)
-        if not chk.ok:
-            raise DomainError(
-                f"dist_bures_wasserstein requires {name} PSD; "
-                f"min eigenvalue {chk.min_eigenvalue:.3e}"
-            )
-        w, q = factors._w, factors._q_stack
-        if a.kind != b.kind:  # the real operand's rfft half, on all p slices
-            w, q = _all_slices(w, t.p), _all_slices(q, t.p)
-        roots.append((np.sqrt(np.clip(w, 0.0, None)), q))
-    (root_wa, qa), (root_wb, qb) = roots
-    core = root_wa[:, :, None] * (_adjoint(qa) @ qb) * root_wb[:, None, :]
+    fa, fb = _checked_pair(a, b, "dist_bures_wasserstein")
+    root_wa, root_wb = (np.sqrt(np.clip(f._w, 0.0, None)) for f in (fa, fb))
+    core = root_wa[:, :, None] * (_adjoint(fa._q_stack) @ fb._q_stack) * root_wb[:, None, :]
     nuclear = np.linalg.svd(core, compute_uv=False).sum(axis=1)
     cross = float(_slice_weights(len(nuclear), a.p) @ nuclear)
-    radicand = float(np.real(trace(a)) + np.real(trace(b))) - 2.0 * cross
-    radicand *= _convention_scale(convention, a.p)
-    if radicand < RADICAND_FLOOR:
-        raise NumericError(
-            f"Bures-Wasserstein radicand {radicand:.3e} below {RADICAND_FLOOR:.0e}"
-        )
+    traces = float(np.real(trace(a)) + np.real(trace(b)))
+    scale = _convention_scale(convention, a.p)
+    radicand = (traces - 2.0 * cross) * scale
+    floor = -RADICAND_RTOL * traces * scale
+    if radicand < floor:
+        raise NumericError(f"Bures-Wasserstein radicand {radicand:.3e} below {floor:.3e}")
     return math.sqrt(max(radicand, 0.0))
 
 
 def dist_log_euclidean(a: Tensor3, b: Tensor3, convention: str = "bcirc") -> float:
-    """Log-Euclidean distance ||log A - log B||_F for positive definite tensors."""
-    _require_same_shape(a, b, "dist_log_euclidean")
-    scale = math.sqrt(_convention_scale(convention, a.p))
-    return scale * frobenius_norm(t_function(a, "log") - t_function(b, "log"))
+    """Log-Euclidean distance ||log A - log B||_F for positive definite tensors.
+
+    log A and log B stay Fourier stacks: ||T||_F^2 is the sum over the p
+    Fourier slices of ||T_k||_F^2, so no inverse transform is needed.
+    """
+    pair = _checked_pair(a, b, "dist_log_euclidean", definite=True)
+    log_a, log_b = (f._apply(np.log(f._w)) for f in pair)
+    sq_norms = np.sum(np.abs(log_a - log_b) ** 2, axis=(1, 2))  # per Fourier slice
+    sq_norm = float(_slice_weights(len(sq_norms), a.p) @ sq_norms)
+    return math.sqrt(_convention_scale(convention, a.p) * sq_norm)
 
 
 @dataclass(frozen=True)
@@ -164,34 +180,25 @@ def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFac
         raise DomainError(f"regularize must be >= 0, got {regularize!r}")
     if regularize > 0.0:
         a = a + regularize * identity(a.n, a.p)
-    eig_a = hermitian_eig(a)
-    lam_min = float(eig_a.fourier_eigenvalues.min())
-    lam_max = float(eig_a.fourier_eigenvalues.max())
-    if lam_min <= pd_tolerance(lam_max):
-        raise SingularityError(
-            f"geodesic requires positive definite A; min eigenvalue {lam_min:.3e} "
-            "(pass regularize=eps to shift explicitly)"
-        )
-    chk = is_psd(b)
-    if not chk.ok:
-        raise DomainError(f"geodesic requires B PSD; min eigenvalue {chk.min_eigenvalue:.3e}")
+    eig_a = _decompose(a, "geodesic")
+    eig_a._require(
+        "geodesic requires positive definite A (pass regularize=eps to shift explicitly)",
+        definite=True,
+    )
+    eig_b = _decompose(b, "geodesic", vectors=False)
+    eig_b._require("geodesic requires B PSD")
     kind = "real" if a.kind == b.kind == "real" else "complex"
-    lam, q_a = eig_a._w, eig_a._q_stack
     if kind != a.kind:  # real A, complex B: A's rfft half on all p slices
-        lam, q_a = _all_slices(lam, a.p), _all_slices(q_a, a.p)
-    root = np.sqrt(lam)[:, None, :]
-    inv_root_a = (q_a / root) @ _adjoint(q_a)
+        eig_a = eig_a._on_all_slices()
+    root = np.sqrt(eig_a._w)
+    inv_root_a = eig_a._apply(1.0 / root)
     mid = inv_root_a @ _to_stack(b, kind) @ inv_root_a
-    w, q_m = np.linalg.eigh(0.5 * (mid + _adjoint(mid)))
-    w_max = float(w.max())
-    if w.min() < -psd_tolerance(w_max):
-        raise DomainError(
-            f"geodesic requires A^(-1/2) B A^(-1/2) PSD; min eigenvalue {w.min():.3e}"
-        )
-    w[np.abs(w) <= a.n * NULL_EIGENVALUE_RTOL * w_max] = 0.0
-    np.clip(w, 0.0, None, out=w)
-    x = (q_a * root) @ _adjoint(q_a) @ q_m
-    return _GeodesicFactors(x, w, kind, a.p)
+    eig_m = _stack_eig(0.5 * (mid + _adjoint(mid)), a.p, kind)
+    eig_m._require("geodesic requires A^(-1/2) B A^(-1/2) PSD")
+    null = a.n * NULL_EIGENVALUE_RTOL * max(eig_b._w.max(), 0.0) / eig_a._w.min()
+    w = np.clip(eig_m._w, 0.0, None)
+    w[np.abs(eig_m._w) <= null] = 0.0
+    return _GeodesicFactors(eig_a._apply(root) @ eig_m._q_stack, w, kind, a.p)
 
 
 def geodesic(a: Tensor3, b: Tensor3, t: float, regularize: float = 0.0) -> Tensor3:
@@ -219,7 +226,7 @@ def geodesic_trace_profile(
     A and M = A^(-1/2) B A^(-1/2) are decomposed once; after that each
     sample costs O(np) (``keep_tensors=True`` adds one O(n^3 p) slice
     product and an inverse FFT per sample).  Eigenvalues of M within
-    ``n * eps * lambda_max(M)`` of zero are set to 0, so for singular B
+    ``n * eps * lambda_max(B) / lambda_min(A)`` of zero are set to 0, so for singular B
     every G(t) with t > 0 has B's rank; roundoff is not raised to the power t.
     Preconditions and errors are those of :func:`geodesic`.
     """

@@ -6,6 +6,14 @@ of it, so eigenvalues, singular values and Hermitian functions come from one
 batched LAPACK call over the Fourier stack of :mod:`tspectral.transform` and
 are mapped back with the inverse DFT.  The dense block-circulant route is
 kept available as an oracle (``method="bcirc"``).
+
+Every operation that needs a Hermitian, PSD or positive definite operand,
+here and in :mod:`~tspectral.bounds` and :mod:`~tspectral.geometry`, goes
+through one private entry, :func:`_decompose`: one Hermitian check naming
+the operation, then one batched ``eigh`` (or ``eigvalsh``) on the Fourier
+stack.  The returned :class:`EigFactors` give the PSD and PD verdicts, the
+only place where :func:`psd_tolerance` and :func:`pd_tolerance` meet a
+spectrum, and the stacks Q diag(f(w)) Q^H that callers build from them.
 """
 
 from __future__ import annotations
@@ -114,8 +122,8 @@ class EigFactors:
     """
 
     fourier_eigenvalues: np.ndarray
-    _q_stack: np.ndarray = field(repr=False)  # (p', n, n) Fourier stack of Q
-    _kind: str | None = field(repr=False)  # kind passed to the inverse transform
+    _q_stack: np.ndarray | None = field(repr=False)  # (p', n, n) stack of Q; None: values only
+    _kind: str | None = field(repr=False)  # kind passed to the inverse; "real": an rfft half
 
     def __post_init__(self):
         ev = np.asarray(self.fourier_eigenvalues, dtype=np.float64).copy()
@@ -125,7 +133,36 @@ class EigFactors:
     @property
     def _w(self) -> np.ndarray:
         """Eigenvalues of the stacked slices, shape (p', n)."""
-        return self.fourier_eigenvalues.T[: len(self._q_stack)]
+        p = self.fourier_eigenvalues.shape[1]
+        return self.fourier_eigenvalues.T[: p // 2 + 1 if self._kind == "real" else p]
+
+    def _verdict(self, definite: bool = False) -> PsdCheck:
+        """The :func:`is_psd` verdict, or with ``definite`` the positive
+        definiteness one (min eigenvalue above ``pd_tolerance``)."""
+        lam_min = float(self.fourier_eigenvalues.min())
+        lam_max = float(self.fourier_eigenvalues.max())
+        if definite:
+            return PsdCheck(lam_min > pd_tolerance(lam_max), lam_min)
+        return PsdCheck(lam_min >= -psd_tolerance(lam_max), lam_min)
+
+    def _require(self, requirement: str, definite: bool = False, error=None) -> None:
+        """Raise ``error("<requirement>; min eigenvalue ...")`` unless the verdict
+        holds; ``error`` defaults to SingularityError (definite) or DomainError."""
+        chk = self._verdict(definite)
+        if not chk.ok:
+            error = error or (SingularityError if definite else DomainError)
+            raise error(f"{requirement}; min eigenvalue {chk.min_eigenvalue:.3e}")
+
+    def _apply(self, fw: np.ndarray) -> np.ndarray:
+        """The stack of Q_k diag(fw_k) Q_k^H, for ``fw`` shaped like ``_w``."""
+        return (self._q_stack * fw[:, None, :]) @ _adjoint(self._q_stack)
+
+    def _on_all_slices(self) -> EigFactors:
+        """The same factors with an rfft half extended to all p slices."""
+        if self._kind != "real":
+            return self
+        p = self.fourier_eigenvalues.shape[1]
+        return EigFactors(self.fourier_eigenvalues, _all_slices(self._q_stack, p), None)
 
     @cached_property
     def q(self) -> Tensor3:
@@ -197,17 +234,30 @@ def is_hermitian(t: Tensor3) -> HermitianCheck:
     return HermitianCheck(resid <= HERMITIAN_RTOL * (1.0 + frobenius_norm(t)), resid)
 
 
-def _require_hermitian(t: Tensor3, op: str) -> None:
-    chk = is_hermitian(t)
+def _stack_eig(stack: np.ndarray, p: int, kind: str | None, vectors: bool = True) -> EigFactors:
+    """Factors of a Hermitian Fourier stack (an rfft half when ``kind`` is
+    ``"real"``): one batched ``eigh``, or ``eigvalsh`` without ``vectors``."""
+    if vectors:
+        w, q = np.linalg.eigh(stack)
+        q = q[:, :, ::-1]
+    else:
+        w, q = np.linalg.eigvalsh(stack), None
+    return EigFactors(_all_slices(w[:, ::-1], p).T, q, kind)
+
+
+def _decompose(
+    t: Tensor3, op: str, vectors: bool = True, hermitian: HermitianCheck | None = None
+) -> EigFactors:
+    """The one gate to a Hermitian operand's spectrum: the Hermitian check
+    (or the given result of it), raising a :class:`PreconditionError` that
+    names ``op``, then :func:`_stack_eig` on the Fourier stack of ``t``."""
+    chk = is_hermitian(t) if hermitian is None else hermitian
     if not chk.ok:
         raise PreconditionError(
             f"{op} requires a Hermitian tensor: residual {chk.residual:.3e} exceeds "
             f"{HERMITIAN_RTOL:.0e} * (1 + ||A||_F)"
         )
-
-
-def _psd_check(lam_min: float, lam_max: float) -> PsdCheck:
-    return PsdCheck(lam_min >= -psd_tolerance(lam_max), lam_min)
+    return _stack_eig(_to_stack(t), t.p, "real" if t.kind == "real" else None, vectors)
 
 
 def _sorted_spectrum(values: np.ndarray, provenance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,12 +275,7 @@ def t_eigenvalues(t: Tensor3, method: str = "fourier") -> Spectrum:
     """
     if t.m != t.n:
         raise ShapeError(f"eigenvalues require square slices, got {t.m}x{t.n}")
-    return _eigenvalues(t, method, is_hermitian(t).ok)
-
-
-def _eigenvalues(t: Tensor3, method: str, hermitian: bool) -> Spectrum:
-    """:func:`t_eigenvalues` for a tensor whose Hermitian check is done."""
-    eig = np.linalg.eigvalsh if hermitian else np.linalg.eigvals
+    eig = np.linalg.eigvalsh if is_hermitian(t).ok else np.linalg.eigvals
     if method == "fourier":
         vals = _all_slices(eig(_to_stack(t)), t.p).ravel()
         prov = np.repeat(np.arange(1, t.p + 1), t.n)
@@ -241,13 +286,6 @@ def _eigenvalues(t: Tensor3, method: str, hermitian: bool) -> Spectrum:
     raise ValueError(f"unknown eigenvalue method {method!r}; use 'fourier' or 'bcirc'")
 
 
-def _eig(t: Tensor3) -> EigFactors:
-    """:func:`hermitian_eig` without the Hermitian check."""
-    w, q = np.linalg.eigh(_to_stack(t))
-    kind = "real" if t.kind == "real" else None
-    return EigFactors(_all_slices(w[:, ::-1], t.p).T, q[:, :, ::-1], kind)
-
-
 def hermitian_eig(t: Tensor3) -> EigFactors:
     """Slice-wise unitary eigendecomposition of a Hermitian tensor.
 
@@ -255,8 +293,7 @@ def hermitian_eig(t: Tensor3) -> EigFactors:
     input is decomposed on its p // 2 + 1 independent Fourier slices, so
     the Q and L factors come back real.
     """
-    _require_hermitian(t, "hermitian_eig")
-    return _eig(t)
+    return _decompose(t, "hermitian_eig")
 
 
 def t_svd(t: Tensor3) -> TSvdFactors:
@@ -291,26 +328,13 @@ def t_function(t: Tensor3, fn: str, exponent: float | None = None) -> Tensor3:
     elif exponent is not None:
         raise ValueError(f"exponent is only meaningful for 'pow', not {fn!r}")
 
-    factors = hermitian_eig(t)
-    w = factors._w.copy()
-    lam_max = float(w.max())
-    psd_tol = psd_tolerance(lam_max)
-    pd_tol = pd_tolerance(lam_max)
-
-    needs_pd = fn in ("log", "inv_sqrt") or (fn == "pow" and exponent < 0)
-    if needs_pd:
-        if w.min() <= pd_tol:
-            raise SingularityError(
-                f"{fn} requires positive definite input; min eigenvalue {w.min():.3e} "
-                f"<= tolerance {pd_tol:.3e}"
-            )
+    factors = _decompose(t, "t_function")
+    if fn in ("log", "inv_sqrt") or (fn == "pow" and exponent < 0):
+        factors._require(f"{fn} requires positive definite input", definite=True)
+        w = factors._w
     else:
-        if w.min() < -psd_tol:
-            raise DomainError(
-                f"{fn} requires positive semidefinite input; min eigenvalue "
-                f"{w.min():.3e} < -{psd_tol:.3e}"
-            )
-        np.clip(w, 0.0, None, out=w)
+        factors._require(f"{fn} requires positive semidefinite input")
+        w = np.clip(factors._w, 0.0, None)
 
     if fn == "sqrt":
         fw = np.sqrt(w)
@@ -322,9 +346,7 @@ def t_function(t: Tensor3, fn: str, exponent: float | None = None) -> Tensor3:
         if exponent == 0:
             return identity(t.n, t.p)
         fw = np.power(w, float(exponent))
-
-    q = factors._q_stack
-    return _from_stack((q * fw[:, None, :]) @ _adjoint(q), t.p, factors._kind)
+    return _from_stack(factors._apply(fw), t.p, factors._kind)
 
 
 def is_psd(t: Tensor3) -> PsdCheck:
@@ -333,24 +355,7 @@ def is_psd(t: Tensor3) -> PsdCheck:
     True when the smallest block-circulant eigenvalue is at least
     ``-1e-9 * max(1, lambda_max)``.  Non-Hermitian input raises.
     """
-    return _psd_spectrum(t)[1]
-
-
-def _psd_spectrum(t: Tensor3) -> tuple[np.ndarray, PsdCheck]:
-    """Descending Fourier spectrum and :func:`is_psd` verdict, from one
-    Hermitian check and one batched ``eigvalsh``."""
-    _require_hermitian(t, "is_psd")
-    lam = _eigenvalues(t, "fourier", hermitian=True).values
-    return lam, _psd_check(float(lam[-1]), float(lam[0]))
-
-
-def _psd_eig(t: Tensor3) -> tuple[EigFactors, PsdCheck]:
-    """Eigendecomposition and :func:`is_psd` verdict, from one Hermitian
-    check and one batched ``eigh``."""
-    _require_hermitian(t, "is_psd")
-    factors = _eig(t)
-    w = factors.fourier_eigenvalues
-    return factors, _psd_check(float(w.min()), float(w.max()))
+    return _decompose(t, "is_psd", vectors=False)._verdict()
 
 
 def psd_factor(t: Tensor3) -> Tensor3:
@@ -359,11 +364,8 @@ def psd_factor(t: Tensor3) -> Tensor3:
     The eigendecomposition doubles as the t-SVD here (U = V = Q, S = L), so
     the factor reproduces A exactly rather than only up to a unitary.
     """
-    factors, chk = _psd_eig(t)
-    if not chk.ok:
-        raise DomainError(
-            f"psd_factor requires a PSD tensor; min eigenvalue {chk.min_eigenvalue:.3e}"
-        )
+    factors = _decompose(t, "psd_factor")
+    factors._require("psd_factor requires a PSD tensor")
     root = np.sqrt(np.clip(factors._w, 0.0, None))
     return _from_stack(factors._q_stack * root[:, None, :], t.p, factors._kind)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tspectral import read_tensor
+from tspectral import Tensor3, read_tensor, write_tensor
 from tspectral.cli import main
 
 
@@ -234,6 +234,86 @@ class TestGenVerify:
         f2 = tmp_path / "e2.json"
         run(capsys, "gen", "psd", "-n", "2", "-p", "2", "--seed", "123", "-o", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
+
+
+def _slice0_tensor(mat, p):
+    """2 x 2 x p tensor whose first frontal slice is ``mat`` and the rest zero,
+    so every Fourier slice equals ``mat`` and the spectrum is exact."""
+    data = np.zeros((2, 2, p))
+    data[:, :, 0] = mat
+    return Tensor3(data)
+
+
+_VERIFY_INPUTS = {
+    "pd": _slice0_tensor(np.diag([2.0, 3.0]), 3),
+    "singular_psd": _slice0_tensor(np.diag([1.0, 0.0]), 2),
+    "indefinite": _slice0_tensor(np.diag([1.0, -1.0]), 2),
+    "non_hermitian": _slice0_tensor([[1.0, 2.0], [0.0, 3.0]], 2),
+}
+
+_NOT_HERMITIAN = "is_psd requires a Hermitian tensor"
+
+# (input, --checks) -> (exit code, stdout, text required in stderr)
+_VERIFY_TABLE = {
+    ("pd", "hermitian,psd,pd"): (
+        0,
+        "hermitian: residual = 0 -> ok\npsd: min_eigenvalue = 2 -> ok\n"
+        "pd: min_eigenvalue = 2 -> ok\n",
+        "",
+    ),
+    ("pd", "pd,psd"): (0, "pd: min_eigenvalue = 2 -> ok\npsd: min_eigenvalue = 2 -> ok\n", ""),
+    ("pd", "pd"): (0, "pd: min_eigenvalue = 2 -> ok\n", ""),
+    ("singular_psd", "hermitian,psd,pd"): (
+        1,
+        "hermitian: residual = 0 -> ok\npsd: min_eigenvalue = 0 -> ok\n"
+        "pd: min_eigenvalue = 0 -> FAIL\n",
+        "",
+    ),
+    ("singular_psd", "pd,psd"): (
+        1, "pd: min_eigenvalue = 0 -> FAIL\npsd: min_eigenvalue = 0 -> ok\n", ""
+    ),
+    ("singular_psd", "pd"): (1, "pd: min_eigenvalue = 0 -> FAIL\n", ""),
+    ("indefinite", "hermitian,psd,pd"): (
+        1,
+        "hermitian: residual = 0 -> ok\npsd: min_eigenvalue = -1 -> FAIL\n"
+        "pd: min_eigenvalue = -1 -> FAIL\n",
+        "",
+    ),
+    ("indefinite", "pd,psd"): (
+        1, "pd: min_eigenvalue = -1 -> FAIL\npsd: min_eigenvalue = -1 -> FAIL\n", ""
+    ),
+    ("indefinite", "pd"): (1, "pd: min_eigenvalue = -1 -> FAIL\n", ""),
+    ("non_hermitian", "hermitian,psd,pd"): (
+        2, "hermitian: residual = 4.0000000000000009 -> FAIL\n", _NOT_HERMITIAN
+    ),
+    ("non_hermitian", "pd,psd"): (2, "pd: min_eigenvalue = 1 -> FAIL\n", _NOT_HERMITIAN),
+    ("non_hermitian", "pd"): (1, "pd: min_eigenvalue = 1 -> FAIL\n", ""),
+}
+
+
+@pytest.mark.parametrize("name, checks", sorted(_VERIFY_TABLE))
+def test_verify_table(capsys, tmp_path, name, checks):
+    """Exact stdout and exit code of ``verify`` for each kind of operand and
+    each order of the spectral checks."""
+    f = tmp_path / f"{name}.json"
+    write_tensor(_VERIFY_INPUTS[name], f)
+    want_code, want_out, want_err = _VERIFY_TABLE[name, checks]
+    code, stdout, err = run(capsys, "verify", str(f), "--checks", checks)
+    assert (code, stdout) == (want_code, want_out)
+    assert want_err in err
+
+
+@pytest.mark.parametrize(
+    "kind, entry",
+    [("real", "-1" + "0" * 400), ("complex", "[1" + "0" * 400 + ", 0]")],
+    ids=["real", "complex"],
+)
+def test_integer_beyond_float_range_exit_2(capsys, tmp_path, kind, entry):
+    f = tmp_path / "big.json"
+    f.write_text(f'{{"dims": [1, 1, 1], "kind": "{kind}", "data": [{entry}]}}')
+    code, stdout, err = run(capsys, "verify", str(f), "--checks", "hermitian")
+    assert (code, stdout) == (2, "")
+    assert "data[0]" in err and "float range" in err
 
 
 class TestSweepCommand:

@@ -292,3 +292,15 @@ class TestTensorFiles:
         path.write_text('{"dims": [1, 1, 1], "kind": "complex", "data": [1.0]}')
         with pytest.raises(ParseError, match="pair"):
             read_tensor(path)
+
+    @pytest.mark.parametrize(
+        "kind, entry",
+        [("real", "1" + "0" * 400), ("complex", "[0.5, -1" + "0" * 400 + "]")],
+        ids=["real", "complex"],
+    )
+    def test_integer_beyond_float_range(self, tmp_path, kind, entry):
+        path = tmp_path / "bad.json"
+        pad = "[0, 0]" if kind == "complex" else "0"
+        path.write_text(f'{{"dims": [1, 1, 2], "kind": "{kind}", "data": [{pad}, {entry}]}}')
+        with pytest.raises(ParseError, match=r"data\[1\].*float range"):
+            read_tensor(path)

@@ -1,0 +1,95 @@
+"""Each public call checks and decomposes each operand once.
+
+The counts are taken by wrapping ``spectral.is_hermitian`` wherever the
+package holds it, the numpy eigensolvers and the inverse FFTs, for the
+duration of one public call.
+"""
+
+import collections
+
+import numpy as np
+import pytest
+
+import tspectral
+from tspectral import (
+    dist_log_euclidean,
+    geodesic_trace_profile,
+    identity,
+    ky_fan_sum,
+    random_psd,
+    write_tensor,
+)
+from tspectral import bounds, cli, geometry, spectral
+from tspectral.cli import main
+
+_COUNTED = {
+    np.linalg: ("eigh", "eigvalsh", "eig", "eigvals"),
+    np.fft: ("irfft", "ifft"),
+}
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counter of the calls made while the test runs, by function name;
+    tests clear it once their inputs are built."""
+    counter = collections.Counter()
+
+    def counting(fn, name):
+        def wrapper(*args, **kwargs):
+            counter[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, names in _COUNTED.items():
+        for name in names:
+            monkeypatch.setattr(module, name, counting(getattr(module, name), name))
+    check = spectral.is_hermitian
+    for module in (tspectral, spectral, bounds, geometry, cli):
+        if getattr(module, "is_hermitian", None) is check:
+            monkeypatch.setattr(module, "is_hermitian", counting(check, "is_hermitian"))
+    return counter
+
+
+def _eigensolves(counter):
+    return sum(counter[name] for name in _COUNTED[np.linalg])
+
+
+def test_ky_fan_sum(calls):
+    h = random_psd(3, 5, 0)
+    calls.clear()
+    ky_fan_sum(h, 2)
+    assert calls["is_hermitian"] == 1
+    assert (calls["eigh"], _eigensolves(calls)) == (1, 1)
+
+
+def test_verify_all_checks(calls, capsys, tmp_path):
+    f = tmp_path / "a.json"
+    write_tensor(random_psd(3, 4, 1), f)
+    calls.clear()
+    assert main(["verify", str(f), "--checks", "hermitian,psd,pd"]) == 0
+    assert capsys.readouterr().out.count("-> ok") == 3
+    assert calls["is_hermitian"] == 1
+    assert (calls["eigvalsh"], _eigensolves(calls)) == (1, 1)
+
+
+@pytest.mark.parametrize("complex_b", [False, True], ids=["real", "mixed"])
+def test_dist_log_euclidean(calls, complex_b):
+    a = random_psd(3, 6, 2) + identity(3, 6)
+    b = random_psd(3, 6, 3) + identity(3, 6)
+    if complex_b:
+        b = b * (1.0 + 0j)
+    calls.clear()
+    dist_log_euclidean(a, b)
+    assert calls["is_hermitian"] == 2
+    assert (calls["eigh"], _eigensolves(calls)) == (2, 2)
+    assert calls["irfft"] + calls["ifft"] == 0
+
+
+def test_geodesic_trace_profile(calls):
+    a = random_psd(3, 5, 4) + identity(3, 5)
+    b = random_psd(3, 5, 5)
+    calls.clear()
+    geodesic_trace_profile(a, b, 11)
+    assert calls["is_hermitian"] == 2
+    assert _eigensolves(calls) == 3

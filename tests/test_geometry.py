@@ -9,6 +9,7 @@ from tspectral import (
     SingularityError,
     Tensor3,
     TSpectralError,
+    conj_transpose,
     dist_bures_wasserstein,
     dist_frobenius,
     dist_log_euclidean,
@@ -18,6 +19,7 @@ from tspectral import (
     identity,
     is_hermitian,
     is_psd,
+    random_psd,
     trace,
     write_tensor,
 )
@@ -119,6 +121,21 @@ class TestBuresWasserstein:
     def test_unknown_convention(self, a2, b2):
         with pytest.raises(ValueError):
             dist_bures_wasserstein(a2, b2, convention="other")
+
+    def test_self_distance_at_large_scale(self):
+        """The radicand's roundoff grows with the traces; d(cA, cA) must not
+        raise at c = 1e8 and stays at roundoff relative to sqrt(tr cA)."""
+        c = 1e8
+        for seed in range(50):
+            a = c * random_psd(4, 8, seed)
+            assert dist_bures_wasserstein(a, a) <= 1e-6 * math.sqrt(trace(a))
+
+    @pytest.mark.parametrize("c", [1e-12, 1e12])
+    def test_scale_covariance(self, c):
+        for seed in range(5):
+            a, b = random_psd(4, 8, seed), random_psd(4, 8, 100 + seed)
+            want = math.sqrt(c) * dist_bures_wasserstein(a, b)
+            assert dist_bures_wasserstein(c * a, c * b) == pytest.approx(want, rel=1e-12)
 
 
 class TestLogEuclidean:
@@ -344,6 +361,30 @@ def test_singular_b_profile_at_small_t():
     for c in (1e-6, 1e6):
         scaled = geodesic_trace_profile(c * a, c * b, 11)
         np.testing.assert_allclose(scaled.traces, c * prof.traces, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [1, 4])
+@pytest.mark.parametrize("cond", [1e8, 1e10], ids=["cond1e8", "cond1e10"])
+def test_null_space_at_ill_conditioned_a(cond, p):
+    """A = Q diag(a) Q^T, B = Q diag(b) Q^T with a shared orthogonal Q, so
+    tr G(t) = p * sum_{b_i > 0} a_i^(1-t) b_i^t exactly.  B is zero on A's
+    three smallest eigenvalues: A^(-1/2) amplifies the roundoff there to
+    about eps * lambda_max(B) / lambda_min(A), far above eps * lambda_max(M),
+    and those eigenvalues of M must still count as B's null space."""
+    n = 6
+    a = np.logspace(0.0, -math.log10(cond), n)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        b = np.concatenate([rng.uniform(0.5, 2.0, 3), np.zeros(3)])
+        ta, tb = np.zeros((n, n, p)), np.zeros((n, n, p))
+        ta[:, :, 0], tb[:, :, 0] = (q * a) @ q.T, (q * b) @ q.T  # every Fourier slice
+        ta, tb = Tensor3(ta), Tensor3(tb)
+        ta, tb = 0.5 * (ta + conj_transpose(ta)), 0.5 * (tb + conj_transpose(tb))
+        prof = geodesic_trace_profile(ta, tb, 11)
+        support = b > 0
+        want = [p * np.sum(a[support] ** (1 - t) * b[support] ** t) for t in prof.ts[1:]]
+        np.testing.assert_allclose(prof.traces[1:], want, rtol=1e-9, atol=0.0)
 
 
 def _profile_error_case(case, a2):
