@@ -387,6 +387,30 @@ def test_null_space_at_ill_conditioned_a(cond, p):
         np.testing.assert_allclose(prof.traces[1:], want, rtol=1e-9, atol=0.0)
 
 
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+def test_small_b_eigenvalue_at_ill_conditioned_a_is_kept(rotated, p):
+    """A = diag(1, 1e-10, 1) and positive definite B = diag(1, 1e-6, 1e-7),
+    in a shared basis: M = diag(1, 1e4, 1e-7).  B's 1e-7 lies on an
+    eigenvector of A with eigenvalue 1, where forming M is accurate, so it
+    must not be taken for null space: tr G(0.1) / p is about 1.1995, not 1.
+    In the rotated basis the eigensolves of A and M limit the accuracy to
+    about 1e-7."""
+    n = 3
+    a = np.array([1.0, 1e-10, 1.0])
+    b = np.array([1.0, 1e-6, 1e-7])
+    q = np.eye(n)
+    if rotated:
+        q, _ = np.linalg.qr(np.random.default_rng(409).standard_normal((n, n)))
+    ta, tb = np.zeros((n, n, p)), np.zeros((n, n, p))
+    ta[:, :, 0], tb[:, :, 0] = (q * a) @ q.T, (q * b) @ q.T  # every Fourier slice
+    ta, tb = Tensor3(ta), Tensor3(tb)
+    ta, tb = 0.5 * (ta + conj_transpose(ta)), 0.5 * (tb + conj_transpose(tb))
+    prof = geodesic_trace_profile(ta, tb, 11)
+    want = [p * np.sum(a ** (1 - t) * b**t) for t in prof.ts]
+    np.testing.assert_allclose(prof.traces, want, rtol=1e-6 if rotated else 1e-12, atol=0.0)
+
+
 def _profile_error_case(case, a2):
     """(A, B, keyword arguments) that make geodesic_trace_profile raise."""
     rng = np.random.default_rng(401)
