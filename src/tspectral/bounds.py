@@ -6,18 +6,23 @@ flag.  Sums over eigenvalues always run over the full block-circulant
 spectrum of length ``N = n * p``: with the block-circulant trace convention
 that is exactly the regime in which the slice-wise majorization argument
 aggregates, and it is what makes the identities below close numerically.
+
+Traces of t-products, such as tr(A*B), tr(A*B*A) and tr(U*H*U^H), are
+weighted sums over the Fourier slices, sum_k w_k tr(A_k B_k ...), taken by
+the one kernel ``transform._stack_trace``; no product tensor is formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3, bcirc, conj_transpose, frobenius_norm, identity, trace, unfold
+from .core import Tensor3, _require_same_shape, bcirc, conj_transpose, trace, unfold
 from .errors import DomainError, NumericError, PreconditionError, ShapeError
 from .spectral import _decompose, hermitian_eig, t_eigenvalues
-from .transform import _adjoint, _from_stack, tprod_fft
+from .transform import _adjoint, _from_stack, _product_kind, _stack_trace, _to_stack
 
 __all__ = [
     "BoundReport",
@@ -39,6 +44,14 @@ REPORT_RTOL = 1e-8
 # An eigenvalue whose imaginary part is at most this share of the spectral
 # radius (or of 1) is real up to the roundoff of a slice eigensolve.
 HERMITIAN_IMAG_ATOL = 1e-9
+
+# Self-checks, each far above the roundoff of what it compares (a few n eps, relative):
+# tr((A+aI)*(B+aI)) against its expansion, both sums of N products;
+SHIFT_IDENTITY_RTOL = 1e-9
+# U*U^H = I_k for ky_fan_sum's optimizer, as orthonormal as LAPACK's eigenvectors;
+ISOMETRY_RTOL = 1e-9
+# tr(U*H*U^H) against the eigenvalue sum it attains, to the eigensolve's backward error.
+ATTAINED_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -90,18 +103,19 @@ class KyFanResult:
 
 
 def _real_trace(t: Tensor3) -> float:
-    val = trace(t)
-    return float(np.real(val))
+    return float(np.real(trace(t)))
+
+
+def _product_trace(*factors: Tensor3) -> float:
+    """Real part of tr(T1 * ... * Tr), from the factors' Fourier stacks."""
+    kind = _product_kind(*factors)
+    stacks = [_to_stack(t, kind) for t in factors]
+    return float(np.real(_stack_trace(*stacks, p=factors[0].p, kind=kind)))
 
 
 def _require_square(t: Tensor3, op: str) -> None:
     if t.m != t.n:
         raise ShapeError(f"{op} requires square slices, got {t.m}x{t.n}")
-
-
-def _require_same_shape(a: Tensor3, b: Tensor3, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op} requires equal shapes, got {a.shape} vs {b.shape}")
 
 
 def _spectrum(t: Tensor3, op: str, name: str, psd: bool = False) -> np.ndarray:
@@ -181,7 +195,7 @@ def vn_trace_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     _require_same_shape(a, b, "vn_trace_bounds")
     lam_a = _spectrum(a, "vn_trace_bounds", "first operand", psd=True)
     lam_b = _spectrum(b, "vn_trace_bounds", "second operand", psd=True)
-    value = _real_trace(tprod_fft(a, b))
+    value = _product_trace(a, b)
     lower, upper = _vn_sums(lam_a, lam_b)
     return BoundReport.build(lower, value, upper, "trace-product-psd")
 
@@ -199,16 +213,19 @@ def hermitian_trace_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     _require_same_shape(a, b, "hermitian_trace_bounds")
     lam_a = _spectrum(a, "hermitian_trace_bounds", "first operand")
     lam_b = _spectrum(b, "hermitian_trace_bounds", "second operand")
-    value = _real_trace(tprod_fft(a, b))
+    kind = _product_kind(a, b)
+    sa, sb = _to_stack(a, kind), _to_stack(b, kind)
+    value = float(np.real(_stack_trace(sa, sb, p=a.p, kind=kind)))
     lower, upper = _vn_sums(lam_a, lam_b)
 
-    # shift-identity self-check at alpha = 1 + |most negative eigenvalue|
+    # shift-identity self-check at alpha = 1 + |most negative eigenvalue|;
+    # the Fourier stack of alpha * I is alpha * I on every slice
     big_n = a.n * a.p
     alpha = 1.0 + max(0.0, -float(lam_a[-1]), -float(lam_b[-1]))
-    ident = identity(a.n, a.p)
-    lhs = _real_trace(tprod_fft(a + alpha * ident, b + alpha * ident))
+    shift = alpha * np.eye(a.n)
+    lhs = float(np.real(_stack_trace(sa + shift, sb + shift, p=a.p, kind=kind)))
     rhs = value + alpha * (_real_trace(a) + _real_trace(b)) + big_n * alpha**2
-    if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs)):
+    if abs(lhs - rhs) > SHIFT_IDENTITY_RTOL * max(1.0, abs(lhs)):
         raise NumericError(
             f"shift identity violated: {lhs!r} vs {rhs!r} at alpha={alpha!r}"
         )
@@ -225,7 +242,7 @@ def sandwich_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     lam_b = _spectrum(b, "sandwich_bounds", "second operand", psd=True)
     tr_a = _real_trace(a)
     big_n = a.n * a.p
-    value = _real_trace(tprod_fft(tprod_fft(a, b), a))
+    value = _product_trace(a, b, a)
     lower = float(lam_b[-1]) * tr_a**2 / big_n
     upper = float(lam_b[0]) * tr_a**2
     return BoundReport.build(lower, value, upper, "sandwich-psd")
@@ -243,7 +260,7 @@ def extremal_ratio_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     tr_b = _real_trace(b)
     if tr_b <= 0.0:
         raise DomainError(f"extremal_ratio_bounds requires trace(B) > 0, got {tr_b!r}")
-    value = _real_trace(tprod_fft(a, b)) / tr_b
+    value = _product_trace(a, b) / tr_b
     return BoundReport.build(float(lam_a[-1]), value, float(lam_a[0]), "extremal-ratio")
 
 
@@ -284,7 +301,7 @@ def symmetric_relax_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     tr_b = _real_trace(b)
     lam1, lam_n = float(lam_bar[0]), float(lam_bar[-1])
     lam_n_b = float(lam_b[-1])
-    value = _real_trace(tprod_fft(a, b))
+    value = _product_trace(a, b)
     lower = lam_n * tr_b - lam_n_b * (big_n * lam_n - tr_a)
     upper = lam1 * tr_b - lam_n_b * (big_n * lam1 - tr_a)
     return BoundReport.build(lower, value, upper, "relaxed-symmetric")
@@ -306,14 +323,18 @@ def ky_fan_sum(h: Tensor3, k: int, which: str = "max") -> KyFanResult:
     factors = _decompose(h, "ky_fan_sum")
     chosen = slice(0, k) if which == "max" else slice(h.n - k, h.n)  # eigenvalues descend
     value = float(factors.fourier_eigenvalues[chosen].sum())
-    u = _from_stack(_adjoint(factors._q_stack[:, :, chosen]), h.p, factors._kind)
+    q = factors._q_stack[:, :, chosen]  # U's stack is Q^H, so U*U^H's is Q^H Q
+    u = _from_stack(_adjoint(q), h.p, factors._kind)
 
-    gram = tprod_fft(u, conj_transpose(u))
-    resid = frobenius_norm(gram - identity(k, h.p))
-    if resid > 1e-9 * (1.0 + frobenius_norm(gram)):
+    def norm(x):  # ||X||_F^2 = tr(X^H * X), on the Fourier stack of X
+        return math.sqrt(np.real(_stack_trace(_adjoint(x), x, p=h.p, kind=h.kind)))
+
+    gram = _adjoint(q) @ q
+    resid = norm(gram - np.eye(k))
+    if resid > ISOMETRY_RTOL * (1.0 + norm(gram)):
         raise NumericError(f"constructed optimizer is not a partial isometry: {resid:.3e}")
-    achieved = _real_trace(tprod_fft(tprod_fft(u, h), conj_transpose(u)))
-    if abs(achieved - value) > 1e-8 * max(1.0, abs(value)):
+    achieved = float(np.real(_stack_trace(_adjoint(q), _to_stack(h), q, p=h.p, kind=h.kind)))
+    if abs(achieved - value) > ATTAINED_RTOL * max(1.0, abs(value)):
         raise NumericError(
             f"optimizer achieves {achieved!r} but extremal value is {value!r}"
         )

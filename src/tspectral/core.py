@@ -146,6 +146,11 @@ class Tensor3:
         return f"Tensor3(m={self.m}, n={self.n}, p={self.p}, kind={self.kind})"
 
 
+def _require_same_shape(a: Tensor3, b: Tensor3, op: str) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{op} requires equal shapes, got {a.shape} vs {b.shape}")
+
+
 def frontal_slice(t: Tensor3, k: int) -> np.ndarray:
     """Return a copy of the k-th frontal slice, 1-based."""
     if not 1 <= k <= t.p:
@@ -259,6 +264,8 @@ def read_tensor(path) -> Tensor3:
         raise ParseError(f"{path}: cannot read tensor file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # e.g. an integer longer than int_max_str_digits
+        raise ParseError(f"{path}: cannot parse tensor file: {exc}") from exc
 
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level value must be an object")

@@ -37,11 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3, frobenius_norm, identity, trace
+from .core import Tensor3, _require_same_shape, frobenius_norm, identity, trace
 from .errors import DomainError, NumericError, ShapeError
 from .spectral import EigFactors, _decompose, _stack_eig
 from .spectral import t_eigenvalues  # noqa: F401  (perfbench's tracing check reads it here)
-from .transform import _adjoint, _from_stack, _slice_weights, _to_stack
+from .transform import _adjoint, _from_stack, _product_kind, _slice_weights, _to_stack
 
 __all__ = [
     "GeodesicProfile",
@@ -90,11 +90,6 @@ class GeodesicProfile:
         tr.setflags(write=False)
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "traces", tr)
-
-
-def _require_same_shape(a: Tensor3, b: Tensor3, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op} requires equal shapes, got {a.shape} vs {b.shape}")
 
 
 def _checked_pair(a: Tensor3, b: Tensor3, op: str, definite: bool = False) -> list[EigFactors]:
@@ -190,7 +185,7 @@ def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFac
     )
     eig_b = _decompose(b, "geodesic", vectors=False)
     eig_b._require("geodesic requires B PSD")
-    kind = "real" if a.kind == b.kind == "real" else "complex"
+    kind = _product_kind(a, b)
     if kind != a.kind:  # real A, complex B: A's rfft half on all p slices
         eig_a = eig_a._on_all_slices()
     root = np.sqrt(eig_a._w)

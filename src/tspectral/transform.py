@@ -22,6 +22,7 @@ slices of ``rfft`` (back through ``irfft``); a complex one all ``p`` of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -89,15 +90,15 @@ def from_fourier(s: SpectralSlices, kind: str | None = None) -> Tensor3:
         exceeds ``1e-8 * (1 + max|entry|)``.  ``None`` coerces to real only
         when the residue is below that same threshold.
     """
-    return _from_stack(np.moveaxis(s.slices, 2, 0), s.p, kind)
+    return _from_stack(s.slices.transpose(2, 0, 1), s.p, kind)
 
 
 def _to_stack(t: Tensor3, kind: str | None = None) -> np.ndarray:
     """Fourier stack of ``t``, shape (p', m, n): the rfft half when ``kind``
     (default ``t.kind``) is ``"real"``, all p slices otherwise."""
     if (kind or t.kind) == "real":
-        return np.moveaxis(np.fft.rfft(t.data, axis=2), 2, 0)
-    return np.moveaxis(np.fft.fft(t.data, axis=2), 2, 0)
+        return np.fft.rfft(t.data, axis=2).transpose(2, 0, 1)
+    return np.fft.fft(t.data, axis=2).transpose(2, 0, 1)
 
 
 def _from_stack(stack: np.ndarray, p: int, kind: str | None = None) -> Tensor3:
@@ -123,7 +124,7 @@ def _from_stack(stack: np.ndarray, p: int, kind: str | None = None) -> Tensor3:
             f"imaginary residue {resid:.3e} exceeds {REAL_COERCION_RTOL * scale:.3e}; "
             "spectral slices are not conjugate-symmetric"
         )
-    return Tensor3(np.moveaxis(data, 0, 2))
+    return Tensor3(data.transpose(1, 2, 0))
 
 
 def _all_slices(x: np.ndarray, p: int) -> np.ndarray:
@@ -139,6 +140,24 @@ def _slice_weights(stack_len: int, p: int) -> np.ndarray:
     if stack_len < p:
         weights[1 : (p + 1) // 2] = 2.0
     return weights
+
+
+def _stack_trace(*stacks: np.ndarray, p: int, kind: str) -> float | complex:
+    """Trace of the t-product of the tensors with these Fourier stacks, as
+    sum_k w_k tr(S1_k ... Sr_k) (weights of :func:`_slice_weights`).  The
+    last pair is contracted over both indices, so the full product is never
+    formed.  A float for ``kind="real"``, else complex."""
+    *head, last = stacks
+    per_slice = np.einsum("kij,kji->k", reduce(np.matmul, head), last)
+    weights = _slice_weights(len(last), p)
+    if kind == "real":
+        return float(weights @ per_slice.real)
+    return complex(weights @ per_slice)
+
+
+def _product_kind(*tensors: Tensor3) -> str:
+    """Kind of a t-product: ``"real"`` when every factor is real."""
+    return "real" if all(t.kind == "real" for t in tensors) else "complex"
 
 
 def _adjoint(stack: np.ndarray) -> np.ndarray:
@@ -162,7 +181,7 @@ def tprod_dense(a: Tensor3, b: Tensor3) -> Tensor3:
 def tprod_fft(a: Tensor3, b: Tensor3) -> Tensor3:
     """Fast t-product via slice-wise products in the Fourier domain."""
     _check_conformable(a, b)
-    kind = "real" if a.kind == b.kind == "real" else "complex"
+    kind = _product_kind(a, b)
     return _from_stack(_to_stack(a, kind) @ _to_stack(b, kind), a.p, kind)
 
 

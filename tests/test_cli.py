@@ -316,6 +316,14 @@ def test_integer_beyond_float_range_exit_2(capsys, tmp_path, kind, entry):
     assert "data[0]" in err and "float range" in err
 
 
+def test_integer_beyond_digit_limit_exit_2(capsys, tmp_path):
+    f = tmp_path / "long.json"
+    f.write_text('{"dims": [1, 1, 1], "kind": "real", "data": [' + "1" * 5001 + "]}")
+    code, stdout, err = run(capsys, "verify", str(f), "--checks", "hermitian")
+    assert (code, stdout) == (2, "")
+    assert f"error: {f}: " in err
+
+
 class TestSweepCommand:
     def test_vn_bounds_all_pass(self, capsys):
         code, stdout, _ = run(capsys, "sweep", "vn-bounds", "--trials", "25", "--seed", "0")

@@ -304,3 +304,17 @@ class TestTensorFiles:
         path.write_text(f'{{"dims": [1, 1, 2], "kind": "{kind}", "data": [{pad}, {entry}]}}')
         with pytest.raises(ParseError, match=r"data\[1\].*float range"):
             read_tensor(path)
+
+    @pytest.mark.parametrize(
+        "kind, entry",
+        [("real", "1" * 5001), ("complex", "[0.5, -" + "1" * 5001 + "]")],
+        ids=["real", "complex"],
+    )
+    def test_integer_beyond_digit_limit(self, tmp_path, kind, entry):
+        """json.load refuses integers longer than sys.get_int_max_str_digits()
+        (4300 by default) with a plain ValueError; the ParseError names the file."""
+        path = tmp_path / "long.json"
+        path.write_text(f'{{"dims": [1, 1, 1], "kind": "{kind}", "data": [{entry}]}}')
+        with pytest.raises(ParseError) as err:
+            read_tensor(path)
+        assert str(err.value).startswith(f"{path}: ")

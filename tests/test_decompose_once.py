@@ -2,7 +2,8 @@
 
 The counts are taken by wrapping ``spectral.is_hermitian`` wherever the
 package holds it, the numpy eigensolvers and the inverse FFTs, for the
-duration of one public call.
+duration of one public call.  Traces of t-products are taken on Fourier
+stacks, so the bounds run no inverse FFT at all.
 """
 
 import collections
@@ -93,3 +94,37 @@ def test_geodesic_trace_profile(calls):
     geodesic_trace_profile(a, b, 11)
     assert calls["is_hermitian"] == 2
     assert _eigensolves(calls) == 3
+
+
+_TRACE_BOUNDS = [
+    (name, kind)
+    for name in (
+        "vn_trace_bounds",
+        "hermitian_trace_bounds",
+        "sandwich_bounds",
+        "extremal_ratio_bounds",
+        "symmetric_relax_bounds",
+    )
+    for kind in ("real", "mixed")
+    if (name, kind) != ("symmetric_relax_bounds", "mixed")  # defined for real tensors only
+]
+
+
+@pytest.mark.parametrize("name, kind", _TRACE_BOUNDS)
+@pytest.mark.parametrize("p", [1, 4, 5])
+def test_trace_bounds_run_no_inverse_fft(calls, name, kind, p):
+    a = random_psd(3, p, 6)
+    b = random_psd(3, p, 7) * (1.0 + 0j if kind == "mixed" else 1.0)
+    calls.clear()
+    assert getattr(bounds, name)(a, b).satisfied
+    assert calls["is_hermitian"] == 2
+    assert _eigensolves(calls) == 2
+    assert calls["irfft"] + calls["ifft"] == 0
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_ky_fan_sum_inverts_only_its_optimizer(calls, kind):
+    h = random_psd(3, 5, 8) * (1.0 + 0j if kind == "complex" else 1.0)
+    calls.clear()
+    ky_fan_sum(h, 2, which="min")
+    assert calls["irfft"] + calls["ifft"] == 1

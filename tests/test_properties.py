@@ -19,6 +19,7 @@ from tspectral import (
     Tensor3,
     conj_transpose,
     dist_bures_wasserstein,
+    frobenius_norm,
     from_fourier,
     geodesic,
     geodesic_trace_profile,
@@ -29,6 +30,7 @@ from tspectral import (
     t_svd,
     tprod_dense,
     tprod_fft,
+    trace,
 )
 from helpers_oracles import (
     assert_multiset_close,
@@ -88,6 +90,28 @@ def test_tprod_fft_matches_dense(m, n, l, p, kind_a, kind_b, seed):
     assert fast.shape == (m, l, p)
     np.testing.assert_allclose(fast.data, dense.data, rtol=0.0, atol=1e-12 * (1 + n * p))
     assert fast.kind == ("real" if kind_a == kind_b == "real" else "complex")
+
+
+@PROPERTY_SETTINGS
+@given(sizes, sizes, tube_lengths, kinds, kinds, seeds)
+def test_stack_trace_matches_dense_trace(m, n, p, kind_a, kind_b, seed):
+    """The Fourier trace kernel against trace(tprod_dense(...)), for tr(A*B)
+    with A of m x n and B of n x m, and for tr(A*B*A) with both n x n."""
+    from tspectral.transform import _product_kind, _stack_trace, _to_stack
+
+    def kernel(*factors):
+        kind = _product_kind(*factors)
+        got = _stack_trace(*(_to_stack(t, kind) for t in factors), p=p, kind=kind)
+        assert isinstance(got, float if kind == "real" else complex)
+        return got
+
+    rng = np.random.default_rng(seed)
+    a, b = _tensor(rng, m, n, p, kind_a), _tensor(rng, n, m, p, kind_b)
+    want = trace(tprod_dense(a, b))
+    assert abs(kernel(a, b) - want) <= 1e-12 * frobenius_norm(a) * frobenius_norm(b)
+    a, b = _tensor(rng, n, n, p, kind_a), _tensor(rng, n, n, p, kind_b)
+    want = trace(tprod_dense(tprod_dense(a, b), a))
+    assert abs(kernel(a, b, a) - want) <= 1e-12 * frobenius_norm(a) ** 2 * frobenius_norm(b)
 
 
 @PROPERTY_SETTINGS
