@@ -316,6 +316,14 @@ def test_integer_beyond_float_range_exit_2(capsys, tmp_path, kind, entry):
     assert "data[0]" in err and "float range" in err
 
 
+def test_bool_dims_exit_2(capsys, tmp_path):
+    f = tmp_path / "bool.json"
+    f.write_text('{"dims": [true, 1, 2], "kind": "real", "data": [1, 2]}')
+    code, stdout, err = run(capsys, "eig", str(f))
+    assert (code, stdout) == (2, "")
+    assert "field 'dims' must be three integers >= 1" in err
+
+
 def test_integer_beyond_digit_limit_exit_2(capsys, tmp_path):
     f = tmp_path / "long.json"
     f.write_text('{"dims": [1, 1, 1], "kind": "real", "data": [' + "1" * 5001 + "]}")

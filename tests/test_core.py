@@ -281,6 +281,26 @@ class TestTensorFiles:
         with pytest.raises(ParseError, match="dims"):
             read_tensor(path)
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_integer_entries_read_as_floats(self, tmp_path, kind):
+        """JSON integers, also beyond 64 bits, read as float(v), like the loop."""
+        ints = [0, -3, 2**64 + 1, -(10**300), int(1.7976931348623157e308)]
+        entries = ints if kind == "real" else [[v, -v] for v in ints]
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps({"dims": [1, 1, 5], "kind": kind, "data": entries}))
+        want = [float(v) if kind == "real" else complex(v, -v) for v in ints]
+        assert read_tensor(path).data.ravel().tolist() == want
+
+    def test_bool_dims(self, tmp_path):
+        """true is not the integer 1 in dims, as it is not a number in data."""
+        path = tmp_path / "bad.json"
+        path.write_text('{"dims": [true, 1, 2], "kind": "real", "data": [1, 2]}')
+        with pytest.raises(ParseError) as err:
+            read_tensor(path)
+        assert str(err.value) == (
+            f"{path}: field 'dims' must be three integers >= 1, got [True, 1, 2]"
+        )
+
     def test_non_finite_entry(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dims": [1, 1, 1], "kind": "real", "data": [NaN]}')
@@ -318,3 +338,43 @@ class TestTensorFiles:
         with pytest.raises(ParseError) as err:
             read_tensor(path)
         assert str(err.value).startswith(f"{path}: ")
+
+
+# (kind, rejected entry as JSON text, the message after "data[i] ")
+_REJECTED_ENTRIES = [
+    ("real", "true", "is not a real number: True"),
+    ("real", "false", "is not a real number: False"),
+    ("real", '"1.5"', "is not a real number: '1.5'"),
+    ("real", "null", "is not a real number: None"),
+    ("real", "[1.5]", "is not a real number: [1.5]"),
+    ("real", "1" + "0" * 400, "is an integer beyond float range"),
+    ("real", "-1" + "0" * 400, "is an integer beyond float range"),
+    ("real", "NaN", "is not finite"),
+    ("real", "Infinity", "is not finite"),
+    ("real", "-Infinity", "is not finite"),
+    ("complex", "[true, 0]", "is not a [re, im] pair: [True, 0]"),
+    ("complex", '[0, "1"]', "is not a [re, im] pair: [0, '1']"),
+    ("complex", "null", "is not a [re, im] pair: None"),
+    ("complex", "[null, 0]", "is not a [re, im] pair: [None, 0]"),
+    ("complex", "[[1, 2], 0]", "is not a [re, im] pair: [[1, 2], 0]"),
+    ("complex", "[0.5, 1" + "0" * 400 + "]", "holds an integer beyond float range"),
+    ("complex", "[NaN, 0]", "is not finite"),
+    ("complex", "[0, -Infinity]", "is not finite"),
+    ("complex", "[1.5]", "is not a [re, im] pair: [1.5]"),
+    ("complex", "[1, 2, 3]", "is not a [re, im] pair: [1, 2, 3]"),
+    ("complex", "2.5", "is not a [re, im] pair: 2.5"),
+]
+
+
+@pytest.mark.parametrize("index", [0, 3, 6], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("kind, entry, message", _REJECTED_ENTRIES)
+def test_rejected_entry_is_named_at_every_position(tmp_path, kind, entry, message, index):
+    """One bad entry among valid ones, anywhere in the data, gives the exact
+    message that names it: the fast path of the read hides no error."""
+    data = ["[1.5, -2]" if kind == "complex" else "1.5"] * 7
+    data[index] = entry
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"dims": [1, 1, 7], "kind": "{kind}", "data": [{", ".join(data)}]}}')
+    with pytest.raises(ParseError) as err:
+        read_tensor(path)
+    assert str(err.value) == f"{path}: data[{index}] {message}"

@@ -128,3 +128,14 @@ def test_ky_fan_sum_inverts_only_its_optimizer(calls, kind):
     calls.clear()
     ky_fan_sum(h, 2, which="min")
     assert calls["irfft"] + calls["ifft"] == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_concavity_trial_traces_without_inverse_fft(calls, seed):
+    """tr sqrt(X) is a weighted sum over Fourier-slice eigenvalues: each of the
+    three traces is one eigvalsh and no sqrt(X) tensor; the only inverse FFTs
+    are those of the two random_psd draws."""
+    assert cli._sweep_concavity(np.random.default_rng((seed, 0)))
+    assert calls["is_hermitian"] == 3
+    assert (calls["eigvalsh"], _eigensolves(calls)) == (3, 3)
+    assert calls["irfft"] + calls["ifft"] == 2

@@ -5,8 +5,14 @@ entries.  A real tensor is decomposed on its p // 2 + 1 independent Fourier
 slices: for p = 1 and 2 those are all slices, odd p adds mirrored interior
 slices, and even p >= 4 has interior slices plus a Nyquist slice that, like
 DC, occurs once.  The oracles in ``helpers_oracles`` work on the dense
-block-circulant matrix and never touch the library's FFT code.
+block-circulant matrix and never touch the library's FFT code.  The tensor
+file round trip draws its own shapes and entries.
 """
+
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,12 +31,14 @@ from tspectral import (
     geodesic_trace_profile,
     hermitian_eig,
     identity,
+    read_tensor,
     t_eigenvalues,
     t_function,
     t_svd,
     tprod_dense,
     tprod_fft,
     trace,
+    write_tensor,
 )
 from helpers_oracles import (
     assert_multiset_close,
@@ -239,3 +247,46 @@ def test_half_stack_edge_imaginary_part_is_not_dropped(p, edge):
     half[edge, 0, 1] -= 1e-3j
     half[1, 0, 1] += 1e-3j  # an interior slice stands for a conjugate pair: no residue
     assert _from_stack(half, p, "real").kind == "real"
+
+
+# -0.0, the smallest subnormal, a mid subnormal, the float range ends and
+# integer-valued floats, beside hypothesis' own finite floats
+_EDGE_FLOATS = [-0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308, 3.0, -1e16]
+file_entries = st.one_of(
+    st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def file_tensors(draw):
+    m, n, p = (draw(st.integers(1, 5)) for _ in range(3))
+    factor = 2 if draw(kinds) == "complex" else 1
+    size = factor * m * n * p
+    entries = draw(st.lists(file_entries, min_size=size, max_size=size))
+    data = np.array(entries, dtype=np.float64).reshape(m, n, p, factor)
+    return Tensor3(data.view(np.complex128 if factor == 2 else np.float64)[..., 0])
+
+
+def _per_element_encoding(t):
+    """The reference encoding: float() of each element, streamed by json.dump."""
+    flat = np.transpose(t.data, (2, 0, 1)).ravel()
+    if t.kind == "complex":
+        data = [[float(z.real), float(z.imag)] for z in flat]
+    else:
+        data = [float(x) for x in flat]
+    buf = io.StringIO()
+    json.dump({"dims": [t.m, t.n, t.p], "kind": t.kind, "data": data}, buf)
+    buf.write("\n")
+    return buf.getvalue().encode("utf-8")
+
+
+@PROPERTY_SETTINGS
+@given(file_tensors())
+def test_tensor_file_round_trip_is_exact(t):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.json"
+        write_tensor(t, path)
+        assert path.read_bytes() == _per_element_encoding(t)
+        back = read_tensor(path)
+    assert (back.kind, back.shape) == (t.kind, t.shape)
+    assert back.data.tobytes() == t.data.tobytes()
