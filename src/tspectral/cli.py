@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .core import (
     Tensor3,
-    conj_transpose,
+    _conj_transpose_data,
     frobenius_norm,
     read_tensor,
     trace,
@@ -46,7 +46,7 @@ from .geometry import (
 from .spectral import (
     PsdCheck,
     _decompose,
-    is_hermitian,
+    _record,
     random_psd,
     t_eigenvalues,
 )
@@ -89,8 +89,8 @@ def _default_seed() -> int:
 
 
 def _random_hermitian(n: int, p: int, rng: np.random.Generator) -> Tensor3:
-    m = Tensor3(rng.standard_normal((n, n, p)))
-    return (m + conj_transpose(m)) * 0.5
+    m = rng.standard_normal((n, n, p))
+    return Tensor3((m + _conj_transpose_data(m)) * 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +149,8 @@ def cmd_eig(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if args.kind in ("symmetrized", "kyfan") and args.b is not None:
+        raise ValueError(f"bounds {args.kind} takes one tensor file, got a second: {args.b}")
     a = read_tensor(args.a)
     reports = []
     hard = True
@@ -253,8 +255,7 @@ def cmd_gen(args) -> int:
 def cmd_verify(args) -> int:
     a = read_tensor(args.a)
     checks = args.checks.split(",")
-    herm = is_hermitian(a)
-    factors = None  # one eigvalsh pass, shared by the psd and pd checks
+    herm = _record(a).hermitian  # the psd and pd checks share its one eigvalsh pass
     ok = True
     for check in checks:
         if check == "hermitian":
@@ -264,9 +265,7 @@ def cmd_verify(args) -> int:
             if check == "pd" and not herm.ok:  # not PD; report the least real eigenvalue part
                 res = PsdCheck(False, float(np.real(t_eigenvalues(a).values).min()))
             else:
-                if factors is None:
-                    factors = _decompose(a, "is_psd", vectors=False, hermitian=herm)
-                res = factors._verdict(definite=check == "pd")
+                res = _decompose(a, "is_psd", vectors=False)._verdict(definite=check == "pd")
             print(
                 f"{check}: min_eigenvalue = {_fmt(res.min_eigenvalue)} -> "
                 f"{'ok' if res.ok else 'FAIL'}"
@@ -391,6 +390,8 @@ def cmd_sweep(args) -> int:
         raise ValueError(
             f"unknown property {args.property!r}; choose from {sorted(_SWEEPS)}"
         )
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     fn, hard = _SWEEPS[args.property]
     seed = args.seed if args.seed is not None else _default_seed()
     passed = 0

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -50,12 +50,12 @@ def _as_tensor_data(data: np.ndarray) -> np.ndarray:
     if min(arr.shape) < 1:
         raise ShapeError(f"all tensor dimensions must be >= 1, got {arr.shape}")
     if arr.dtype.kind in _REAL_KINDS:
-        arr = arr.astype(np.float64)
+        dtype = np.float64
     elif arr.dtype.kind == "c":
-        arr = arr.astype(np.complex128)
+        dtype = np.complex128
     else:
         raise ShapeError(f"unsupported scalar dtype {arr.dtype}")
-    arr = arr.copy()
+    arr = np.array(arr, dtype=dtype, order="C")  # one copy: cast, C order, unaliased
     arr.setflags(write=False)
     return arr
 
@@ -68,10 +68,16 @@ class Tensor3:
     ----------
     data : ndarray, shape (m, n, p)
         Frontal slice ``k`` is ``data[:, :, k]``.  Real input is stored as
-        float64, complex input as complex128.
+        float64, complex input as complex128, in a private read-only
+        C-contiguous copy.
+
+    The stored data must never be written: :mod:`tspectral.spectral` keeps
+    each tensor's Hermitian check and eigendecomposition with the tensor
+    (``_spectral``) and reads them back on every later call.
     """
 
     data: np.ndarray
+    _spectral: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "data", _as_tensor_data(self.data))
@@ -198,10 +204,13 @@ def conj_transpose(t: Tensor3) -> Tensor3:
     in order, which makes ``bcirc(conj_transpose(A)) == bcirc(A).conj().T``.
     For real tensors this is the tensor transpose.
     """
-    swapped = np.conj(np.transpose(t.data, (1, 0, 2)))
-    order = np.r_[0, np.arange(t.p - 1, 0, -1)]
-    out = swapped[:, :, order]
-    return Tensor3(out.real if t.kind == "real" else out)
+    return Tensor3(_conj_transpose_data(t.data))
+
+
+def _conj_transpose_data(data: np.ndarray) -> np.ndarray:
+    """The data of :func:`conj_transpose` for tensor data ``data``, as a new array."""
+    out = data.transpose(1, 0, 2)[:, :, -np.arange(data.shape[2]) % data.shape[2]]
+    return out.conj() if data.dtype.kind == "c" else out
 
 
 def identity(n: int, p: int) -> Tensor3:
@@ -297,9 +306,9 @@ def read_tensor(path) -> Tensor3:
 
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level value must be an object")
-    for field in ("dims", "kind", "data"):
-        if field not in doc:
-            raise ParseError(f"{path}: missing required field '{field}'")
+    for key in ("dims", "kind", "data"):
+        if key not in doc:
+            raise ParseError(f"{path}: missing required field '{key}'")
 
     dims = doc["dims"]
     if (

@@ -9,23 +9,33 @@ kept available as an oracle (``method="bcirc"``).
 
 Every operation that needs a Hermitian, PSD or positive definite operand,
 here and in :mod:`~tspectral.bounds` and :mod:`~tspectral.geometry`, goes
-through one private entry, :func:`_decompose`: one Hermitian check naming
-the operation, then one batched ``eigh`` (or ``eigvalsh``) on the Fourier
-stack.  The returned :class:`EigFactors` give the PSD and PD verdicts, the
-only place where :func:`psd_tolerance` and :func:`pd_tolerance` meet a
-spectrum, and the stacks Q diag(f(w)) Q^H that callers build from them.
+through one private entry, :func:`_decompose`: the Hermitian check, whose
+failure raises an error naming the operation, then one batched ``eigh``
+(or ``eigvalsh``) on the Fourier stack.  The returned :class:`EigFactors`
+give the PSD and PD verdicts, the only place where :func:`psd_tolerance`
+and :func:`pd_tolerance` meet a spectrum, and the stacks Q diag(f(w)) Q^H
+that callers build from them.
+
+A :class:`~tspectral.core.Tensor3` never changes, so its Hermitian check
+and its eigendecomposition are functions of the tensor alone.  Both are
+kept with the tensor in a per-tensor record (:class:`_Record`): the check
+runs once in the tensor's life, and so does the eigensolve, ``eigvalsh``
+while values suffice and ``eigh`` from the first call that needs vectors.
+:func:`t_eigenvalues` reads the same record.  The PSD/PD verdicts are
+taken on every call, and a failed Hermitian check raises on every call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .core import Tensor3, bcirc, frobenius_norm, conj_transpose, identity
+from .core import Tensor3, _conj_transpose_data, bcirc, frobenius_norm, identity
 from .errors import DomainError, PreconditionError, ShapeError, SingularityError
-from .transform import _adjoint, _all_slices, _from_stack, _to_stack, tprod_fft
+from .transform import _adjoint, _all_slices, _from_stack, _to_stack
 
 __all__ = [
     "Spectrum",
@@ -230,7 +240,9 @@ def is_hermitian(t: Tensor3) -> HermitianCheck:
     """Check A == A^H with relative Frobenius tolerance ``1e-10 * (1+|A|)``."""
     if t.m != t.n:
         raise ShapeError(f"hermitian check requires square slices, got {t.m}x{t.n}")
-    resid = frobenius_norm(t - conj_transpose(t))
+    # ||A - A^H||_F on the data arrays, without building tensors
+    diff = t.data - _conj_transpose_data(t.data)
+    resid = math.sqrt(t.p) * float(np.linalg.norm(diff.ravel()))
     return HermitianCheck(resid <= HERMITIAN_RTOL * (1.0 + frobenius_norm(t)), resid)
 
 
@@ -240,24 +252,52 @@ def _stack_eig(stack: np.ndarray, p: int, kind: str | None, vectors: bool = True
     if vectors:
         w, q = np.linalg.eigh(stack)
         q = q[:, :, ::-1]
+        q.setflags(write=False)  # the factors may be kept and shared
     else:
         w, q = np.linalg.eigvalsh(stack), None
     return EigFactors(_all_slices(w[:, ::-1], p).T, q, kind)
 
 
-def _decompose(
-    t: Tensor3, op: str, vectors: bool = True, hermitian: HermitianCheck | None = None
-) -> EigFactors:
-    """The one gate to a Hermitian operand's spectrum: the Hermitian check
-    (or the given result of it), raising a :class:`PreconditionError` that
-    names ``op``, then :func:`_stack_eig` on the Fourier stack of ``t``."""
-    chk = is_hermitian(t) if hermitian is None else hermitian
-    if not chk.ok:
+class _Record:
+    """What is known of one tensor, kept on it as ``Tensor3._spectral``: its
+    Hermitian check and, once decomposed, its factors (values only until
+    vectors are first asked for)."""
+
+    __slots__ = ("hermitian", "factors")
+
+    def __init__(self, hermitian: HermitianCheck):
+        self.hermitian = hermitian
+        self.factors: EigFactors | None = None
+
+
+def _record(t: Tensor3) -> _Record:
+    """The record of ``t``; the first call runs the tensor's one Hermitian check."""
+    rec = t._spectral
+    if rec is None:
+        rec = _Record(is_hermitian(t))
+        object.__setattr__(t, "_spectral", rec)
+    return rec
+
+
+def _decompose(t: Tensor3, op: str, vectors: bool = True) -> EigFactors:
+    """The one gate to a Hermitian operand's spectrum: the tensor's Hermitian
+    check, raising a :class:`PreconditionError` that names ``op``, then its
+    factors from :func:`_stack_eig` on the Fourier stack of ``t``.
+
+    Both are kept in the tensor's record, so each runs once per tensor: a
+    later call reads them back, and only a first request for ``vectors``
+    after a values-only decomposition solves again, replacing the entry.
+    Callers must not write to the shared factors."""
+    rec = _record(t)
+    if not rec.hermitian.ok:
         raise PreconditionError(
-            f"{op} requires a Hermitian tensor: residual {chk.residual:.3e} exceeds "
+            f"{op} requires a Hermitian tensor: residual {rec.hermitian.residual:.3e} exceeds "
             f"{HERMITIAN_RTOL:.0e} * (1 + ||A||_F)"
         )
-    return _stack_eig(_to_stack(t), t.p, "real" if t.kind == "real" else None, vectors)
+    if rec.factors is None or (vectors and rec.factors._q_stack is None):
+        kind = "real" if t.kind == "real" else None
+        rec.factors = _stack_eig(_to_stack(t), t.p, kind, vectors)
+    return rec.factors
 
 
 def _sorted_spectrum(values: np.ndarray, provenance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,9 +315,13 @@ def t_eigenvalues(t: Tensor3, method: str = "fourier") -> Spectrum:
     """
     if t.m != t.n:
         raise ShapeError(f"eigenvalues require square slices, got {t.m}x{t.n}")
-    eig = np.linalg.eigvalsh if is_hermitian(t).ok else np.linalg.eigvals
+    hermitian = _record(t).hermitian.ok
+    eig = np.linalg.eigvalsh if hermitian else np.linalg.eigvals
     if method == "fourier":
-        vals = _all_slices(eig(_to_stack(t)), t.p).ravel()
+        if hermitian:  # the tensor's kept factors, shape (p, n) per slice
+            vals = _decompose(t, "t_eigenvalues", vectors=False).fourier_eigenvalues.T.ravel()
+        else:
+            vals = _all_slices(eig(_to_stack(t)), t.p).ravel()
         prov = np.repeat(np.arange(1, t.p + 1), t.n)
         return Spectrum(*_sorted_spectrum(vals, prov))
     if method == "bcirc":
@@ -379,5 +423,5 @@ def random_psd(n: int, p: int, seed: int | np.random.Generator) -> Tensor3:
     if n < 1 or p < 1:
         raise ShapeError(f"random_psd requires n, p >= 1, got n={n}, p={p}")
     rng = np.random.default_rng(seed)
-    m = Tensor3(rng.standard_normal((n, n, p)))
-    return tprod_fft(m, conj_transpose(m))
+    s = _to_stack(Tensor3(rng.standard_normal((n, n, p))))
+    return _from_stack(s @ _adjoint(s), p, "real")  # M * M^T on M's one Fourier stack

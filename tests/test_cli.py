@@ -104,6 +104,15 @@ class TestBoundsCommand:
         assert code == 0
         assert stdout.startswith("kyfan_max(k=1) = 7.41421356")
 
+    @pytest.mark.parametrize("second", ["b2.json", "missing.json"])
+    @pytest.mark.parametrize("kind", ["symmetrized", "kyfan"])
+    def test_one_operand_kind_rejects_second_file_exit_2(self, capsys, fixtures_dir, kind, second):
+        code, stdout, err = run(
+            capsys, "bounds", kind, str(fixtures_dir / "a2.json"), str(fixtures_dir / second)
+        )
+        assert (code, stdout) == (2, "")
+        assert f"bounds {kind} takes one tensor file" in err
+
     def test_missing_second_operand_exit_2(self, capsys, fixtures_dir):
         code, _, err = run(capsys, "bounds", "vn", str(fixtures_dir / "a2.json"))
         assert code == 2
@@ -347,6 +356,12 @@ class TestSweepCommand:
         code, stdout, _ = run(capsys, "sweep", "relax-bounds", "--trials", "30", "--seed", "2")
         assert code == 0
         assert "pass" in stdout
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exit_2(self, capsys, trials):
+        code, stdout, err = run(capsys, "sweep", "vn-bounds", "--trials", trials)
+        assert (code, stdout) == (2, "")
+        assert f"--trials must be >= 1, got {trials}" in err
 
     def test_unknown_property_exit_2(self, capsys):
         code, _, err = run(capsys, "sweep", "nonsense", "--trials", "1")

@@ -3,7 +3,9 @@
 The counts are taken by wrapping ``spectral.is_hermitian`` wherever the
 package holds it, the numpy eigensolvers and the inverse FFTs, for the
 duration of one public call.  Traces of t-products are taken on Fourier
-stacks, so the bounds run no inverse FFT at all.
+stacks, so the bounds run no inverse FFT at all.  A tensor keeps its check
+and its factors, so calls in sequence on the same tensors check and
+decompose each tensor once in all.
 """
 
 import collections
@@ -13,11 +15,19 @@ import pytest
 
 import tspectral
 from tspectral import (
+    PreconditionError,
+    Tensor3,
+    dist_bures_wasserstein,
     dist_log_euclidean,
     geodesic_trace_profile,
+    hermitian_eig,
     identity,
+    is_psd,
     ky_fan_sum,
+    psd_factor,
     random_psd,
+    t_eigenvalues,
+    t_function,
     write_tensor,
 )
 from tspectral import bounds, cli, geometry, spectral
@@ -139,3 +149,65 @@ def test_concavity_trial_traces_without_inverse_fft(calls, seed):
     assert calls["is_hermitian"] == 3
     assert (calls["eigvalsh"], _eigensolves(calls)) == (3, 3)
     assert calls["irfft"] + calls["ifft"] == 2
+
+
+def test_dist_bures_wasserstein_in_sequence(calls):
+    a = random_psd(3, 4, 9)
+    b = random_psd(3, 4, 10)
+    calls.clear()
+    dist_bures_wasserstein(a, b)
+    dist_bures_wasserstein(b, a)
+    dist_bures_wasserstein(a, a)
+    assert calls["is_hermitian"] == 2
+    assert (calls["eigh"], _eigensolves(calls)) == (2, 2)
+
+
+def test_ky_fan_max_then_min(calls):
+    h = cli._random_hermitian(3, 4, np.random.default_rng(11))
+    calls.clear()
+    ky_fan_sum(h, 2, which="max")
+    ky_fan_sum(h, 2, which="min")
+    assert calls["is_hermitian"] == 1
+    assert (calls["eigh"], _eigensolves(calls)) == (1, 1)
+
+
+def test_values_then_vectors(calls):
+    """A values-only decomposition is replaced once vectors are asked for."""
+    t = random_psd(3, 5, 12)
+    calls.clear()
+    assert is_psd(t)
+    t_function(t, "sqrt")
+    psd_factor(t)
+    assert calls["is_hermitian"] == 1
+    assert (calls["eigvalsh"], calls["eigh"], _eigensolves(calls)) == (1, 1, 2)
+
+
+def test_t_eigenvalues_reads_kept_factors(calls):
+    h = cli._random_hermitian(3, 4, np.random.default_rng(13))
+    calls.clear()
+    hermitian_eig(h)
+    t_eigenvalues(h)
+    assert calls["is_hermitian"] == 1
+    assert (calls["eigh"], _eigensolves(calls)) == (1, 1)
+
+
+def test_failed_check_is_kept_and_each_call_names_its_op(calls):
+    t = Tensor3(np.random.default_rng(14).standard_normal((3, 3, 4)))
+    calls.clear()
+    for op, call in (
+        ("is_psd", lambda: is_psd(t)),
+        ("t_function", lambda: t_function(t, "sqrt")),
+        ("ky_fan_sum", lambda: ky_fan_sum(t, 1)),
+    ):
+        with pytest.raises(PreconditionError, match=f"^{op} requires a Hermitian tensor"):
+            call()
+    assert calls["is_hermitian"] == 1
+    assert _eigensolves(calls) == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bw_axioms_trial_decomposes_each_tensor_once(calls, seed):
+    """Five distances over three tensors: three checks and three eigh."""
+    assert cli._sweep_bw_axioms(np.random.default_rng((seed, 0)))
+    assert calls["is_hermitian"] == 3
+    assert (calls["eigh"], _eigensolves(calls)) == (3, 3)

@@ -6,7 +6,9 @@ slices: for p = 1 and 2 those are all slices, odd p adds mirrored interior
 slices, and even p >= 4 has interior slices plus a Nyquist slice that, like
 DC, occurs once.  The oracles in ``helpers_oracles`` work on the dense
 block-circulant matrix and never touch the library's FFT code.  The tensor
-file round trip draws its own shapes and entries.
+file round trip draws its own shapes and entries.  The array-level shortcuts
+(the Hermitian residual, the single copy into a tensor, ``random_psd`` on one
+Fourier stack) are checked against the tensor-level forms they replace.
 """
 
 import io
@@ -31,6 +33,8 @@ from tspectral import (
     geodesic_trace_profile,
     hermitian_eig,
     identity,
+    is_hermitian,
+    random_psd,
     read_tensor,
     t_eigenvalues,
     t_function,
@@ -290,3 +294,45 @@ def test_tensor_file_round_trip_is_exact(t):
         back = read_tensor(path)
     assert (back.kind, back.shape) == (t.kind, t.shape)
     assert back.data.tobytes() == t.data.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(sizes, tube_lengths, kinds, st.booleans(), seeds)
+def test_hermitian_residual_is_the_tensor_form(n, p, kind, hermitian, seed):
+    rng = np.random.default_rng(seed)
+    t = _hermitian(rng, n, p, kind) if hermitian else _tensor(rng, n, n, p, kind)
+    assert is_hermitian(t).residual == frobenius_norm(t - conj_transpose(t))
+
+
+def _source_array(rng, m, n, p, source):
+    if source == "transposed":
+        return rng.standard_normal((p, n, m)).transpose(2, 1, 0)
+    if source == "int":
+        return rng.integers(-9, 10, (m, n, p))
+    if source == "float32":
+        return rng.standard_normal((m, n, p)).astype(np.float32)
+    return (rng.standard_normal((m, n, p)) + 1j * rng.standard_normal((m, n, p))).astype(
+        np.complex64
+    )
+
+
+@PROPERTY_SETTINGS
+@given(sizes, sizes, tube_lengths, st.sampled_from(["transposed", "int", "float32", "complex64"]),
+       seeds)
+def test_tensor_data_is_one_private_c_contiguous_copy(m, n, p, source, seed):
+    v = _source_array(np.random.default_rng(seed), m, n, p, source)
+    t = Tensor3(v)
+    assert t.data.dtype == (np.complex128 if source == "complex64" else np.float64)
+    assert t.data.flags.c_contiguous and not t.data.flags.writeable
+    assert not np.shares_memory(t.data, v)
+    assert np.array_equal(t.data, v)
+
+
+@PROPERTY_SETTINGS
+@given(sizes, tube_lengths, seeds)
+def test_random_psd_is_m_times_m_transpose(n, p, seed):
+    m = Tensor3(np.random.default_rng(seed).standard_normal((n, n, p)))
+    want = tprod_dense(m, conj_transpose(m))
+    got = random_psd(n, p, seed)
+    assert got.kind == "real"
+    assert frobenius_norm(got - want) <= 1e-12 * frobenius_norm(want)
