@@ -8,6 +8,7 @@ Commands operate on tensor files in the JSON schema of
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import statistics
@@ -50,7 +51,7 @@ from .spectral import (
     random_psd,
     t_eigenvalues,
 )
-from .transform import _adjoint, _from_stack, _slice_weights, _stack_trace, _to_stack, tprod
+from .transform import _adjoint, _slice_weights, _stack_trace, _to_stack, tprod
 
 SEED_ENV_VAR = "TSPECTRAL_SEED"
 
@@ -82,6 +83,22 @@ def _print_report(rep) -> None:
         f"{rep.context}: {rep.lower:.4f} <= {rep.value:.4f} <= {rep.upper:.4f} "
         f"[slack {rep.slack_lower:.4f}/{rep.slack_upper:.4f}] {status}"
     )
+
+
+def _eig_line(vals: np.ndarray) -> str:
+    """Eigenvalues to 4 decimals, space-separated, with no negative zero.
+
+    A real part is correctly rounded, as ``round(x, 4)`` rounds, and a token
+    "-0.0000" is printed "0.0000".  An imaginary part is rounded as
+    ``np.round(x, 4)`` rounds (it scales by 1e4) and printed with its sign,
+    a zero as "+0.0000".
+    """
+    if vals.dtype.kind == "c":
+        imag = (np.round(vals.imag, 4) + 0.0).tolist()
+        line = " ".join(map("{:.4f}{:+.4f}j".format, vals.real.tolist(), imag))
+    else:
+        line = " ".join(map("{:.4f}".format, vals.tolist()))
+    return line.replace("-0.0000", "0.0000")
 
 
 def _default_seed() -> int:
@@ -129,16 +146,9 @@ def cmd_eig(args) -> int:
     a = read_tensor(args.a)
     spec = t_eigenvalues(a, method=args.method)
     vals = spec.values
-
-    def fmt4(x: float) -> str:
-        return f"{round(float(x), 4) + 0.0:.4f}"  # avoid "-0.0000"
-
-    if spec.is_real:
-        print(" ".join(fmt4(v) for v in vals))
-    else:
-        print(" ".join(f"{fmt4(v.real)}{round(v.imag, 4) + 0.0:+.4f}j" for v in vals))
+    print(_eig_line(vals))
     if args.json:
-        out = [[float(np.real(v)), float(np.imag(v))] for v in vals]
+        out = np.column_stack((vals.real, vals.imag)).tolist()
         rep = RunReport(
             command="eig",
             inputs={"a": args.a, "method": args.method},
@@ -316,18 +326,19 @@ def _sweep_kyfan(rng: np.random.Generator) -> bool:
     lo -= KYFAN_SWEEP_SLACK * max(1.0, abs(lo))
     hs = _to_stack(h, "complex")  # U is complex
     for _ in range(5):
-        us = _to_stack(_random_partial_isometry(rng, k, n, p))
+        us = _random_partial_isometry(rng, k, n, p)
         val = float(np.real(_stack_trace(us, hs, _adjoint(us), p=p, kind="complex")))
         if val > hi or val < lo:
             return False
     return True
 
 
-def _random_partial_isometry(rng: np.random.Generator, k: int, n: int, p: int) -> Tensor3:
-    """Slice-wise orthonormalized Gaussian rows in the Fourier domain."""
+def _random_partial_isometry(rng: np.random.Generator, k: int, n: int, p: int) -> np.ndarray:
+    """Fourier stack (p, k, n) of a random k x n x p partial isometry:
+    slice-wise orthonormalized Gaussian rows."""
     g = rng.standard_normal((p, 2, n, k))  # per slice: real parts, then imaginary parts
     q, _ = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
-    return _from_stack(_adjoint(q), p, "complex")
+    return _adjoint(q)
 
 
 def _sweep_concavity(rng: np.random.Generator) -> bool:
@@ -504,7 +515,10 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: each ``parse_args`` call
+    returns a fresh namespace, so no state carries from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="tspectral",
         description="Spectral analysis and trace geometry of third-order tensors",

@@ -53,6 +53,8 @@ __all__ = [
     "random_psd",
 ]
 
+# ||A - A^H||_F over ||A||_F: roundoff leaves a Hermitian tensor built in floating
+# point (an FFT round trip, a product M * M^H) near eps; any larger residue is structure.
 HERMITIAN_RTOL = 1e-10
 
 
@@ -237,13 +239,16 @@ class PsdCheck:
 
 
 def is_hermitian(t: Tensor3) -> HermitianCheck:
-    """Check A == A^H with relative Frobenius tolerance ``1e-10 * (1+|A|)``."""
+    """Check A == A^H: the residual ``||A - A^H||_F`` is at most
+    ``1e-10 * ||A||_F``.  The rule is relative: ``cA`` gets the verdict of
+    ``A`` while the squared entries stay in floating-point range (|c| about
+    1e-150 to 1e+150 for entries near 1), and the zero tensor is Hermitian."""
     if t.m != t.n:
         raise ShapeError(f"hermitian check requires square slices, got {t.m}x{t.n}")
     # ||A - A^H||_F on the data arrays, without building tensors
     diff = t.data - _conj_transpose_data(t.data)
     resid = math.sqrt(t.p) * float(np.linalg.norm(diff.ravel()))
-    return HermitianCheck(resid <= HERMITIAN_RTOL * (1.0 + frobenius_norm(t)), resid)
+    return HermitianCheck(resid <= HERMITIAN_RTOL * frobenius_norm(t), resid)
 
 
 def _stack_eig(stack: np.ndarray, p: int, kind: str | None, vectors: bool = True) -> EigFactors:
@@ -292,7 +297,7 @@ def _decompose(t: Tensor3, op: str, vectors: bool = True) -> EigFactors:
     if not rec.hermitian.ok:
         raise PreconditionError(
             f"{op} requires a Hermitian tensor: residual {rec.hermitian.residual:.3e} exceeds "
-            f"{HERMITIAN_RTOL:.0e} * (1 + ||A||_F)"
+            f"{HERMITIAN_RTOL:.0e} * ||A||_F"
         )
     if rec.factors is None or (vectors and rec.factors._q_stack is None):
         kind = "real" if t.kind == "real" else None

@@ -320,6 +320,7 @@ class TestKyFanSum:
 
     def test_random_isometries_never_exceed(self):
         from tspectral.cli import _random_partial_isometry
+        from tspectral.transform import _from_stack
 
         rng = np.random.default_rng(257)
         h = random_hermitian(rng, 3, 2)
@@ -327,7 +328,7 @@ class TestKyFanSum:
             hi = ky_fan_sum(h, k, "max").value
             lo = ky_fan_sum(h, k, "min").value
             for _ in range(20):
-                u = _random_partial_isometry(rng, k, 3, 2)
+                u = _from_stack(_random_partial_isometry(rng, k, 3, 2), 2, "complex")
                 val = float(np.real(trace(tprod_fft(tprod_fft(u, h), conj_transpose(u)))))
                 assert val <= hi + 1e-8
                 assert val >= lo - 1e-8

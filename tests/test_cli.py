@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tspectral import Tensor3, read_tensor, write_tensor
-from tspectral.cli import main
+from tspectral import Tensor3, cli, read_tensor, write_tensor
+from tspectral.cli import _eig_line, main
 
 
 def run(capsys, *argv):
@@ -380,3 +382,112 @@ class TestBenchCommand:
         assert lines[0] == "op,n,p,median_seconds"
         assert len(lines) == 3
         assert "fitted p-exponent" in stdout
+
+
+def _eig_line_per_value(vals):
+    """Reference rule for ``eig``'s line, value by value: Python's ``round`` on
+    each real part, numpy's scalar ``round`` on each imaginary part."""
+
+    def fmt4(x: float) -> str:
+        return f"{round(float(x), 4) + 0.0:.4f}"
+
+    if vals.dtype.kind != "c":
+        return " ".join(fmt4(v) for v in vals)
+    return " ".join(f"{fmt4(v.real)}{round(v.imag, 4) + 0.0:+.4f}j" for v in vals)
+
+
+_EIG_VALUE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-3, 1e-3),
+    st.integers(-(10**12), 10**12).map(lambda k: (k + 0.5) * 1e-4),  # near ties
+    st.sampled_from([0.0, -0.0, 5e-5, -5e-5, 4.99999e-5, -4.99999e-5, 0.03125, 1e20, -1e20]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_EIG_VALUE, _EIG_VALUE), min_size=1, max_size=12))
+def test_eig_line_matches_per_value_rule(pairs):
+    re, im = (np.array(part) for part in zip(*pairs))
+    assert _eig_line(re) == _eig_line_per_value(re)
+    z = re + 1j * im
+    with np.errstate(over="ignore"):  # numpy's round scales by 1e4, both rules alike
+        assert _eig_line(z) == _eig_line_per_value(z)
+
+
+class TestParserOncePerProcess:
+    """``main`` builds its parser once; every call must print and write what
+    the same call prints and writes on a newly built parser."""
+
+    @staticmethod
+    def fresh(capsys, *argv):
+        cli.build_parser.cache_clear()
+        return run(capsys, *argv)
+
+    @pytest.fixture
+    def pair(self, tmp_path, capsys):
+        files = []
+        for seed in (3, 4):
+            f = tmp_path / f"p{seed}.json"
+            assert run(capsys, "gen", "psd", "-n", "3", "-p", "4", "--seed", str(seed),
+                       "-o", str(f))[0] == 0
+            files.append(str(f))
+        return files
+
+    def test_built_once_across_calls(self, capsys, fixtures_dir):
+        cli.build_parser.cache_clear()
+        for _ in range(3):
+            assert run(capsys, "eig", str(fixtures_dir / "a2.json"))[0] == 0
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_json_flag_does_not_carry_over(self, capsys, fixtures_dir):
+        a2 = str(fixtures_dir / "a2.json")
+        first = self.fresh(capsys, "eig", a2, "--json")
+        assert run(capsys, "eig", a2, "--json") == first
+        second = run(capsys, "eig", a2)
+        assert second == self.fresh(capsys, "eig", a2)
+        assert second[1] == first[1].splitlines(keepends=True)[0]
+
+    def test_exclusive_group_after_the_other_member(self, capsys, pair, tmp_path):
+        point, profile = tmp_path / "g.json", tmp_path / "g.csv"
+        want_point = self.fresh(capsys, "geodesic", *pair, "--t", "0.5", "-o", str(point))
+        point_bytes = point.read_bytes()
+        want_profile = self.fresh(capsys, "geodesic", *pair, "--samples", "3", "-o", str(profile))
+        profile_bytes = profile.read_bytes()
+
+        cli.build_parser.cache_clear()
+        assert run(capsys, "geodesic", *pair, "--t", "0.5", "-o", str(point)) == want_point
+        assert run(capsys, "geodesic", *pair, "--samples", "3", "-o", str(profile)) == want_profile
+        assert (point.read_bytes(), profile.read_bytes()) == (point_bytes, profile_bytes)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ("geodesic", "a", "b", "--t", "0.5", "--samples", "3", "-o", "x"),
+            ("eig", "a", "--method", "nonsense"),
+            ("nonsense",),
+        ],
+        ids=["exclusive", "choice", "command"],
+    )
+    def test_usage_error_then_valid_call(self, capsys, fixtures_dir, bad):
+        a2 = str(fixtures_dir / "a2.json")
+        want = self.fresh(capsys, "eig", a2, "--json")
+        with pytest.raises(SystemExit) as exc:
+            main(list(bad))
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, "eig", a2, "--json") == want
+
+    @pytest.mark.parametrize("argv", [(), ("geodesic",), ("sweep",)], ids=["top", "geodesic", "sweep"])
+    def test_help_unchanged_after_jobs(self, capsys, fixtures_dir, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def help_text():
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--help"])
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        cli.build_parser.cache_clear()
+        want = help_text()
+        run(capsys, "eig", str(fixtures_dir / "a2.json"), "--json")
+        assert help_text() == want

@@ -254,6 +254,34 @@ class TestChecks:
         assert not chk.ok and chk.residual > 1e-6
         assert is_hermitian(identity(3, 3)).ok
 
+    @pytest.mark.parametrize("complex_kind", [False, True])
+    def test_tiny_non_hermitian_is_not_hermitian(self, complex_kind):
+        # residual ~1e-11: an absolute floor below scale 1 would call it Hermitian
+        # and return a real spectrum of a tensor whose spectrum is complex
+        t = 1e-12 * random_tensor(np.random.default_rng(167), 3, 3, 4, complex_kind)
+        assert not is_hermitian(t).ok
+        spec = t_eigenvalues(t)
+        assert not spec.is_real
+        assert_multiset_close(spec.values, oracle_eigenvalues(list(t.slices())), 1e-21)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    @pytest.mark.parametrize("complex_kind", [False, True])
+    def test_hermitian_at_any_scale(self, scale, complex_kind):
+        rng = np.random.default_rng(173)
+        exact = scale * random_hermitian(rng, 3, 4, complex_kind)
+        chk = is_hermitian(exact)
+        assert (chk.ok, chk.residual) == (True, 0.0)
+        # a Gram tensor through the FFT is Hermitian only to roundoff
+        gram = scale * random_psd_tensor(rng, 3, 4)
+        chk = is_hermitian(gram)
+        assert chk.ok and 0.0 < chk.residual <= 1e-14 * frobenius_norm(gram)
+
+    def test_zero_tensor_is_hermitian(self):
+        zero = Tensor3(np.zeros((3, 3, 4)))
+        chk = is_hermitian(zero)
+        assert (chk.ok, chk.residual) == (True, 0.0)
+        assert is_psd(zero).ok
+
     def test_is_psd_examples(self, a2):
         chk = is_psd(a2)
         assert chk.ok
