@@ -17,12 +17,15 @@ switch, everything else is pinned to the block-circulant trace.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .errors import DomainError, ParseError, ShapeError
 
@@ -238,9 +241,30 @@ def frobenius_norm(t: Tensor3) -> float:
 
     Equals ``sqrt(trace(A^H * A))`` and also ``sqrt(p)`` times the plain
     2-norm of the entries; the cheap elementwise form is used here and the
-    equality with the trace form is covered by the test suite.
+    equality with the trace form is covered by the test suite.  Entries whose
+    squares would overflow or underflow are rescaled first (``_norm``).
     """
-    return math.sqrt(t.p) * float(np.linalg.norm(t.data.ravel()))
+    return math.sqrt(t.p) * _norm(t.data)
+
+
+# sqrt(smallest normal) / eps = 2^-459: above it, subnormal squares (each off by
+# at most 2^-1075) move the sum of squares by under half an ulp for < 2^104 entries.
+_NORM_SAFE_MIN = math.sqrt(sys.float_info.min) / sys.float_info.epsilon
+
+
+def _norm(arr: np.ndarray) -> float:
+    """2-norm of the entries of ``arr``.  The plain norm squares them; only
+    when it comes out non-finite, or below ``_NORM_SAFE_MIN`` with an entry
+    that is not zero, are they first divided by a power of two near the
+    largest magnitude (an exact scaling)."""
+    norm = float(np.linalg.norm(arr.ravel()))
+    if _NORM_SAFE_MIN <= norm < math.inf or not np.count_nonzero(arr):
+        return norm
+    big = float(np.max(np.abs(arr)))
+    if not big < math.inf:  # an inf or nan entry
+        return norm
+    scale = 2.0 ** min(max(math.frexp(big)[1], -1000), 1000)  # a normal float
+    return float(np.linalg.norm(arr.ravel() / scale)) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +276,13 @@ def frobenius_norm(t: Tensor3) -> float:
 # ---------------------------------------------------------------------------
 
 
-_NUMBER_TYPES = {int, float}  # exact types: json.load gives bool for true/false
+_NUMBER_TYPES = {int, float}  # exact types: the parsers give bool for true/false
 
 
 def _fast_flat(raw: list, kind: str) -> np.ndarray | None:
     """The flat data in one numpy call when every entry has the right shape
-    and exact number types; ``None`` sends ``read_tensor`` to its per-entry
-    loop, which names the first bad ``data[i]``."""
+    and exact number types; ``None`` sends ``_tensor_from_doc`` to its
+    per-entry loop, which names the first bad ``data[i]``."""
     if kind == "real":
         ok = set(map(type, raw)) <= _NUMBER_TYPES
     else:
@@ -293,17 +317,36 @@ def write_tensor(t: Tensor3, path) -> None:
 
 
 def read_tensor(path) -> Tensor3:
-    """Parse a tensor file, validating the schema and finiteness."""
+    """Parse a tensor file, validating the schema and finiteness.
+
+    The bytes are parsed with ``orjson``.  A file it rejects (NaN, Infinity,
+    numbers beyond float range, a BOM, invalid UTF-8, lone surrogates), or
+    whose document fails a check, is parsed again by ``json`` from the text
+    that ``open(path, "r", encoding="utf-8")`` gives, so every error message
+    names what the standard library finds there.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: cannot read tensor file: {exc}") from exc
+    try:
+        return _tensor_from_doc(orjson.loads(raw), path)
+    except (orjson.JSONDecodeError, ParseError):
+        pass
+    try:
+        # universal newlines, as a text-mode open reads: error line numbers count \r too
+        doc = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except ValueError as exc:  # e.g. an integer longer than int_max_str_digits
+    except ValueError as exc:  # invalid UTF-8, an integer longer than int_max_str_digits
         raise ParseError(f"{path}: cannot parse tensor file: {exc}") from exc
+    return _tensor_from_doc(doc, path)
 
+
+def _tensor_from_doc(doc, path) -> Tensor3:
+    """The tensor a parsed JSON document describes; ``ParseError`` names the
+    first field or ``data[i]`` entry that breaks the schema or is not finite."""
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level value must be an object")
     for key in ("dims", "kind", "data"):

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Tensor3, _conj_transpose_data, bcirc, frobenius_norm, identity
+from .core import Tensor3, _conj_transpose_data, _norm, bcirc, frobenius_norm, identity
 from .errors import DomainError, PreconditionError, ShapeError, SingularityError
 from .transform import _adjoint, _all_slices, _from_stack, _to_stack
 
@@ -240,14 +240,14 @@ class PsdCheck:
 
 def is_hermitian(t: Tensor3) -> HermitianCheck:
     """Check A == A^H: the residual ``||A - A^H||_F`` is at most
-    ``1e-10 * ||A||_F``.  The rule is relative: ``cA`` gets the verdict of
-    ``A`` while the squared entries stay in floating-point range (|c| about
-    1e-150 to 1e+150 for entries near 1), and the zero tensor is Hermitian."""
+    ``1e-10 * ||A||_F``.  The rule is relative and both norms rescale where
+    squaring the entries would overflow or underflow, so ``cA`` gets the
+    verdict of ``A`` (|c| from 1e-300 to 1e+300 for entries near 1), and the
+    zero tensor is Hermitian."""
     if t.m != t.n:
         raise ShapeError(f"hermitian check requires square slices, got {t.m}x{t.n}")
     # ||A - A^H||_F on the data arrays, without building tensors
-    diff = t.data - _conj_transpose_data(t.data)
-    resid = math.sqrt(t.p) * float(np.linalg.norm(diff.ravel()))
+    resid = math.sqrt(t.p) * _norm(t.data - _conj_transpose_data(t.data))
     return HermitianCheck(resid <= HERMITIAN_RTOL * frobenius_norm(t), resid)
 
 

@@ -378,3 +378,63 @@ def test_rejected_entry_is_named_at_every_position(tmp_path, kind, entry, messag
     with pytest.raises(ParseError) as err:
         read_tensor(path)
     assert str(err.value) == f"{path}: data[{index}] {message}"
+
+
+_HEAD = b'{"dims": [1, 1, 1], "kind": "real", "data": '
+
+# (id, file bytes or None for no file, the ParseError text after "<path>: "); json
+# gives these texts, and a file orjson rejects, or whose orjson document fails a
+# check, keeps them
+_REJECTED_FILES = [
+    ("nan", _HEAD + b"[NaN]}", "data[0] is not finite"),
+    ("infinity", _HEAD + b"[Infinity]}", "data[0] is not finite"),
+    ("-infinity", _HEAD + b"[-Infinity]}", "data[0] is not finite"),
+    ("1e400", _HEAD + b"[1e400]}", "data[0] is not finite"),
+    ("int-beyond-float", _HEAD + b"[-1" + b"0" * 400 + b"]}",
+     "data[0] is an integer beyond float range"),
+    ("int-4300-digits", _HEAD + b"[" + b"1" * 4300 + b"]}",
+     "data[0] is an integer beyond float range"),
+    # orjson reads 2**64 as a float, which is no dim; json reads the integer
+    ("dims-2**64", b'{"dims": [18446744073709551616, 1, 1], "kind": "real", "data": [1]}',
+     "field 'data' must hold exactly m*n*p = 18446744073709551616 entries, got 1"),
+    ("bom", b"\xef\xbb\xbf" + _HEAD + b"[1]}",
+     "invalid JSON at line 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ("invalid-utf-8", _HEAD + b'[1], "note": "\xff"}',
+     "cannot parse tensor file: 'utf-8' codec can't decode byte 0xff in position 58: "
+     "invalid start byte"),
+    ("lone-surrogate", b'{"dims": [1, 1, 1], "kind": "\\ud800", "data": [1]}',
+     "field 'kind' must be 'real' or 'complex', got '\\ud800'"),
+    # a text-mode read turns \r and \r\n into \n, so the error is on line 3 every time
+    ("lf", b'{"dims": [1, 1, 1],\n"kind": "real",\n"data": [1,]}',
+     "invalid JSON at line 3: Expecting value"),
+    ("cr", b'{"dims": [1, 1, 1],\r"kind": "real",\r"data": [1,]}',
+     "invalid JSON at line 3: Expecting value"),
+    ("crlf", b'{"dims": [1, 1, 1],\r\n"kind": "real",\r\n"data": [1,]}',
+     "invalid JSON at line 3: Expecting value"),
+    ("duplicate-keys", _HEAD + b'[1], "dims": [2, 1, 1]}',
+     "field 'data' must hold exactly m*n*p = 2 entries, got 1"),
+    ("missing-file", None,
+     "cannot read tensor file: [Errno 2] No such file or directory: '{path}'"),
+]
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [case[1:] for case in _REJECTED_FILES],
+    ids=[case[0] for case in _REJECTED_FILES],
+)
+def test_rejected_file_gives_the_json_message(tmp_path, raw, message):
+    path = tmp_path / "bad.json"
+    if raw is not None:
+        path.write_bytes(raw)
+    with pytest.raises(ParseError) as err:
+        read_tensor(path)
+    assert str(err.value) == f"{path}: " + message.format(path=path)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the plain attempt
+@pytest.mark.parametrize("complex_kind", [False, True])
+@pytest.mark.parametrize("c", [1e300, 1e-300, 1e170, 1e-170, 1e160, 1e-160])
+def test_frobenius_norm_neither_overflows_nor_underflows(c, complex_kind):
+    r = random_tensor(np.random.default_rng(181), 3, 3, 4, complex_kind)
+    assert math.isclose(frobenius_norm(c * r), c * frobenius_norm(r), rel_tol=1e-15)

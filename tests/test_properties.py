@@ -296,6 +296,59 @@ def test_tensor_file_round_trip_is_exact(t):
     assert back.data.tobytes() == t.data.tobytes()
 
 
+_FLOAT_MAX = 1.7976931348623157e308
+# JSON number texts: shortest reprs of edge and random floats, integers (-0,
+# beyond 2^64, up to the float range end) and decimals with more digits than a
+# double holds, which both parsers must round the same way
+number_texts = st.one_of(
+    st.sampled_from(["-0", "-0.0", "1E5", "2.5e-324", "4.9e-324", "1e-400"]),
+    st.sampled_from([*_EDGE_FLOATS, -_FLOAT_MAX, 2.0**64, -(2.0**63)]).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(2**70), 2**70).map(str),
+    st.integers(-int(_FLOAT_MAX), int(_FLOAT_MAX)).map(str),
+    st.builds(
+        lambda sign, digits, exp: f"{sign}{digits[0]}.{digits[1:]}e{exp}",
+        st.sampled_from(["", "-"]),
+        st.integers(10**16, 10**24).map(str),
+        st.integers(-340, 300),
+    ),
+)
+
+
+def _json_reference(text):
+    """The tensor data as the standard-library reader built it: json.loads of
+    the text, float() of every number, slice-major order."""
+    doc = json.loads(text)
+    m, n, p = doc["dims"]
+    if doc["kind"] == "complex":
+        flat = np.array([complex(float(re), float(im)) for re, im in doc["data"]])
+    else:
+        flat = np.array([float(v) for v in doc["data"]])
+    return np.ascontiguousarray(np.transpose(flat.reshape(p, m, n), (1, 2, 0)))
+
+
+@PROPERTY_SETTINGS
+@given(st.tuples(sizes, sizes, sizes), kinds, st.sampled_from(["", " ", "\n", "\r", "\r\n"]),
+       st.data())
+def test_tensor_file_reads_as_json_reads_it(dims, kind, sep, data):
+    """Every valid file reads bit for bit as json.loads reads it, whatever
+    spelling its numbers and line breaks take."""
+    m, n, p = dims
+    size = (2 if kind == "complex" else 1) * m * n * p
+    texts = data.draw(st.lists(number_texts, min_size=size, max_size=size))
+    if kind == "complex":
+        texts = [f"[{re},{sep}{im}]" for re, im in zip(texts[::2], texts[1::2])]
+    data_text = f",{sep}".join(texts)
+    text = f'{{"dims": [{m}, {n}, {p}],{sep}"kind": "{kind}",{sep}"data": [{data_text}]}}'
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.json"
+        path.write_bytes(text.encode("utf-8"))
+        got = read_tensor(path)
+    want = _json_reference(text)
+    assert (got.kind, got.data.dtype) == (kind, want.dtype)
+    assert got.data.tobytes() == want.tobytes()
+
+
 @PROPERTY_SETTINGS
 @given(sizes, tube_lengths, kinds, st.booleans(), seeds)
 def test_hermitian_residual_is_the_tensor_form(n, p, kind, hermitian, seed):

@@ -276,6 +276,19 @@ class TestChecks:
         chk = is_hermitian(gram)
         assert chk.ok and 0.0 < chk.residual <= 1e-14 * frobenius_norm(gram)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the plain attempt
+    @pytest.mark.parametrize("c", [1e300, 1e-300, 1e170, 1e-170, 1e160, 1e-160])
+    @pytest.mark.parametrize("complex_kind", [False, True])
+    def test_hermitian_verdict_at_extreme_scales(self, c, complex_kind):
+        """The norms of the check rescale where the squared entries would
+        overflow or underflow, so no scale makes every tensor Hermitian."""
+        rng = np.random.default_rng(179)
+        r = random_tensor(rng, 3, 3, 4, complex_kind)
+        chk, base = is_hermitian(c * r), is_hermitian(r)
+        assert not chk.ok and not base.ok
+        assert math.isclose(chk.residual, c * base.residual, rel_tol=1e-14)
+        assert is_hermitian(c * random_hermitian(rng, 3, 4, complex_kind)).ok
+
     def test_zero_tensor_is_hermitian(self):
         zero = Tensor3(np.zeros((3, 3, 4)))
         chk = is_hermitian(zero)
