@@ -20,6 +20,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
@@ -27,7 +28,7 @@ from itertools import chain
 import numpy as np
 import orjson
 
-from .errors import DomainError, ParseError, ShapeError
+from .errors import DomainError, NumericError, ParseError, ShapeError
 
 __all__ = [
     "Tensor3",
@@ -176,11 +177,12 @@ def bcirc(t: Tensor3) -> np.ndarray:
     is a downward rotation.
     """
     m, n, p = t.shape
-    idx = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
-    blocks = t.data[:, :, idx]  # (m, n, p_row, p_col)
-    return np.ascontiguousarray(
-        np.transpose(blocks, (2, 0, 3, 1)).reshape(m * p, n * p)
-    )
+    # The 2p - 1 slices (k - (p - 1)) mod p; reversed window i holds slices
+    # (j - i) mod p.  The windows are a view, so the mp x np result is the only
+    # full-size copy (a (m, n, p, p) gather would be a second).
+    ext = t.data[:, :, (np.arange(2 * p - 1) - (p - 1)) % p]
+    windows = np.lib.stride_tricks.sliding_window_view(ext, p, axis=2)[:, :, ::-1]
+    return np.ascontiguousarray(np.transpose(windows, (3, 0, 2, 1)).reshape(m * p, n * p))
 
 
 def unfold(t: Tensor3) -> np.ndarray:
@@ -302,18 +304,50 @@ def _fast_flat(raw: list, kind: str) -> np.ndarray | None:
         return None
 
 
+# orjson prints the same shortest round-trip digits as float.__repr__ (Ryu and
+# Gay's dtoa) in another layout: |x| in [1e-5, 1e-4) positionally (0.000015,
+# repr 1.5e-05), and exponents with no "+" and no zero padding (1e16, 1e-7;
+# repr 1e+16, 1e-07).  _BAND moves the first into orjson's own scientific
+# layout (1.5e-5), then _EXPONENT rewrites every exponent into repr's.
+# "0.0000" also occurs inside tokens (10.00003), so _BAND matches only at a
+# token start, after "[", "," or a sign; its literal comes first so that re
+# searches for it.
+_BAND = re.compile(rb"0\.0000(?<=[\[,-]0\.0000)(\d)(\d*)")
+_EXPONENT = re.compile(rb"e-?\d+")
+_REPR_EXPONENT = {b"e%d" % k: b"e%+03d" % k for k in range(-324, 309)}
+
+
+def _band_scientific(match: re.Match) -> bytes:
+    return match[1] + (b"." + match[2] if match[2] else b"") + b"e-5"
+
+
 def write_tensor(t: Tensor3, path) -> None:
-    """Serialize a tensor losslessly to the JSON tensor format."""
+    """Serialize a tensor losslessly to the JSON tensor format.
+
+    The bytes are those of ``json.dumps(doc) + "\n"``: one ``orjson`` dump of
+    the data, with its float layout rewritten into ``repr``'s.  A tensor with
+    a non-finite entry raises ``NumericError`` before the file is opened.
+    """
     flat = np.transpose(t.data, (2, 0, 1)).ravel()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise NumericError(
+            f"{path}: data[{bad}] is not finite; tensor files hold finite numbers only"
+        )
     if t.kind == "complex":
-        data = np.stack([flat.real, flat.imag], axis=1).tolist()
-    else:
-        data = flat.tolist()
-    doc = {"dims": [t.m, t.n, t.p], "kind": t.kind, "data": data}
-    # json.dumps runs CPython's C encoder; json.dump streams through the
-    # pure-Python one.  The text is the same.
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc) + "\n")
+        flat = flat.view(np.float64).reshape(-1, 2)  # [re, im] rows
+    body = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)
+    # A double prints in [1e-5, 1e-4) exactly when it lies between the doubles
+    # 1e-5 and 1e-4, so this skips the scan of most files.
+    mag = np.abs(flat)
+    if np.any((mag >= 1e-5) & (mag < 1e-4)):
+        body = _BAND.sub(_band_scientific, body)
+    if b"e" in body:
+        body = _EXPONENT.sub(lambda match: _REPR_EXPONENT[match[0]], body)
+    head = b'{"dims": [%d, %d, %d], "kind": "%s", "data": ' % (t.m, t.n, t.p, t.kind.encode())
+    with open(path, "wb") as fh:
+        fh.writelines((head, body.replace(b",", b", "), b"}\n"))  # no joined copy
 
 
 def read_tensor(path) -> Tensor3:

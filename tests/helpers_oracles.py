@@ -34,6 +34,15 @@ def oracle_bcirc(slices):
     return out
 
 
+def oracle_bcirc_gather(data):
+    """Block-circulant matrix of tensor data by one fancy-index gather of the
+    (m, n, p, p) blocks, block (i, j) = slice (i - j) mod p, then a C-order copy."""
+    m, n, p = data.shape
+    idx = (np.arange(p)[:, None] - np.arange(p)[None, :]) % p
+    blocks = data[:, :, idx]
+    return np.ascontiguousarray(np.transpose(blocks, (2, 0, 3, 1)).reshape(m * p, n * p))
+
+
 def oracle_tprod_slices(a_slices, b_slices):
     """t-product as an explicit circular convolution of frontal slices."""
     p = len(a_slices)

@@ -56,6 +56,28 @@ class TestTprodCommand:
         )
         assert code == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_product_exits_1_and_writes_nothing(self, capsys, tmp_path):
+        big = tmp_path / "big.json"
+        write_tensor(Tensor3(np.full((1, 1, 4), 1e200)), big)
+        out = tmp_path / "c.json"
+        code, stdout, err = run(capsys, "tprod", str(big), str(big), "-o", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == (
+            f"numeric failure: {out}: data[0] is not finite; "
+            "tensor files hold finite numbers only\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_product_leaves_existing_output(self, capsys, fixtures_dir, tmp_path):
+        big = tmp_path / "big.json"
+        write_tensor(Tensor3(np.full((1, 1, 1), 1e200)), big)
+        out = tmp_path / "c.json"
+        out.write_bytes((fixtures_dir / "a2.json").read_bytes())
+        assert run(capsys, "tprod", str(big), str(big), "-o", str(out))[0] == 1
+        assert out.read_bytes() == (fixtures_dir / "a2.json").read_bytes()
+
 
 class TestEigCommand:
     def test_eigenvalue_fixture(self, capsys, fixtures_dir):
@@ -368,6 +390,23 @@ class TestSweepCommand:
     def test_unknown_property_exit_2(self, capsys):
         code, _, err = run(capsys, "sweep", "nonsense", "--trials", "1")
         assert code == 2
+
+
+# The sweep jobs of the benchmark's tiny-sweeps workload: each property at its
+# trial count there, under the per-job seeds run_seed * 1_000_000 + job index.
+# A job passes only with exit code 0 and "<prop>: T/T pass" as its output.
+_BENCH_SWEEP_TRIALS = {"vn-bounds": 70, "kyfan": 24, "bw-metric-axioms": 14, "concavity": 60}
+
+
+@pytest.mark.parametrize("run_seed", [1, 2, 101])
+@pytest.mark.parametrize("prop", list(_BENCH_SWEEP_TRIALS))
+def test_benchmark_sweeps_pass_every_trial(capsys, prop, run_seed):
+    trials = _BENCH_SWEEP_TRIALS[prop]
+    for index in range(4):
+        seed = run_seed * 1_000_000 + index
+        argv = ["sweep", prop, "--trials", str(trials), "--seed", str(seed)]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout, err) == (0, f"{prop}: {trials}/{trials} pass\n", ""), seed
 
 
 class TestBenchCommand:

@@ -6,6 +6,7 @@ import pytest
 
 from tspectral import (
     DomainError,
+    NumericError,
     ParseError,
     ShapeError,
     Tensor3,
@@ -438,3 +439,89 @@ def test_rejected_file_gives_the_json_message(tmp_path, raw, message):
 def test_frobenius_norm_neither_overflows_nor_underflows(c, complex_kind):
     r = random_tensor(np.random.default_rng(181), 3, 3, 4, complex_kind)
     assert math.isclose(frobenius_norm(c * r), c * frobenius_norm(r), rel_tol=1e-15)
+
+
+def _dumps_reference(t) -> bytes:
+    """The tensor file as json.dumps writes it: nested Python lists of floats,
+    each formatted by float.__repr__, and a final newline."""
+    flat = np.transpose(t.data, (2, 0, 1)).ravel()
+    if t.kind == "complex":
+        data = np.stack([flat.real, flat.imag], axis=1).tolist()
+    else:
+        data = flat.tolist()
+    doc = {"dims": [t.m, t.n, t.p], "kind": t.kind, "data": data}
+    return (json.dumps(doc) + "\n").encode("utf-8")
+
+
+def _layout_cases() -> np.ndarray:
+    """Finite doubles across every layout rule of the two float formatters."""
+    rng = np.random.default_rng(1212)
+    patterns = rng.integers(0, 2**64, 201_000, dtype=np.uint64).view(np.float64)
+    patterns = patterns[np.isfinite(patterns)][:200_000]  # about 0.05% are inf or NaN
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    with np.errstate(over="ignore"):
+        decades = np.concatenate(
+            [rng.standard_normal(64) * 10.0**e for e in range(-310, 309, 7)]
+        )
+    boundaries = np.array([1e-4, 1e-5, 1e16])
+    edges = [1e22, 10.00003, 100.00001, 0.0, -0.0, 5e-324]
+    values = np.concatenate([
+        patterns,
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        decades[np.isfinite(decades)],
+        boundaries, np.nextafter(boundaries, 0.0), np.nextafter(boundaries, np.inf), edges,
+    ])
+    values = np.concatenate([values, -values])
+    assert values.size >= 200_000 and np.isfinite(values).all()
+    return values[: values.size // 4 * 4]  # real or complex, two rows
+
+
+# write_tensor rewrites orjson's float layout into repr's.  If a future orjson
+# changes its layout, these tests fail, instead of the tensor files changing.
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_written_bytes_equal_json_dumps(tmp_path, kind):
+    values = _layout_cases()
+    if kind == "complex":
+        values = values.view(np.complex128)
+    t = Tensor3(values.reshape(2, 1, -1))
+    path = tmp_path / "t.json"
+    write_tensor(t, path)
+    assert path.read_bytes() == _dumps_reference(t)
+
+
+# A band value after a token whose exponent rewrite lengthens the text: a
+# rewrite that checks token starts at offsets taken before that is off by one.
+@pytest.mark.parametrize("data", [[[[1e308, 6.103515625e-05]]], [[[1e308 + 6.103515625e-05j]]]])
+def test_written_bytes_equal_json_dumps_after_an_exponent(tmp_path, data):
+    t = Tensor3(np.array(data))
+    path = tmp_path / "t.json"
+    write_tensor(t, path)
+    assert path.read_bytes() == _dumps_reference(t)
+
+
+class TestNonFiniteWrite:
+    """A tensor file holds finite numbers only: write_tensor refuses what
+    read_tensor would reject, before the file is opened."""
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(1.0, np.inf), complex(np.nan, 0.0)]
+    )
+    def test_refused_and_no_file_created(self, tmp_path, bad):
+        data = np.ones((2, 2, 2), dtype=type(bad))
+        data[1, 0, 1] = bad  # slice-major position 1 * 4 + 1 * 2 + 0
+        path = tmp_path / "t.json"
+        with pytest.raises(NumericError) as err:
+            write_tensor(Tensor3(data), path)
+        assert str(err.value) == (
+            f"{path}: data[6] is not finite; tensor files hold finite numbers only"
+        )
+        assert not path.exists()
+
+    def test_existing_file_untouched(self, tmp_path):
+        path = tmp_path / "t.json"
+        write_tensor(identity(2, 3), path)
+        before = path.read_bytes()
+        with pytest.raises(NumericError, match=r"data\[0\] is not finite"):
+            write_tensor(Tensor3(np.full((1, 1, 2), np.inf)), path)
+        assert path.read_bytes() == before
+        np.testing.assert_array_equal(read_tensor(path).data, identity(2, 3).data)

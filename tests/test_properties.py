@@ -25,6 +25,7 @@ from tspectral import (
     NumericError,
     SpectralSlices,
     Tensor3,
+    bcirc,
     conj_transpose,
     dist_bures_wasserstein,
     frobenius_norm,
@@ -49,6 +50,7 @@ from helpers_oracles import (
     bw_bcirc_oracle,
     geodesic_bcirc_oracle,
     oracle_bcirc,
+    oracle_bcirc_gather,
     oracle_eigenvalues,
 )
 
@@ -91,6 +93,17 @@ def _assert_kind(result, *operands):
 def _assert_dense_close(t, want, rtol=1e-9):
     err = np.linalg.norm(_dense(t) - want)
     assert err <= rtol * (1.0 + np.linalg.norm(want)), f"dense mismatch {err:.3e}"
+
+
+@PROPERTY_SETTINGS
+@given(sizes, sizes, st.sampled_from([1, 2, 3, 4, 5, 8, 31, 64]), kinds, seeds)
+def test_bcirc_is_bit_equal_to_the_gather(m, n, p, kind, seed):
+    """The one-copy sliding-window bcirc against the two-copy gather it replaced."""
+    t = _tensor(np.random.default_rng(seed), m, n, p, kind)
+    got, want = bcirc(t), oracle_bcirc_gather(t.data)
+    assert (got.shape, got.dtype, got.flags.c_contiguous) == (want.shape, want.dtype, True)
+    assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, t.data)
 
 
 @PROPERTY_SETTINGS
@@ -254,8 +267,12 @@ def test_half_stack_edge_imaginary_part_is_not_dropped(p, edge):
 
 
 # -0.0, the smallest subnormal, a mid subnormal, the float range ends and
-# integer-valued floats, beside hypothesis' own finite floats
-_EDGE_FLOATS = [-0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308, 3.0, -1e16]
+# integer-valued floats, beside hypothesis' own finite floats; then the
+# writer's layout boundaries (1e-5, 1e-4 and 1e16 with their neighbours below),
+# tokens that hold "0.0000" inside, and a band value behind a wide exponent
+_EDGE_FLOATS = [-0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308, 3.0, -1e16,
+                1e-5, -9.999999999999999e-06, 1e-4, -9.999999999999999e-05,
+                1e16, 9999999999999998.0, 1e22, 10.00003, -100.00001, 6.103515625e-05]
 file_entries = st.one_of(
     st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
 )
