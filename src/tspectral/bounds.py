@@ -10,6 +10,9 @@ aggregates, and it is what makes the identities below close numerically.
 Traces of t-products, such as tr(A*B), tr(A*B*A) and tr(U*H*U^H), are
 weighted sums over the Fourier slices, sum_k w_k tr(A_k B_k ...), taken by
 the one kernel ``transform._stack_trace``; no product tensor is formed.
+
+``vn_trace_bounds``, ``sandwich_bounds`` and ``extremal_ratio_bounds`` also
+take two batches of tensor data (..., n, n, p) and report all items at once.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3, _require_same_shape, bcirc, conj_transpose, trace, unfold
+from .core import Tensor3, _first_failure, _require_same_shape, bcirc, conj_transpose, unfold
 from .errors import DomainError, NumericError, PreconditionError, ShapeError
 from .spectral import _decompose, hermitian_eig, t_eigenvalues
-from .transform import _adjoint, _from_stack, _product_kind, _stack_trace, _to_stack
+from .transform import _adjoint, _data, _from_stack, _product_kind, _stack_trace, _to_stack
 
 __all__ = [
     "BoundReport",
@@ -68,16 +71,14 @@ class BoundReport:
 
     @classmethod
     def build(cls, lower: float, value: float, upper: float, context: str) -> "BoundReport":
-        tol = REPORT_RTOL * max(1.0, abs(value))
-        return cls(
-            lower=float(lower),
-            value=float(value),
-            upper=float(upper),
-            slack_lower=float(value - lower),
-            slack_upper=float(upper - value),
-            satisfied=bool(lower - tol <= value <= upper + tol),
-            context=context,
-        )
+        """The report of lower <= value <= upper, up to ``REPORT_RTOL * max(1, |value|)``;
+        given arrays (a sweep's batch), every field but ``context`` is an array."""
+        if not np.ndim(value):
+            lower, value, upper = float(lower), float(value), float(upper)
+        tol = REPORT_RTOL * np.maximum(1.0, np.abs(value))
+        satisfied = (lower - tol <= value) & (value <= upper + tol)
+        return cls(lower, value, upper, value - lower, upper - value,
+                   satisfied if np.ndim(satisfied) else bool(satisfied), context)
 
 
 @dataclass(frozen=True)
@@ -102,15 +103,18 @@ class KyFanResult:
     optimizer: Tensor3
 
 
-def _real_trace(t: Tensor3) -> float:
-    return float(np.real(trace(t)))
+def _real_trace(t) -> float:
+    """Real part of p * tr(A[:, :, 0]); per item (an array) for a batch of data."""
+    data = _data(t)
+    tr = data.shape[-1] * np.trace(data[..., 0], axis1=-2, axis2=-1).real
+    return tr if tr.ndim else float(tr)
 
 
-def _product_trace(*factors: Tensor3) -> float:
+def _product_trace(*factors) -> float:
     """Real part of tr(T1 * ... * Tr), from the factors' Fourier stacks."""
     kind = _product_kind(*factors)
     stacks = [_to_stack(t, kind) for t in factors]
-    return float(np.real(_stack_trace(*stacks, p=factors[0].p, kind=kind)))
+    return np.real(_stack_trace(*stacks, p=_data(factors[0]).shape[-1], kind=kind))
 
 
 def _require_square(t: Tensor3, op: str) -> None:
@@ -118,13 +122,14 @@ def _require_square(t: Tensor3, op: str) -> None:
         raise ShapeError(f"{op} requires square slices, got {t.m}x{t.n}")
 
 
-def _spectrum(t: Tensor3, op: str, name: str, psd: bool = False) -> np.ndarray:
+def _spectrum(t, op: str, name: str, psd: bool = False) -> np.ndarray:
     """Full real spectrum of a Hermitian operand, descending, length n*p;
     raises :class:`PreconditionError` if it is not Hermitian (or not PSD)."""
     factors = _decompose(t, f"{op} ({name})", vectors=False)
     if psd:
         factors._require(f"{op} requires {name} PSD", error=PreconditionError)
-    return np.sort(factors.fourier_eigenvalues, axis=None)[::-1]
+    ev = factors.fourier_eigenvalues
+    return np.sort(ev.reshape(ev.shape[:-2] + (-1,)), axis=-1)[..., ::-1]
 
 
 def rayleigh_value(a: Tensor3, x: Tensor3) -> float:
@@ -180,8 +185,8 @@ def symmetrized_bounds(a: Tensor3) -> SymmetrizedBounds:
 
 
 def _vn_sums(lam_a: np.ndarray, lam_b: np.ndarray) -> tuple[float, float]:
-    lower = float(np.dot(lam_a, lam_b[::-1]))
-    upper = float(np.dot(lam_a, lam_b))
+    lower = np.einsum("...i,...i->...", lam_a, lam_b[..., ::-1])
+    upper = np.einsum("...i,...i->...", lam_a, lam_b)
     return lower, upper
 
 
@@ -195,9 +200,8 @@ def vn_trace_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     _require_same_shape(a, b, "vn_trace_bounds")
     lam_a = _spectrum(a, "vn_trace_bounds", "first operand", psd=True)
     lam_b = _spectrum(b, "vn_trace_bounds", "second operand", psd=True)
-    value = _product_trace(a, b)
     lower, upper = _vn_sums(lam_a, lam_b)
-    return BoundReport.build(lower, value, upper, "trace-product-psd")
+    return BoundReport.build(lower, _product_trace(a, b), upper, "trace-product-psd")
 
 
 def hermitian_trace_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
@@ -241,10 +245,9 @@ def sandwich_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     _spectrum(a, "sandwich_bounds", "first operand", psd=True)
     lam_b = _spectrum(b, "sandwich_bounds", "second operand", psd=True)
     tr_a = _real_trace(a)
-    big_n = a.n * a.p
+    big_n = lam_b.shape[-1]
     value = _product_trace(a, b, a)
-    lower = float(lam_b[-1]) * tr_a**2 / big_n
-    upper = float(lam_b[0]) * tr_a**2
+    lower, upper = lam_b[..., -1] * tr_a**2 / big_n, lam_b[..., 0] * tr_a**2
     return BoundReport.build(lower, value, upper, "sandwich-psd")
 
 
@@ -258,10 +261,12 @@ def extremal_ratio_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     lam_a = _spectrum(a, "extremal_ratio_bounds", "A")
     _spectrum(b, "extremal_ratio_bounds", "B", psd=True)
     tr_b = _real_trace(b)
-    if tr_b <= 0.0:
+    bad = _first_failure(tr_b > 0.0)
+    if bad is not None:
+        tr_b = float(np.ravel(tr_b)[bad])
         raise DomainError(f"extremal_ratio_bounds requires trace(B) > 0, got {tr_b!r}")
     value = _product_trace(a, b) / tr_b
-    return BoundReport.build(float(lam_a[-1]), value, float(lam_a[0]), "extremal-ratio")
+    return BoundReport.build(lam_a[..., -1], value, lam_a[..., 0], "extremal-ratio")
 
 
 def extremal_ratio_witness(a: Tensor3, which: str = "max") -> Tensor3:

@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import os
-import statistics
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -47,6 +46,7 @@ from .geometry import (
 from .spectral import (
     PsdCheck,
     _decompose,
+    _gram,
     _record,
     random_psd,
     t_eigenvalues,
@@ -106,8 +106,7 @@ def _default_seed() -> int:
 
 
 def _random_hermitian(n: int, p: int, rng: np.random.Generator) -> Tensor3:
-    m = rng.standard_normal((n, n, p))
-    return Tensor3((m + _conj_transpose_data(m)) * 0.5)
+    return Tensor3(_hermitian_part(rng.standard_normal((n, n, p))))
 
 
 # ---------------------------------------------------------------------------
@@ -291,28 +290,21 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_vn(rng: np.random.Generator) -> bool:
-    n = int(rng.integers(1, 5))
-    p = int(rng.integers(1, 5))
-    a = random_psd(n, p, rng)
-    b = random_psd(n, p, rng)
-    return vn_trace_bounds(a, b).satisfied
+def _gaussian_pair(rng: np.random.Generator, n_end: int, p_end: int):
+    """n < n_end, p < p_end and the two n x n x p draws of random_psd or _random_hermitian."""
+    n, p = int(rng.integers(1, n_end)), int(rng.integers(1, p_end))
+    return (n, p), (rng.standard_normal((n, n, p)), rng.standard_normal((n, n, p)))
 
 
-def _sweep_sandwich(rng: np.random.Generator) -> bool:
-    n = int(rng.integers(1, 5))
-    p = int(rng.integers(1, 4))
-    a = random_psd(n, p, rng)
-    b = random_psd(n, p, rng)
-    return sandwich_bounds(a, b).satisfied
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M^H) / 2 of tensor data, or of each item of a batch of it."""
+    return (m + _conj_transpose_data(m)) * 0.5
 
 
-def _sweep_ratio(rng: np.random.Generator) -> bool:
-    n = int(rng.integers(1, 5))
-    p = int(rng.integers(1, 4))
-    a = _random_hermitian(n, p, rng)
-    b = random_psd(n, p, rng)
-    return extremal_ratio_bounds(a, b).satisfied
+def _bound_sweep(n_end: int, p_end: int, bound, first=_gram):
+    """A bound's sweep: A = first(M1) and B = M2 * M2^T from a Gaussian pair."""
+    return (lambda rng: _gaussian_pair(rng, n_end, p_end),
+            lambda m_a, m_b: bound(first(m_a), _gram(m_b)).satisfied)
 
 
 def _sweep_kyfan(rng: np.random.Generator) -> bool:
@@ -341,24 +333,26 @@ def _random_partial_isometry(rng: np.random.Generator, k: int, n: int, p: int) -
     return _adjoint(q)
 
 
-def _sweep_concavity(rng: np.random.Generator) -> bool:
-    n = int(rng.integers(1, 4))
-    p = int(rng.integers(1, 4))
-    x = random_psd(n, p, rng)
-    y = random_psd(n, p, rng)
-    a = float(rng.uniform(0.1, 0.9))
-    mixed = _trace_sqrt(a * x + (1.0 - a) * y)
+def _draw_concavity(rng: np.random.Generator):
+    key, (m_x, m_y) = _gaussian_pair(rng, 4, 4)
+    return key, (m_x, m_y, rng.uniform(0.1, 0.9))
+
+
+def _decide_concavity(m_x: np.ndarray, m_y: np.ndarray, a: np.ndarray) -> np.ndarray:
+    x, y = _gram(m_x), _gram(m_y)
+    w = a[:, None, None, None]
+    mixed = _trace_sqrt(w * x + (1.0 - w) * y)
     split = a * _trace_sqrt(x) + (1.0 - a) * _trace_sqrt(y)
     return mixed - split > 1e-12
 
 
-def _trace_sqrt(x: Tensor3) -> float:
-    """tr sqrt(X) of a PSD tensor without forming sqrt(X): the weighted sum of
+def _trace_sqrt(x: np.ndarray) -> np.ndarray:
+    """tr sqrt(X) per PSD item of a batch, without sqrt(X): the weighted sum of
     sqrt over its Fourier-slice eigenvalues, checked and clamped as in t_function."""
     factors = _decompose(x, "t_function", vectors=False)
     factors._require("sqrt requires positive semidefinite input")
-    roots = np.sqrt(np.clip(factors._w, 0.0, None)).sum(axis=1)
-    return float(_slice_weights(len(roots), x.p) @ roots)
+    roots = np.sqrt(np.clip(factors._w, 0.0, None)).sum(axis=-1)
+    return roots @ _slice_weights(roots.shape[-1], x.shape[-1])
 
 
 def _sweep_bw_axioms(rng: np.random.Generator) -> bool:
@@ -385,15 +379,50 @@ def _sweep_relax(rng: np.random.Generator) -> bool:
     return symmetric_relax_bounds(a, b).satisfied
 
 
+def _per_trial(fn):
+    """A sweep whose trial ``fn(rng)`` decides as it draws: its verdicts make one group."""
+    return lambda rng: (None, (fn(rng),)), lambda verdicts: verdicts
+
+
+# property -> (draw, decide, hard).  draw(rng) gives a trial's shape key and arrays;
+# decide, the verdicts of trials with one key from their stacked arrays; a hard
+# property fails the command when a trial fails.
 _SWEEPS = {
-    "vn-bounds": (_sweep_vn, True),
-    "sandwich": (_sweep_sandwich, True),
-    "ratio": (_sweep_ratio, True),
-    "kyfan": (_sweep_kyfan, True),
-    "concavity": (_sweep_concavity, True),
-    "bw-metric-axioms": (_sweep_bw_axioms, True),
-    "relax-bounds": (_sweep_relax, False),
+    "vn-bounds": (*_bound_sweep(5, 5, vn_trace_bounds), True),
+    "sandwich": (*_bound_sweep(5, 4, sandwich_bounds), True),
+    "ratio": (*_bound_sweep(5, 4, extremal_ratio_bounds, _hermitian_part), True),
+    "kyfan": (*_per_trial(_sweep_kyfan), True),
+    "concavity": (_draw_concavity, _decide_concavity, True),
+    "bw-metric-axioms": (*_per_trial(_sweep_bw_axioms), True),
+    "relax-bounds": (*_per_trial(_sweep_relax), False),
 }
+
+
+def _stacked(draws: list) -> list[np.ndarray]:
+    return [np.stack(arrays) for arrays in zip(*draws)]
+
+
+def _decide_all(decide, draws: list) -> np.ndarray:
+    """One verdict per trial, one ``decide`` call per group of equal keys.  If a
+    group raises, the trials are decided alone in order and the first error raised."""
+    groups = {}
+    for trial, (key, _) in enumerate(draws):
+        groups.setdefault(key, []).append(trial)
+    passed = np.empty(len(draws), dtype=bool)
+    try:
+        for trials in groups.values():
+            passed[trials] = decide(*_stacked([draws[t][1] for t in trials]))
+    except Exception:
+        for _, arrays in draws:
+            decide(*_stacked([arrays]))
+        raise
+    return passed
+
+
+def sweep_trial(prop: str, seed: int, trial: int) -> bool:
+    """Replay trial ``trial`` of ``tspectral sweep <prop> --seed <seed>`` as a group of one."""
+    draw, decide, _ = _SWEEPS[prop]
+    return bool(decide(*_stacked([draw(np.random.default_rng((seed, trial)))[1]]))[0])
 
 
 def cmd_sweep(args) -> int:
@@ -403,15 +432,14 @@ def cmd_sweep(args) -> int:
         )
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    fn, hard = _SWEEPS[args.property]
+    draw, decide, hard = _SWEEPS[args.property]
     seed = args.seed if args.seed is not None else _default_seed()
-    passed = 0
-    for trial in range(args.trials):
-        rng = np.random.default_rng((seed, trial))
-        if fn(rng):
-            passed += 1
-    print(f"{args.property}: {passed}/{args.trials} pass")
-    if hard and passed != args.trials:
+    draws = [draw(np.random.default_rng((seed, trial))) for trial in range(args.trials)]
+    passed = _decide_all(decide, draws)
+    for trial in np.flatnonzero(~passed):
+        print(f"sweep {args.property}: seed {seed} trial {trial} failed", file=sys.stderr)
+    print(f"{args.property}: {int(passed.sum())}/{args.trials} pass")
+    if hard and not passed.all():
         return 1
     return 0
 
@@ -470,7 +498,7 @@ def run_benchmark(op: str, n_grid, p_grid, reps: int, seed: int = 0) -> list[Ben
                 for _ in range(batch):
                     fn()
                 times.append((time.perf_counter() - t0) / batch)
-            rows.append(BenchRow(op, n, p, statistics.median(times)))
+            rows.append(BenchRow(op, n, p, float(np.median(times))))
     return rows
 
 

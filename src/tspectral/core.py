@@ -213,8 +213,10 @@ def conj_transpose(t: Tensor3) -> Tensor3:
 
 
 def _conj_transpose_data(data: np.ndarray) -> np.ndarray:
-    """The data of :func:`conj_transpose` for tensor data ``data``, as a new array."""
-    out = data.transpose(1, 0, 2)[:, :, -np.arange(data.shape[2]) % data.shape[2]]
+    """The data of :func:`conj_transpose` for tensor data ``data`` (or a batch
+    of it, shape (..., m, n, p)), as a new array."""
+    p = data.shape[-1]
+    out = data.swapaxes(-3, -2)[..., -np.arange(p) % p]
     return out.conj() if data.dtype.kind == "c" else out
 
 
@@ -254,19 +256,33 @@ def frobenius_norm(t: Tensor3) -> float:
 _NORM_SAFE_MIN = math.sqrt(sys.float_info.min) / sys.float_info.epsilon
 
 
-def _norm(arr: np.ndarray) -> float:
-    """2-norm of the entries of ``arr``.  The plain norm squares them; only
-    when it comes out non-finite, or below ``_NORM_SAFE_MIN`` with an entry
-    that is not zero, are they first divided by a power of two near the
-    largest magnitude (an exact scaling)."""
-    norm = float(np.linalg.norm(arr.ravel()))
-    if _NORM_SAFE_MIN <= norm < math.inf or not np.count_nonzero(arr):
-        return norm
-    big = float(np.max(np.abs(arr)))
-    if not big < math.inf:  # an inf or nan entry
-        return norm
-    scale = 2.0 ** min(max(math.frexp(big)[1], -1000), 1000)  # a normal float
-    return float(np.linalg.norm(arr.ravel() / scale)) * scale
+def _norm(arr: np.ndarray, batch: int = 0):
+    """2-norm of the entries of ``arr``; with ``batch`` leading axes, an array
+    of one norm per item.  The plain norm squares the entries; only for an
+    item where it comes out non-finite, or below ``_NORM_SAFE_MIN`` with an
+    entry that is not zero, are they first divided by a power of two near the
+    item's largest magnitude (an exact scaling)."""
+    flat = arr.reshape(arr.shape[:batch] + (-1,))
+    axis = -1 if batch else None
+    with np.errstate(over="ignore"):  # the plain attempt: an overflow is redone below
+        norm = np.linalg.norm(flat, axis=axis)
+    ok = (_NORM_SAFE_MIN <= norm) & (norm < math.inf)
+    if _first_failure(ok) is not None:
+        redo = ~ok & (np.count_nonzero(flat, axis=axis) > 0)  # a zero item keeps its zero norm
+        if _first_failure(~redo) is not None:
+            big = np.abs(flat).max(axis=axis)
+            redo &= big < math.inf  # an item with an inf or nan entry keeps the plain norm
+            scale = np.ldexp(1.0, np.clip(np.frexp(big)[1], -1000, 1000))  # a normal float
+            rescaled = np.linalg.norm(flat / np.expand_dims(scale, -1), axis=axis) * scale
+            norm = np.where(redo, rescaled, norm)
+    return norm if batch else float(norm)
+
+
+def _first_failure(ok) -> int | None:
+    """Flat index of the first item (C order) whose bool ``ok`` is false, else None."""
+    if isinstance(ok, np.ndarray):
+        return None if ok.all() else int(ok.argmin())
+    return None if ok else 0
 
 
 # ---------------------------------------------------------------------------

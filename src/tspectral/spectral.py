@@ -33,9 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Tensor3, _conj_transpose_data, _norm, bcirc, frobenius_norm, identity
+from .core import Tensor3, _conj_transpose_data, _first_failure, _norm, bcirc, identity
 from .errors import DomainError, PreconditionError, ShapeError, SingularityError
-from .transform import _adjoint, _all_slices, _from_stack, _to_stack
+from .transform import _adjoint, _all_slices, _from_stack, _product_kind, _to_stack
 
 __all__ = [
     "Spectrum",
@@ -58,14 +58,14 @@ __all__ = [
 HERMITIAN_RTOL = 1e-10
 
 
-def psd_tolerance(lam_max: float) -> float:
-    """Eigenvalue slack below zero still accepted as semidefinite."""
-    return 1e-9 * max(1.0, abs(lam_max))
+def psd_tolerance(lam_max):
+    """Eigenvalue slack below zero still accepted as semidefinite (elementwise)."""
+    return 1e-9 * np.maximum(1.0, np.abs(lam_max))
 
 
-def pd_tolerance(lam_max: float) -> float:
-    """Smallest eigenvalue still treated as strictly positive."""
-    return 1e-12 * max(1.0, abs(lam_max))
+def pd_tolerance(lam_max):
+    """Smallest eigenvalue still treated as strictly positive (elementwise)."""
+    return 1e-12 * np.maximum(1.0, np.abs(lam_max))
 
 
 @dataclass(frozen=True)
@@ -145,29 +145,32 @@ class EigFactors:
     @property
     def _w(self) -> np.ndarray:
         """Eigenvalues of the stacked slices, shape (p', n)."""
-        p = self.fourier_eigenvalues.shape[1]
-        return self.fourier_eigenvalues.T[: p // 2 + 1 if self._kind == "real" else p]
+        p = self.fourier_eigenvalues.shape[-1]
+        stacked = p // 2 + 1 if self._kind == "real" else p
+        return self.fourier_eigenvalues.swapaxes(-1, -2)[..., :stacked, :]
 
     def _verdict(self, definite: bool = False) -> PsdCheck:
         """The :func:`is_psd` verdict, or with ``definite`` the positive
-        definiteness one (min eigenvalue above ``pd_tolerance``)."""
-        lam_min = float(self.fourier_eigenvalues.min())
-        lam_max = float(self.fourier_eigenvalues.max())
-        if definite:
-            return PsdCheck(lam_min > pd_tolerance(lam_max), lam_min)
-        return PsdCheck(lam_min >= -psd_tolerance(lam_max), lam_min)
+        definiteness one (min eigenvalue above ``pd_tolerance``); for a batch,
+        its fields are per-item arrays."""
+        ev = self.fourier_eigenvalues
+        item = (-2, -1) if ev.ndim > 2 else None
+        lam_min, lam_max = ev.min(axis=item), ev.max(axis=item)
+        ok = lam_min > pd_tolerance(lam_max) if definite else lam_min >= -psd_tolerance(lam_max)
+        return PsdCheck(ok, lam_min) if item else PsdCheck(bool(ok), float(lam_min))
 
     def _require(self, requirement: str, definite: bool = False, error=None) -> None:
-        """Raise ``error("<requirement>; min eigenvalue ...")`` unless the verdict
-        holds; ``error`` defaults to SingularityError (definite) or DomainError."""
+        """Raise ``error("<requirement>; min eigenvalue ...")`` for the first item whose
+        verdict fails; ``error`` defaults to SingularityError (definite) or DomainError."""
         chk = self._verdict(definite)
-        if not chk.ok:
+        bad = _first_failure(chk.ok)
+        if bad is not None:
             error = error or (SingularityError if definite else DomainError)
-            raise error(f"{requirement}; min eigenvalue {chk.min_eigenvalue:.3e}")
+            raise error(f"{requirement}; min eigenvalue {np.ravel(chk.min_eigenvalue)[bad]:.3e}")
 
     def _apply(self, fw: np.ndarray) -> np.ndarray:
         """The stack of Q_k diag(fw_k) Q_k^H, for ``fw`` shaped like ``_w``."""
-        return (self._q_stack * fw[:, None, :]) @ _adjoint(self._q_stack)
+        return (self._q_stack * fw[..., None, :]) @ _adjoint(self._q_stack)
 
     def _on_all_slices(self) -> EigFactors:
         """The same factors with an rfft half extended to all p slices."""
@@ -246,21 +249,27 @@ def is_hermitian(t: Tensor3) -> HermitianCheck:
     zero tensor is Hermitian."""
     if t.m != t.n:
         raise ShapeError(f"hermitian check requires square slices, got {t.m}x{t.n}")
-    # ||A - A^H||_F on the data arrays, without building tensors
-    resid = math.sqrt(t.p) * _norm(t.data - _conj_transpose_data(t.data))
-    return HermitianCheck(resid <= HERMITIAN_RTOL * frobenius_norm(t), resid)
+    return HermitianCheck(*_hermitian_rule(t.data))  # a bool and a float for one tensor
+
+
+def _hermitian_rule(data: np.ndarray):
+    """The :func:`is_hermitian` verdict and residual of tensor data, or of each
+    item of a batch of it (..., n, n, p), on the data arrays alone."""
+    batch, root_p = data.ndim - 3, math.sqrt(data.shape[-1])
+    resid = root_p * _norm(data - _conj_transpose_data(data), batch)
+    return resid <= HERMITIAN_RTOL * (root_p * _norm(data, batch)), resid
 
 
 def _stack_eig(stack: np.ndarray, p: int, kind: str | None, vectors: bool = True) -> EigFactors:
     """Factors of a Hermitian Fourier stack (an rfft half when ``kind`` is
-    ``"real"``): one batched ``eigh``, or ``eigvalsh`` without ``vectors``."""
+    ``"real"``) or a batch of them: one batched ``eigh``, or ``eigvalsh`` without ``vectors``."""
     if vectors:
         w, q = np.linalg.eigh(stack)
-        q = q[:, :, ::-1]
+        q = q[..., ::-1]
         q.setflags(write=False)  # the factors may be kept and shared
     else:
         w, q = np.linalg.eigvalsh(stack), None
-    return EigFactors(_all_slices(w[:, ::-1], p).T, q, kind)
+    return EigFactors(_all_slices(w[..., ::-1], p, axis=-2).swapaxes(-1, -2), q, kind)
 
 
 class _Record:
@@ -284,7 +293,7 @@ def _record(t: Tensor3) -> _Record:
     return rec
 
 
-def _decompose(t: Tensor3, op: str, vectors: bool = True) -> EigFactors:
+def _decompose(t, op: str, vectors: bool = True) -> EigFactors:
     """The one gate to a Hermitian operand's spectrum: the tensor's Hermitian
     check, raising a :class:`PreconditionError` that names ``op``, then its
     factors from :func:`_stack_eig` on the Fourier stack of ``t``.
@@ -292,16 +301,19 @@ def _decompose(t: Tensor3, op: str, vectors: bool = True) -> EigFactors:
     Both are kept in the tensor's record, so each runs once per tensor: a
     later call reads them back, and only a first request for ``vectors``
     after a values-only decomposition solves again, replacing the entry.
-    Callers must not write to the shared factors."""
-    rec = _record(t)
-    if not rec.hermitian.ok:
+    Callers must not write to the shared factors.  For a batch of tensor data
+    (..., n, n, p) every item is checked and decomposed, and nothing is kept."""
+    batch = not isinstance(t, Tensor3)
+    rec = _Record(HermitianCheck(*_hermitian_rule(t))) if batch else _record(t)
+    bad = _first_failure(rec.hermitian.ok)
+    if bad is not None:
         raise PreconditionError(
-            f"{op} requires a Hermitian tensor: residual {rec.hermitian.residual:.3e} exceeds "
-            f"{HERMITIAN_RTOL:.0e} * ||A||_F"
+            f"{op} requires a Hermitian tensor: residual "
+            f"{np.ravel(rec.hermitian.residual)[bad]:.3e} exceeds {HERMITIAN_RTOL:.0e} * ||A||_F"
         )
     if rec.factors is None or (vectors and rec.factors._q_stack is None):
-        kind = "real" if t.kind == "real" else None
-        rec.factors = _stack_eig(_to_stack(t), t.p, kind, vectors)
+        kind = "real" if _product_kind(t) == "real" else None
+        rec.factors = _stack_eig(_to_stack(t), t.shape[-1], kind, vectors)
     return rec.factors
 
 
@@ -326,7 +338,7 @@ def t_eigenvalues(t: Tensor3, method: str = "fourier") -> Spectrum:
         if hermitian:  # the tensor's kept factors, shape (p, n) per slice
             vals = _decompose(t, "t_eigenvalues", vectors=False).fourier_eigenvalues.T.ravel()
         else:
-            vals = _all_slices(eig(_to_stack(t)), t.p).ravel()
+            vals = _all_slices(eig(_to_stack(t)), t.p, axis=-2).ravel()
         prov = np.repeat(np.arange(1, t.p + 1), t.n)
         return Spectrum(*_sorted_spectrum(vals, prov))
     if method == "bcirc":
@@ -354,7 +366,7 @@ def t_svd(t: Tensor3) -> TSvdFactors:
     """
     u, sv, vh = np.linalg.svd(_to_stack(t))
     kind = "real" if t.kind == "real" else None
-    return TSvdFactors(_all_slices(sv, t.p).T, u, _adjoint(vh), kind)
+    return TSvdFactors(_all_slices(sv, t.p, axis=-2).T, u, _adjoint(vh), kind)
 
 
 _FUNCTION_TAGS = ("sqrt", "log", "inv_sqrt", "pow")
@@ -427,6 +439,10 @@ def random_psd(n: int, p: int, seed: int | np.random.Generator) -> Tensor3:
     """
     if n < 1 or p < 1:
         raise ShapeError(f"random_psd requires n, p >= 1, got n={n}, p={p}")
-    rng = np.random.default_rng(seed)
-    s = _to_stack(Tensor3(rng.standard_normal((n, n, p))))
-    return _from_stack(s @ _adjoint(s), p, "real")  # M * M^T on M's one Fourier stack
+    return _gram(np.random.default_rng(seed).standard_normal((n, n, p)))
+
+
+def _gram(m: np.ndarray):
+    """M * M^T on M's one Fourier stack: a tensor, or per item for a batch of data."""
+    s = _to_stack(m)
+    return _from_stack(s @ _adjoint(s), m.shape[-1], "real")

@@ -26,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import Tensor3, bcirc, fold, unfold
+from .core import Tensor3, _first_failure, bcirc, fold, unfold
 from .errors import NumericError, ShapeError
 
 __all__ = [
@@ -93,44 +93,61 @@ def from_fourier(s: SpectralSlices, kind: str | None = None) -> Tensor3:
     return _from_stack(s.slices.transpose(2, 0, 1), s.p, kind)
 
 
-def _to_stack(t: Tensor3, kind: str | None = None) -> np.ndarray:
-    """Fourier stack of ``t``, shape (p', m, n): the rfft half when ``kind``
-    (default ``t.kind``) is ``"real"``, all p slices otherwise."""
-    if (kind or t.kind) == "real":
-        return np.fft.rfft(t.data, axis=2).transpose(2, 0, 1)
-    return np.fft.fft(t.data, axis=2).transpose(2, 0, 1)
+def _data(x) -> np.ndarray:
+    """The data of a tensor; a batch of tensor data, shape (..., m, n, p), as is."""
+    return x.data if isinstance(x, Tensor3) else x
 
 
-def _from_stack(stack: np.ndarray, p: int, kind: str | None = None) -> Tensor3:
-    """Inverse of :func:`_to_stack`, with the ``kind`` rules of :func:`from_fourier`.
+def _to_stack(t, kind: str | None = None) -> np.ndarray:
+    """Fourier stack of a tensor, shape (p', m, n), or of each item of a batch
+    of data, shape (..., p', m, n): the rfft half when ``kind`` (default the
+    kind of ``t``) is ``"real"``, all p slices otherwise."""
+    data = _data(t)
+    real = kind == "real" if kind else data.dtype.kind != "c"
+    fft = np.fft.rfft if real else np.fft.fft
+    return fft(data, axis=-1).transpose((*range(data.ndim - 3), -1, -3, -2))
+
+
+def _from_stack(stack: np.ndarray, p: int, kind: str | None = None):
+    """Inverse of :func:`_to_stack`, with the ``kind`` rules of :func:`from_fourier` per
+    item: a tensor, or for a batch its data (real when every item is); the first
+    failing item raises.
 
     With ``kind="real"`` a stack of fewer than p slices is an rfft half.
     ``irfft`` drops the imaginary parts of its DC and (for even p) Nyquist
     slices; their sum over p is the imaginary residue the full inverse DFT
-    would show, so that is what is checked.
+    would show, so that is what is checked.  A non-finite result raises too.
     """
-    if kind == "real" and len(stack) < p:
-        edges = stack[:1] if p % 2 else stack[[0, p // 2]]
-        resid = float(np.abs(edges.imag).sum(axis=0).max(initial=0.0)) / p
-        data = np.fft.irfft(stack, n=p, axis=0)
+    item = (-3, -2, -1) if stack.ndim > 3 else None  # the axes of one item
+    if kind == "real" and stack.shape[-3] < p:
+        edges = stack[..., :1, :, :] if p % 2 else stack[..., [0, p // 2], :, :]
+        resid = np.abs(edges.imag).sum(axis=-3).max(axis=item and item[1:], initial=0.0) / p
+        data = np.fft.irfft(stack, n=p, axis=-3)
     else:
-        data = np.fft.ifft(stack, axis=0)
-        resid = float(np.abs(data.imag).max(initial=0.0))
-    scale = 1.0 + float(np.abs(data).max(initial=0.0))
-    if kind != "complex" and resid <= REAL_COERCION_RTOL * scale:
-        data = data.real
-    elif kind == "real":
+        data = np.fft.ifft(stack, axis=-3)
+        resid = np.abs(data.imag).max(axis=item, initial=0.0)
+    scale = 1.0 + np.abs(data).max(axis=item, initial=0.0)
+    ok = resid <= REAL_COERCION_RTOL * scale
+    bad = _first_failure((scale < np.inf) & (ok | (kind != "real")))  # scale >= 1 or nan
+    if bad is not None:
+        resid, scale = np.ravel(resid)[bad], np.ravel(scale)[bad]
+        if not scale < np.inf:
+            raise NumericError("the result overflowed: its inverse transform is not finite")
         raise NumericError(
             f"imaginary residue {resid:.3e} exceeds {REAL_COERCION_RTOL * scale:.3e}; "
             "spectral slices are not conjugate-symmetric"
         )
-    return Tensor3(data.transpose(1, 2, 0))
+    if kind != "complex" and _first_failure(ok) is None:
+        data = data.real
+    data = data.transpose((*range(data.ndim - 3), -2, -1, -3))
+    return Tensor3(data) if data.ndim == 3 else data
 
 
-def _all_slices(x: np.ndarray, p: int) -> np.ndarray:
-    """Per-slice data of a stack (leading axis p') extended to all p slices:
-    the slices an rfft half leaves out are conjugates of stacked ones."""
-    return np.concatenate([x, x[1 : p - len(x) + 1][::-1].conj()])
+def _all_slices(x: np.ndarray, p: int, axis: int = -3) -> np.ndarray:
+    """Per-slice data on slice axis ``axis`` (-2 for per-slice values) extended to
+    all p slices: the slices an rfft half leaves out are conjugates of stacked ones."""
+    mirrored = x[(..., slice(p - x.shape[axis], 0, -1)) + (slice(None),) * (-1 - axis)]
+    return np.concatenate([x, mirrored.conj()], axis=axis)
 
 
 def _slice_weights(stack_len: int, p: int) -> np.ndarray:
@@ -142,22 +159,20 @@ def _slice_weights(stack_len: int, p: int) -> np.ndarray:
     return weights
 
 
-def _stack_trace(*stacks: np.ndarray, p: int, kind: str) -> float | complex:
+def _stack_trace(*stacks: np.ndarray, p: int, kind: str):
     """Trace of the t-product of the tensors with these Fourier stacks, as
     sum_k w_k tr(S1_k ... Sr_k) (weights of :func:`_slice_weights`).  The
     last pair is contracted over both indices, so the full product is never
-    formed.  A float for ``kind="real"``, else complex."""
+    formed.  A float for ``kind="real"``, else complex (arrays for batches)."""
     *head, last = stacks
-    per_slice = np.einsum("kij,kji->k", reduce(np.matmul, head), last)
-    weights = _slice_weights(len(last), p)
-    if kind == "real":
-        return float(weights @ per_slice.real)
-    return complex(weights @ per_slice)
+    per_slice = np.einsum("...kij,...kji->...k", reduce(np.matmul, head), last)
+    total = (per_slice.real if kind == "real" else per_slice) @ _slice_weights(last.shape[-3], p)
+    return total if total.ndim else total.item()
 
 
-def _product_kind(*tensors: Tensor3) -> str:
-    """Kind of a t-product: ``"real"`` when every factor is real."""
-    return "real" if all(t.kind == "real" for t in tensors) else "complex"
+def _product_kind(*tensors) -> str:
+    """Kind of a t-product: ``"real"`` when every factor (or batch of data) is real."""
+    return "complex" if any(_data(t).dtype.kind == "c" for t in tensors) else "real"
 
 
 def _adjoint(stack: np.ndarray) -> np.ndarray:

@@ -120,3 +120,86 @@ def geodesic_bcirc_oracle(a_slices, b_slices, t, null_rtol=1e-10):
 def random_spd_matrix(rng, n):
     g = rng.standard_normal((n, n))
     return g @ g.T + 0.05 * np.eye(n)
+
+
+# ---------------------------------------------------------------------------
+# Frozen per-trial property sweeps: each trial draws from its own
+# default_rng((seed, trial)) and decides alone through the single-tensor
+# public calls, one trial after another.  ``tspectral sweep`` now decides
+# whole shape groups at once; these loops are the oracle for its verdicts.
+# ---------------------------------------------------------------------------
+
+
+def _frozen_sweep_vn(rng):
+    from tspectral import random_psd, vn_trace_bounds
+
+    n = int(rng.integers(1, 5))
+    p = int(rng.integers(1, 5))
+    a = random_psd(n, p, rng)
+    b = random_psd(n, p, rng)
+    return vn_trace_bounds(a, b).satisfied
+
+
+def _frozen_sweep_sandwich(rng):
+    from tspectral import random_psd, sandwich_bounds
+
+    n = int(rng.integers(1, 5))
+    p = int(rng.integers(1, 4))
+    a = random_psd(n, p, rng)
+    b = random_psd(n, p, rng)
+    return sandwich_bounds(a, b).satisfied
+
+
+def _frozen_random_hermitian(n, p, rng):
+    from tspectral import Tensor3, conj_transpose
+
+    m = Tensor3(rng.standard_normal((n, n, p)))
+    return (m + conj_transpose(m)) * 0.5
+
+
+def _frozen_sweep_ratio(rng):
+    from tspectral import extremal_ratio_bounds, random_psd
+
+    n = int(rng.integers(1, 5))
+    p = int(rng.integers(1, 4))
+    a = _frozen_random_hermitian(n, p, rng)
+    b = random_psd(n, p, rng)
+    return extremal_ratio_bounds(a, b).satisfied
+
+
+def _frozen_trace_sqrt(x):
+    """tr sqrt(X) as the weighted sum of sqrt over its Fourier-slice eigenvalues."""
+    from tspectral.spectral import _decompose
+    from tspectral.transform import _slice_weights
+
+    factors = _decompose(x, "t_function", vectors=False)
+    factors._require("sqrt requires positive semidefinite input")
+    roots = np.sqrt(np.clip(factors._w, 0.0, None)).sum(axis=1)
+    return float(_slice_weights(len(roots), x.p) @ roots)
+
+
+def _frozen_sweep_concavity(rng):
+    from tspectral import random_psd
+
+    n = int(rng.integers(1, 4))
+    p = int(rng.integers(1, 4))
+    x = random_psd(n, p, rng)
+    y = random_psd(n, p, rng)
+    a = float(rng.uniform(0.1, 0.9))
+    mixed = _frozen_trace_sqrt(a * x + (1.0 - a) * y)
+    split = a * _frozen_trace_sqrt(x) + (1.0 - a) * _frozen_trace_sqrt(y)
+    return mixed - split > 1e-12
+
+
+FROZEN_SWEEPS = {
+    "vn-bounds": _frozen_sweep_vn,
+    "sandwich": _frozen_sweep_sandwich,
+    "ratio": _frozen_sweep_ratio,
+    "concavity": _frozen_sweep_concavity,
+}
+
+
+def frozen_sweep(prop, seed, trials):
+    """Per-trial pass list of ``prop`` over trials 0..trials-1 of ``seed``."""
+    fn = FROZEN_SWEEPS[prop]
+    return [bool(fn(np.random.default_rng((seed, trial)))) for trial in range(trials)]

@@ -63,10 +63,21 @@ class TestTprodCommand:
         out = tmp_path / "c.json"
         code, stdout, err = run(capsys, "tprod", str(big), str(big), "-o", str(out))
         assert (code, stdout) == (1, "")
-        assert err == (
-            f"numeric failure: {out}: data[0] is not finite; "
-            "tensor files hold finite numbers only\n"
-        )
+        assert err == "numeric failure: the result overflowed: its inverse transform is not finite\n"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_overflowing_product_is_reported_as_overflow(self, capsys, tmp_path, p):
+        """Fourier products beyond float range are reported as an overflow,
+        not as slices that fail the conjugate symmetry of a real result."""
+        big = tmp_path / "big.json"
+        write_tensor(Tensor3(np.full((2, 2, p), 1e200)), big)
+        out = tmp_path / "c.json"
+        code, stdout, err = run(capsys, "tprod", str(big), str(big), "-o", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == "numeric failure: the result overflowed: its inverse transform is not finite\n"
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -433,7 +433,6 @@ def test_rejected_file_gives_the_json_message(tmp_path, raw, message):
     assert str(err.value) == f"{path}: " + message.format(path=path)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the plain attempt
 @pytest.mark.parametrize("complex_kind", [False, True])
 @pytest.mark.parametrize("c", [1e300, 1e-300, 1e170, 1e-170, 1e160, 1e-160])
 def test_frobenius_norm_neither_overflows_nor_underflows(c, complex_kind):

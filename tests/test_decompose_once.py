@@ -59,6 +59,8 @@ def calls(monkeypatch):
     for module in (tspectral, spectral, bounds, geometry, cli):
         if getattr(module, "is_hermitian", None) is check:
             monkeypatch.setattr(module, "is_hermitian", counting(check, "is_hermitian"))
+    # the rule behind is_hermitian, which a batch of tensors runs directly
+    monkeypatch.setattr(spectral, "_hermitian_rule", counting(spectral._hermitian_rule, "rule"))
     return counter
 
 
@@ -144,9 +146,23 @@ def test_ky_fan_sum_inverts_only_its_optimizer(calls, kind):
 def test_concavity_trial_traces_without_inverse_fft(calls, seed):
     """tr sqrt(X) is a weighted sum over Fourier-slice eigenvalues: each of the
     three traces is one eigvalsh and no sqrt(X) tensor; the only inverse FFTs
-    are those of the two random_psd draws."""
-    assert cli._sweep_concavity(np.random.default_rng((seed, 0)))
-    assert calls["is_hermitian"] == 3
+    are those of the two random_psd draws.  A trial replayed alone (a group
+    of one) runs each tensor's Hermitian rule once."""
+    assert cli.sweep_trial("concavity", seed, 0)
+    assert calls["rule"] == 3
+    assert (calls["eigvalsh"], _eigensolves(calls)) == (3, 3)
+    assert calls["irfft"] + calls["ifft"] == 2
+
+
+def test_concavity_group_is_decided_in_one_pass(calls):
+    """A whole shape group costs what one trial does: three Hermitian rules,
+    three eigvalsh and the two inverse FFTs of the random_psd draws."""
+    draw, decide, _ = cli._SWEEPS["concavity"]
+    draws = [draw(np.random.default_rng((0, trial))) for trial in range(60)]
+    group = [arrays for key, arrays in draws if key == draws[0][0]]
+    calls.clear()
+    assert decide(*cli._stacked(group)).all() and len(group) > 3
+    assert calls["rule"] == 3
     assert (calls["eigvalsh"], _eigensolves(calls)) == (3, 3)
     assert calls["irfft"] + calls["ifft"] == 2
 

@@ -60,7 +60,6 @@ class TestFrobeniusDistance:
             assert dist_frobenius(a, b) == pytest.approx(dist_frobenius(b, a), rel=1e-12)
             assert dist_frobenius(a, c) <= dist_frobenius(a, b) + dist_frobenius(b, c) + 1e-12
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the plain attempt
     def test_distance_of_huge_tensors_is_finite(self):
         r = random_tensor(np.random.default_rng(277), 3, 3, 4)
         assert math.isclose(

@@ -45,6 +45,9 @@ from tspectral import (
     trace,
     write_tensor,
 )
+from tspectral.core import _conj_transpose_data, _norm
+from tspectral.spectral import _hermitian_rule, _stack_eig
+from tspectral.transform import _adjoint, _all_slices, _from_stack, _stack_trace, _to_stack
 from helpers_oracles import (
     assert_multiset_close,
     bw_bcirc_oracle,
@@ -406,3 +409,42 @@ def test_random_psd_is_m_times_m_transpose(n, p, seed):
     got = random_psd(n, p, seed)
     assert got.kind == "real"
     assert frobenius_norm(got - want) <= 1e-12 * frobenius_norm(want)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 4), sizes, st.sampled_from([1, 2, 3, 4, 5]), kinds, seeds)
+def test_batch_kernels_equal_per_item_calls(batch, n, p, kind, seed):
+    """Each private kernel on a stack of B items gives, item by item, what the
+    B = 1 call gives; item 0 is scaled by 1e200 so the norm rescales it alone."""
+    rng = np.random.default_rng(seed)
+    items = [_psd(rng, n, p, kind) * (1e200 if i == 0 else 1.0) for i in range(batch)]
+    others = [_tensor(rng, n, n, p, kind) for _ in range(batch)]
+    data = np.stack([t.data for t in items])
+    other = np.stack([t.data for t in others])
+    eig_kind = "real" if kind == "real" else None
+
+    stacks, other_stacks = _to_stack(data), _to_stack(other)
+    for i in range(batch):
+        assert np.array_equal(stacks[i], _to_stack(items[i]))
+        assert np.array_equal(_conj_transpose_data(other)[i], _conj_transpose_data(others[i].data))
+        assert np.array_equal(_adjoint(other_stacks)[i], _adjoint(other_stacks[i]))
+        assert np.array_equal(_all_slices(other_stacks, p)[i], _all_slices(other_stacks[i], p))
+        assert _norm(other, 1)[i] == pytest.approx(_norm(others[i].data), rel=1e-14)
+        assert _norm(data, 1)[i] == pytest.approx(_norm(items[i].data), rel=1e-14)
+    for out_kind in ({"real", None, "complex"} if kind == "real" else {None, "complex"}):
+        inverse = _from_stack(stacks, p, out_kind)
+        for i in range(batch):
+            assert np.allclose(inverse[i], _from_stack(stacks[i], p, out_kind).data, rtol=1e-14, atol=0)
+    traces = _stack_trace(other_stacks, stacks, p=p, kind=kind)
+    ok, resid = _hermitian_rule(data)
+    factors = _stack_eig(stacks, p, eig_kind, vectors=False)
+    psd = factors._verdict()
+    for i in range(batch):
+        one = _stack_eig(stacks[i], p, eig_kind, vectors=False)
+        assert np.array_equal(factors.fourier_eigenvalues[i], one.fourier_eigenvalues)
+        verdict = one._verdict()
+        assert (psd.ok[i], psd.min_eigenvalue[i]) == (verdict.ok, verdict.min_eigenvalue)
+        check = is_hermitian(items[i])
+        assert ok[i] == check.ok and resid[i] == pytest.approx(check.residual, rel=1e-12, abs=0)
+        want = _stack_trace(other_stacks[i], stacks[i], p=p, kind=kind)
+        assert traces[i] == pytest.approx(want, rel=1e-13, abs=1e-13 * abs(want) + 1e-300)

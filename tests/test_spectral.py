@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -276,7 +277,6 @@ class TestChecks:
         chk = is_hermitian(gram)
         assert chk.ok and 0.0 < chk.residual <= 1e-14 * frobenius_norm(gram)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the plain attempt
     @pytest.mark.parametrize("c", [1e300, 1e-300, 1e170, 1e-170, 1e160, 1e-160])
     @pytest.mark.parametrize("complex_kind", [False, True])
     def test_hermitian_verdict_at_extreme_scales(self, c, complex_kind):
@@ -288,6 +288,16 @@ class TestChecks:
         assert not chk.ok and not base.ok
         assert math.isclose(chk.residual, c * base.residual, rel_tol=1e-14)
         assert is_hermitian(c * random_hermitian(rng, 3, 4, complex_kind)).ok
+
+    @pytest.mark.parametrize("complex_kind", [False, True])
+    def test_plain_norm_overflow_warns_nothing(self, complex_kind):
+        """The norm's plain attempt overflows here and is redone rescaled; no
+        RuntimeWarning escapes, even when warnings are errors."""
+        r = random_tensor(np.random.default_rng(181), 3, 3, 4, complex_kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chk = is_hermitian(1e170 * r)
+        assert not chk.ok and math.isclose(chk.residual, 1e170 * is_hermitian(r).residual, rel_tol=1e-14)
 
     def test_zero_tensor_is_hermitian(self):
         zero = Tensor3(np.zeros((3, 3, 4)))

@@ -162,3 +162,40 @@ class TestTprod:
         b = random_tensor(rng, 2, 2, 3, complex_kind=True)
         assert tprod_fft(a, a).kind == "real"
         assert tprod_fft(a, b).kind == "complex"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # matmul
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # matmul
+@pytest.mark.parametrize("shape", [(2, 2, 1), (2, 2, 2), (1, 1, 4)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_overflowing_product_raises_overflow(shape, kind):
+    big = Tensor3(np.full(shape, 1e200) * (1.0 if kind == "real" else 1.0 + 1.0j))
+    with pytest.raises(NumericError, match="^the result overflowed: its inverse transform is not finite$"):
+        tprod_fft(big, big)
+
+
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_batch_inverse_raises_for_its_first_failing_item(p):
+    """Per item, an overflow is an overflow and a broken symmetry a residue;
+    the error raised is the first failing item's."""
+    from tspectral.transform import _from_stack, _to_stack
+
+    data = np.random.default_rng(5).standard_normal((4, 2, 2, p))
+    stacks = _to_stack(data)
+    overflow = stacks.copy()
+    overflow[2, 0, 0, 0] = np.inf
+    asymmetric = overflow.copy()
+    asymmetric[1, 0, 0, 0] += 1j
+    assert _from_stack(stacks, p, "real").shape == (4, 2, 2, p)
+    with pytest.raises(NumericError, match="overflowed"):
+        _from_stack(overflow, p, "real")
+    with pytest.raises(NumericError, match="overflowed"):
+        _from_stack(overflow, p, None)
+    with pytest.raises(NumericError, match="imaginary residue"):
+        _from_stack(asymmetric, p, "real")
+    full = _to_stack(data, "complex")
+    full[1, 0, 0, 0] += 1j
+    mixed = _from_stack(full, p, None)  # item 1 stays complex, so the batch does
+    assert mixed.dtype.kind == "c"
+    assert _from_stack(full[0], p, None).kind == "real"
+    assert np.array_equal(mixed[0].real, _from_stack(full[0], p, None).data)
