@@ -30,7 +30,7 @@ from .errors import (
     SingularityError,
     TSpectralError,
 )
-from .transform import SpectralSlices, from_fourier, to_fourier, tprod, tprod_dense, tprod_fft
+from .transform import tprod, tprod_dense, tprod_fft
 from .spectral import (
     EigFactors,
     HermitianCheck,
@@ -83,9 +83,6 @@ __all__ = [
     "frobenius_norm",
     "read_tensor",
     "write_tensor",
-    "SpectralSlices",
-    "to_fourier",
-    "from_fourier",
     "tprod",
     "tprod_dense",
     "tprod_fft",

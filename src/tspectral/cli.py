@@ -57,6 +57,14 @@ SEED_ENV_VAR = "TSPECTRAL_SEED"
 
 # tr(U*H*U^H) passes a Ky Fan extreme only by eigensolve and trace roundoff, ~n eps.
 KYFAN_SWEEP_SLACK = 1e-8
+# d(A, B) and d(B, A) run the same kernels on swapped operands, so they differ by roundoff.
+BW_SYMMETRY_SLACK = 1e-8
+# d(A, A) = 0 exactly, but the square root lifts an eps-sized radicand to about 1e-7.
+BW_SELF_DISTANCE_SLACK = 1e-6
+# d(A, C) passes d(A, B) + d(B, C) only by the roundoff of the three distances.
+BW_TRIANGLE_SLACK = 1e-8
+# The concavity gap of a random pair must clear the ~1e-13 roundoff of its trace sums.
+CONCAVITY_MARGIN = 1e-12
 
 
 @dataclass
@@ -343,15 +351,14 @@ def _decide_concavity(m_x: np.ndarray, m_y: np.ndarray, a: np.ndarray) -> np.nda
     w = a[:, None, None, None]
     mixed = _trace_sqrt(w * x + (1.0 - w) * y)
     split = a * _trace_sqrt(x) + (1.0 - a) * _trace_sqrt(y)
-    return mixed - split > 1e-12
+    return mixed - split > CONCAVITY_MARGIN
 
 
 def _trace_sqrt(x: np.ndarray) -> np.ndarray:
     """tr sqrt(X) per PSD item of a batch, without sqrt(X): the weighted sum of
     sqrt over its Fourier-slice eigenvalues, checked and clamped as in t_function."""
     factors = _decompose(x, "t_function", vectors=False)
-    factors._require("sqrt requires positive semidefinite input")
-    roots = np.sqrt(np.clip(factors._w, 0.0, None)).sum(axis=-1)
+    roots = np.sqrt(factors._require("sqrt requires positive semidefinite input")).sum(axis=-1)
     return roots @ _slice_weights(roots.shape[-1], x.shape[-1])
 
 
@@ -362,13 +369,13 @@ def _sweep_bw_axioms(rng: np.random.Generator) -> bool:
     b = random_psd(n, p, rng)
     c = random_psd(n, p, rng)
     dab = dist_bures_wasserstein(a, b)
-    if dab < 0 or abs(dab - dist_bures_wasserstein(b, a)) > 1e-8:
+    if dab < 0 or abs(dab - dist_bures_wasserstein(b, a)) > BW_SYMMETRY_SLACK:
         return False
-    if dist_bures_wasserstein(a, a) > 1e-6:
+    if dist_bures_wasserstein(a, a) > BW_SELF_DISTANCE_SLACK:
         return False
     dac = dist_bures_wasserstein(a, c)
     dbc = dist_bures_wasserstein(b, c)
-    return dac <= dab + dbc + 1e-8
+    return dac <= dab + dbc + BW_TRIANGLE_SLACK
 
 
 def _sweep_relax(rng: np.random.Generator) -> bool:
@@ -483,6 +490,8 @@ def run_benchmark(op: str, n_grid, p_grid, reps: int, seed: int = 0) -> list[Ben
     Sub-millisecond operations are batched inside each timed sample so the
     measurement is not dominated by timer and scheduler noise.
     """
+    if reps < 1:
+        raise ValueError(f"--reps must be >= 1, got {reps}")
     rows = []
     for n in n_grid:
         for p in p_grid:

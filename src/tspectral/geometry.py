@@ -39,7 +39,7 @@ import numpy as np
 
 from .core import Tensor3, _require_same_shape, frobenius_norm, identity, trace
 from .errors import DomainError, NumericError, ShapeError
-from .spectral import EigFactors, _decompose, _stack_eig
+from .spectral import _decompose, _stack_eig
 from .spectral import t_eigenvalues  # noqa: F401  (perfbench's tracing check reads it here)
 from .transform import _adjoint, _from_stack, _product_kind, _slice_weights, _to_stack
 
@@ -92,16 +92,16 @@ class GeodesicProfile:
         object.__setattr__(self, "traces", tr)
 
 
-def _checked_pair(a: Tensor3, b: Tensor3, op: str, definite: bool = False) -> list[EigFactors]:
-    """A and B checked (PSD, or positive definite) and decomposed once each;
-    when their kinds differ the real one's rfft half is put on all p slices."""
+def _checked_pair(a: Tensor3, b: Tensor3, op: str, definite: bool = False) -> list[tuple]:
+    """(factors, clamped eigenvalues) of A and B, each checked (PSD, or positive definite)
+    and decomposed once; when their kinds differ the real one's rfft half is on all p slices."""
     _require_same_shape(a, b, op)
     need = "positive definite" if definite else "PSD"
     pair = []
     for t, name in ((a, "A"), (b, "B")):
         factors = _decompose(t, op)
-        factors._require(f"{op} requires {name} {need}", definite=definite)
-        pair.append(factors._on_all_slices() if a.kind != b.kind else factors)
+        factors = factors._on_all_slices() if a.kind != b.kind else factors
+        pair.append((factors, factors._require(f"{op} requires {name} {need}", definite=definite)))
     return pair
 
 
@@ -126,8 +126,8 @@ def dist_bures_wasserstein(a: Tensor3, b: Tensor3, convention: str = "bcirc") ->
     tr B)`` (both traces under ``convention``) raises; one between that
     floor and 0 clamps to zero, so d(cA, cB) = sqrt(c) d(A, B) at any scale.
     """
-    fa, fb = _checked_pair(a, b, "dist_bures_wasserstein")
-    root_wa, root_wb = (np.sqrt(np.clip(f._w, 0.0, None)) for f in (fa, fb))
+    (fa, wa), (fb, wb) = _checked_pair(a, b, "dist_bures_wasserstein")
+    root_wa, root_wb = np.sqrt(wa), np.sqrt(wb)
     core = root_wa[:, :, None] * (_adjoint(fa._q_stack) @ fb._q_stack) * root_wb[:, None, :]
     nuclear = np.linalg.svd(core, compute_uv=False).sum(axis=1)
     cross = float(_slice_weights(len(nuclear), a.p) @ nuclear)
@@ -147,7 +147,7 @@ def dist_log_euclidean(a: Tensor3, b: Tensor3, convention: str = "bcirc") -> flo
     Fourier slices of ||T_k||_F^2, so no inverse transform is needed.
     """
     pair = _checked_pair(a, b, "dist_log_euclidean", definite=True)
-    log_a, log_b = (f._apply(np.log(f._w)) for f in pair)
+    log_a, log_b = (f._apply(np.log(w)) for f, w in pair)
     sq_norms = np.sum(np.abs(log_a - log_b) ** 2, axis=(1, 2))  # per Fourier slice
     sq_norm = float(_slice_weights(len(sq_norms), a.p) @ sq_norms)
     return math.sqrt(_convention_scale(convention, a.p) * sq_norm)
@@ -178,24 +178,22 @@ def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFac
         raise DomainError(f"regularize must be >= 0, got {regularize!r}")
     if regularize > 0.0:
         a = a + regularize * identity(a.n, a.p)
-    eig_a = _decompose(a, "geodesic")
-    eig_a._require(
-        "geodesic requires positive definite A (pass regularize=eps to shift explicitly)",
-        definite=True,
-    )
-    eig_b = _decompose(b, "geodesic", vectors=False)
-    eig_b._require("geodesic requires B PSD")
     kind = _product_kind(a, b)
+    eig_a = _decompose(a, "geodesic")
     if kind != a.kind:  # real A, complex B: A's rfft half on all p slices
         eig_a = eig_a._on_all_slices()
-    root = np.sqrt(eig_a._w)
+    root = np.sqrt(eig_a._require(
+        "geodesic requires positive definite A (pass regularize=eps to shift explicitly)",
+        definite=True,
+    ))
+    eig_b = _decompose(b, "geodesic", vectors=False)
+    eig_b._require("geodesic requires B PSD")
     inv_root_a = eig_a._apply(1.0 / root)
     mid = inv_root_a @ _to_stack(b, kind) @ inv_root_a
     eig_m = _stack_eig(0.5 * (mid + _adjoint(mid)), a.p, kind)
-    eig_m._require("geodesic requires A^(-1/2) B A^(-1/2) PSD")
-    w_b = eig_b.fourier_eigenvalues.T[: len(eig_m._w)]  # B's eigenvalues on M's slices
+    w = eig_m._require("geodesic requires A^(-1/2) B A^(-1/2) PSD")
+    w_b = eig_b.fourier_eigenvalues.T[: len(w)]  # B's eigenvalues on M's slices
     nulls = np.sum(w_b <= a.n * NULL_EIGENVALUE_RTOL * max(w_b.max(), 0.0), axis=1)
-    w = np.clip(eig_m._w, 0.0, None)
     w[np.arange(a.n) >= a.n - nulls[:, None]] = 0.0  # M's smallest, _w being descending
     return _GeodesicFactors(eig_a._apply(root) @ eig_m._q_stack, w, kind, a.p)
 

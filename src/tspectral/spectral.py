@@ -14,7 +14,9 @@ failure raises an error naming the operation, then one batched ``eigh``
 (or ``eigvalsh``) on the Fourier stack.  The returned :class:`EigFactors`
 give the PSD and PD verdicts, the only place where :func:`psd_tolerance`
 and :func:`pd_tolerance` meet a spectrum, and the stacks Q diag(f(w)) Q^H
-that callers build from them.
+that callers build from them.  The verdict-then-clamp rule lives there too:
+``EigFactors._require`` raises on a failed verdict, else returns the
+eigenvalues clamped at 0, so no caller clips a spectrum of its own.
 
 A :class:`~tspectral.core.Tensor3` never changes, so its Hermitian check
 and its eigendecomposition are functions of the tensor alone.  Both are
@@ -159,14 +161,17 @@ class EigFactors:
         ok = lam_min > pd_tolerance(lam_max) if definite else lam_min >= -psd_tolerance(lam_max)
         return PsdCheck(ok, lam_min) if item else PsdCheck(bool(ok), float(lam_min))
 
-    def _require(self, requirement: str, definite: bool = False, error=None) -> None:
-        """Raise ``error("<requirement>; min eigenvalue ...")`` for the first item whose
+    def _require(self, requirement: str, definite: bool = False, error=None) -> np.ndarray:
+        """The checked eigenvalues ``_w``, clamped at 0: roundoff-negative ones that the
+        PSD verdict accepts become 0 (a positive definite spectrum is already above).
+        Raise ``error("<requirement>; min eigenvalue ...")`` for the first item whose
         verdict fails; ``error`` defaults to SingularityError (definite) or DomainError."""
         chk = self._verdict(definite)
         bad = _first_failure(chk.ok)
         if bad is not None:
             error = error or (SingularityError if definite else DomainError)
             raise error(f"{requirement}; min eigenvalue {np.ravel(chk.min_eigenvalue)[bad]:.3e}")
+        return np.clip(self._w, 0.0, None)
 
     def _apply(self, fw: np.ndarray) -> np.ndarray:
         """The stack of Q_k diag(fw_k) Q_k^H, for ``fw`` shaped like ``_w``."""
@@ -390,12 +395,9 @@ def t_function(t: Tensor3, fn: str, exponent: float | None = None) -> Tensor3:
         raise ValueError(f"exponent is only meaningful for 'pow', not {fn!r}")
 
     factors = _decompose(t, "t_function")
-    if fn in ("log", "inv_sqrt") or (fn == "pow" and exponent < 0):
-        factors._require(f"{fn} requires positive definite input", definite=True)
-        w = factors._w
-    else:
-        factors._require(f"{fn} requires positive semidefinite input")
-        w = np.clip(factors._w, 0.0, None)
+    definite = fn in ("log", "inv_sqrt") or (fn == "pow" and exponent < 0)
+    need = "positive definite" if definite else "positive semidefinite"
+    w = factors._require(f"{fn} requires {need} input", definite=definite)
 
     if fn == "sqrt":
         fw = np.sqrt(w)
@@ -426,8 +428,7 @@ def psd_factor(t: Tensor3) -> Tensor3:
     the factor reproduces A exactly rather than only up to a unitary.
     """
     factors = _decompose(t, "psd_factor")
-    factors._require("psd_factor requires a PSD tensor")
-    root = np.sqrt(np.clip(factors._w, 0.0, None))
+    root = np.sqrt(factors._require("psd_factor requires a PSD tensor"))
     return _from_stack(factors._q_stack * root[:, None, :], t.p, factors._kind)
 
 

@@ -1,4 +1,4 @@
-"""Fourier-domain tensor representation and the two t-product paths.
+"""The Fourier stack of a tensor and the two t-product paths.
 
 The DFT along tubes block-diagonalizes the block-circulant matrix: with
 ``F`` the unitary ``p x p`` DFT matrix,
@@ -8,20 +8,20 @@ The DFT along tubes block-diagonalizes the block-circulant matrix: with
 so slice-wise matrix algebra on the Fourier slices is equivalent to dense
 algebra on ``bcirc``.  The forward transform itself is unnormalized
 (``numpy.fft.fft``) and the inverse carries the ``1/p`` factor, which makes
-the Fourier slices equal to the diagonal blocks above.  ``tprod_dense`` is the literal fold/bcirc/unfold
-definition and serves as the reference oracle; ``tprod_fft`` is the fast
-path.  Callers pick the path explicitly.
+the Fourier slices equal to the diagonal blocks above.  ``tprod_dense`` is
+the literal fold/bcirc/unfold definition and serves as the reference
+oracle; ``tprod_fft`` is the fast path.  Callers pick the path explicitly.
 
 Every fast kernel works on the private Fourier stack, shape ``(p', m, n)``,
 with one batched numpy call over all slices.  A real tensor's slice ``p - k``
 is the conjugate of slice ``k``, so its stack holds the ``p' = p // 2 + 1``
 slices of ``rfft`` (back through ``irfft``); a complex one all ``p`` of
-``fft``.  Only the stack helpers below know about this symmetry.
+``fft``.  Only the stack helpers below know about this symmetry, and every
+DFT of the package runs in :func:`_to_stack` or :func:`_from_stack`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -30,9 +30,6 @@ from .core import Tensor3, _first_failure, bcirc, fold, unfold
 from .errors import NumericError, ShapeError
 
 __all__ = [
-    "SpectralSlices",
-    "to_fourier",
-    "from_fourier",
     "tprod_dense",
     "tprod_fft",
     "tprod",
@@ -40,57 +37,6 @@ __all__ = [
 
 # Imaginary residue allowed when coercing an inverse DFT back to real kind.
 REAL_COERCION_RTOL = 1e-8
-
-
-@dataclass(frozen=True)
-class SpectralSlices:
-    """The p complex Fourier slices of a tensor, stored as (n1, n2, p)."""
-
-    slices: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.slices, dtype=np.complex128)
-        if arr.ndim != 3:
-            raise ShapeError(f"spectral data must be 3-dimensional, got {arr.shape}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "slices", arr)
-
-    @property
-    def n1(self) -> int:
-        return self.slices.shape[0]
-
-    @property
-    def n2(self) -> int:
-        return self.slices.shape[1]
-
-    @property
-    def p(self) -> int:
-        return self.slices.shape[2]
-
-    def slice_matrix(self, k: int) -> np.ndarray:
-        """Copy of the k-th Fourier slice, 1-based."""
-        return self.slices[:, :, k - 1].copy()
-
-
-def to_fourier(t: Tensor3) -> SpectralSlices:
-    """Unnormalized DFT along tubes; slice k is a diagonal block of bcirc."""
-    return SpectralSlices(np.fft.fft(t.data, axis=2))
-
-
-def from_fourier(s: SpectralSlices, kind: str | None = None) -> Tensor3:
-    """Inverse DFT along tubes (the inverse carries the 1/p factor).
-
-    Parameters
-    ----------
-    s : SpectralSlices
-    kind : {"real", "complex", None}
-        ``"real"`` demands a real result and raises
-        :class:`~tspectral.errors.NumericError` when the imaginary residue
-        exceeds ``1e-8 * (1 + max|entry|)``.  ``None`` coerces to real only
-        when the residue is below that same threshold.
-    """
-    return _from_stack(s.slices.transpose(2, 0, 1), s.p, kind)
 
 
 def _data(x) -> np.ndarray:
@@ -109,9 +55,14 @@ def _to_stack(t, kind: str | None = None) -> np.ndarray:
 
 
 def _from_stack(stack: np.ndarray, p: int, kind: str | None = None):
-    """Inverse of :func:`_to_stack`, with the ``kind`` rules of :func:`from_fourier` per
-    item: a tensor, or for a batch its data (real when every item is); the first
-    failing item raises.
+    """Inverse of :func:`_to_stack` (the inverse DFT carries the 1/p factor): a
+    tensor, or for a batch its data (real when every item is).
+
+    Per item, ``kind="real"`` demands a real result and raises
+    :class:`~tspectral.errors.NumericError` when the imaginary residue exceeds
+    ``REAL_COERCION_RTOL * (1 + max|entry|)``; ``None`` coerces to real only
+    when the residue is below that threshold; ``"complex"`` keeps the result
+    complex.  The first failing item raises.
 
     With ``kind="real"`` a stack of fewer than p slices is an rfft half.
     ``irfft`` drops the imaginary parts of its DC and (for even p) Nyquist

@@ -43,6 +43,22 @@ def oracle_bcirc_gather(data):
     return np.ascontiguousarray(np.transpose(blocks, (2, 0, 3, 1)).reshape(m * p, n * p))
 
 
+def oracle_fourier_blocks(slices, tol=1e-10):
+    """The p diagonal blocks of (F kron I) bcirc(A) (F kron I)^H, shape (p, m, n),
+    with F the unitary DFT matrix built entry by entry; every off-diagonal
+    block must vanish to ``tol`` relative to the largest entry."""
+    p = len(slices)
+    m, n = slices[0].shape
+    j = np.arange(p)
+    f = np.exp(-2j * np.pi * np.outer(j, j) / p) / np.sqrt(p)
+    big = np.kron(f, np.eye(m)) @ oracle_bcirc(slices) @ np.kron(f, np.eye(n)).conj().T
+    blocks = big.reshape(p, m, p, n).transpose(0, 2, 1, 3)  # blocks[k, l] is block (k, l)
+    diag = blocks[j, j].copy()
+    blocks[j, j] = 0.0
+    assert np.abs(blocks).max() <= tol * (1.0 + np.abs(diag).max())
+    return diag
+
+
 def oracle_tprod_slices(a_slices, b_slices):
     """t-product as an explicit circular convolution of frontal slices."""
     p = len(a_slices)

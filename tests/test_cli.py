@@ -433,6 +433,17 @@ class TestBenchCommand:
         assert len(lines) == 3
         assert "fitted p-exponent" in stdout
 
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_reps_below_one_exit_2(self, capsys, recwarn, tmp_path, reps):
+        out = tmp_path / "bench.csv"
+        code, stdout, err = run(
+            capsys, "bench", "--op", "tprod-fft", "--n-grid", "2",
+            "--p-grid", "2,4", "--reps", reps, "--csv", str(out),
+        )
+        assert (code, stdout, err) == (2, "", f"error: --reps must be >= 1, got {reps}\n")
+        assert not out.exists()
+        assert len(recwarn) == 0
+
 
 def _eig_line_per_value(vals):
     """Reference rule for ``eig``'s line, value by value: Python's ``round`` on

@@ -1,12 +1,13 @@
 """Every name a module of the package imports is used in that module, every
-module-level private name the package defines is used somewhere in it, and
-the third-party modules ``src/`` imports are exactly the declared runtime
-dependencies.
+module-level private name the package defines is used somewhere in it, the
+third-party modules ``src/`` imports are exactly the declared runtime
+dependencies, every DFT runs in the two Fourier-stack helpers, and the
+package re-exports exactly the public names of its layers.
 
 A stdlib ``ast`` walk, so refactors cannot leave stale imports, stranded
-helpers or stale dependencies behind.  Names listed in the module's
-``__all__`` (re-exports) and imports on a line marked ``# noqa: F401`` are
-exempt from the import check.
+helpers, stale dependencies or a second Fourier layout behind.  Names listed
+in the module's ``__all__`` (re-exports) and imports on a line marked
+``# noqa: F401`` are exempt from the import check.
 """
 
 import ast
@@ -150,3 +151,69 @@ def test_dependency_mismatch_is_reported(tmp_path):
         "pkg/mod.py:6: yaml is not a declared dependency",
         "requests is declared but not imported",
     ]
+
+
+# The one chokepoint between a tensor and its Fourier slices.
+FFT_HOMES = {("transform.py", "_to_stack"), ("transform.py", "_from_stack")}
+
+
+def _fft_uses(src: Path) -> list[tuple[str, str, int]]:
+    """(file, top-level definition or ``<module>``, line) of every reference to
+    ``numpy.fft`` in the modules of ``src``: ``np.fft`` or ``numpy.fft``, called
+    or not, and every import of it."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute):
+                    hit = node.attr == "fft" and getattr(node.value, "id", None) in ("np", "numpy")
+                elif isinstance(node, ast.ImportFrom):
+                    hit = node.module == "numpy.fft" or (
+                        node.module == "numpy" and any(a.name == "fft" for a in node.names)
+                    )
+                elif isinstance(node, ast.Import):
+                    hit = any(a.name == "numpy.fft" for a in node.names)
+                else:
+                    continue
+                if hit:
+                    found.append((path.name, owner, node.lineno))
+    return found
+
+
+def test_every_fft_runs_in_the_stack_helpers():
+    uses = _fft_uses(SRC)
+    assert {(name, owner) for name, owner, _ in uses} >= FFT_HOMES
+    assert [use for use in uses if use[:2] not in FFT_HOMES] == []
+
+
+def test_stray_fft_is_reported(tmp_path):
+    (tmp_path / "transform.py").write_text(
+        "import numpy as np\n\n\ndef _to_stack(x):\n    return np.fft.rfft(x)\n\n\n"
+        "class Slices:\n    def of(self, x):\n        return np.fft.fft(x)\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "import numpy\nfrom numpy.fft import ifft\n\nFFT = numpy.fft.fft\n"
+    )
+    assert [use for use in _fft_uses(tmp_path) if use[:2] not in FFT_HOMES] == [
+        ("b.py", "<module>", 2),
+        ("b.py", "<module>", 4),
+        ("transform.py", "Slices", 10),
+    ]
+
+
+def test_package_reexports_exactly_the_layers_public_names():
+    """``tspectral.__all__`` is the union of the layers' ``__all__`` and the
+    error classes, each once, and every name in it is bound in the package."""
+    import tspectral
+    from tspectral import bounds, core, errors, geometry, spectral, transform
+
+    layers = [name for mod in (core, transform, spectral, bounds, geometry) for name in mod.__all__]
+    error_classes = [
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, Exception)
+    ]
+    assert len(error_classes) == 7
+    assert len(set(tspectral.__all__)) == len(tspectral.__all__)
+    assert sorted(tspectral.__all__) == sorted(layers + error_classes)
+    assert [name for name in tspectral.__all__ if not hasattr(tspectral, name)] == []

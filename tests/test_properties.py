@@ -23,13 +23,11 @@ from hypothesis import strategies as st
 
 from tspectral import (
     NumericError,
-    SpectralSlices,
     Tensor3,
     bcirc,
     conj_transpose,
     dist_bures_wasserstein,
     frobenius_norm,
-    from_fourier,
     geodesic,
     geodesic_trace_profile,
     hermitian_eig,
@@ -254,7 +252,7 @@ def test_half_stack_round_trip_and_weights(p):
 @pytest.mark.parametrize("p, edge", [(3, 0), (4, 0), (4, 2), (5, 0), (8, 4)])
 def test_half_stack_edge_imaginary_part_is_not_dropped(p, edge):
     """irfft ignores the imaginary parts of the DC and Nyquist slices; a real
-    inverse must refuse them rather than lose them, as from_fourier does."""
+    inverse must refuse them rather than lose them, as one of all p slices does."""
     from tspectral.transform import _from_stack, _to_stack
 
     half = _to_stack(identity(2, p)).copy()
@@ -263,7 +261,7 @@ def test_half_stack_edge_imaginary_part_is_not_dropped(p, edge):
         _from_stack(half, p, "real")
     full = np.concatenate([half, half[1 : p - len(half) + 1][::-1].conj()])
     with pytest.raises(NumericError, match="residue"):
-        from_fourier(SpectralSlices(np.moveaxis(full, 0, 2)), kind="real")
+        _from_stack(full, p, "real")
     half[edge, 0, 1] -= 1e-3j
     half[1, 0, 1] += 1e-3j  # an interior slice stands for a conjugate pair: no residue
     assert _from_stack(half, p, "real").kind == "real"

@@ -22,12 +22,12 @@ from tspectral import (
     t_eigenvalues,
     t_function,
     t_svd,
-    to_fourier,
     tprod_fft,
     trace,
 )
+from tspectral.transform import _to_stack
 from conftest import random_hermitian, random_psd_tensor, random_tensor
-from helpers_oracles import assert_multiset_close, oracle_eigenvalues
+from helpers_oracles import assert_multiset_close, oracle_eigenvalues, oracle_fourier_blocks
 
 
 def reconstruction_error(factors_product, original):
@@ -161,9 +161,10 @@ class TestTSvd:
         rng = np.random.default_rng(113)
         t = random_tensor(rng, 4, 4, 3)
         f = t_svd(t)
-        shat = to_fourier(f.s).slices
+        shat = _to_stack(f.s, "complex")
+        np.testing.assert_allclose(shat, oracle_fourier_blocks(list(f.s.slices())), atol=1e-10)
         for k in range(3):
-            mat = shat[:, :, k]
+            mat = shat[k]
             diag = np.real(np.diag(mat))
             assert np.all(diag >= -1e-12)
             assert np.all(np.diff(diag) <= 1e-10)

@@ -4,78 +4,91 @@ import pytest
 from tspectral import (
     NumericError,
     ShapeError,
-    SpectralSlices,
     Tensor3,
     bcirc,
     conj_transpose,
     frobenius_norm,
-    from_fourier,
     identity,
-    to_fourier,
     tprod,
     tprod_dense,
     tprod_fft,
 )
+from tspectral.transform import _all_slices, _from_stack, _to_stack
 from conftest import random_hermitian, random_tensor
-from helpers_oracles import oracle_tprod_slices
+from helpers_oracles import oracle_bcirc, oracle_fourier_blocks, oracle_tprod_slices
 
 
-class TestToFourier:
+class TestToStack:
+    """Slice k of the Fourier stack is diagonal block k of bcirc under the unitary DFT."""
+
     def test_p2_sum_difference(self, a2):
-        s = to_fourier(a2)
-        np.testing.assert_allclose(s.slice_matrix(1), [[3, 1], [1, 5]], atol=1e-12)
-        np.testing.assert_allclose(s.slice_matrix(2), [[1, 1], [1, 1]], atol=1e-12)
+        s = _to_stack(a2)
+        np.testing.assert_allclose(s[0], [[3, 1], [1, 5]], atol=1e-12)
+        np.testing.assert_allclose(s[1], [[1, 1], [1, 1]], atol=1e-12)
+        np.testing.assert_allclose(s, oracle_fourier_blocks(list(a2.slices())), atol=1e-12)
 
     def test_identity_all_slices_eye(self):
-        s = to_fourier(identity(3, 4))
-        for k in range(1, 5):
-            np.testing.assert_allclose(s.slice_matrix(k), np.eye(3), atol=1e-12)
+        t = identity(3, 4)
+        eyes = np.broadcast_to(np.eye(3), (4, 3, 3))
+        np.testing.assert_allclose(_all_slices(_to_stack(t), 4), eyes, atol=1e-12)
+        np.testing.assert_allclose(_to_stack(t, "complex"), eyes, atol=1e-12)
+        np.testing.assert_allclose(oracle_fourier_blocks(list(t.slices())), eyes, atol=1e-12)
 
     def test_conjugate_symmetry_for_real_input(self):
         rng = np.random.default_rng(41)
         t = random_tensor(rng, 3, 4, 5)
-        s = to_fourier(t).slices
+        full = _to_stack(t, "complex")
+        np.testing.assert_allclose(full, oracle_fourier_blocks(list(t.slices())), atol=1e-12)
         for k in range(1, 5):
-            np.testing.assert_allclose(
-                s[:, :, k], s[:, :, 5 - k].conj(), rtol=1e-12, atol=1e-12
-            )
+            np.testing.assert_allclose(full[k], full[5 - k].conj(), rtol=1e-12, atol=1e-12)
+        half = _to_stack(t)
+        assert half.shape == (3, 3, 4)
+        np.testing.assert_allclose(_all_slices(half, 5), full, rtol=1e-12, atol=1e-12)
 
-    def test_block_diagonalization_identity(self):
+    @pytest.mark.parametrize("complex_kind", [False, True])
+    def test_block_diagonalization_identity(self, complex_kind):
         rng = np.random.default_rng(43)
-        t = random_tensor(rng, 3, 2, 4)
-        s = to_fourier(t).slices
+        t = random_tensor(rng, 3, 2, 4, complex_kind)
+        s = _all_slices(_to_stack(t), 4)
         blk = np.zeros((12, 8), dtype=complex)
         for k in range(4):
-            blk[3 * k : 3 * k + 3, 2 * k : 2 * k + 2] = s[:, :, k]
+            blk[3 * k : 3 * k + 3, 2 * k : 2 * k + 2] = s[k]
         f_unitary = np.fft.fft(np.eye(4)) / 2.0
         lhs = np.kron(f_unitary, np.eye(3)).conj().T @ blk @ np.kron(f_unitary, np.eye(2))
         np.testing.assert_allclose(lhs, bcirc(t), atol=1e-10)
 
 
-class TestFromFourier:
+class TestFromStack:
     def test_round_trip_complex(self):
         rng = np.random.default_rng(47)
         t = random_tensor(rng, 3, 3, 5, complex_kind=True)
-        back = from_fourier(to_fourier(t), kind="complex")
+        back = _from_stack(_to_stack(t), 5, "complex")
         np.testing.assert_allclose(back.data, t.data, atol=1e-12)
+        blocks = oracle_fourier_blocks(list(t.slices()))
+        np.testing.assert_allclose(_from_stack(blocks, 5, "complex").data, t.data, atol=1e-12)
 
     def test_round_trip_real_coerces(self, a1):
-        back = from_fourier(to_fourier(a1))
+        for stack, kind in ((_to_stack(a1, "complex"), None), (_to_stack(a1), "real")):
+            back = _from_stack(stack, 2, kind)
+            assert back.kind == "real"
+            assert back.allclose(a1)
+        back = _from_stack(oracle_fourier_blocks(list(a1.slices())), 2)
         assert back.kind == "real"
         assert back.allclose(a1)
 
     def test_constant_slices_invert_to_first_slice(self):
         mat = np.array([[1.0, 2.0], [3.0, 4.0]])
-        s = SpectralSlices(np.repeat(mat[:, :, None], 4, axis=2))
-        t = from_fourier(s)
+        t = _from_stack(np.repeat(mat[None].astype(complex), 4, axis=0), 4)
+        assert t.kind == "real"
         np.testing.assert_allclose(t.data[:, :, 0], mat, atol=1e-14)
         np.testing.assert_allclose(t.data[:, :, 1:], 0.0, atol=1e-14)
+        np.testing.assert_allclose(oracle_bcirc(list(t.slices())), np.kron(np.eye(4), mat), atol=1e-14)
 
     def test_real_demand_fails_on_asymmetric_spectrum(self):
-        slices = np.zeros((2, 2, 3), dtype=complex)
-        slices[:, :, 1] = 1.0j  # no conjugate partner
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[1] = 1.0j  # no conjugate partner
         with pytest.raises(NumericError, match="residue"):
-            from_fourier(SpectralSlices(slices), kind="real")
+            _from_stack(stack, 3, kind="real")
 
 
 class TestTprod:
@@ -178,8 +191,6 @@ def test_overflowing_product_raises_overflow(shape, kind):
 def test_batch_inverse_raises_for_its_first_failing_item(p):
     """Per item, an overflow is an overflow and a broken symmetry a residue;
     the error raised is the first failing item's."""
-    from tspectral.transform import _from_stack, _to_stack
-
     data = np.random.default_rng(5).standard_normal((4, 2, 2, p))
     stacks = _to_stack(data)
     overflow = stacks.copy()
