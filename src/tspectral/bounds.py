@@ -11,21 +11,31 @@ Traces of t-products, such as tr(A*B), tr(A*B*A) and tr(U*H*U^H), are
 weighted sums over the Fourier slices, sum_k w_k tr(A_k B_k ...), taken by
 the one kernel ``transform._stack_trace``; no product tensor is formed.
 
-``vn_trace_bounds``, ``sandwich_bounds`` and ``extremal_ratio_bounds`` also
-take two batches of tensor data (..., n, n, p) and report all items at once.
+``vn_trace_bounds``, ``sandwich_bounds``, ``extremal_ratio_bounds`` and
+``symmetric_relax_bounds`` also take two batches of tensor data (..., n, n, p),
+and ``ky_fan_sum`` one, and report all items at once: every field but a
+report's ``context`` is then an array, and every check runs per item.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3, _first_failure, _require_same_shape, bcirc, conj_transpose, unfold
+from .core import (
+    Tensor3,
+    _data,
+    _first_failure,
+    _hermitian_part,
+    _real_trace,
+    _require_same_shape,
+    bcirc,
+    unfold,
+)
 from .errors import DomainError, NumericError, PreconditionError, ShapeError
 from .spectral import _decompose, hermitian_eig, t_eigenvalues
-from .transform import _adjoint, _data, _from_stack, _product_kind, _stack_trace, _to_stack
+from .transform import _adjoint, _from_stack, _product_kind, _stack_trace, _to_stack
 
 __all__ = [
     "BoundReport",
@@ -103,13 +113,6 @@ class KyFanResult:
     optimizer: Tensor3
 
 
-def _real_trace(t) -> float:
-    """Real part of p * tr(A[:, :, 0]); per item (an array) for a batch of data."""
-    data = _data(t)
-    tr = data.shape[-1] * np.trace(data[..., 0], axis1=-2, axis2=-1).real
-    return tr if tr.ndim else float(tr)
-
-
 def _product_trace(*factors) -> float:
     """Real part of tr(T1 * ... * Tr), from the factors' Fourier stacks."""
     kind = _product_kind(*factors)
@@ -163,12 +166,14 @@ def symmetrized_bounds(a: Tensor3) -> SymmetrizedBounds:
     per-eigenvalue reports and the tensor spectral radius run over the real
     part of the spectrum.  Complex block-circulant eigenvalues can lie
     outside the enclosure and are deliberately excluded.
+
+    (bcirc(A) + bcirc(A)^H) / 2 is bcirc((A + A^H) / 2), so its extreme
+    eigenvalues are those of the Fourier slices of (A + A^H) / 2;
+    :func:`rayleigh_value` keeps the dense form.
     """
     _require_square(a, "symmetrized_bounds")
-    mat = bcirc(a)
-    sym = (mat + mat.conj().T) / 2.0
-    mu = np.linalg.eigvalsh(sym)
-    mu_min, mu_max = float(mu[0]), float(mu[-1])
+    mu = _spectrum(_hermitian_part(a.data), "symmetrized_bounds", "(A + A^H)/2")
+    mu_min, mu_max = float(mu[-1]), float(mu[0])
     rho_sym = float(np.abs(mu).max())
 
     spec = t_eigenvalues(a)
@@ -297,15 +302,15 @@ def symmetric_relax_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     the outcome and callers are expected to aggregate rather than assert.
     """
     _require_same_shape(a, b, "symmetric_relax_bounds")
-    if a.kind != "real" or b.kind != "real":
+    if _product_kind(a, b) != "real":
         raise PreconditionError("symmetric_relax_bounds is defined for real tensors")
     lam_b = _spectrum(b, "symmetric_relax_bounds", "B")
-    lam_bar = _spectrum((a + conj_transpose(a)) * 0.5, "symmetric_relax_bounds", "(A + A^T)/2")
-    big_n = a.n * a.p
+    lam_bar = _spectrum(_hermitian_part(_data(a)), "symmetric_relax_bounds", "(A + A^T)/2")
+    big_n = lam_b.shape[-1]
     tr_a = _real_trace(a)
     tr_b = _real_trace(b)
-    lam1, lam_n = float(lam_bar[0]), float(lam_bar[-1])
-    lam_n_b = float(lam_b[-1])
+    lam1, lam_n = lam_bar[..., 0], lam_bar[..., -1]
+    lam_n_b = lam_b[..., -1]
     value = _product_trace(a, b)
     lower = lam_n * tr_b - lam_n_b * (big_n * lam_n - tr_a)
     upper = lam1 * tr_b - lam_n_b * (big_n * lam1 - tr_a)
@@ -319,28 +324,37 @@ def ky_fan_sum(h: Tensor3, k: int, which: str = "max") -> KyFanResult:
     equals the sum over Fourier slices of each slice's top-k eigenvalues
     (bottom-k for ``which="min"``); for p = 1 this is the classical matrix
     statement.  The achieving U is assembled from the per-slice eigenvectors
-    and is verified to be a partial isometry attaining the value.
+    and is verified to be a partial isometry attaining the value.  For a
+    batch of data (..., n, n, p) the values are an array, the optimizers a
+    batch of data, and each item is verified.
     """
     if which not in ("max", "min"):
         raise ValueError(f"which must be 'max' or 'min', got {which!r}")
-    if not 1 <= k <= h.n:
-        raise DomainError(f"k must satisfy 1 <= k <= {h.n}, got {k}")
+    n, p = _data(h).shape[-2:]
+    if not 1 <= k <= n:
+        raise DomainError(f"k must satisfy 1 <= k <= {n}, got {k}")
     factors = _decompose(h, "ky_fan_sum")
-    chosen = slice(0, k) if which == "max" else slice(h.n - k, h.n)  # eigenvalues descend
-    value = float(factors.fourier_eigenvalues[chosen].sum())
-    q = factors._q_stack[:, :, chosen]  # U's stack is Q^H, so U*U^H's is Q^H Q
-    u = _from_stack(_adjoint(q), h.p, factors._kind)
+    chosen = slice(0, k) if which == "max" else slice(n - k, n)  # eigenvalues descend
+    value = factors.fourier_eigenvalues[..., chosen, :].sum(axis=(-2, -1))
+    q = factors._q_stack[..., chosen]  # U's stack is Q^H, so U*U^H's is Q^H Q
+    u = _from_stack(_adjoint(q), p, factors._kind)
+    kind = _product_kind(h)
 
     def norm(x):  # ||X||_F^2 = tr(X^H * X), on the Fourier stack of X
-        return math.sqrt(np.real(_stack_trace(_adjoint(x), x, p=h.p, kind=h.kind)))
+        return np.sqrt(np.real(_stack_trace(_adjoint(x), x, p=p, kind=kind)))
 
     gram = _adjoint(q) @ q
     resid = norm(gram - np.eye(k))
-    if resid > ISOMETRY_RTOL * (1.0 + norm(gram)):
-        raise NumericError(f"constructed optimizer is not a partial isometry: {resid:.3e}")
-    achieved = float(np.real(_stack_trace(_adjoint(q), _to_stack(h), q, p=h.p, kind=h.kind)))
-    if abs(achieved - value) > ATTAINED_RTOL * max(1.0, abs(value)):
+    bad = _first_failure(resid <= ISOMETRY_RTOL * (1.0 + norm(gram)))
+    if bad is not None:
         raise NumericError(
-            f"optimizer achieves {achieved!r} but extremal value is {value!r}"
+            f"constructed optimizer is not a partial isometry: {np.ravel(resid)[bad]:.3e}"
         )
-    return KyFanResult(value, u)
+    achieved = np.real(_stack_trace(_adjoint(q), _to_stack(h), q, p=p, kind=kind))
+    bad = _first_failure(np.abs(achieved - value) <= ATTAINED_RTOL * np.maximum(1.0, np.abs(value)))
+    if bad is not None:
+        raise NumericError(
+            f"optimizer achieves {float(np.ravel(achieved)[bad])!r} "
+            f"but extremal value is {float(np.ravel(value)[bad])!r}"
+        )
+    return KyFanResult(value if value.ndim else float(value), u)

@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__
 from .core import (
     Tensor3,
-    _conj_transpose_data,
+    _hermitian_part,
+    _real_trace,
     frobenius_norm,
     read_tensor,
     trace,
@@ -37,6 +38,8 @@ from .bounds import (
     vn_trace_bounds,
 )
 from .geometry import (
+    _bures_wasserstein,
+    _checked,
     dist_bures_wasserstein,
     dist_frobenius,
     dist_log_euclidean,
@@ -298,51 +301,46 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_pair(rng: np.random.Generator, n_end: int, p_end: int):
-    """n < n_end, p < p_end and the two n x n x p draws of random_psd or _random_hermitian."""
+def _gaussians(rng: np.random.Generator, n_end: int, p_end: int, count: int = 2):
+    """n < n_end, p < p_end and ``count`` n x n x p Gaussian draws, each the one
+    of a random_psd or _random_hermitian call."""
     n, p = int(rng.integers(1, n_end)), int(rng.integers(1, p_end))
-    return (n, p), (rng.standard_normal((n, n, p)), rng.standard_normal((n, n, p)))
+    return (n, p), tuple(rng.standard_normal((count, n, n, p)))
 
 
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(M + M^H) / 2 of tensor data, or of each item of a batch of it."""
-    return (m + _conj_transpose_data(m)) * 0.5
+def _bound_sweep(n_end: int, p_end: int, bound, first=_gram, second=_gram):
+    """A bound's sweep: A = first(M1) and B = second(M2) from two Gaussian draws."""
+    return (lambda rng: _gaussians(rng, n_end, p_end),
+            lambda m_a, m_b: bound(first(m_a), second(m_b)).satisfied)
 
 
-def _bound_sweep(n_end: int, p_end: int, bound, first=_gram):
-    """A bound's sweep: A = first(M1) and B = M2 * M2^T from a Gaussian pair."""
-    return (lambda rng: _gaussian_pair(rng, n_end, p_end),
-            lambda m_a, m_b: bound(first(m_a), _gram(m_b)).satisfied)
-
-
-def _sweep_kyfan(rng: np.random.Generator) -> bool:
-    n = int(rng.integers(2, 5))
-    p = int(rng.integers(1, 4))
-    h = _random_hermitian(n, p, rng)
+def _draw_kyfan(rng: np.random.Generator):
+    """H's Gaussian draw, then the (p, 2, n, k) Gaussian draws, real parts then
+    imaginary ones, of five random k x n x p partial isometries' Fourier stacks."""
+    n, p = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+    m_h = rng.standard_normal((n, n, p))
     k = int(rng.integers(1, n + 1))
+    return (n, p, k), (m_h, rng.standard_normal((5, p, 2, n, k)))
+
+
+def _decide_kyfan(m_h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """tr(U*H*U^H) lies between H's Ky Fan extremes, for H = (M + M^H)/2 and each of
+    the five U whose Fourier slices are Q^H, Q orthonormalizing a (p, 2, n, k) draw."""
+    h = _hermitian_part(m_h)
+    k, p = g.shape[-1], m_h.shape[-1]
     hi = ky_fan_sum(h, k, which="max").value
     lo = ky_fan_sum(h, k, which="min").value
-    hi += KYFAN_SWEEP_SLACK * max(1.0, abs(hi))
-    lo -= KYFAN_SWEEP_SLACK * max(1.0, abs(lo))
-    hs = _to_stack(h, "complex")  # U is complex
-    for _ in range(5):
-        us = _random_partial_isometry(rng, k, n, p)
-        val = float(np.real(_stack_trace(us, hs, _adjoint(us), p=p, kind="complex")))
-        if val > hi or val < lo:
-            return False
-    return True
-
-
-def _random_partial_isometry(rng: np.random.Generator, k: int, n: int, p: int) -> np.ndarray:
-    """Fourier stack (p, k, n) of a random k x n x p partial isometry:
-    slice-wise orthonormalized Gaussian rows."""
-    g = rng.standard_normal((p, 2, n, k))  # per slice: real parts, then imaginary parts
-    q, _ = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
-    return _adjoint(q)
+    hi = hi + KYFAN_SWEEP_SLACK * np.maximum(1.0, np.abs(hi))
+    lo = lo - KYFAN_SWEEP_SLACK * np.maximum(1.0, np.abs(lo))
+    q, _ = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
+    us = _adjoint(q)  # (..., 5, p, k, n)
+    hs = _to_stack(h, "complex")[:, None]  # U is complex
+    vals = np.real(_stack_trace(us, hs, _adjoint(us), p=p, kind="complex"))
+    return ((vals <= hi[:, None]) & (vals >= lo[:, None])).all(axis=1)
 
 
 def _draw_concavity(rng: np.random.Generator):
-    key, (m_x, m_y) = _gaussian_pair(rng, 4, 4)
+    key, (m_x, m_y) = _gaussians(rng, 4, 4)
     return key, (m_x, m_y, rng.uniform(0.1, 0.9))
 
 
@@ -362,33 +360,25 @@ def _trace_sqrt(x: np.ndarray) -> np.ndarray:
     return roots @ _slice_weights(roots.shape[-1], x.shape[-1])
 
 
-def _sweep_bw_axioms(rng: np.random.Generator) -> bool:
-    n = int(rng.integers(1, 4))
-    p = int(rng.integers(1, 4))
-    a = random_psd(n, p, rng)
-    b = random_psd(n, p, rng)
-    c = random_psd(n, p, rng)
-    dab = dist_bures_wasserstein(a, b)
-    if dab < 0 or abs(dab - dist_bures_wasserstein(b, a)) > BW_SYMMETRY_SLACK:
-        return False
-    if dist_bures_wasserstein(a, a) > BW_SELF_DISTANCE_SLACK:
-        return False
-    dac = dist_bures_wasserstein(a, c)
-    dbc = dist_bures_wasserstein(b, c)
-    return dac <= dab + dbc + BW_TRIANGLE_SLACK
+def _decide_bw_axioms(*gaussians: np.ndarray) -> np.ndarray:
+    """d = dist_bures_wasserstein is a metric on A, B, C = M * M^T: d(A, B) >= 0 and
+    symmetric, d(A, A) = 0 and d(A, C) <= d(A, B) + d(B, C).  A, B and C are checked
+    and decomposed once each, their checks naming them as d(A, B) and d(A, C) do."""
+    psd = [_gram(m) for m in gaussians]
+    ops = [(_checked(t, "dist_bures_wasserstein", name), _real_trace(t))
+           for t, name in zip(psd, "ABB")]
 
+    def dist(x: int, y: int) -> np.ndarray:
+        (checked_x, tr_x), (checked_y, tr_y) = ops[x], ops[y]
+        return _bures_wasserstein(checked_x, checked_y, tr_x + tr_y)
 
-def _sweep_relax(rng: np.random.Generator) -> bool:
-    n = int(rng.integers(1, 4))
-    p = int(rng.integers(1, 4))
-    a = Tensor3(rng.standard_normal((n, n, p)))
-    b = _random_hermitian(n, p, rng)
-    return symmetric_relax_bounds(a, b).satisfied
-
-
-def _per_trial(fn):
-    """A sweep whose trial ``fn(rng)`` decides as it draws: its verdicts make one group."""
-    return lambda rng: (None, (fn(rng),)), lambda verdicts: verdicts
+    dab = dist(0, 1)
+    return (
+        (dab >= 0)
+        & (np.abs(dab - dist(1, 0)) <= BW_SYMMETRY_SLACK)
+        & (dist(0, 0) <= BW_SELF_DISTANCE_SLACK)
+        & (dist(0, 2) <= dab + dist(1, 2) + BW_TRIANGLE_SLACK)
+    )
 
 
 # property -> (draw, decide, hard).  draw(rng) gives a trial's shape key and arrays;
@@ -398,10 +388,11 @@ _SWEEPS = {
     "vn-bounds": (*_bound_sweep(5, 5, vn_trace_bounds), True),
     "sandwich": (*_bound_sweep(5, 4, sandwich_bounds), True),
     "ratio": (*_bound_sweep(5, 4, extremal_ratio_bounds, _hermitian_part), True),
-    "kyfan": (*_per_trial(_sweep_kyfan), True),
+    "kyfan": (_draw_kyfan, _decide_kyfan, True),
     "concavity": (_draw_concavity, _decide_concavity, True),
-    "bw-metric-axioms": (*_per_trial(_sweep_bw_axioms), True),
-    "relax-bounds": (*_per_trial(_sweep_relax), False),
+    "bw-metric-axioms": (lambda rng: _gaussians(rng, 4, 4, 3), _decide_bw_axioms, True),
+    "relax-bounds": (*_bound_sweep(4, 4, symmetric_relax_bounds, np.asarray, _hermitian_part),
+                     False),
 }
 
 
@@ -653,7 +644,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
-    except (TSpectralError, ValueError) as exc:  # usage, parse and precondition errors
+    except (TSpectralError, ValueError, OSError) as exc:  # usage, parse, precondition, output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

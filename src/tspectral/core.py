@@ -157,6 +157,11 @@ class Tensor3:
         return f"Tensor3(m={self.m}, n={self.n}, p={self.p}, kind={self.kind})"
 
 
+def _data(x) -> np.ndarray:
+    """The data of a tensor; a batch of tensor data, shape (..., m, n, p), as is."""
+    return x.data if isinstance(x, Tensor3) else x
+
+
 def _require_same_shape(a: Tensor3, b: Tensor3, op: str) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"{op} requires equal shapes, got {a.shape} vs {b.shape}")
@@ -220,6 +225,11 @@ def _conj_transpose_data(data: np.ndarray) -> np.ndarray:
     return out.conj() if data.dtype.kind == "c" else out
 
 
+def _hermitian_part(data: np.ndarray) -> np.ndarray:
+    """(M + M^H) / 2 of tensor data, or of each item of a batch of it."""
+    return (data + _conj_transpose_data(data)) * 0.5
+
+
 def identity(n: int, p: int) -> Tensor3:
     """Neutral element of the t-product: first slice I_n, other slices zero."""
     if n < 1 or p < 1:
@@ -238,6 +248,13 @@ def trace(t: Tensor3):
         raise ShapeError(f"trace requires square slices, got {t.m}x{t.n}")
     val = t.p * np.trace(t.data[:, :, 0])
     return float(val.real) if t.kind == "real" else complex(val)
+
+
+def _real_trace(t):
+    """Real part of :func:`trace`; per item (an array) for a batch of data."""
+    data = _data(t)
+    tr = data.shape[-1] * np.trace(data[..., 0], axis1=-2, axis2=-1).real
+    return tr if tr.ndim else float(tr)
 
 
 def frobenius_norm(t: Tensor3) -> float:

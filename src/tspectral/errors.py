@@ -5,6 +5,16 @@ CLI exit-code contract) can distinguish malformed input from violated
 numerical preconditions.
 """
 
+__all__ = [
+    "TSpectralError",
+    "ShapeError",
+    "ParseError",
+    "DomainError",
+    "PreconditionError",
+    "SingularityError",
+    "NumericError",
+]
+
 
 class TSpectralError(Exception):
     """Base class for all tspectral errors."""

@@ -181,7 +181,7 @@ class EigFactors:
         """The same factors with an rfft half extended to all p slices."""
         if self._kind != "real":
             return self
-        p = self.fourier_eigenvalues.shape[1]
+        p = self.fourier_eigenvalues.shape[-1]
         return EigFactors(self.fourier_eigenvalues, _all_slices(self._q_stack, p), None)
 
     @cached_property

@@ -26,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import Tensor3, _first_failure, bcirc, fold, unfold
+from .core import Tensor3, _data, _first_failure, bcirc, fold, unfold
 from .errors import NumericError, ShapeError
 
 __all__ = [
@@ -37,11 +37,6 @@ __all__ = [
 
 # Imaginary residue allowed when coercing an inverse DFT back to real kind.
 REAL_COERCION_RTOL = 1e-8
-
-
-def _data(x) -> np.ndarray:
-    """The data of a tensor; a batch of tensor data, shape (..., m, n, p), as is."""
-    return x.data if isinstance(x, Tensor3) else x
 
 
 def _to_stack(t, kind: str | None = None) -> np.ndarray:

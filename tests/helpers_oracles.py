@@ -138,6 +138,17 @@ def random_spd_matrix(rng, n):
     return g @ g.T + 0.05 * np.eye(n)
 
 
+def random_partial_isometry(rng, k, n, p):
+    """A random k x n x p partial isometry U (U * U^H = I_k): on each Fourier
+    slice the conjugate transpose of the orthonormalized n x k Gaussian matrix
+    drawn as one (p, 2, n, k) array, real parts then imaginary ones."""
+    from tspectral import Tensor3
+
+    g = rng.standard_normal((p, 2, n, k))
+    q, _ = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    return Tensor3(np.fft.ifft(q.conj(), axis=0).transpose(2, 1, 0))
+
+
 # ---------------------------------------------------------------------------
 # Frozen per-trial property sweeps: each trial draws from its own
 # default_rng((seed, trial)) and decides alone through the single-tensor
@@ -207,11 +218,67 @@ def _frozen_sweep_concavity(rng):
     return mixed - split > 1e-12
 
 
+def _frozen_sweep_kyfan(rng):
+    from tspectral import conj_transpose, ky_fan_sum, tprod_fft, trace
+
+    n = int(rng.integers(2, 5))
+    p = int(rng.integers(1, 4))
+    h = _frozen_random_hermitian(n, p, rng)
+    k = int(rng.integers(1, n + 1))
+    hi = ky_fan_sum(h, k, which="max").value
+    lo = ky_fan_sum(h, k, which="min").value
+    hi += 1e-8 * max(1.0, abs(hi))
+    lo -= 1e-8 * max(1.0, abs(lo))
+    for _ in range(5):
+        u = random_partial_isometry(rng, k, n, p)
+        val = float(np.real(trace(tprod_fft(tprod_fft(u, h), conj_transpose(u)))))
+        if val > hi or val < lo:
+            return False
+    return True
+
+
+def _frozen_sweep_bw_axioms(rng):
+    from tspectral import dist_bures_wasserstein, random_psd
+
+    n = int(rng.integers(1, 4))
+    p = int(rng.integers(1, 4))
+    a = random_psd(n, p, rng)
+    b = random_psd(n, p, rng)
+    c = random_psd(n, p, rng)
+    dab = dist_bures_wasserstein(a, b)
+    if dab < 0 or abs(dab - dist_bures_wasserstein(b, a)) > 1e-8:
+        return False
+    if dist_bures_wasserstein(a, a) > 1e-6:
+        return False
+    dac = dist_bures_wasserstein(a, c)
+    dbc = dist_bures_wasserstein(b, c)
+    return dac <= dab + dbc + 1e-8
+
+
+def _frozen_gaussian(n, p, rng):
+    from tspectral import Tensor3
+
+    return Tensor3(rng.standard_normal((n, n, p)))
+
+
+def _frozen_sweep_relax(rng):
+    from tspectral import symmetric_relax_bounds
+
+    n = int(rng.integers(1, 4))
+    p = int(rng.integers(1, 4))
+    a = _frozen_gaussian(n, p, rng)
+    b = _frozen_random_hermitian(n, p, rng)
+    return symmetric_relax_bounds(a, b).satisfied
+
+
 FROZEN_SWEEPS = {
     "vn-bounds": _frozen_sweep_vn,
     "sandwich": _frozen_sweep_sandwich,
     "ratio": _frozen_sweep_ratio,
+    "kyfan": _frozen_sweep_kyfan,
     "concavity": _frozen_sweep_concavity,
+    "bw-metric-axioms": _frozen_sweep_bw_axioms,
+    "relax-bounds": _frozen_sweep_relax,
 }
 
 

@@ -26,6 +26,7 @@ from tspectral import (
     vn_trace_bounds,
 )
 from conftest import random_hermitian, random_psd_tensor, random_tensor
+from helpers_oracles import oracle_bcirc, random_partial_isometry
 
 SQRT2 = math.sqrt(2)
 SQRT17 = math.sqrt(17)
@@ -106,6 +107,21 @@ class TestSymmetrizedBounds:
         for _ in range(20):
             t = random_tensor(rng, 3, 3, 3)
             assert symmetrized_bounds(t).satisfied
+
+    @pytest.mark.parametrize("complex_kind", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_mu_is_the_dense_symmetrized_spectrum(self, p, complex_kind):
+        """mu from the Fourier slices of (A + A^H)/2 against eigvalsh of the dense
+        (bcirc(A) + bcirc(A)^H)/2."""
+        rng = np.random.default_rng(197 + p)
+        for n in (1, 3, 4):
+            t = random_tensor(rng, n, n, p, complex_kind)
+            mat = oracle_bcirc(list(t.slices()))
+            mu = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
+            res = symmetrized_bounds(t)
+            scale = np.abs(mu).max()
+            got = [res.mu_min, res.mu_max, res.rho_symmetrized]
+            np.testing.assert_allclose(got, [mu[0], mu[-1], scale], rtol=0, atol=1e-12 * scale)
 
 
 class TestVnTraceBounds:
@@ -319,16 +335,13 @@ class TestKyFanSum:
         assert achieved == pytest.approx(res.value, abs=1e-8)
 
     def test_random_isometries_never_exceed(self):
-        from tspectral.cli import _random_partial_isometry
-        from tspectral.transform import _from_stack
-
         rng = np.random.default_rng(257)
         h = random_hermitian(rng, 3, 2)
         for k in (1, 2, 3):
             hi = ky_fan_sum(h, k, "max").value
             lo = ky_fan_sum(h, k, "min").value
             for _ in range(20):
-                u = _from_stack(_random_partial_isometry(rng, k, 3, 2), 2, "complex")
+                u = random_partial_isometry(rng, k, 3, 2)
                 val = float(np.real(trace(tprod_fft(tprod_fft(u, h), conj_transpose(u)))))
                 assert val <= hi + 1e-8
                 assert val >= lo - 1e-8

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tspectral import Tensor3, cli, read_tensor, write_tensor
+from tspectral import Tensor3, cli, identity, read_tensor, write_tensor
 from tspectral.cli import _eig_line, main
 
 
@@ -374,6 +374,28 @@ def test_integer_beyond_digit_limit_exit_2(capsys, tmp_path):
     code, stdout, err = run(capsys, "verify", str(f), "--checks", "hermitian")
     assert (code, stdout) == (2, "")
     assert f"error: {f}: " in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "psd", "-n", "2", "-p", "3", "-o", "{out}"],
+        ["tprod", "{a}", "{a}", "-o", "{out}"],
+        ["geodesic", "{a}", "{a}", "--t", "0.5", "-o", "{out}"],
+        ["geodesic", "{a}", "{a}", "--samples", "3", "-o", "{out}"],
+        ["bench", "--op", "tprod-fft", "--n-grid", "2", "--p-grid", "2", "--reps", "1",
+         "--csv", "{out}"],
+    ],
+    ids=["gen", "tprod", "geodesic-t", "geodesic-samples", "bench-csv"],
+)
+def test_unwritable_output_exit_2(capsys, tmp_path, argv):
+    a = tmp_path / "a.json"
+    write_tensor(identity(2, 3), a)
+    out = tmp_path / "missing" / "x.json"
+    code, stdout, err = run(capsys, *[arg.format(a=a, out=out) for arg in argv])
+    assert (code, stdout) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert not out.parent.exists()
 
 
 class TestSweepCommand:

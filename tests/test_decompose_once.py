@@ -129,7 +129,7 @@ def test_trace_bounds_run_no_inverse_fft(calls, name, kind, p):
     b = random_psd(3, p, 7) * (1.0 + 0j if kind == "mixed" else 1.0)
     calls.clear()
     assert getattr(bounds, name)(a, b).satisfied
-    assert calls["is_hermitian"] == 2
+    assert calls["rule"] == 2  # relax checks B and the data (A + A^T)/2
     assert _eigensolves(calls) == 2
     assert calls["irfft"] + calls["ifft"] == 0
 
@@ -224,6 +224,18 @@ def test_failed_check_is_kept_and_each_call_names_its_op(calls):
 @pytest.mark.parametrize("seed", range(4))
 def test_bw_axioms_trial_decomposes_each_tensor_once(calls, seed):
     """Five distances over three tensors: three checks and three eigh."""
-    assert cli._sweep_bw_axioms(np.random.default_rng((seed, 0)))
-    assert calls["is_hermitian"] == 3
+    assert cli.sweep_trial("bw-metric-axioms", seed, 0)
+    assert calls["rule"] == 3
+    assert (calls["eigh"], _eigensolves(calls)) == (3, 3)
+
+
+def test_bw_axioms_group_decomposes_each_tensor_once(calls):
+    """A whole shape group costs what one trial does: three Hermitian rules and
+    three eigh, for five distances on each trial."""
+    draw, decide, _ = cli._SWEEPS["bw-metric-axioms"]
+    draws = [draw(np.random.default_rng((0, trial))) for trial in range(40)]
+    group = [arrays for key, arrays in draws if key == draws[0][0]]
+    calls.clear()
+    assert decide(*cli._stacked(group)).all() and len(group) > 3
+    assert calls["rule"] == 3
     assert (calls["eigh"], _eigensolves(calls)) == (3, 3)

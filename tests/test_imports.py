@@ -7,7 +7,9 @@ package re-exports exactly the public names of its layers.
 A stdlib ``ast`` walk, so refactors cannot leave stale imports, stranded
 helpers, stale dependencies or a second Fourier layout behind.  Names listed
 in the module's ``__all__`` (re-exports) and imports on a line marked
-``# noqa: F401`` are exempt from the import check.
+``# noqa: F401`` are exempt from the import check.  ``from .x import *``
+imports the names of ``x.__all__``, and an ``__all__`` may be composed of
+sibling modules' ``x.__all__``; both are read from the sibling's source.
 """
 
 import ast
@@ -21,12 +23,34 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "tspectral"
 
 
+def _all_names(path: Path, expr: ast.expr) -> list[str]:
+    """The names of an ``__all__`` expression in the module at ``path``: its string
+    literals, and for each ``x.__all__`` in it the ``__all__`` of sibling module ``x``."""
+    names = []
+    for node in ast.walk(expr):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.append(node.value)
+        elif isinstance(node, ast.Attribute) and node.attr == "__all__":
+            names += _module_all(path.with_name(f"{node.value.id}.py"))
+    return names
+
+
+def _module_all(path: Path) -> list[str]:
+    """The ``__all__`` of the module at ``path``, read from its source; [] if it has none."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return _all_names(path, node.value)
+    return []
+
+
 def _unused_imports(path: Path) -> list[str]:
     source = path.read_text(encoding="utf-8")
     lines = source.splitlines()
     tree = ast.parse(source)
     imported = {}  # bound name -> line number
-    exported, used = set(), set()
+    used = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -34,13 +58,14 @@ def _unused_imports(path: Path) -> list[str]:
             for alias in node.names:
                 if "# noqa: F401" in lines[alias.lineno - 1]:
                     continue
-                imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+                if alias.name == "*":  # from .x import *
+                    names = _module_all(path.with_name(f"{node.module}.py"))
+                else:
+                    names = [alias.asname or alias.name.split(".")[0]]
+                imported.update(dict.fromkeys(names, alias.lineno))
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported.update(ast.literal_eval(node.value))
+    exported = set(_module_all(path))
     return [
         f"{path.name}:{line}: {name}"
         for name, line in sorted(imported.items(), key=lambda kv: kv[1])
@@ -51,6 +76,18 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def test_star_imports_resolve_against_all(tmp_path):
+    """A star import binds the source module's ``__all__``; a composed
+    ``__all__`` exports exactly the names of the modules it names."""
+    (tmp_path / "a.py").write_text('__all__ = ["f", "g"]\n\n\ndef f():\n    pass\n\n\ng = f\n')
+    (tmp_path / "b.py").write_text('__all__ = ["h"]\nh = 1\n')
+    (tmp_path / "__init__.py").write_text(
+        "from . import a\nfrom .a import *\nfrom .b import *\n\n__all__ = [*a.__all__, 'k']\n"
+    )
+    assert sorted(_module_all(tmp_path / "__init__.py")) == ["f", "g", "k"]
+    assert _unused_imports(tmp_path / "__init__.py") == ["__init__.py:3: h"]
 
 
 def _unused_private_names(src: Path) -> list[str]:

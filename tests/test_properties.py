@@ -33,8 +33,10 @@ from tspectral import (
     hermitian_eig,
     identity,
     is_hermitian,
+    ky_fan_sum,
     random_psd,
     read_tensor,
+    symmetric_relax_bounds,
     t_eigenvalues,
     t_function,
     t_svd,
@@ -43,7 +45,8 @@ from tspectral import (
     trace,
     write_tensor,
 )
-from tspectral.core import _conj_transpose_data, _norm
+from tspectral.core import _conj_transpose_data, _norm, _real_trace
+from tspectral.geometry import _bures_wasserstein, _checked
 from tspectral.spectral import _hermitian_rule, _stack_eig
 from tspectral.transform import _adjoint, _all_slices, _from_stack, _stack_trace, _to_stack
 from helpers_oracles import (
@@ -446,3 +449,29 @@ def test_batch_kernels_equal_per_item_calls(batch, n, p, kind, seed):
         assert ok[i] == check.ok and resid[i] == pytest.approx(check.residual, rel=1e-12, abs=0)
         want = _stack_trace(other_stacks[i], stacks[i], p=p, kind=kind)
         assert traces[i] == pytest.approx(want, rel=1e-13, abs=1e-13 * abs(want) + 1e-300)
+
+    # the batch-capable bounds and the Bures-Wasserstein kernel; the partners are
+    # complex, so a real batch meets a complex one and goes on all p slices
+    partners = [_psd(rng, n, p, "complex") for _ in range(batch)]
+    partner = np.stack([t.data for t in partners])
+    k = 1 + seed % n
+    for which in ("max", "min"):
+        fan = ky_fan_sum(data, k, which)
+        for i in range(batch):
+            one = ky_fan_sum(items[i], k, which)
+            assert fan.value[i] == pytest.approx(one.value, rel=1e-12, abs=1e-300)
+            np.testing.assert_allclose(fan.optimizer[i], one.optimizer.data, rtol=0, atol=1e-12)
+    checked = [_checked(x, "dist_bures_wasserstein", name, all_slices=True)
+               for x, name in ((data, "A"), (partner, "B"))]
+    dist = _bures_wasserstein(*checked, _real_trace(data) + _real_trace(partner))
+    for i in range(batch):
+        want = dist_bures_wasserstein(items[i], partners[i])
+        assert dist[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    if kind == "real":
+        relax = symmetric_relax_bounds(other, data)
+        for i in range(batch):
+            one = symmetric_relax_bounds(others[i], items[i])
+            got = [relax.lower[i], relax.value[i], relax.upper[i]]
+            want = [one.lower, one.value, one.upper]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            assert relax.satisfied[i] == one.satisfied

@@ -19,20 +19,26 @@ from tspectral import (
     extremal_ratio_bounds,
     random_psd,
     sandwich_bounds,
+    symmetric_relax_bounds,
     vn_trace_bounds,
 )
 import tspectral
 from tspectral import cli
 from tspectral.cli import main
+from tspectral.core import _hermitian_part
 from tspectral.spectral import _gram
-from helpers_oracles import _frozen_random_hermitian, frozen_sweep
+from helpers_oracles import _frozen_gaussian, _frozen_random_hermitian, frozen_sweep
 
-BATCHED = ["vn-bounds", "sandwich", "ratio", "concavity"]
-# Trials per job as the benchmark's tiny-sweeps workload runs them (sandwich and
-# ratio are not in it), and its per-job seeds run_seed * 1_000_000 + job index.
-TRIALS = {"vn-bounds": 70, "sandwich": 50, "ratio": 50, "concavity": 60}
+PROPS = ["vn-bounds", "sandwich", "ratio", "kyfan", "concavity", "bw-metric-axioms", "relax-bounds"]
+# Trials per job as the benchmark's tiny-sweeps workload runs them (sandwich, ratio
+# and relax-bounds are not in it), and its per-job seeds run_seed * 1_000_000 + job index.
+TRIALS = {"vn-bounds": 70, "sandwich": 50, "ratio": 50, "kyfan": 24, "concavity": 60,
+          "bw-metric-axioms": 14, "relax-bounds": 30}
 BENCH_SEEDS = [run_seed * 1_000_000 + index for run_seed in (1, 2, 101) for index in range(4)]
 SEEDS = list(range(30)) + BENCH_SEEDS
+# The ends of each property's ranges n in [1, n_end), p in [1, p_end).
+SHAPE_ENDS = {"vn-bounds": (5, 5), "sandwich": (5, 4), "ratio": (5, 4), "concavity": (4, 4),
+              "bw-metric-axioms": (4, 4), "relax-bounds": (4, 4)}
 
 
 def _pass_list(prop, seed, trials):
@@ -41,24 +47,34 @@ def _pass_list(prop, seed, trials):
     return cli._decide_all(decide, draws).tolist()
 
 
-@pytest.mark.parametrize("prop", BATCHED)
+def test_every_property_is_covered():
+    assert sorted(cli._SWEEPS) == sorted(PROPS)
+
+
+@pytest.mark.parametrize("prop", PROPS)
 def test_pass_lists_equal_the_frozen_loop(prop):
     for seed in SEEDS:
         assert _pass_list(prop, seed, TRIALS[prop]) == frozen_sweep(prop, seed, TRIALS[prop]), seed
 
 
-@pytest.mark.parametrize("prop", BATCHED)
+@pytest.mark.parametrize("prop", PROPS)
 def test_trials_are_grouped_by_shape(prop):
     draw = cli._SWEEPS[prop][0]
-    keys = {draw(np.random.default_rng((0, trial)))[0] for trial in range(200)}
-    n_end, p_end = (5, 5) if prop == "vn-bounds" else (4, 4) if prop == "concavity" else (5, 4)
-    assert keys == {(n, p) for n in range(1, n_end) for p in range(1, p_end)}
+    keys = {draw(np.random.default_rng((0, trial)))[0] for trial in range(300)}
+    if prop == "kyfan":  # n in [2, 5), p in [1, 4) and k in [1, n]
+        assert keys == {(n, p, k) for n in range(2, 5) for p in range(1, 4) for k in range(1, n + 1)}
+    else:
+        n_end, p_end = SHAPE_ENDS[prop]
+        assert keys == {(n, p) for n in range(1, n_end) for p in range(1, p_end)}
 
 
+# bound, how the per-trial loop makes A and B, and how the sweep makes them from a batch of draws
 _BOUNDS = {
-    "vn-bounds": (vn_trace_bounds, random_psd),
-    "sandwich": (sandwich_bounds, random_psd),
-    "ratio": (extremal_ratio_bounds, _frozen_random_hermitian),
+    "vn-bounds": (vn_trace_bounds, random_psd, random_psd, _gram, _gram),
+    "sandwich": (sandwich_bounds, random_psd, random_psd, _gram, _gram),
+    "ratio": (extremal_ratio_bounds, _frozen_random_hermitian, random_psd, _hermitian_part, _gram),
+    "relax-bounds": (symmetric_relax_bounds, _frozen_gaussian, _frozen_random_hermitian,
+                     np.asarray, _hermitian_part),
 }
 
 
@@ -68,15 +84,15 @@ def test_group_bounds_equal_the_single_tensor_reports(prop, seed):
     """The draws are today's: each trial's tensors, rebuilt from its draw,
     equal those the per-trial loop builds, and the bound's report on a batch
     equals its single-tensor reports to roundoff."""
-    bound, first = _BOUNDS[prop]
+    bound, first, second, batch_first, batch_second = _BOUNDS[prop]
     draw = cli._SWEEPS[prop][0]
+    n_end, p_end = SHAPE_ENDS[prop]
     for trial in range(40):
         (n, p), (m_a, m_b) = draw(np.random.default_rng((seed, trial)))
         rng = np.random.default_rng((seed, trial))
-        assert (int(rng.integers(1, 5)), int(rng.integers(1, 5 if prop == "vn-bounds" else 4))) == (n, p)
-        a, b = first(n, p, rng), random_psd(n, p, rng)
-        batch_a = cli._hermitian_part(m_a[None]) if prop == "ratio" else _gram(m_a[None])
-        batch_b = _gram(m_b[None])
+        assert (int(rng.integers(1, n_end)), int(rng.integers(1, p_end))) == (n, p)
+        a, b = first(n, p, rng), second(n, p, rng)
+        batch_a, batch_b = batch_first(m_a[None]), batch_second(m_b[None])
         assert batch_a[0].tobytes() == a.data.tobytes()
         assert batch_b[0].tobytes() == b.data.tobytes()
         one, group = bound(a, b), bound(batch_a, batch_b)
@@ -85,11 +101,17 @@ def test_group_bounds_equal_the_single_tensor_reports(prop, seed):
         assert group.satisfied.tolist() == [one.satisfied]
 
 
-@pytest.mark.parametrize("prop", BATCHED)
-def test_cli_output_is_unchanged(capsys, prop):
-    seed, trials = 101_000_002, TRIALS[prop]
-    assert main(["sweep", prop, "--trials", str(trials), "--seed", str(seed)]) == 0
-    assert capsys.readouterr() == (f"{prop}: {trials}/{trials} pass\n", "")
+@pytest.mark.parametrize("prop", PROPS)
+@pytest.mark.parametrize("seed", [3, 101_000_002])
+def test_cli_output_is_unchanged(capsys, prop, seed):
+    trials = TRIALS[prop]
+    passed = frozen_sweep(prop, seed, trials)
+    code = 1 if cli._SWEEPS[prop][2] and not all(passed) else 0
+    assert main(["sweep", prop, "--trials", str(trials), "--seed", str(seed)]) == code
+    failed = "".join(
+        f"sweep {prop}: seed {seed} trial {t} failed\n" for t, ok in enumerate(passed) if not ok
+    )
+    assert capsys.readouterr() == (f"{prop}: {sum(passed)}/{trials} pass\n", failed)
 
 
 def _fail_trial(monkeypatch, prop, seed, trial):
@@ -106,11 +128,12 @@ def _fail_trial(monkeypatch, prop, seed, trial):
     monkeypatch.setitem(cli._SWEEPS, prop, (draw, failing, hard))
 
 
-@pytest.mark.parametrize("prop", BATCHED)
+@pytest.mark.parametrize("prop", PROPS)
 def test_failing_trial_is_named_and_replays_alone(capsys, monkeypatch, prop):
     seed, bad = 7, 13
     _fail_trial(monkeypatch, prop, seed, bad)
-    assert main(["sweep", prop, "--trials", "30", "--seed", str(seed)]) == 1
+    hard = cli._SWEEPS[prop][2]
+    assert main(["sweep", prop, "--trials", "30", "--seed", str(seed)]) == (1 if hard else 0)
     out, err = capsys.readouterr()
     assert out == f"{prop}: 29/30 pass\n"
     assert err == f"sweep {prop}: seed {seed} trial {bad} failed\n"
@@ -127,11 +150,10 @@ def test_failing_trials_are_named_in_trial_order(capsys, monkeypatch):
     assert err == "".join(f"sweep vn-bounds: seed 3 trial {t} failed\n" for t in (4, 9, 21))
 
 
-@pytest.mark.parametrize("prop", ["kyfan", "bw-metric-axioms", "relax-bounds"])
-def test_per_trial_sweeps_replay_alone(prop):
-    draw = cli._SWEEPS[prop][0]
+@pytest.mark.parametrize("prop", PROPS)
+def test_trials_replay_alone(prop):
     verdicts = [cli.sweep_trial(prop, 5, trial) for trial in range(6)]
-    assert verdicts == [draw(np.random.default_rng((5, trial)))[1][0] for trial in range(6)]
+    assert verdicts == frozen_sweep(prop, 5, 6)
 
 
 def test_group_error_is_the_lowest_failing_trials(monkeypatch):
@@ -158,13 +180,14 @@ def test_group_error_is_the_lowest_failing_trials(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # matmul
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # matmul
-def test_overflowing_trial_raises_its_own_error():
-    """A real check inside a group: trial 4's Gaussian draw overflows its Gram
-    tensor, so the group raises the overflow error the trial raises alone."""
-    draw, decide, _ = cli._SWEEPS["vn-bounds"]
+@pytest.mark.parametrize("prop", ["vn-bounds", "bw-metric-axioms"])
+def test_overflowing_trial_raises_its_own_error(prop):
+    """A real check inside a group: trial 4's last Gaussian draw overflows its
+    Gram tensor, so the group raises the overflow error the trial raises alone."""
+    draw, decide, _ = cli._SWEEPS[prop]
     draws = [draw(np.random.default_rng((2, trial))) for trial in range(8)]
-    key, (m_a, m_b) = draws[4]
-    draws[4] = (key, (m_a, np.full_like(m_b, 1e200)))
+    key, (*head, last) = draws[4]
+    draws[4] = (key, (*head, np.full_like(last, 1e200)))
     with pytest.raises(NumericError, match="overflowed"):
         cli._decide_all(decide, draws)
     with pytest.raises(NumericError, match="overflowed"):
