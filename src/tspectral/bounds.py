@@ -169,7 +169,9 @@ def symmetrized_bounds(a: Tensor3) -> SymmetrizedBounds:
 
     (bcirc(A) + bcirc(A)^H) / 2 is bcirc((A + A^H) / 2), so its extreme
     eigenvalues are those of the Fourier slices of (A + A^H) / 2;
-    :func:`rayleigh_value` keeps the dense form.
+    :func:`rayleigh_value` keeps the dense form.  The two agree to
+    roundoff, so a slack that is 0 up to roundoff may carry either sign
+    (the CLI prints it as ``0.0000`` or ``-0.0000``).
     """
     _require_square(a, "symmetrized_bounds")
     mu = _spectrum(_hermitian_part(a.data), "symmetrized_bounds", "(A + A^H)/2")

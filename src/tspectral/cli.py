@@ -8,6 +8,7 @@ Commands operate on tensor files in the JSON schema of
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -21,7 +22,6 @@ from . import __version__
 from .core import (
     Tensor3,
     _hermitian_part,
-    _real_trace,
     frobenius_norm,
     read_tensor,
     trace,
@@ -112,6 +112,15 @@ def _eig_line(vals: np.ndarray) -> str:
     return line.replace("-0.0000", "0.0000")
 
 
+@contextlib.contextmanager
+def _output():
+    """An output path that cannot be written is a usage error (exit 2), not a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(str(exc)) from exc
+
+
 def _default_seed() -> int:
     return int(os.environ.get(SEED_ENV_VAR, "0"))
 
@@ -131,7 +140,8 @@ def cmd_tprod(args) -> int:
     t0 = time.perf_counter()
     c = tprod(a, b, path=args.path)
     elapsed = time.perf_counter() - t0
-    write_tensor(c, args.out)
+    with _output():
+        write_tensor(c, args.out)
     scale = 1.0 / c.p if args.convention == "slice1" else 1.0
     tr = trace(c) * scale if c.m == c.n else None
     if tr is not None:
@@ -247,11 +257,12 @@ def cmd_geodesic(args) -> int:
     b = read_tensor(args.b)
     if args.t is not None:
         g = geodesic(a, b, args.t, regularize=args.regularize)
-        write_tensor(g, args.out)
+        with _output():
+            write_tensor(g, args.out)
         print(f"trace = {_fmt(float(np.real(trace(g))))}")
     else:
         profile = geodesic_trace_profile(a, b, args.samples, regularize=args.regularize)
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _output(), open(args.out, "w", encoding="utf-8") as fh:
             fh.write("t,trace\n")
             for t, tr in zip(profile.ts, profile.traces):
                 fh.write(f"{t:.17g},{tr:.17g}\n")
@@ -267,7 +278,8 @@ def cmd_gen(args) -> int:
         t = _random_hermitian(args.n, args.p, np.random.default_rng(seed))
     else:
         t = Tensor3(np.random.default_rng(seed).standard_normal((args.n, args.n, args.p)))
-    write_tensor(t, args.out)
+    with _output():
+        write_tensor(t, args.out)
     print(f"wrote {args.kind} tensor {t.m}x{t.n}x{t.p} (seed {seed}) to {args.out}")
     return 0
 
@@ -365,12 +377,10 @@ def _decide_bw_axioms(*gaussians: np.ndarray) -> np.ndarray:
     symmetric, d(A, A) = 0 and d(A, C) <= d(A, B) + d(B, C).  A, B and C are checked
     and decomposed once each, their checks naming them as d(A, B) and d(A, C) do."""
     psd = [_gram(m) for m in gaussians]
-    ops = [(_checked(t, "dist_bures_wasserstein", name), _real_trace(t))
-           for t, name in zip(psd, "ABB")]
+    ops = [_checked(t, "dist_bures_wasserstein", name) for t, name in zip(psd, "ABB")]
 
     def dist(x: int, y: int) -> np.ndarray:
-        (checked_x, tr_x), (checked_y, tr_y) = ops[x], ops[y]
-        return _bures_wasserstein(checked_x, checked_y, tr_x + tr_y)
+        return _bures_wasserstein(ops[x], ops[y])
 
     dab = dist(0, 1)
     return (
@@ -524,7 +534,7 @@ def cmd_bench(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     rows = run_benchmark(args.op, n_grid, p_grid, args.reps, seed)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
+        with _output(), open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("op,n,p,median_seconds\n")
             for r in rows:
                 fh.write(f"{r.op},{r.n},{r.p},{r.median_seconds:.9e}\n")
@@ -644,7 +654,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
-    except (TSpectralError, ValueError, OSError) as exc:  # usage, parse, precondition, output path
+    except (TSpectralError, ValueError) as exc:  # usage, parse, precondition, output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -100,12 +100,14 @@ class GeodesicProfile:
 
 
 def _checked(t, op: str, name: str, definite: bool = False, all_slices: bool = False) -> tuple:
-    """(factors, clamped eigenvalues) of an operand, or of a batch of them, checked (PSD, or
-    positive definite) and decomposed once; ``all_slices`` puts an rfft half on all p slices."""
+    """(factors, clamped eigenvalues, real trace) of an operand, or of a batch of them,
+    checked (PSD, or positive definite) and decomposed once; ``all_slices`` puts an rfft
+    half on all p slices."""
     factors = _decompose(t, op)
     factors = factors._on_all_slices() if all_slices else factors
     need = "positive definite" if definite else "PSD"
-    return factors, factors._require(f"{op} requires {name} {need}", definite=definite)
+    w = factors._require(f"{op} requires {name} {need}", definite=definite)
+    return factors, w, _real_trace(t)
 
 
 def _checked_pair(a: Tensor3, b: Tensor3, op: str, definite: bool = False) -> list[tuple]:
@@ -137,14 +139,14 @@ def dist_bures_wasserstein(a: Tensor3, b: Tensor3, convention: str = "bcirc") ->
     floor and 0 clamps to zero, so d(cA, cB) = sqrt(c) d(A, B) at any scale.
     """
     pair = _checked_pair(a, b, "dist_bures_wasserstein")
-    traces = _real_trace(a) + _real_trace(b)
-    return float(_bures_wasserstein(*pair, traces, _convention_scale(convention, a.p)))
+    return float(_bures_wasserstein(*pair, _convention_scale(convention, a.p)))
 
 
-def _bures_wasserstein(checked_a: tuple, checked_b: tuple, traces, scale: float = 1.0):
+def _bures_wasserstein(checked_a: tuple, checked_b: tuple, scale: float = 1.0):
     """d(A, B) of :func:`dist_bures_wasserstein`, per item for batches, from the
-    :func:`_checked` A and B on the same slices and tr A + tr B."""
-    (fa, wa), (fb, wb) = checked_a, checked_b
+    :func:`_checked` A and B on the same slices."""
+    (fa, wa, tr_a), (fb, wb, tr_b) = checked_a, checked_b
+    traces = tr_a + tr_b
     root_wa, root_wb = np.sqrt(wa), np.sqrt(wb)
     core = root_wa[..., :, None] * (_adjoint(fa._q_stack) @ fb._q_stack) * root_wb[..., None, :]
     nuclear = np.linalg.svd(core, compute_uv=False).sum(axis=-1)
@@ -165,7 +167,7 @@ def dist_log_euclidean(a: Tensor3, b: Tensor3, convention: str = "bcirc") -> flo
     Fourier slices of ||T_k||_F^2, so no inverse transform is needed.
     """
     pair = _checked_pair(a, b, "dist_log_euclidean", definite=True)
-    log_a, log_b = (f._apply(np.log(w)) for f, w in pair)
+    log_a, log_b = (f._apply(np.log(w)) for f, w, _ in pair)
     sq_norms = np.sum(np.abs(log_a - log_b) ** 2, axis=(1, 2))  # per Fourier slice
     sq_norm = float(_slice_weights(len(sq_norms), a.p) @ sq_norms)
     return math.sqrt(_convention_scale(convention, a.p) * sq_norm)

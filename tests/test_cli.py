@@ -398,6 +398,20 @@ def test_unwritable_output_exit_2(capsys, tmp_path, argv):
     assert not out.parent.exists()
 
 
+def test_other_os_errors_are_not_usage_errors(monkeypatch, tmp_path):
+    """Only writing an output path maps OSError to exit 2; a closed stdout or any
+    other I/O failure propagates."""
+    a = tmp_path / "a.json"
+    write_tensor(identity(2, 3), a)
+
+    def closed_pipe(*args, **kwargs):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "t_eigenvalues", closed_pipe)
+    with pytest.raises(BrokenPipeError):
+        main(["eig", str(a)])
+
+
 class TestSweepCommand:
     def test_vn_bounds_all_pass(self, capsys):
         code, stdout, _ = run(capsys, "sweep", "vn-bounds", "--trials", "25", "--seed", "0")

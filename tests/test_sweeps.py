@@ -106,8 +106,14 @@ def test_group_bounds_equal_the_single_tensor_reports(prop, seed):
 def test_cli_output_is_unchanged(capsys, prop, seed):
     trials = TRIALS[prop]
     passed = frozen_sweep(prop, seed, trials)
-    code = 1 if cli._SWEEPS[prop][2] and not all(passed) else 0
-    assert main(["sweep", prop, "--trials", str(trials), "--seed", str(seed)]) == code
+    hard = cli._SWEEPS[prop][2]
+    argv = ["sweep", prop, "--trials", str(trials), "--seed", str(seed)]
+    if hard and seed == 101_000_002:  # a benchmark job: every trial must pass
+        assert all(passed)
+        assert main(argv) == 0
+        assert capsys.readouterr() == (f"{prop}: {trials}/{trials} pass\n", "")
+        return
+    assert main(argv) == (1 if hard and not all(passed) else 0)
     failed = "".join(
         f"sweep {prop}: seed {seed} trial {t} failed\n" for t, ok in enumerate(passed) if not ok
     )
