@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import functools
 import json
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -72,7 +74,12 @@ CONCAVITY_MARGIN = 1e-12
 
 @dataclass
 class RunReport:
-    """Deterministic record of one CLI invocation (timing aside)."""
+    """Deterministic record of one CLI invocation (timing aside).
+
+    ``main`` fills ``command`` and ``inputs`` from the parsed options and a command
+    adds what it computes.  An output may be a zero-argument callable: ``to_json``
+    calls it, so a run without ``--json`` does no JSON-only work.
+    """
 
     command: str
     inputs: dict = field(default_factory=dict)
@@ -81,7 +88,7 @@ class RunReport:
     timing: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True, default=lambda lazy: lazy())
 
 
 def _fmt(x: float) -> str:
@@ -134,56 +141,44 @@ def _random_hermitian(n: int, p: int, rng: np.random.Generator) -> Tensor3:
 # ---------------------------------------------------------------------------
 
 
-def cmd_tprod(args) -> int:
+def cmd_tprod(args, report) -> int:
     a = read_tensor(args.a)
     b = read_tensor(args.b)
     t0 = time.perf_counter()
     c = tprod(a, b, path=args.path)
-    elapsed = time.perf_counter() - t0
+    report.timing["tprod_seconds"] = time.perf_counter() - t0
     with _output():
         write_tensor(c, args.out)
     scale = 1.0 / c.p if args.convention == "slice1" else 1.0
-    tr = trace(c) * scale if c.m == c.n else None
+    tr = float(np.real(trace(c) * scale)) if c.m == c.n else None
     if tr is not None:
-        print(f"trace = {_fmt(float(np.real(tr)))}")
-    print(f"frobenius_norm = {_fmt(frobenius_norm(c))}")
-    if args.json:
-        rep = RunReport(
-            command="tprod",
-            inputs={"a": args.a, "b": args.b, "path": args.path},
-            outputs={
-                "out": args.out,
-                "trace": None if tr is None else float(np.real(tr)),
-                "frobenius_norm": frobenius_norm(c),
-            },
-            timing={"tprod_seconds": elapsed},
-        )
-        print(rep.to_json())
+        print(f"trace = {_fmt(tr)}")
+    norm = frobenius_norm(c)
+    print(f"frobenius_norm = {_fmt(norm)}")
+    report.outputs.update(out=args.out, trace=tr, frobenius_norm=norm)
     return 0
 
 
-def cmd_eig(args) -> int:
-    a = read_tensor(args.a)
-    spec = t_eigenvalues(a, method=args.method)
-    vals = spec.values
+def cmd_eig(args, report) -> int:
+    vals = t_eigenvalues(read_tensor(args.a), method=args.method).values
     print(_eig_line(vals))
-    if args.json:
-        out = np.column_stack((vals.real, vals.imag)).tolist()
-        rep = RunReport(
-            command="eig",
-            inputs={"a": args.a, "method": args.method},
-            outputs={"eigenvalues": out},
-        )
-        print(rep.to_json())
+    report.outputs["eigenvalues"] = lambda: np.column_stack((vals.real, vals.imag)).tolist()
     return 0
 
 
-def cmd_bounds(args) -> int:
+_BOUNDS = {"vn": vn_trace_bounds, "hermitian": hermitian_trace_bounds, "sandwich": sandwich_bounds,
+           "ratio": extremal_ratio_bounds, "relax": symmetric_relax_bounds}
+
+
+def cmd_bounds(args, report) -> int:
     if args.kind in ("symmetrized", "kyfan") and args.b is not None:
         raise ValueError(f"bounds {args.kind} takes one tensor file, got a second: {args.b}")
     a = read_tensor(args.a)
-    reports = []
-    hard = True
+    if args.kind == "kyfan":
+        res = ky_fan_sum(a, args.k, which=args.which)
+        print(f"kyfan_{args.which}(k={args.k}) = {_fmt(res.value)}")
+        report.outputs["value"] = res.value
+        return 0
     if args.kind == "symmetrized":
         result = symmetrized_bounds(a)
         print(f"mu_min = {result.mu_min:.4f}  mu_max = {result.mu_max:.4f}")
@@ -192,67 +187,27 @@ def cmd_bounds(args) -> int:
             f"rho_symmetrized = {result.rho_symmetrized:.4f}"
         )
         reports = list(result.eigen_reports) + [result.radius_report]
-    elif args.kind == "kyfan":
-        res = ky_fan_sum(a, args.k, which=args.which)
-        print(f"kyfan_{args.which}(k={args.k}) = {_fmt(res.value)}")
-        if args.json:
-            rep = RunReport(
-                command="bounds",
-                inputs={"kind": "kyfan", "a": args.a, "k": args.k, "which": args.which},
-                outputs={"value": res.value},
-            )
-            print(rep.to_json())
-        return 0
     else:
         if args.b is None:
             raise ValueError(f"bounds {args.kind} requires two tensor files")
-        b = read_tensor(args.b)
-        fn = {
-            "vn": vn_trace_bounds,
-            "hermitian": hermitian_trace_bounds,
-            "sandwich": sandwich_bounds,
-            "ratio": extremal_ratio_bounds,
-            "relax": symmetric_relax_bounds,
-        }[args.kind]
-        reports = [fn(a, b)]
-        hard = args.kind != "relax"
-
+        reports = [_BOUNDS[args.kind](a, read_tensor(args.b))]
     for rep in reports:
         _print_report(rep)
-    if args.json:
-        run = RunReport(
-            command="bounds",
-            inputs={"kind": args.kind, "a": args.a, "b": getattr(args, "b", None)},
-            bound_reports=[asdict(r) for r in reports],
-        )
-        print(run.to_json())
-    if hard and not all(r.satisfied for r in reports):
-        return 1
-    return 0
+    report.bound_reports = reports
+    return 1 if args.kind != "relax" and not all(r.satisfied for r in reports) else 0
 
 
-def cmd_dist(args) -> int:
-    a = read_tensor(args.a)
-    b = read_tensor(args.b)
-    if args.metric == "fro":
-        d = dist_frobenius(a, b, convention=args.convention)
-    elif args.metric == "bw":
-        d = dist_bures_wasserstein(a, b, convention=args.convention)
-    else:
-        d = dist_log_euclidean(a, b, convention=args.convention)
+_METRICS = {"fro": dist_frobenius, "bw": dist_bures_wasserstein, "logeuclid": dist_log_euclidean}
+
+
+def cmd_dist(args, report) -> int:
+    d = _METRICS[args.metric](read_tensor(args.a), read_tensor(args.b), convention=args.convention)
     print(_fmt(d))
-    if args.json:
-        rep = RunReport(
-            command="dist",
-            inputs={"metric": args.metric, "a": args.a, "b": args.b,
-                    "convention": args.convention},
-            outputs={"distance": d},
-        )
-        print(rep.to_json())
+    report.outputs["distance"] = d
     return 0
 
 
-def cmd_geodesic(args) -> int:
+def cmd_geodesic(args, report) -> int:
     a = read_tensor(args.a)
     b = read_tensor(args.b)
     if args.t is not None:
@@ -270,7 +225,7 @@ def cmd_geodesic(args) -> int:
     return 0
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args, report) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if args.kind == "psd":
         t = random_psd(args.n, args.p, seed)
@@ -284,7 +239,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, report) -> int:
     a = read_tensor(args.a)
     checks = args.checks.split(",")
     herm = _record(a).hermitian  # the psd and pd checks share its one eigvalsh pass
@@ -433,7 +388,7 @@ def sweep_trial(prop: str, seed: int, trial: int) -> bool:
     return bool(decide(*_stacked([draw(np.random.default_rng((seed, trial)))[1]]))[0])
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, report) -> int:
     if args.property not in _SWEEPS:
         raise ValueError(
             f"unknown property {args.property!r}; choose from {sorted(_SWEEPS)}"
@@ -463,6 +418,7 @@ class BenchRow:
     n: int
     p: int
     median_seconds: float
+    blas_threads: int | None  # None: timed with the caller's OpenBLAS threads, not pinned
 
 
 def _bench_callable(op: str, n: int, p: int, seed: int):
@@ -485,30 +441,66 @@ def _bench_callable(op: str, n: int, p: int, seed: int):
     raise ValueError(f"unknown benchmark op {op!r}")
 
 
+@functools.cache
+def _openblas_threads():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, or None
+    when that library or its symbols cannot be found."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        try:
+            lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread and restore the caller's count on exit; yields
+    the count held, or None when it cannot be set."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield None
+        return
+    get, put = threads
+    old = get()
+    put(1)
+    try:
+        yield 1
+    finally:
+        put(old)
+
+
 def run_benchmark(op: str, n_grid, p_grid, reps: int, seed: int = 0) -> list[BenchRow]:
     """Median wall-clock seconds per call of ``op`` over a size grid.
 
     Sub-millisecond operations are batched inside each timed sample so the
-    measurement is not dominated by timer and scheduler noise.
+    measurement is not dominated by timer and scheduler noise.  OpenBLAS is held
+    at one thread: a fresh process with more can run a dense product at a flat
+    ~8 ms per call for its first second, which flattens a fitted exponent.
     """
     if reps < 1:
         raise ValueError(f"--reps must be >= 1, got {reps}")
     rows = []
-    for n in n_grid:
-        for p in p_grid:
-            fn = _bench_callable(op, n, p, seed)
-            fn()  # warm-up, excluded from timing
-            t0 = time.perf_counter()
-            fn()
-            single = time.perf_counter() - t0
-            batch = max(1, int(np.ceil(1e-3 / max(single, 1e-9))))
-            times = []
-            for _ in range(reps):
+    with _one_blas_thread() as blas_threads:
+        for n in n_grid:
+            for p in p_grid:
+                fn = _bench_callable(op, n, p, seed)
+                fn()  # warm-up, excluded from timing
                 t0 = time.perf_counter()
-                for _ in range(batch):
-                    fn()
-                times.append((time.perf_counter() - t0) / batch)
-            rows.append(BenchRow(op, n, p, float(np.median(times))))
+                fn()
+                single = time.perf_counter() - t0
+                batch = max(1, int(np.ceil(1e-3 / max(single, 1e-9))))
+                times = []
+                for _ in range(reps):
+                    t0 = time.perf_counter()
+                    for _ in range(batch):
+                        fn()
+                    times.append((time.perf_counter() - t0) / batch)
+                rows.append(BenchRow(op, n, p, float(np.median(times)), blas_threads))
     return rows
 
 
@@ -528,7 +520,7 @@ def fit_exponents(rows) -> tuple[float | None, float | None]:
     return tuple(float(next(coef)) if v else None for v in varies)
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args, report) -> int:
     n_grid = [int(x) for x in args.n_grid.split(",")]
     p_grid = [int(x) for x in args.p_grid.split(",")]
     seed = args.seed if args.seed is not None else _default_seed()
@@ -538,6 +530,7 @@ def cmd_bench(args) -> int:
             fh.write("op,n,p,median_seconds\n")
             for r in rows:
                 fh.write(f"{r.op},{r.n},{r.p},{r.median_seconds:.9e}\n")
+    print(f"blas threads: {rows[0].blas_threads or 'not pinned'}")
     for r in rows:
         print(f"{r.op} n={r.n} p={r.p}: {r.median_seconds:.3e} s")
     alpha, beta = fit_exponents(rows)
@@ -647,16 +640,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    inputs = {k: v for k, v in vars(args).items() if k not in ("fn", "json", "command")}
+    report = RunReport(args.command, inputs)
     try:
-        return args.fn(args)
+        code = args.fn(args, report)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
     except (TSpectralError, ValueError) as exc:  # usage, parse, precondition, output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if getattr(args, "json", False):
+        print(report.to_json())
+    return code
 
 
 if __name__ == "__main__":

@@ -1,11 +1,27 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tspectral import Tensor3, cli, identity, read_tensor, write_tensor
+from tspectral import (
+    Tensor3,
+    bounds,
+    cli,
+    dist_bures_wasserstein,
+    dist_frobenius,
+    dist_log_euclidean,
+    frobenius_norm,
+    identity,
+    ky_fan_sum,
+    read_tensor,
+    t_eigenvalues,
+    tprod,
+    trace,
+    write_tensor,
+)
 from tspectral.cli import _eig_line, main
 
 
@@ -331,6 +347,7 @@ _VERIFY_TABLE = {
         2, "hermitian: residual = 4.0000000000000009 -> FAIL\n", _NOT_HERMITIAN
     ),
     ("non_hermitian", "pd,psd"): (2, "pd: min_eigenvalue = 1 -> FAIL\n", _NOT_HERMITIAN),
+    ("non_hermitian", "psd"): (2, "", _NOT_HERMITIAN),
     ("non_hermitian", "pd"): (1, "pd: min_eigenvalue = 1 -> FAIL\n", ""),
 }
 
@@ -480,6 +497,54 @@ class TestBenchCommand:
         assert not out.exists()
         assert len(recwarn) == 0
 
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_times_with_one_blas_thread_and_restores_the_callers(self, monkeypatch, fails):
+        threads = cli._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy's bundled OpenBLAS is not reachable")
+        get, put = threads
+        seen = []
+
+        def op():
+            seen.append(get())
+            if fails:
+                raise ValueError("op failed")
+
+        monkeypatch.setattr(cli, "_bench_callable", lambda *args: op)
+        before = get()
+        put(3)
+        try:
+            if fails:
+                with pytest.raises(ValueError, match="op failed"):
+                    cli.run_benchmark("tprod-fft", [2], [2], 1)
+            else:
+                rows = cli.run_benchmark("tprod-fft", [2], [2, 4], 1)
+                assert [r.blas_threads for r in rows] == [1, 1]
+            assert get() == 3
+        finally:
+            put(before)
+        assert seen and set(seen) == {1}
+
+    def test_times_unpinned_when_the_symbols_are_missing(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())
+        cli._openblas_threads.cache_clear()
+        try:
+            assert cli._openblas_threads() is None
+            rows = cli.run_benchmark("tprod-fft", [2], [2, 4], 1)
+            assert [(r.p, r.blas_threads) for r in rows] == [(2, None), (4, None)]
+            assert all(r.median_seconds > 0 for r in rows)
+            code, stdout, _ = run(capsys, "bench", "--op", "tprod-fft", "--n-grid", "2",
+                                  "--p-grid", "2", "--reps", "1")
+            assert (code, stdout.splitlines()[0]) == (0, "blas threads: not pinned")
+        finally:
+            cli._openblas_threads.cache_clear()
+
+    def test_prints_the_thread_count(self, capsys):
+        code, stdout, _ = run(capsys, "bench", "--op", "tprod-fft", "--n-grid", "2",
+                              "--p-grid", "2", "--reps", "1")
+        pinned = cli._openblas_threads() is not None
+        assert (code, stdout.splitlines()[0]) == (0, f"blas threads: {1 if pinned else 'not pinned'}")
+
 
 def _eig_line_per_value(vals):
     """Reference rule for ``eig``'s line, value by value: Python's ``round`` on
@@ -588,3 +653,106 @@ class TestParserOncePerProcess:
         want = help_text()
         run(capsys, "eig", str(fixtures_dir / "a2.json"), "--json")
         assert help_text() == want
+
+
+# ---------------------------------------------------------------------------
+# --json: one run report per invocation, printed by main after the text
+# ---------------------------------------------------------------------------
+
+
+def _expected_report(argv, fx):
+    """The ``command``, ``outputs``, ``bound_reports`` and ``timing`` keys of the
+    report of ``argv``, computed from the library; ``timing`` holds key names only."""
+    args = cli.build_parser().parse_args(argv)
+    t = {name: read_tensor(getattr(args, name)) for name in ("a", "b") if getattr(args, name, None)}
+    outputs, reports, timing = {}, [], []
+    if args.command == "tprod":
+        c = tprod(t["a"], t["b"], path=args.path)
+        scale = 1.0 / c.p if args.convention == "slice1" else 1.0
+        tr = float(np.real(trace(c) * scale)) if c.m == c.n else None
+        outputs = {"out": args.out, "trace": tr, "frobenius_norm": frobenius_norm(c)}
+        timing = ["tprod_seconds"]
+    elif args.command == "eig":
+        vals = t_eigenvalues(t["a"], method=args.method).values
+        outputs = {"eigenvalues": np.column_stack((vals.real, vals.imag)).tolist()}
+    elif args.command == "dist":
+        metric = {"fro": dist_frobenius, "bw": dist_bures_wasserstein,
+                  "logeuclid": dist_log_euclidean}[args.metric]
+        outputs = {"distance": metric(t["a"], t["b"], convention=args.convention)}
+    elif args.kind == "kyfan":
+        outputs = {"value": ky_fan_sum(t["a"], args.k, which=args.which).value}
+    elif args.kind == "symmetrized":
+        result = bounds.symmetrized_bounds(t["a"])
+        reports = [*result.eigen_reports, result.radius_report]
+    else:
+        bound = {"vn": bounds.vn_trace_bounds, "hermitian": bounds.hermitian_trace_bounds,
+                 "sandwich": bounds.sandwich_bounds, "ratio": bounds.extremal_ratio_bounds,
+                 "relax": bounds.symmetric_relax_bounds}[args.kind]
+        reports = [bound(t["a"], t["b"])]
+    doc = {"command": args.command, "outputs": outputs,
+           "bound_reports": [asdict(r) for r in reports]}
+    return json.loads(json.dumps(doc)), timing
+
+
+_JSON_CASES = [
+    ["tprod", "a2", "b2", "-o", "{out}"],
+    ["--convention", "slice1", "tprod", "a2", "b2", "-o", "{out}", "--path", "dense"],
+    ["tprod", "a3", "b3", "-o", "{out}"],
+    *(["eig", a, "--method", m] for a in ("a1", "a2", "a3") for m in ("fourier", "bcirc")),
+    ["bounds", "symmetrized", "a1"],
+    ["bounds", "symmetrized", "a2"],
+    *(["bounds", "kyfan", "a2", "--k", k, "--which", w] for k in ("1", "2") for w in ("max", "min")),
+    *(["bounds", kind, "a1", "a2"] for kind in ("vn", "hermitian", "sandwich", "ratio", "relax")),
+    ["bounds", "vn", "a2", "b2"],
+    ["dist", "--metric", "fro", "a3", "b3"],
+    ["--convention", "slice1", "dist", "--metric", "bw", "a1", "a2"],
+    ["dist", "--metric", "logeuclid", "a1", "a1"],
+]
+
+
+@pytest.mark.parametrize("case", _JSON_CASES, ids=lambda case: "-".join(case).replace("{out}", ""))
+def test_json_appends_one_report_line(capsys, fixtures_dir, tmp_path, case):
+    """With --json, stdout is the text of the same call plus one JSON line whose
+    ``inputs`` are the parsed options and whose other fields are what the
+    library computes for them."""
+    fx = {p.stem: str(p) for p in fixtures_dir.glob("*.json")}
+    argv = [fx.get(arg, arg.format(out=tmp_path / "c.json")) for arg in case]
+    code, text, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    code, stdout, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert stdout.startswith(text)
+    line = stdout[len(text):]
+    assert line.endswith("\n") and line.count("\n") == 1
+    doc = json.loads(line)
+    assert sorted(doc) == ["bound_reports", "command", "inputs", "outputs", "timing"]
+    parsed = vars(cli.build_parser().parse_args(argv))
+    assert doc.pop("inputs") == {k: v for k, v in parsed.items() if k not in ("fn", "json", "command")}
+    expected, timing = _expected_report(argv, fx)
+    assert sorted(doc.pop("timing")) == timing
+    assert doc == expected
+
+
+def test_tprod_report_records_the_convention(capsys, fixtures_dir, tmp_path):
+    """--convention scales tprod's printed trace, so its report records it."""
+    code, stdout, _ = run(
+        capsys, "--convention", "slice1", "tprod", str(fixtures_dir / "a2.json"),
+        str(fixtures_dir / "b2.json"), "-o", str(tmp_path / "c.json"), "--json",
+    )
+    trace_line, _, report_line = stdout.splitlines()
+    doc = json.loads(report_line)
+    assert (code, doc["inputs"]["convention"]) == (0, "slice1")
+    assert doc["outputs"]["trace"] == float(trace_line.removeprefix("trace = "))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds", "vn", "a2"], ["dist", "--metric", "bw", "a3", "b3"], ["eig", "missing"]],
+    ids=["usage", "precondition", "missing-file"],
+)
+def test_json_prints_no_report_on_error(capsys, fixtures_dir, argv):
+    argv = [str(fixtures_dir / f"{arg}.json") if arg in ("a2", "a3", "b3") else arg
+            for arg in argv]
+    assert run(capsys, *argv, "--json") == run(capsys, *argv)
+    code, stdout, _ = run(capsys, *argv, "--json")
+    assert (code, stdout) == (2, "")

@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module, every
 module-level private name the package defines is used somewhere in it, the
 third-party modules ``src/`` imports are exactly the declared runtime
-dependencies, every DFT runs in the two Fourier-stack helpers, and the
-package re-exports exactly the public names of its layers.
+dependencies, every DFT runs in the two Fourier-stack helpers, the
+package re-exports exactly the public names of its layers, and the CLI
+builds and prints its run report in ``main`` alone.
 
 A stdlib ``ast`` walk, so refactors cannot leave stale imports, stranded
 helpers, stale dependencies or a second Fourier layout behind.  Names listed
@@ -254,3 +255,39 @@ def test_package_reexports_exactly_the_layers_public_names():
     assert len(set(tspectral.__all__)) == len(tspectral.__all__)
     assert sorted(tspectral.__all__) == sorted(layers + error_classes)
     assert [name for name in tspectral.__all__ if not hasattr(tspectral, name)] == []
+
+
+def _report_sites(path: Path) -> list[tuple[str, str, int]]:
+    """(what, top-level definition, line) of every ``RunReport(...)`` call and
+    every mention of the ``json`` option (``x.json`` or the string ``"json"``)
+    in the module at ``path``."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "RunReport":
+                found.append(("RunReport", owner, node.lineno))
+            elif (isinstance(node, ast.Attribute) and node.attr == "json") or (
+                isinstance(node, ast.Constant) and node.value == "json"
+            ):
+                found.append(("json", owner, node.lineno))
+    return found
+
+
+def test_cli_reports_in_main_only():
+    """``main`` builds the one run report and alone decides whether to print it,
+    so no command grows its own ``--json`` branch again."""
+    sites = _report_sites(SRC / "cli.py")
+    assert [what for what, _, _ in sites].count("RunReport") == 1
+    assert {(what, owner) for what, owner, _ in sites} == {("RunReport", "main"), ("json", "main")}
+
+
+def test_stray_report_is_reported(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "import json\n\n\ndef cmd(args, report):\n    if args.json:\n"
+        "        print(RunReport('x').to_json())\n    return json.dumps({})\n\n\n"
+        "def main(args):\n    return getattr(args, 'json', False)\n"
+    )
+    assert _report_sites(tmp_path / "cli.py") == [
+        ("json", "cmd", 5), ("RunReport", "cmd", 6), ("json", "main", 11),
+    ]
