@@ -12,9 +12,9 @@ weighted sums over the Fourier slices, sum_k w_k tr(A_k B_k ...), taken by
 the one kernel ``transform._stack_trace``; no product tensor is formed.
 
 ``vn_trace_bounds``, ``sandwich_bounds``, ``extremal_ratio_bounds`` and
-``symmetric_relax_bounds`` also take two batches of tensor data (..., n, n, p),
-and ``ky_fan_sum`` one, and report all items at once: every field but a
-report's ``context`` is then an array, and every check runs per item.
+``symmetric_relax_bounds`` also take two batches of tensor data (..., n, n, p)
+and report all items at once: every field but a report's ``context`` is then
+an array, and every check runs per item.
 """
 
 from __future__ import annotations
@@ -319,6 +319,15 @@ def symmetric_relax_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     return BoundReport.build(lower, value, upper, "relaxed-symmetric")
 
 
+def _ky_fan_values(eigenvalues: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The maximum and the minimum of tr(U*H*U^H) over k x n x p partial isometries U,
+    from H's Fourier-slice eigenvalues (..., n, p), descending per slice: the sums
+    over all p slices of each slice's top-k and bottom-k eigenvalues."""
+    n = eigenvalues.shape[-2]
+    return tuple(eigenvalues[..., chosen, :].sum(axis=(-2, -1))
+                 for chosen in (slice(0, k), slice(n - k, n)))
+
+
 def ky_fan_sum(h: Tensor3, k: int, which: str = "max") -> KyFanResult:
     """Extremal value of tr(U*H*U^H) over slice-wise partial isometries.
 
@@ -326,37 +335,28 @@ def ky_fan_sum(h: Tensor3, k: int, which: str = "max") -> KyFanResult:
     equals the sum over Fourier slices of each slice's top-k eigenvalues
     (bottom-k for ``which="min"``); for p = 1 this is the classical matrix
     statement.  The achieving U is assembled from the per-slice eigenvectors
-    and is verified to be a partial isometry attaining the value.  For a
-    batch of data (..., n, n, p) the values are an array, the optimizers a
-    batch of data, and each item is verified.
+    and is verified to be a partial isometry attaining the value.
     """
     if which not in ("max", "min"):
         raise ValueError(f"which must be 'max' or 'min', got {which!r}")
-    n, p = _data(h).shape[-2:]
-    if not 1 <= k <= n:
-        raise DomainError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    if not 1 <= k <= h.n:
+        raise DomainError(f"k must satisfy 1 <= k <= {h.n}, got {k}")
     factors = _decompose(h, "ky_fan_sum")
-    chosen = slice(0, k) if which == "max" else slice(n - k, n)  # eigenvalues descend
-    value = factors.fourier_eigenvalues[..., chosen, :].sum(axis=(-2, -1))
-    q = factors._q_stack[..., chosen]  # U's stack is Q^H, so U*U^H's is Q^H Q
-    u = _from_stack(_adjoint(q), p, factors._kind)
-    kind = _product_kind(h)
+    top, bottom = map(float, _ky_fan_values(factors.fourier_eigenvalues, k))
+    value, chosen = (top, slice(0, k)) if which == "max" else (bottom, slice(h.n - k, h.n))
+    q = factors._q_stack[:, :, chosen]  # U's stack is Q^H, so U*U^H's is Q^H Q
+    u = _from_stack(_adjoint(q), h.p, factors._kind)
 
     def norm(x):  # ||X||_F^2 = tr(X^H * X), on the Fourier stack of X
-        return np.sqrt(np.real(_stack_trace(_adjoint(x), x, p=p, kind=kind)))
+        return np.sqrt(np.real(_stack_trace(_adjoint(x), x, p=h.p, kind=h.kind)))
 
     gram = _adjoint(q) @ q
     resid = norm(gram - np.eye(k))
-    bad = _first_failure(resid <= ISOMETRY_RTOL * (1.0 + norm(gram)))
-    if bad is not None:
+    if resid > ISOMETRY_RTOL * (1.0 + norm(gram)):
+        raise NumericError(f"constructed optimizer is not a partial isometry: {resid:.3e}")
+    achieved = float(np.real(_stack_trace(_adjoint(q), _to_stack(h), q, p=h.p, kind=h.kind)))
+    if abs(achieved - value) > ATTAINED_RTOL * max(1.0, abs(value)):
         raise NumericError(
-            f"constructed optimizer is not a partial isometry: {np.ravel(resid)[bad]:.3e}"
+            f"optimizer achieves {achieved!r} but extremal value is {value!r}"
         )
-    achieved = np.real(_stack_trace(_adjoint(q), _to_stack(h), q, p=p, kind=kind))
-    bad = _first_failure(np.abs(achieved - value) <= ATTAINED_RTOL * np.maximum(1.0, np.abs(value)))
-    if bad is not None:
-        raise NumericError(
-            f"optimizer achieves {float(np.ravel(achieved)[bad])!r} "
-            f"but extremal value is {float(np.ravel(value)[bad])!r}"
-        )
-    return KyFanResult(value if value.ndim else float(value), u)
+    return KyFanResult(value, u)

@@ -31,6 +31,7 @@ from .core import (
 )
 from .errors import NumericError, TSpectralError
 from .bounds import (
+    _ky_fan_values,
     extremal_ratio_bounds,
     hermitian_trace_bounds,
     ky_fan_sum,
@@ -42,6 +43,7 @@ from .bounds import (
 from .geometry import (
     _bures_wasserstein,
     _checked,
+    _convention_scale,
     dist_bures_wasserstein,
     dist_frobenius,
     dist_log_euclidean,
@@ -149,7 +151,7 @@ def cmd_tprod(args, report) -> int:
     report.timing["tprod_seconds"] = time.perf_counter() - t0
     with _output():
         write_tensor(c, args.out)
-    scale = 1.0 / c.p if args.convention == "slice1" else 1.0
+    scale = _convention_scale(args.convention, c.p)
     tr = float(np.real(trace(c) * scale)) if c.m == c.n else None
     if tr is not None:
         print(f"trace = {_fmt(tr)}")
@@ -210,16 +212,17 @@ def cmd_dist(args, report) -> int:
 def cmd_geodesic(args, report) -> int:
     a = read_tensor(args.a)
     b = read_tensor(args.b)
+    scale = _convention_scale(args.convention, a.p)
     if args.t is not None:
         g = geodesic(a, b, args.t, regularize=args.regularize)
         with _output():
             write_tensor(g, args.out)
-        print(f"trace = {_fmt(float(np.real(trace(g))))}")
+        print(f"trace = {_fmt(float(np.real(trace(g) * scale)))}")
     else:
         profile = geodesic_trace_profile(a, b, args.samples, regularize=args.regularize)
         with _output(), open(args.out, "w", encoding="utf-8") as fh:
             fh.write("t,trace\n")
-            for t, tr in zip(profile.ts, profile.traces):
+            for t, tr in zip(profile.ts, profile.traces * scale):
                 fh.write(f"{t:.17g},{tr:.17g}\n")
         print(f"wrote {args.samples} samples to {args.out}")
     return 0
@@ -292,11 +295,11 @@ def _draw_kyfan(rng: np.random.Generator):
 
 def _decide_kyfan(m_h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """tr(U*H*U^H) lies between H's Ky Fan extremes, for H = (M + M^H)/2 and each of
-    the five U whose Fourier slices are Q^H, Q orthonormalizing a (p, 2, n, k) draw."""
+    the five U whose Fourier slices are Q^H, Q orthonormalizing a (p, 2, n, k) draw.
+    The extremes come from H's eigenvalues alone: no optimizer U is built."""
     h = _hermitian_part(m_h)
     k, p = g.shape[-1], m_h.shape[-1]
-    hi = ky_fan_sum(h, k, which="max").value
-    lo = ky_fan_sum(h, k, which="min").value
+    hi, lo = _ky_fan_values(_decompose(h, "ky_fan_sum", vectors=False).fourier_eigenvalues, k)
     hi = hi + KYFAN_SWEEP_SLACK * np.maximum(1.0, np.abs(hi))
     lo = lo - KYFAN_SWEEP_SLACK * np.maximum(1.0, np.abs(lo))
     q, _ = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])

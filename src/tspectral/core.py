@@ -316,8 +316,8 @@ _NUMBER_TYPES = {int, float}  # exact types: the parsers give bool for true/fals
 
 def _fast_flat(raw: list, kind: str) -> np.ndarray | None:
     """The flat data in one numpy call when every entry has the right shape
-    and exact number types; ``None`` sends ``_tensor_from_doc`` to its
-    per-entry loop, which names the first bad ``data[i]``."""
+    and exact number types; ``None`` when it has not, or holds an integer
+    beyond float range, and then :func:`_bad_entry` names the entry."""
     if kind == "real":
         ok = set(map(type, raw)) <= _NUMBER_TYPES
     else:
@@ -335,6 +335,21 @@ def _fast_flat(raw: list, kind: str) -> np.ndarray | None:
         return np.fromiter(chain.from_iterable(raw), np.float64, 2 * len(raw)).view(np.complex128)
     except OverflowError:  # an integer beyond float range
         return None
+
+
+def _bad_entry(raw: list, kind: str, path) -> ParseError:
+    """The error naming the first ``data[i]`` that :func:`_fast_flat` rejects:
+    an entry of another type or shape, or one holding an integer beyond float range."""
+    what, verb = ("a real number", "is") if kind == "real" else ("a [re, im] pair", "holds")
+    for i, v in enumerate(raw):
+        numbers = [v] if kind == "real" else v if type(v) is list and len(v) == 2 else None
+        if numbers is None or not set(map(type, numbers)) <= _NUMBER_TYPES:
+            return ParseError(f"{path}: data[{i}] is not {what}: {v!r}")
+        try:
+            list(map(float, numbers))
+        except OverflowError:
+            return ParseError(f"{path}: data[{i}] {verb} an integer beyond float range")
+    raise AssertionError("_bad_entry found no entry that _fast_flat rejects")
 
 
 # orjson prints the same shortest round-trip digits as float.__repr__ (Ryu and
@@ -441,28 +456,8 @@ def _tensor_from_doc(doc, path) -> Tensor3:
         )
 
     flat = _fast_flat(raw, kind)
-    if flat is None and kind == "real":
-        flat = np.empty(m * n * p, dtype=np.float64)
-        for i, v in enumerate(raw):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ParseError(f"{path}: data[{i}] is not a real number: {v!r}")
-            try:
-                flat[i] = v
-            except OverflowError:
-                raise ParseError(f"{path}: data[{i}] is an integer beyond float range") from None
-    elif flat is None:
-        flat = np.empty(m * n * p, dtype=np.complex128)
-        for i, v in enumerate(raw):
-            if (
-                not isinstance(v, list)
-                or len(v) != 2
-                or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)
-            ):
-                raise ParseError(f"{path}: data[{i}] is not a [re, im] pair: {v!r}")
-            try:
-                flat[i] = complex(v[0], v[1])
-            except OverflowError:
-                raise ParseError(f"{path}: data[{i}] holds an integer beyond float range") from None
+    if flat is None:
+        raise _bad_entry(raw, kind, path)
 
     if not np.all(np.isfinite(flat.view(np.float64) if kind == "complex" else flat)):
         bad = int(np.flatnonzero(~np.isfinite(flat))[0])

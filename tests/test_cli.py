@@ -252,6 +252,27 @@ class TestGeodesicCommand:
         assert code == 0
         assert read_tensor(out).shape == (2, 2, 2)
 
+    def test_convention_scales_both_traces(self, capsys, tmp_path):
+        """--convention slice1 divides the printed trace and every sampled one by
+        p, as it divides tprod's; the geodesic tensor written is the same."""
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        run(capsys, "gen", "psd", "-n", "2", "-p", "4", "--seed", "0", "-o", str(a))
+        run(capsys, "gen", "psd", "-n", "2", "-p", "4", "--seed", "1", "-o", str(b))
+        got = {}
+        for convention in ("bcirc", "slice1"):
+            point, csv = tmp_path / f"{convention}.json", tmp_path / f"{convention}.csv"
+            head = ["--convention", convention, "geodesic", str(a), str(b)]
+            code, stdout, _ = run(capsys, *head, "--t", "0", "-o", str(point))
+            assert code == 0 and stdout.startswith("trace = ")
+            assert run(capsys, *head, "--samples", "3", "-o", str(csv))[0] == 0
+            samples = [float(line.split(",")[1]) for line in csv.read_text().splitlines()[1:]]
+            got[convention] = float(stdout[len("trace = "):]), samples, point.read_bytes()
+        (trace_full, samples_full, g_full), (trace_1, samples_1, g_1) = got.values()
+        assert trace_full == pytest.approx(trace(read_tensor(a)), rel=1e-12)
+        assert trace_1 == trace_full / 4  # scaling by 1/4 is exact
+        assert samples_1 == [x / 4 for x in samples_full] and len(samples_1) == 3
+        assert g_1 == g_full
+
 
 class TestGenVerify:
     def test_same_seed_byte_identical(self, capsys, tmp_path):
@@ -538,6 +559,20 @@ class TestBenchCommand:
             assert (code, stdout.splitlines()[0]) == (0, "blas threads: not pinned")
         finally:
             cli._openblas_threads.cache_clear()
+
+    @pytest.mark.parametrize("op", ["eig", "bw-dist", "kyfan"])
+    def test_times_each_op_on_a_tiny_grid(self, op):
+        rows = cli.run_benchmark(op, [2], [2, 3], 1)
+        assert [(r.op, r.n, r.p) for r in rows] == [(op, 2, 2), (op, 2, 3)]
+        assert all(r.median_seconds > 0 for r in rows)
+
+    def test_fits_the_n_exponent_over_two_n_values(self, capsys):
+        code, stdout, _ = run(capsys, "bench", "--op", "kyfan", "--n-grid", "2,4",
+                              "--p-grid", "2", "--reps", "1")
+        lines = stdout.splitlines()
+        assert code == 0 and len(lines) == 4
+        assert [line.split(":")[0] for line in lines[1:]] == [
+            "kyfan n=2 p=2", "kyfan n=4 p=2", "fitted n-exponent"]
 
     def test_prints_the_thread_count(self, capsys):
         code, stdout, _ = run(capsys, "bench", "--op", "tprod-fft", "--n-grid", "2",

@@ -167,6 +167,30 @@ def test_concavity_group_is_decided_in_one_pass(calls):
     assert calls["irfft"] + calls["ifft"] == 2
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_kyfan_trial_decides_from_eigenvalues(calls, seed):
+    """Both Ky Fan extremes are sums of H's eigenvalues: a trial replayed alone
+    runs one Hermitian rule and one eigvalsh, and builds no optimizer, so it
+    runs no inverse FFT."""
+    assert cli.sweep_trial("kyfan", seed, 0)
+    assert calls["rule"] == 1
+    assert (calls["eigvalsh"], _eigensolves(calls)) == (1, 1)
+    assert calls["irfft"] + calls["ifft"] == 0
+
+
+def test_kyfan_group_decides_from_eigenvalues(calls):
+    """A whole shape group costs what one trial does: one Hermitian rule, one
+    eigvalsh and no inverse FFT, for five U on each trial."""
+    draw, decide, _ = cli._SWEEPS["kyfan"]
+    draws = [draw(np.random.default_rng((0, trial))) for trial in range(24)]
+    group = [arrays for key, arrays in draws if key == draws[0][0]]
+    calls.clear()
+    assert decide(*cli._stacked(group)).all() and len(group) > 3
+    assert calls["rule"] == 1
+    assert (calls["eigvalsh"], _eigensolves(calls)) == (1, 1)
+    assert calls["irfft"] + calls["ifft"] == 0
+
+
 def test_dist_bures_wasserstein_in_sequence(calls):
     a = random_psd(3, 4, 9)
     b = random_psd(3, 4, 10)

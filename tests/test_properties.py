@@ -33,7 +33,6 @@ from tspectral import (
     hermitian_eig,
     identity,
     is_hermitian,
-    ky_fan_sum,
     random_psd,
     read_tensor,
     symmetric_relax_bounds,
@@ -454,13 +453,6 @@ def test_batch_kernels_equal_per_item_calls(batch, n, p, kind, seed):
     # complex, so a real batch meets a complex one and goes on all p slices
     partners = [_psd(rng, n, p, "complex") for _ in range(batch)]
     partner = np.stack([t.data for t in partners])
-    k = 1 + seed % n
-    for which in ("max", "min"):
-        fan = ky_fan_sum(data, k, which)
-        for i in range(batch):
-            one = ky_fan_sum(items[i], k, which)
-            assert fan.value[i] == pytest.approx(one.value, rel=1e-12, abs=1e-300)
-            np.testing.assert_allclose(fan.optimizer[i], one.optimizer.data, rtol=0, atol=1e-12)
     checked = [_checked(x, "dist_bures_wasserstein", name, all_slices=True)
                for x, name in ((data, "A"), (partner, "B"))]
     dist = _bures_wasserstein(*checked)
