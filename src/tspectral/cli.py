@@ -434,13 +434,14 @@ def _bench_callable(op: str, n: int, p: int, seed: int):
     if op == "eig":
         a = Tensor3(rng.standard_normal((n, n, p)))
         return lambda: t_eigenvalues(a, method="bcirc")
+    # a tensor keeps its factors, so each call decomposes new tensors of the same data
     if op == "bw-dist":
-        a = random_psd(n, p, rng)
-        b = random_psd(n, p, rng)
-        return lambda: dist_bures_wasserstein(a, b)
+        a = random_psd(n, p, rng).data
+        b = random_psd(n, p, rng).data
+        return lambda: dist_bures_wasserstein(Tensor3(a), Tensor3(b))
     if op == "kyfan":
-        h = _random_hermitian(n, p, rng)
-        return lambda: ky_fan_sum(h, max(1, n // 2))
+        h = _random_hermitian(n, p, rng).data
+        return lambda: ky_fan_sum(Tensor3(h), max(1, n // 2))
     raise ValueError(f"unknown benchmark op {op!r}")
 
 

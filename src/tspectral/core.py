@@ -17,6 +17,7 @@ switch, everything else is pinned to the block-circulant trace.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import math
@@ -314,6 +315,30 @@ def _first_failure(ok) -> int | None:
 _NUMBER_TYPES = {int, float}  # exact types: the parsers give bool for true/false
 
 
+def _vouched_flat(raw: list, kind: str) -> np.ndarray | None:
+    """The flat data when numpy's dtype discovery finds only numbers in it;
+    ``None`` when it finds anything else, and then :func:`_fast_flat` decides.
+
+    Only for a document whose bytes hold no ``u`` and no ``f``: JSON spells
+    true, false and null with one of them, so no entry is a bool or None.  A
+    str, dict, nested list or integer beyond int64 then comes out as another
+    dtype or shape, or raises, so a 1-D float64 or int64 array holds exactly
+    the numbers the exact gate would take, each rounded as ``float`` rounds it.
+    """
+    try:
+        if kind == "complex":
+            if set(map(len, raw)) != {2}:
+                return None
+            raw = list(chain.from_iterable(raw))  # one flat list: a nested np.array is 2x slower
+        flat = np.array(raw)
+    except (TypeError, ValueError):  # len of a number; a ragged or too deep nesting
+        return None
+    if flat.ndim != 1 or flat.dtype not in (np.float64, np.int64):
+        return None
+    flat = flat.astype(np.float64, copy=False)
+    return flat.view(np.complex128) if kind == "complex" else flat
+
+
 def _fast_flat(raw: list, kind: str) -> np.ndarray | None:
     """The flat data in one numpy call when every entry has the right shape
     and exact number types; ``None`` when it has not, or holds an integer
@@ -406,16 +431,30 @@ def read_tensor(path) -> Tensor3:
     whose document fails a check, is parsed again by ``json`` from the text
     that ``open(path, "r", encoding="utf-8")`` gives, so every error message
     names what the standard library finds there.
+
+    Data in a file whose bytes hold no ``u`` and no ``f`` is converted by one
+    numpy call when its dtype discovery finds only numbers
+    (:func:`_vouched_flat`); all other data goes through the exact per-entry
+    gate.  The cyclic garbage collector is off, process-wide, while the
+    ``orjson`` document exists, and the caller's setting comes back after.
     """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: cannot read tensor file: {exc}") from exc
+    vouched = b"u" not in raw and b"f" not in raw  # no true, false or null: _vouched_flat
+    # orjson's lists are new containers, which set off collections (full ones
+    # too) that find nothing to free; the pause lasts until the document is dropped
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return _tensor_from_doc(orjson.loads(raw), path)
+        return _tensor_from_doc(orjson.loads(raw), path, vouched)
     except (orjson.JSONDecodeError, ParseError):
         pass
+    finally:
+        if enabled:
+            gc.enable()
     try:
         # universal newlines, as a text-mode open reads: error line numbers count \r too
         doc = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
@@ -423,12 +462,13 @@ def read_tensor(path) -> Tensor3:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except ValueError as exc:  # invalid UTF-8, an integer longer than int_max_str_digits
         raise ParseError(f"{path}: cannot parse tensor file: {exc}") from exc
-    return _tensor_from_doc(doc, path)
+    return _tensor_from_doc(doc, path, vouched)
 
 
-def _tensor_from_doc(doc, path) -> Tensor3:
+def _tensor_from_doc(doc, path, vouched: bool) -> Tensor3:
     """The tensor a parsed JSON document describes; ``ParseError`` names the
-    first field or ``data[i]`` entry that breaks the schema or is not finite."""
+    first field or ``data[i]`` entry that breaks the schema or is not finite.
+    ``vouched``: the file's bytes hold no ``u`` and no ``f`` (:func:`_vouched_flat`)."""
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level value must be an object")
     for key in ("dims", "kind", "data"):
@@ -455,7 +495,9 @@ def _tensor_from_doc(doc, path) -> Tensor3:
             f"{path}: field 'data' must hold exactly m*n*p = {m * n * p} entries, got {got}"
         )
 
-    flat = _fast_flat(raw, kind)
+    flat = _vouched_flat(raw, kind) if vouched else None
+    if flat is None:
+        flat = _fast_flat(raw, kind)
     if flat is None:
         raise _bad_entry(raw, kind, path)
 

@@ -5,9 +5,16 @@ deliberately avoids the library's fold/bcirc/FFT code paths, so agreement
 between the two is meaningful.
 """
 
+import io
+import json
+from itertools import chain
+
 import numpy as np
+import orjson
 import scipy.linalg as sla
 from scipy.optimize import linear_sum_assignment
+
+from tspectral import ParseError
 
 
 def assert_multiset_close(actual, desired, tol):
@@ -286,3 +293,98 @@ def frozen_sweep(prop, seed, trials):
     """Per-trial pass list of ``prop`` over trials 0..trials-1 of ``seed``."""
     fn = FROZEN_SWEEPS[prop]
     return [bool(fn(np.random.default_rng((seed, trial)))) for trial in range(trials)]
+
+
+# ---------------------------------------------------------------------------
+# Frozen tensor-file reader: orjson, then json on any error, then the exact
+# per-entry type gate and its error messages, with no shortcut and no
+# collector pause.  ``read_tensor`` must give the same data or the same
+# ParseError text on every file.
+# ---------------------------------------------------------------------------
+
+
+_REFERENCE_NUMBER_TYPES = {int, float}
+
+
+def reference_read_tensor(path) -> np.ndarray:
+    """The tensor data (m, n, p) of a tensor file, or the ParseError it raises."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read tensor file: {exc}") from exc
+    try:
+        return _reference_from_doc(orjson.loads(raw), path)
+    except (orjson.JSONDecodeError, ParseError):
+        pass
+    try:
+        doc = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{path}: cannot parse tensor file: {exc}") from exc
+    return _reference_from_doc(doc, path)
+
+
+def _reference_exact_flat(raw, kind):
+    if kind == "real":
+        ok = set(map(type, raw)) <= _REFERENCE_NUMBER_TYPES
+    else:
+        ok = (
+            set(map(type, raw)) == {list}
+            and set(map(len, raw)) == {2}
+            and set(map(type, chain.from_iterable(raw))) <= _REFERENCE_NUMBER_TYPES
+        )
+    if not ok:
+        return None
+    try:
+        if kind == "real":
+            return np.array(raw, dtype=np.float64)
+        return np.fromiter(chain.from_iterable(raw), np.float64, 2 * len(raw)).view(np.complex128)
+    except OverflowError:
+        return None
+
+
+def _reference_bad_entry(raw, kind, path):
+    what, verb = ("a real number", "is") if kind == "real" else ("a [re, im] pair", "holds")
+    for i, v in enumerate(raw):
+        numbers = [v] if kind == "real" else v if type(v) is list and len(v) == 2 else None
+        if numbers is None or not set(map(type, numbers)) <= _REFERENCE_NUMBER_TYPES:
+            return ParseError(f"{path}: data[{i}] is not {what}: {v!r}")
+        try:
+            list(map(float, numbers))
+        except OverflowError:
+            return ParseError(f"{path}: data[{i}] {verb} an integer beyond float range")
+    raise AssertionError("no rejected entry")
+
+
+def _reference_from_doc(doc, path):
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: top-level value must be an object")
+    for key in ("dims", "kind", "data"):
+        if key not in doc:
+            raise ParseError(f"{path}: missing required field '{key}'")
+    dims = doc["dims"]
+    if (
+        not isinstance(dims, list)
+        or len(dims) != 3
+        or not all(type(d) is int and d >= 1 for d in dims)
+    ):
+        raise ParseError(f"{path}: field 'dims' must be three integers >= 1, got {dims!r}")
+    m, n, p = dims
+    kind = doc["kind"]
+    if kind not in ("real", "complex"):
+        raise ParseError(f"{path}: field 'kind' must be 'real' or 'complex', got {kind!r}")
+    raw = doc["data"]
+    if not isinstance(raw, list) or len(raw) != m * n * p:
+        got = len(raw) if isinstance(raw, list) else type(raw).__name__
+        raise ParseError(
+            f"{path}: field 'data' must hold exactly m*n*p = {m * n * p} entries, got {got}"
+        )
+    flat = _reference_exact_flat(raw, kind)
+    if flat is None:
+        raise _reference_bad_entry(raw, kind, path)
+    if not np.all(np.isfinite(flat.view(np.float64) if kind == "complex" else flat)):
+        bad = int(np.flatnonzero(~np.isfinite(flat))[0])
+        raise ParseError(f"{path}: data[{bad}] is not finite")
+    return np.ascontiguousarray(np.transpose(flat.reshape(p, m, n), (1, 2, 0)))

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -24,6 +25,7 @@ from tspectral import (
     unfold,
     write_tensor,
 )
+from tspectral import core
 from conftest import random_tensor
 from helpers_oracles import oracle_bcirc
 
@@ -431,6 +433,62 @@ def test_rejected_file_gives_the_json_message(tmp_path, raw, message):
     with pytest.raises(ParseError) as err:
         read_tensor(path)
     assert str(err.value) == f"{path}: " + message.format(path=path)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("text", [_HEAD + b"[1.5]}", _HEAD + b"[true]}", b"{nope"],
+                         ids=["valid", "rejected-entry", "invalid-json"])
+def test_read_restores_the_callers_gc_state(tmp_path, enabled, text):
+    path = tmp_path / "t.json"
+    path.write_bytes(text)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            read_tensor(path)
+        except ParseError:
+            pass
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.fixture
+def exact_gate(monkeypatch):
+    """The kinds of data that reach the exact per-entry gate, in call order."""
+    seen, fast_flat = [], core._fast_flat
+
+    def spy(raw, kind):
+        seen.append(kind)
+        return fast_flat(raw, kind)
+
+    monkeypatch.setattr(core, "_fast_flat", spy)
+    return seen
+
+
+@pytest.mark.parametrize("complex_kind", [False, True], ids=["real", "complex"])
+def test_written_files_skip_the_exact_gate(tmp_path, exact_gate, complex_kind):
+    """Files from write_tensor hold no true, false or null, and numpy's dtype
+    discovery vouches for their data."""
+    t = random_tensor(np.random.default_rng(41), 3, 2, 5, complex_kind)
+    path = tmp_path / "t.json"
+    write_tensor(Tensor3(t.data * 1e300), path)
+    assert read_tensor(path).data.tobytes() == (t.data * 1e300).tobytes()
+    write_tensor(t, path)
+    assert read_tensor(path).data.tobytes() == t.data.tobytes()
+    assert exact_gate == []
+
+
+@pytest.mark.parametrize("complex_kind", [False, True], ids=["real", "complex"])
+def test_file_spelling_full_reads_through_the_exact_gate(tmp_path, exact_gate, complex_kind):
+    """A "u" or an "f" anywhere in the bytes, here in an extra field, sends
+    the data through the exact gate, which reads it bit for bit the same."""
+    t = random_tensor(np.random.default_rng(43), 2, 3, 4, complex_kind)
+    path = tmp_path / "t.json"
+    write_tensor(t, path)
+    path.write_bytes(path.read_bytes()[:-2] + b', "note": "full"}\n')
+    assert read_tensor(path).data.tobytes() == t.data.tobytes()
+    assert exact_gate == [t.kind]
 
 
 @pytest.mark.parametrize("complex_kind", [False, True])

@@ -263,3 +263,16 @@ def test_bw_axioms_group_decomposes_each_tensor_once(calls):
     assert decide(*cli._stacked(group)).all() and len(group) > 3
     assert calls["rule"] == 3
     assert (calls["eigh"], _eigensolves(calls)) == (3, 3)
+
+
+@pytest.mark.parametrize("op, eighs", [("kyfan", 1), ("bw-dist", 2)])
+def test_bench_decomposes_on_every_call(calls, op, eighs):
+    """Every timed call of ``bench --op kyfan|bw-dist`` runs its eigensolves:
+    a call on the tensors of the call before would reuse their factors."""
+    run = cli._bench_callable(op, 8, 16, 0)
+    counts = []
+    for _ in range(3):
+        calls.clear()
+        run()
+        counts.append((calls["eigh"], _eigensolves(calls)))
+    assert counts == [(eighs, eighs)] * 3

@@ -1,9 +1,10 @@
 """Every name a module of the package imports is used in that module, every
 module-level private name the package defines is used somewhere in it, the
 third-party modules ``src/`` imports are exactly the declared runtime
-dependencies, every DFT runs in the two Fourier-stack helpers, the
-package re-exports exactly the public names of its layers, and the CLI
-builds and prints its run report in ``main`` alone.
+dependencies, every DFT runs in the two Fourier-stack helpers, only the
+tensor-file reader switches the cyclic garbage collector, the package
+re-exports exactly the public names of its layers, and the CLI builds and
+prints its run report in ``main`` alone.
 
 A stdlib ``ast`` walk, so refactors cannot leave stale imports, stranded
 helpers, stale dependencies or a second Fourier layout behind.  Names listed
@@ -237,6 +238,57 @@ def test_stray_fft_is_reported(tmp_path):
         ("b.py", "<module>", 2),
         ("b.py", "<module>", 4),
         ("transform.py", "Slices", 10),
+    ]
+
+
+# The one place that pauses the cyclic collector (around the orjson document).
+GC_TOGGLE_HOMES = {("core.py", "read_tensor")}
+GC_TOGGLES = ("disable", "enable")
+
+
+def _gc_toggles(src: Path) -> list[tuple[str, str, int]]:
+    """(file, top-level definition or ``<module>``, line) of every reference to
+    ``gc.disable`` or ``gc.enable`` in the modules of ``src``, called or not,
+    and every ``from gc import`` of either."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute):
+                    hit = node.attr in GC_TOGGLES and getattr(node.value, "id", None) == "gc"
+                elif isinstance(node, ast.ImportFrom):
+                    hit = node.module == "gc" and any(
+                        a.name in (*GC_TOGGLES, "*") for a in node.names
+                    )
+                else:
+                    continue
+                if hit:
+                    found.append((path.name, owner, node.lineno))
+    return found
+
+
+def test_only_the_reader_toggles_the_collector():
+    """The collector is a process-wide switch: one reader pauses it and
+    restores it, and no other layer turns it on or off."""
+    toggles = _gc_toggles(SRC)
+    assert {(name, owner) for name, owner, _ in toggles} >= GC_TOGGLE_HOMES
+    assert [toggle for toggle in toggles if toggle[:2] not in GC_TOGGLE_HOMES] == []
+
+
+def test_stray_gc_toggle_is_reported(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "import gc\n\n\ndef read_tensor(path):\n    gc.disable()\n    gc.enable()\n\n\n"
+        "def write_tensor(t, path):\n    gc.isenabled()\n    off = gc.disable\n"
+    )
+    (tmp_path / "cli.py").write_text(
+        "from gc import enable\n\n\nclass Main:\n    def run(self):\n"
+        "        import gc\n        gc.enable()\n"
+    )
+    assert [use for use in _gc_toggles(tmp_path) if use[:2] not in GC_TOGGLE_HOMES] == [
+        ("cli.py", "<module>", 1),
+        ("cli.py", "Main", 7),
+        ("core.py", "write_tensor", 11),
     ]
 
 

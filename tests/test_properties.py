@@ -6,7 +6,8 @@ slices: for p = 1 and 2 those are all slices, odd p adds mirrored interior
 slices, and even p >= 4 has interior slices plus a Nyquist slice that, like
 DC, occurs once.  The oracles in ``helpers_oracles`` work on the dense
 block-circulant matrix and never touch the library's FFT code.  The tensor
-file round trip draws its own shapes and entries.  The array-level shortcuts
+file round trip draws its own shapes and entries, and the file reader is
+checked against a frozen copy of its exact per-entry gate.  The array-level shortcuts
 (the Hermitian residual, the single copy into a tensor, ``random_psd`` on one
 Fourier stack) are checked against the tensor-level forms they replace.
 """
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from tspectral import (
     NumericError,
+    ParseError,
     Tensor3,
     bcirc,
     conj_transpose,
@@ -55,6 +57,7 @@ from helpers_oracles import (
     oracle_bcirc,
     oracle_bcirc_gather,
     oracle_eigenvalues,
+    reference_read_tensor,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -366,6 +369,82 @@ def test_tensor_file_reads_as_json_reads_it(dims, kind, sep, data):
         got = read_tensor(path)
     want = _json_reference(text)
     assert (got.kind, got.data.dtype) == (kind, want.dtype)
+    assert got.data.tobytes() == want.tobytes()
+
+
+# Integers at the int64, uint64 and float range edges, and beyond them
+_EDGE_INTS = [0, -1, 2**53 + 1, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64 - 1, 2**64,
+              2**64 + 1, -(2**64) - 1, 10**300, -(10**300), 10**400, -(10**400)]
+doc_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from(_EDGE_INTS),
+)
+# strings with and without the letters of true, false and null; "12" and
+# {"a": 1, "b": 2} have length 2, like a [re, im] pair
+doc_odd_values = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.sampled_from(["1.5", "12", "", "full", "null", "u", "abc", "0e1"]),
+    st.text(max_size=3),
+    st.lists(doc_numbers, max_size=3),
+    st.dictionaries(st.sampled_from(["a", "b", "f"]), doc_numbers, max_size=2),
+)
+
+
+@st.composite
+def tensor_documents(draw):
+    """The text of a tensor file: mostly well-typed data with up to two
+    entries spoiled, sometimes every number nested one level deeper, and
+    sometimes an extra string field."""
+    kind = draw(kinds)
+    m, n, p = draw(sizes), draw(sizes), draw(sizes)
+    # one integer beyond int64 sends the whole data to the exact gate, so most
+    # documents draw from a range without them
+    numbers = draw(st.sampled_from([
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-(2**63), 2**63 - 1),
+        doc_numbers,
+    ]))
+    pair = st.lists(numbers, min_size=2, max_size=2)
+    data = draw(st.lists(numbers if kind == "real" else pair, min_size=m * n * p,
+                         max_size=m * n * p))
+    spoiled = st.one_of(
+        st.sampled_from([True, False, None]),  # a lone false leaves no "u", true or null no "f"
+        doc_odd_values,
+        st.lists(st.one_of(doc_numbers, doc_odd_values), min_size=2, max_size=2),
+        st.lists(doc_numbers, max_size=3),
+        doc_numbers,
+    )
+    if draw(st.integers(0, 7)) == 0:  # every number one list deeper
+        data = [[v] for v in data] if kind == "real" else [[[re], [im]] for re, im in data]
+    for _ in range(draw(st.integers(0, 2))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(spoiled)
+    doc = {"dims": [m, n, p], "kind": kind, "data": data}
+    if draw(st.booleans()):
+        doc["note"] = draw(st.one_of(st.sampled_from(["full", "sum", "ok", "x"]), st.text()))
+    return json.dumps(doc)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=400)
+@given(tensor_documents())
+def test_tensor_file_reads_as_the_reference_reads_it(text):
+    """Every document, well-typed or not, with or without the letters of
+    true, false and null, gives the data or the ParseError text of the
+    frozen exact-gate reader."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.json"
+        path.write_text(text, encoding="utf-8")
+        try:
+            want = reference_read_tensor(path)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                read_tensor(path)
+            assert str(err.value) == str(exc)
+            return
+        got = read_tensor(path)
+    assert got.data.dtype == want.dtype
     assert got.data.tobytes() == want.tobytes()
 
 
