@@ -54,7 +54,7 @@ from .spectral import (
     PsdCheck,
     _decompose,
     _gram,
-    _record,
+    is_hermitian,
     random_psd,
     t_eigenvalues,
 )
@@ -245,7 +245,8 @@ def cmd_gen(args, report) -> int:
 def cmd_verify(args, report) -> int:
     a = read_tensor(args.a)
     checks = args.checks.split(",")
-    herm = _record(a).hermitian  # the psd and pd checks share its one eigvalsh pass
+    herm = is_hermitian(a)  # the one check; psd and pd share one values-only decomposition
+    factors = None
     ok = True
     for check in checks:
         if check == "hermitian":
@@ -253,9 +254,12 @@ def cmd_verify(args, report) -> int:
             print(f"hermitian: residual = {_fmt(res.residual)} -> {'ok' if res.ok else 'FAIL'}")
         elif check in ("psd", "pd"):
             if check == "pd" and not herm.ok:  # not PD; report the least real eigenvalue part
-                res = PsdCheck(False, float(np.real(t_eigenvalues(a).values).min()))
+                # (an rfft half's missing slices add only conjugates)
+                res = PsdCheck(False, float(np.linalg.eigvals(_to_stack(a)).real.min()))
             else:
-                res = _decompose(a, "is_psd", vectors=False)._verdict(definite=check == "pd")
+                if factors is None:
+                    factors = _decompose(a, "is_psd", vectors=False, check=herm)
+                res = factors._verdict(definite=check == "pd")
             print(
                 f"{check}: min_eigenvalue = {_fmt(res.min_eigenvalue)} -> "
                 f"{'ok' if res.ok else 'FAIL'}"
@@ -434,14 +438,12 @@ def _bench_callable(op: str, n: int, p: int, seed: int):
     if op == "eig":
         a = Tensor3(rng.standard_normal((n, n, p)))
         return lambda: t_eigenvalues(a, method="bcirc")
-    # a tensor keeps its factors, so each call decomposes new tensors of the same data
     if op == "bw-dist":
-        a = random_psd(n, p, rng).data
-        b = random_psd(n, p, rng).data
-        return lambda: dist_bures_wasserstein(Tensor3(a), Tensor3(b))
+        a, b = random_psd(n, p, rng), random_psd(n, p, rng)
+        return lambda: dist_bures_wasserstein(a, b)
     if op == "kyfan":
-        h = _random_hermitian(n, p, rng).data
-        return lambda: ky_fan_sum(Tensor3(h), max(1, n // 2))
+        h = _random_hermitian(n, p, rng)
+        return lambda: ky_fan_sum(h, max(1, n // 2))
     raise ValueError(f"unknown benchmark op {op!r}")
 
 

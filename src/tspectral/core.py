@@ -23,7 +23,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -75,14 +75,9 @@ class Tensor3:
         Frontal slice ``k`` is ``data[:, :, k]``.  Real input is stored as
         float64, complex input as complex128, in a private read-only
         C-contiguous copy.
-
-    The stored data must never be written: :mod:`tspectral.spectral` keeps
-    each tensor's Hermitian check and eigendecomposition with the tensor
-    (``_spectral``) and reads them back on every later call.
     """
 
     data: np.ndarray
-    _spectral: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "data", _as_tensor_data(self.data))

@@ -18,13 +18,11 @@ that callers build from them.  The verdict-then-clamp rule lives there too:
 ``EigFactors._require`` raises on a failed verdict, else returns the
 eigenvalues clamped at 0, so no caller clips a spectrum of its own.
 
-A :class:`~tspectral.core.Tensor3` never changes, so its Hermitian check
-and its eigendecomposition are functions of the tensor alone.  Both are
-kept with the tensor in a per-tensor record (:class:`_Record`): the check
-runs once in the tensor's life, and so does the eigensolve, ``eigvalsh``
-while values suffice and ``eigh`` from the first call that needs vectors.
-:func:`t_eigenvalues` reads the same record.  The PSD/PD verdicts are
-taken on every call, and a failed Hermitian check raises on every call.
+Each call checks and decomposes each of its operands once, and keeps
+nothing: a :class:`~tspectral.core.Tensor3` carries its data alone, so two
+calls on one tensor (say :func:`is_psd`, then :func:`t_function`) check and
+decompose it in each call.  :func:`t_eigenvalues` runs the same check, then
+one ``eigvalsh`` (Hermitian) or ``eigvals`` on the Fourier stack.
 """
 
 from __future__ import annotations
@@ -271,55 +269,31 @@ def _stack_eig(stack: np.ndarray, p: int, kind: str | None, vectors: bool = True
     if vectors:
         w, q = np.linalg.eigh(stack)
         q = q[..., ::-1]
-        q.setflags(write=False)  # the factors may be kept and shared
+        q.setflags(write=False)  # read-only, like a tensor's data
     else:
         w, q = np.linalg.eigvalsh(stack), None
     return EigFactors(_all_slices(w[..., ::-1], p, axis=-2).swapaxes(-1, -2), q, kind)
 
 
-class _Record:
-    """What is known of one tensor, kept on it as ``Tensor3._spectral``: its
-    Hermitian check and, once decomposed, its factors (values only until
-    vectors are first asked for)."""
-
-    __slots__ = ("hermitian", "factors")
-
-    def __init__(self, hermitian: HermitianCheck):
-        self.hermitian = hermitian
-        self.factors: EigFactors | None = None
-
-
-def _record(t: Tensor3) -> _Record:
-    """The record of ``t``; the first call runs the tensor's one Hermitian check."""
-    rec = t._spectral
-    if rec is None:
-        rec = _Record(is_hermitian(t))
-        object.__setattr__(t, "_spectral", rec)
-    return rec
-
-
-def _decompose(t, op: str, vectors: bool = True) -> EigFactors:
-    """The one gate to a Hermitian operand's spectrum: the tensor's Hermitian
-    check, raising a :class:`PreconditionError` that names ``op``, then its
-    factors from :func:`_stack_eig` on the Fourier stack of ``t``.
-
-    Both are kept in the tensor's record, so each runs once per tensor: a
-    later call reads them back, and only a first request for ``vectors``
-    after a values-only decomposition solves again, replacing the entry.
-    Callers must not write to the shared factors.  For a batch of tensor data
-    (..., n, n, p) every item is checked and decomposed, and nothing is kept."""
-    batch = not isinstance(t, Tensor3)
-    rec = _Record(HermitianCheck(*_hermitian_rule(t))) if batch else _record(t)
-    bad = _first_failure(rec.hermitian.ok)
+def _decompose(
+    t, op: str, vectors: bool = True, check: HermitianCheck | None = None
+) -> EigFactors:
+    """The one gate to a Hermitian operand's spectrum: the Hermitian check
+    (:func:`is_hermitian` for a tensor, every item of a batch of tensor data
+    (..., n, n, p)), raising a :class:`PreconditionError` that names ``op``, then
+    the factors of :func:`_stack_eig` on its Fourier stack.  Each call runs both
+    once and keeps nothing; a caller that holds the tensor's check passes it as
+    ``check``."""
+    if check is None:
+        check = is_hermitian(t) if isinstance(t, Tensor3) else HermitianCheck(*_hermitian_rule(t))
+    bad = _first_failure(check.ok)
     if bad is not None:
         raise PreconditionError(
             f"{op} requires a Hermitian tensor: residual "
-            f"{np.ravel(rec.hermitian.residual)[bad]:.3e} exceeds {HERMITIAN_RTOL:.0e} * ||A||_F"
+            f"{np.ravel(check.residual)[bad]:.3e} exceeds {HERMITIAN_RTOL:.0e} * ||A||_F"
         )
-    if rec.factors is None or (vectors and rec.factors._q_stack is None):
-        kind = "real" if _product_kind(t) == "real" else None
-        rec.factors = _stack_eig(_to_stack(t), t.shape[-1], kind, vectors)
-    return rec.factors
+    kind = "real" if _product_kind(t) == "real" else None
+    return _stack_eig(_to_stack(t), t.shape[-1], kind, vectors)
 
 
 def _sorted_spectrum(values: np.ndarray, provenance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,13 +311,9 @@ def t_eigenvalues(t: Tensor3, method: str = "fourier") -> Spectrum:
     """
     if t.m != t.n:
         raise ShapeError(f"eigenvalues require square slices, got {t.m}x{t.n}")
-    hermitian = _record(t).hermitian.ok
-    eig = np.linalg.eigvalsh if hermitian else np.linalg.eigvals
+    eig = np.linalg.eigvalsh if is_hermitian(t).ok else np.linalg.eigvals
     if method == "fourier":
-        if hermitian:  # the tensor's kept factors, shape (p, n) per slice
-            vals = _decompose(t, "t_eigenvalues", vectors=False).fourier_eigenvalues.T.ravel()
-        else:
-            vals = _all_slices(eig(_to_stack(t)), t.p, axis=-2).ravel()
+        vals = _all_slices(eig(_to_stack(t)), t.p, axis=-2).ravel()
         prov = np.repeat(np.arange(1, t.p + 1), t.n)
         return Spectrum(*_sorted_spectrum(vals, prov))
     if method == "bcirc":

@@ -3,12 +3,13 @@
 The counts are taken by wrapping ``spectral.is_hermitian`` wherever the
 package holds it, the numpy eigensolvers and the inverse FFTs, for the
 duration of one public call.  Traces of t-products are taken on Fourier
-stacks, so the bounds run no inverse FFT at all.  A tensor keeps its check
-and its factors, so calls in sequence on the same tensors check and
-decompose each tensor once in all.
+stacks, so the bounds run no inverse FFT at all.  Nothing is kept between
+calls: a tensor holds its data alone, so each call in a sequence on the same
+tensors checks and decomposes each of its operands again, once.
 """
 
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
@@ -191,58 +192,70 @@ def test_kyfan_group_decides_from_eigenvalues(calls):
     assert calls["irfft"] + calls["ifft"] == 0
 
 
+def _per_call(calls, *thunks):
+    """(checks, eigh, eigvalsh, all eigensolves) of each call, run one after another."""
+    counts = []
+    for thunk in thunks:
+        calls.clear()
+        thunk()
+        counts.append(
+            (calls["is_hermitian"], calls["eigh"], calls["eigvalsh"], _eigensolves(calls))
+        )
+    return counts
+
+
+def test_tensor_holds_its_data_alone():
+    assert [f.name for f in dataclasses.fields(Tensor3)] == ["data"]
+
+
 def test_dist_bures_wasserstein_in_sequence(calls):
+    """d(A, A) has two operands too, so it checks and decomposes A twice."""
     a = random_psd(3, 4, 9)
     b = random_psd(3, 4, 10)
-    calls.clear()
-    dist_bures_wasserstein(a, b)
-    dist_bures_wasserstein(b, a)
-    dist_bures_wasserstein(a, a)
-    assert calls["is_hermitian"] == 2
-    assert (calls["eigh"], _eigensolves(calls)) == (2, 2)
+    counts = _per_call(
+        calls,
+        lambda: dist_bures_wasserstein(a, b),
+        lambda: dist_bures_wasserstein(b, a),
+        lambda: dist_bures_wasserstein(a, a),
+    )
+    assert counts == [(2, 2, 0, 2)] * 3
 
 
 def test_ky_fan_max_then_min(calls):
     h = cli._random_hermitian(3, 4, np.random.default_rng(11))
-    calls.clear()
-    ky_fan_sum(h, 2, which="max")
-    ky_fan_sum(h, 2, which="min")
-    assert calls["is_hermitian"] == 1
-    assert (calls["eigh"], _eigensolves(calls)) == (1, 1)
+    counts = _per_call(
+        calls, lambda: ky_fan_sum(h, 2, which="max"), lambda: ky_fan_sum(h, 2, which="min")
+    )
+    assert counts == [(1, 1, 0, 1)] * 2
 
 
 def test_values_then_vectors(calls):
-    """A values-only decomposition is replaced once vectors are asked for."""
+    """Each call solves for what it needs: values for is_psd, vectors for the rest."""
     t = random_psd(3, 5, 12)
-    calls.clear()
-    assert is_psd(t)
-    t_function(t, "sqrt")
-    psd_factor(t)
-    assert calls["is_hermitian"] == 1
-    assert (calls["eigvalsh"], calls["eigh"], _eigensolves(calls)) == (1, 1, 2)
+    counts = _per_call(
+        calls, lambda: is_psd(t), lambda: t_function(t, "sqrt"), lambda: psd_factor(t)
+    )
+    assert counts == [(1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 0, 1)]
 
 
-def test_t_eigenvalues_reads_kept_factors(calls):
+def test_t_eigenvalues_after_hermitian_eig(calls):
     h = cli._random_hermitian(3, 4, np.random.default_rng(13))
-    calls.clear()
-    hermitian_eig(h)
-    t_eigenvalues(h)
-    assert calls["is_hermitian"] == 1
-    assert (calls["eigh"], _eigensolves(calls)) == (1, 1)
+    counts = _per_call(calls, lambda: hermitian_eig(h), lambda: t_eigenvalues(h))
+    assert counts == [(1, 1, 0, 1), (1, 0, 1, 1)]
 
 
-def test_failed_check_is_kept_and_each_call_names_its_op(calls):
+def test_failed_check_runs_in_each_call_and_names_its_op(calls):
     t = Tensor3(np.random.default_rng(14).standard_normal((3, 3, 4)))
-    calls.clear()
     for op, call in (
         ("is_psd", lambda: is_psd(t)),
         ("t_function", lambda: t_function(t, "sqrt")),
         ("ky_fan_sum", lambda: ky_fan_sum(t, 1)),
     ):
+        calls.clear()
         with pytest.raises(PreconditionError, match=f"^{op} requires a Hermitian tensor"):
             call()
-    assert calls["is_hermitian"] == 1
-    assert _eigensolves(calls) == 0
+        assert calls["is_hermitian"] == 1
+        assert _eigensolves(calls) == 0
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -48,7 +48,7 @@ from tspectral import (
 )
 from tspectral.core import _conj_transpose_data, _norm
 from tspectral.geometry import _bures_wasserstein, _checked
-from tspectral.spectral import _hermitian_rule, _stack_eig
+from tspectral.spectral import _decompose, _hermitian_rule, _stack_eig
 from tspectral.transform import _adjoint, _all_slices, _from_stack, _stack_trace, _to_stack
 from helpers_oracles import (
     assert_multiset_close,
@@ -59,6 +59,9 @@ from helpers_oracles import (
     oracle_eigenvalues,
     reference_read_tensor,
 )
+
+# eigh and eigvalsh run different LAPACK drivers, whose eigenvalues differ by a few ulps.
+EIGH_VALUES_RTOL = 1e-13
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -156,6 +159,19 @@ def test_eigenvalues_match_bcirc(n, p, kind, hermitian, seed):
     assert_multiset_close(spec.values, oracle_eigenvalues(list(t.slices())), 1e-9 * (1 + n * p))
     if hermitian:
         assert spec.is_real
+
+
+@PROPERTY_SETTINGS
+@given(sizes, tube_lengths, kinds, seeds)
+def test_hermitian_eigenvalues_are_one_values_only_solve(n, p, kind, seed):
+    """``t_eigenvalues`` of a Hermitian tensor is bit for bit the sorted values-only
+    factors that the PSD checks read, and agrees with ``hermitian_eig`` to roundoff."""
+    t = _hermitian(np.random.default_rng(seed), n, p, kind)
+    got = t_eigenvalues(t).values
+    values_only = _decompose(t, "is_psd", vectors=False).fourier_eigenvalues
+    assert got.tobytes() == np.sort(values_only.ravel())[::-1].tobytes()
+    with_vectors = np.sort(hermitian_eig(t).fourier_eigenvalues.ravel())[::-1]
+    assert np.abs(got - with_vectors).max() <= EIGH_VALUES_RTOL * max(1.0, np.abs(got).max())
 
 
 @PROPERTY_SETTINGS
