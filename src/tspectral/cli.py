@@ -58,7 +58,7 @@ from .spectral import (
     random_psd,
     t_eigenvalues,
 )
-from .transform import _adjoint, _slice_weights, _stack_trace, _to_stack, tprod
+from .transform import _adjoint, _slice_sum, _stack_trace, _to_stack, tprod
 
 SEED_ENV_VAR = "TSPECTRAL_SEED"
 
@@ -108,14 +108,13 @@ def _print_report(rep) -> None:
 def _eig_line(vals: np.ndarray) -> str:
     """Eigenvalues to 4 decimals, space-separated, with no negative zero.
 
-    A real part is correctly rounded, as ``round(x, 4)`` rounds, and a token
-    "-0.0000" is printed "0.0000".  An imaginary part is rounded as
-    ``np.round(x, 4)`` rounds (it scales by 1e4) and printed with its sign,
-    a zero as "+0.0000".
+    Both parts are correctly rounded, as ``round(x, 4)`` rounds.  A real
+    part "-0.0000" is printed "0.0000"; an imaginary part is printed with its
+    sign, a zero as "+0.0000".
     """
     if vals.dtype.kind == "c":
-        imag = (np.round(vals.imag, 4) + 0.0).tolist()
-        line = " ".join(map("{:.4f}{:+.4f}j".format, vals.real.tolist(), imag))
+        line = " ".join(map("{:.4f}{:+.4f}j".format, vals.real.tolist(), vals.imag.tolist()))
+        line = line.replace("-0.0000j", "+0.0000j")
     else:
         line = " ".join(map("{:.4f}".format, vals.tolist()))
     return line.replace("-0.0000", "0.0000")
@@ -331,7 +330,7 @@ def _trace_sqrt(x: np.ndarray) -> np.ndarray:
     sqrt over its Fourier-slice eigenvalues, checked and clamped as in t_function."""
     factors = _decompose(x, "t_function", vectors=False)
     roots = np.sqrt(factors._require("sqrt requires positive semidefinite input")).sum(axis=-1)
-    return roots @ _slice_weights(roots.shape[-1], x.shape[-1])
+    return _slice_sum(roots, x.shape[-1])
 
 
 def _decide_bw_axioms(*gaussians: np.ndarray) -> np.ndarray:

@@ -11,6 +11,8 @@ geodesic ``G(t) = A^(1/2) * (A^(-1/2) * B * A^(-1/2))^t * A^(1/2)``.
 Hermitian, PSD and positive-definiteness decisions are made in
 :mod:`tspectral.spectral`: each operand is checked and decomposed once, and
 A^(1/2), A^(-1/2) and log A are built from its factors as Fourier stacks.
+A real operand of a complex product is solved on its rfft half and handed
+over on all p slices; every sum over slices is :func:`~tspectral.transform._slice_sum`.
 The log-Euclidean distance never leaves the Fourier domain:
 ||T||_F^2 = sum_k ||T_k||_F^2 over the p Fourier slices.
 
@@ -48,7 +50,7 @@ from .core import (
 from .errors import DomainError, NumericError, ShapeError
 from .spectral import _decompose, _stack_eig
 from .spectral import t_eigenvalues  # noqa: F401  (perfbench's tracing check reads it here)
-from .transform import _adjoint, _from_stack, _product_kind, _slice_weights, _to_stack
+from .transform import _adjoint, _from_stack, _product_kind, _slice_sum, _to_stack
 
 __all__ = [
     "GeodesicProfile",
@@ -99,22 +101,22 @@ class GeodesicProfile:
         object.__setattr__(self, "traces", tr)
 
 
-def _checked(t, op: str, name: str, definite: bool = False, all_slices: bool = False) -> tuple:
+def _checked(t, op: str, name: str, definite: bool = False, kind: str | None = None) -> tuple:
     """(factors, clamped eigenvalues, real trace) of an operand, or of a batch of them,
-    checked (PSD, or positive definite) and decomposed once; ``all_slices`` puts an rfft
-    half on all p slices."""
-    factors = _decompose(t, op)
-    factors = factors._on_all_slices() if all_slices else factors
+    checked (PSD, or positive definite) and decomposed once for a product of ``kind``."""
+    factors = _decompose(t, op, kind=kind)
     need = "positive definite" if definite else "PSD"
     w = factors._require(f"{op} requires {name} {need}", definite=definite)
     return factors, w, _real_trace(t)
 
 
 def _checked_pair(a: Tensor3, b: Tensor3, op: str, definite: bool = False) -> list[tuple]:
-    """:func:`_checked` of A and B; when their kinds differ the real one's rfft half
-    is put on all p slices."""
+    """:func:`_checked` of A and B, on the slices of their product; one object
+    passed as both is checked and decomposed once."""
     _require_same_shape(a, b, op)
-    return [_checked(t, op, name, definite, a.kind != b.kind) for t, name in ((a, "A"), (b, "B"))]
+    kind = _product_kind(a, b)
+    checked_a = _checked(a, op, "A", definite, kind)
+    return [checked_a, checked_a if b is a else _checked(b, op, "B", definite, kind)]
 
 
 def dist_frobenius(a: Tensor3, b: Tensor3, convention: str = "bcirc") -> float:
@@ -150,7 +152,7 @@ def _bures_wasserstein(checked_a: tuple, checked_b: tuple, scale: float = 1.0):
     root_wa, root_wb = np.sqrt(wa), np.sqrt(wb)
     core = root_wa[..., :, None] * (_adjoint(fa._q_stack) @ fb._q_stack) * root_wb[..., None, :]
     nuclear = np.linalg.svd(core, compute_uv=False).sum(axis=-1)
-    cross = nuclear @ _slice_weights(nuclear.shape[-1], fa.fourier_eigenvalues.shape[-1])
+    cross = _slice_sum(nuclear, fa._p)
     radicand = (traces - 2.0 * cross) * scale
     floor = -RADICAND_RTOL * traces * scale
     bad = _first_failure(~(radicand < floor))
@@ -169,7 +171,7 @@ def dist_log_euclidean(a: Tensor3, b: Tensor3, convention: str = "bcirc") -> flo
     pair = _checked_pair(a, b, "dist_log_euclidean", definite=True)
     log_a, log_b = (f._apply(np.log(w)) for f, w, _ in pair)
     sq_norms = np.sum(np.abs(log_a - log_b) ** 2, axis=(1, 2))  # per Fourier slice
-    sq_norm = float(_slice_weights(len(sq_norms), a.p) @ sq_norms)
+    sq_norm = float(_slice_sum(sq_norms, a.p))
     return math.sqrt(_convention_scale(convention, a.p) * sq_norm)
 
 
@@ -187,8 +189,7 @@ class _GeodesicFactors:
 
     def traces(self, ts: np.ndarray) -> np.ndarray:
         col_norms = np.sum(np.abs(self.x) ** 2, axis=1)  # ||X_k e_i||^2, shape (p', n)
-        col_norms *= _slice_weights(len(self.x), self.p)[:, None]
-        return np.array([float(np.sum(self.w**t * col_norms)) for t in ts])
+        return np.array([_slice_sum(np.sum(self.w**t * col_norms, axis=-1), self.p) for t in ts])
 
 
 def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFactors:
@@ -199,20 +200,18 @@ def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFac
     if regularize > 0.0:
         a = a + regularize * identity(a.n, a.p)
     kind = _product_kind(a, b)
-    eig_a = _decompose(a, "geodesic")
-    if kind != a.kind:  # real A, complex B: A's rfft half on all p slices
-        eig_a = eig_a._on_all_slices()
+    eig_a = _decompose(a, "geodesic", kind=kind)
     root = np.sqrt(eig_a._require(
         "geodesic requires positive definite A (pass regularize=eps to shift explicitly)",
         definite=True,
     ))
-    eig_b = _decompose(b, "geodesic", vectors=False)
+    eig_b = _decompose(b, "geodesic", vectors=False, kind=kind)
     eig_b._require("geodesic requires B PSD")
     inv_root_a = eig_a._apply(1.0 / root)
     mid = inv_root_a @ _to_stack(b, kind) @ inv_root_a
     eig_m = _stack_eig(0.5 * (mid + _adjoint(mid)), a.p, kind)
     w = eig_m._require("geodesic requires A^(-1/2) B A^(-1/2) PSD")
-    w_b = eig_b.fourier_eigenvalues.T[: len(w)]  # B's eigenvalues on M's slices
+    w_b = eig_b._w  # B's eigenvalues on M's slices
     nulls = np.sum(w_b <= a.n * NULL_EIGENVALUE_RTOL * max(w_b.max(), 0.0), axis=1)
     w[np.arange(a.n) >= a.n - nulls[:, None]] = 0.0  # M's smallest, _w being descending
     return _GeodesicFactors(eig_a._apply(root) @ eig_m._q_stack, w, kind, a.p)

@@ -123,39 +123,37 @@ def _diagonal_stack(d: np.ndarray, m: int, n: int) -> np.ndarray:
     return out
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
+
+
 @dataclass(frozen=True)
 class EigFactors:
     """Unitary factorization A = Q * L * Q^H of a Hermitian tensor.
 
     ``L`` is f-diagonal; its Fourier-slice diagonals are the (real)
-    eigenvalues, exposed as ``fourier_eigenvalues`` with shape (n, p) in
-    descending order per slice.  The factors are held as the Fourier stack
-    of Q; the tensors ``q`` and ``l`` are built when first read.
+    eigenvalues.  The fields hold only the slices that were solved (an rfft
+    half for a real operand); the read-only ``fourier_eigenvalues``, shape
+    (n, p) and descending per slice, and the tensors ``q`` and ``l`` are
+    built when first read.
     """
 
-    fourier_eigenvalues: np.ndarray
-    _q_stack: np.ndarray | None = field(repr=False)  # (p', n, n) stack of Q; None: values only
-    _kind: str | None = field(repr=False)  # kind passed to the inverse; "real": an rfft half
+    _w: np.ndarray  # (..., p', n) eigenvalues of the stacked slices, descending per slice
+    _q_stack: np.ndarray | None = field(repr=False)  # (..., p', n, n) stack of Q; None: values only
+    _p: int
+    _kind: str | None  # kind passed to the inverse; "real": an rfft half
 
-    def __post_init__(self):
-        ev = np.asarray(self.fourier_eigenvalues, dtype=np.float64).copy()
-        ev.setflags(write=False)
-        object.__setattr__(self, "fourier_eigenvalues", ev)
-
-    @property
-    def _w(self) -> np.ndarray:
-        """Eigenvalues of the stacked slices, shape (p', n)."""
-        p = self.fourier_eigenvalues.shape[-1]
-        stacked = p // 2 + 1 if self._kind == "real" else p
-        return self.fourier_eigenvalues.swapaxes(-1, -2)[..., :stacked, :]
+    @cached_property
+    def fourier_eigenvalues(self) -> np.ndarray:
+        return _read_only(_all_slices(self._w, self._p, axis=-2).swapaxes(-1, -2).copy())
 
     def _verdict(self, definite: bool = False) -> PsdCheck:
         """The :func:`is_psd` verdict, or with ``definite`` the positive
         definiteness one (min eigenvalue above ``pd_tolerance``); for a batch,
-        its fields are per-item arrays."""
-        ev = self.fourier_eigenvalues
-        item = (-2, -1) if ev.ndim > 2 else None
-        lam_min, lam_max = ev.min(axis=item), ev.max(axis=item)
+        its fields are per-item arrays.  An rfft half has the min and max of all p slices."""
+        item = (-2, -1) if self._w.ndim > 2 else None
+        lam_min, lam_max = self._w.min(axis=item), self._w.max(axis=item)
         ok = lam_min > pd_tolerance(lam_max) if definite else lam_min >= -psd_tolerance(lam_max)
         return PsdCheck(ok, lam_min) if item else PsdCheck(bool(ok), float(lam_min))
 
@@ -175,55 +173,47 @@ class EigFactors:
         """The stack of Q_k diag(fw_k) Q_k^H, for ``fw`` shaped like ``_w``."""
         return (self._q_stack * fw[..., None, :]) @ _adjoint(self._q_stack)
 
-    def _on_all_slices(self) -> EigFactors:
-        """The same factors with an rfft half extended to all p slices."""
-        if self._kind != "real":
-            return self
-        p = self.fourier_eigenvalues.shape[-1]
-        return EigFactors(self.fourier_eigenvalues, _all_slices(self._q_stack, p), None)
-
     @cached_property
     def q(self) -> Tensor3:
-        return _from_stack(self._q_stack, self.fourier_eigenvalues.shape[1], self._kind)
+        return _from_stack(self._q_stack, self._p, self._kind)
 
     @cached_property
     def l(self) -> Tensor3:
-        n, p = self.fourier_eigenvalues.shape
-        return _from_stack(_diagonal_stack(self._w, n, n), p, self._kind)
+        n = self._w.shape[-1]
+        return _from_stack(_diagonal_stack(self._w, n, n), self._p, self._kind)
 
 
 @dataclass(frozen=True)
 class TSvdFactors:
     """t-SVD triple A = U * S * V^H with f-diagonal non-negative S.
 
-    The factors are held as the Fourier stacks of U and V; the tensors
-    ``u``, ``s`` and ``v`` are built when first read.
+    The fields hold only the slices that were solved, as in :class:`EigFactors`;
+    the read-only ``fourier_singular_values``, shape (min(m, n), p), and the
+    tensors ``u``, ``s`` and ``v`` are built when first read.
     """
 
-    fourier_singular_values: np.ndarray
+    _sv: np.ndarray  # (p', min(m, n)) singular values of the stacked slices, descending
     _u_stack: np.ndarray = field(repr=False)  # (p', m, m) Fourier stack of U
     _v_stack: np.ndarray = field(repr=False)  # (p', n, n) Fourier stack of V
-    _kind: str | None = field(repr=False)
+    _p: int
+    _kind: str | None
 
-    def __post_init__(self):
-        sv = np.asarray(self.fourier_singular_values, dtype=np.float64).copy()
-        sv.setflags(write=False)
-        object.__setattr__(self, "fourier_singular_values", sv)
+    @cached_property
+    def fourier_singular_values(self) -> np.ndarray:
+        return _read_only(_all_slices(self._sv, self._p, axis=-2).T.copy())
 
     @cached_property
     def u(self) -> Tensor3:
-        return _from_stack(self._u_stack, self.fourier_singular_values.shape[1], self._kind)
+        return _from_stack(self._u_stack, self._p, self._kind)
 
     @cached_property
     def s(self) -> Tensor3:
-        sv = self.fourier_singular_values
         m, n = self._u_stack.shape[1], self._v_stack.shape[1]
-        stack = _diagonal_stack(sv.T[: len(self._u_stack)], m, n)
-        return _from_stack(stack, sv.shape[1], self._kind)
+        return _from_stack(_diagonal_stack(self._sv, m, n), self._p, self._kind)
 
     @cached_property
     def v(self) -> Tensor3:
-        return _from_stack(self._v_stack, self.fourier_singular_values.shape[1], self._kind)
+        return _from_stack(self._v_stack, self._p, self._kind)
 
 
 @dataclass(frozen=True)
@@ -268,22 +258,23 @@ def _stack_eig(stack: np.ndarray, p: int, kind: str | None, vectors: bool = True
     ``"real"``) or a batch of them: one batched ``eigh``, or ``eigvalsh`` without ``vectors``."""
     if vectors:
         w, q = np.linalg.eigh(stack)
-        q = q[..., ::-1]
-        q.setflags(write=False)  # read-only, like a tensor's data
+        q = _read_only(q[..., ::-1])  # read-only, like a tensor's data
     else:
         w, q = np.linalg.eigvalsh(stack), None
-    return EigFactors(_all_slices(w[..., ::-1], p, axis=-2).swapaxes(-1, -2), q, kind)
+    return EigFactors(w[..., ::-1], q, p, kind)
 
 
 def _decompose(
-    t, op: str, vectors: bool = True, check: HermitianCheck | None = None
+    t, op: str, vectors: bool = True, check: HermitianCheck | None = None, kind: str | None = None
 ) -> EigFactors:
     """The one gate to a Hermitian operand's spectrum: the Hermitian check
     (:func:`is_hermitian` for a tensor, every item of a batch of tensor data
     (..., n, n, p)), raising a :class:`PreconditionError` that names ``op``, then
     the factors of :func:`_stack_eig` on its Fourier stack.  Each call runs both
     once and keeps nothing; a caller that holds the tensor's check passes it as
-    ``check``."""
+    ``check``.  ``kind`` is the kind of the product the factors serve, as in
+    :func:`~tspectral.transform._to_stack`: a real operand is solved on its
+    rfft half, and for ``"complex"`` its factors are then put on all p slices."""
     if check is None:
         check = is_hermitian(t) if isinstance(t, Tensor3) else HermitianCheck(*_hermitian_rule(t))
     bad = _first_failure(check.ok)
@@ -292,8 +283,12 @@ def _decompose(
             f"{op} requires a Hermitian tensor: residual "
             f"{np.ravel(check.residual)[bad]:.3e} exceeds {HERMITIAN_RTOL:.0e} * ||A||_F"
         )
-    kind = "real" if _product_kind(t) == "real" else None
-    return _stack_eig(_to_stack(t), t.shape[-1], kind, vectors)
+    p, real = t.shape[-1], _product_kind(t) == "real"
+    factors = _stack_eig(_to_stack(t), p, "real" if real else None, vectors)
+    if real and kind == "complex":
+        q = factors._q_stack if factors._q_stack is None else _all_slices(factors._q_stack, p)
+        factors = EigFactors(_all_slices(factors._w, p, axis=-2), q, p, None)
+    return factors
 
 
 def _sorted_spectrum(values: np.ndarray, provenance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -326,8 +321,8 @@ def hermitian_eig(t: Tensor3) -> EigFactors:
     """Slice-wise unitary eigendecomposition of a Hermitian tensor.
 
     Eigenvalues are sorted descending within each Fourier slice.  Real
-    input is decomposed on its p // 2 + 1 independent Fourier slices, so
-    the Q and L factors come back real.
+    input is decomposed on its independent Fourier slices, the rfft half
+    of :mod:`tspectral.transform`, so the Q and L factors come back real.
     """
     return _decompose(t, "hermitian_eig")
 
@@ -340,8 +335,7 @@ def t_svd(t: Tensor3) -> TSvdFactors:
     n x n x p.
     """
     u, sv, vh = np.linalg.svd(_to_stack(t))
-    kind = "real" if t.kind == "real" else None
-    return TSvdFactors(_all_slices(sv, t.p, axis=-2).T, u, _adjoint(vh), kind)
+    return TSvdFactors(sv, u, _adjoint(vh), t.p, "real" if t.kind == "real" else None)
 
 
 _FUNCTION_TAGS = ("sqrt", "log", "inv_sqrt", "pow")

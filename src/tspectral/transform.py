@@ -16,8 +16,9 @@ Every fast kernel works on the private Fourier stack, shape ``(p', m, n)``,
 with one batched numpy call over all slices.  A real tensor's slice ``p - k``
 is the conjugate of slice ``k``, so its stack holds the ``p' = p // 2 + 1``
 slices of ``rfft`` (back through ``irfft``); a complex one all ``p`` of
-``fft``.  Only the stack helpers below know about this symmetry, and every
-DFT of the package runs in :func:`_to_stack` or :func:`_from_stack`.
+``fft``.  Only the stack helpers below know about this symmetry: every DFT
+of the package runs in :func:`_to_stack` or :func:`_from_stack`, and every
+sum over all p slices in :func:`_slice_sum`.
 """
 
 from __future__ import annotations
@@ -97,22 +98,27 @@ def _all_slices(x: np.ndarray, p: int, axis: int = -3) -> np.ndarray:
 
 
 def _slice_weights(stack_len: int, p: int) -> np.ndarray:
-    """How often each stacked slice occurs among the p slices, for sums such
-    as traces: twice for the interior slices of an rfft half, else once."""
+    """How often each stacked slice occurs among the p slices (an rfft half's interior twice)."""
     weights = np.ones(stack_len)
     if stack_len < p:
         weights[1 : (p + 1) // 2] = 2.0
     return weights
 
 
+def _slice_sum(per_slice: np.ndarray, p: int):
+    """Sum over all p slices of a quantity given per stacked slice on the last
+    axis (..., p'), such as a trace: each slice weighted by how often it occurs."""
+    return per_slice @ _slice_weights(per_slice.shape[-1], p)
+
+
 def _stack_trace(*stacks: np.ndarray, p: int, kind: str):
-    """Trace of the t-product of the tensors with these Fourier stacks, as
-    sum_k w_k tr(S1_k ... Sr_k) (weights of :func:`_slice_weights`).  The
-    last pair is contracted over both indices, so the full product is never
-    formed.  A float for ``kind="real"``, else complex (arrays for batches)."""
+    """Trace of the t-product of the tensors with these Fourier stacks, as the
+    :func:`_slice_sum` of tr(S1_k ... Sr_k).  The last pair is contracted over
+    both indices, so the full product is never formed.  A float for
+    ``kind="real"``, else complex (arrays for batches)."""
     *head, last = stacks
     per_slice = np.einsum("...kij,...kji->...k", reduce(np.matmul, head), last)
-    total = (per_slice.real if kind == "real" else per_slice) @ _slice_weights(last.shape[-3], p)
+    total = _slice_sum(per_slice.real if kind == "real" else per_slice, p)
     return total if total.ndim else total.item()
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -583,14 +584,14 @@ class TestBenchCommand:
 
 def _eig_line_per_value(vals):
     """Reference rule for ``eig``'s line, value by value: Python's ``round`` on
-    each real part, numpy's scalar ``round`` on each imaginary part."""
+    each real and each imaginary part."""
 
-    def fmt4(x: float) -> str:
-        return f"{round(float(x), 4) + 0.0:.4f}"
+    def fmt4(x: float, sign: str = "") -> str:
+        return f"{round(float(x), 4) + 0.0:{sign}.4f}"
 
     if vals.dtype.kind != "c":
         return " ".join(fmt4(v) for v in vals)
-    return " ".join(f"{fmt4(v.real)}{round(v.imag, 4) + 0.0:+.4f}j" for v in vals)
+    return " ".join(f"{fmt4(v.real)}{fmt4(v.imag, '+')}j" for v in vals)
 
 
 _EIG_VALUE = st.one_of(
@@ -607,8 +608,24 @@ def test_eig_line_matches_per_value_rule(pairs):
     re, im = (np.array(part) for part in zip(*pairs))
     assert _eig_line(re) == _eig_line_per_value(re)
     z = re + 1j * im
-    with np.errstate(over="ignore"):  # numpy's round scales by 1e4, both rules alike
-        assert _eig_line(z) == _eig_line_per_value(z)
+    assert _eig_line(z) == _eig_line_per_value(z)
+
+
+@pytest.mark.parametrize(
+    "z, want",
+    [
+        # a real and an imaginary part round alike
+        (5202897425.98865 + 5202897425.98865j, "5202897425.9887+5202897425.9887j"),
+        # a huge imaginary part is formatted, not scaled by 1e4 into inf
+        (1.0 + 1e305j, f"1.0000+{1e305:.4f}j"),
+        (-0.0 - 0.00004j, "0.0000+0.0000j"),
+    ],
+    ids=["half-way", "huge-imaginary", "negative-zeros"],
+)
+def test_eig_line_complex_cases(z, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _eig_line(np.array([z])) == want
 
 
 class TestParserOncePerProcess:

@@ -2,7 +2,8 @@
 module-level private name the package defines is used somewhere in it, the
 third-party modules ``src/`` imports are exactly the declared runtime
 dependencies, every DFT runs in the two Fourier-stack helpers, only the
-tensor-file reader switches the cyclic garbage collector, the package
+tensor-file reader switches the cyclic garbage collector, only the Fourier
+layers know which slices a stack holds, the package
 re-exports exactly the public names of its layers, and the CLI builds and
 prints its run report in ``main`` alone.
 
@@ -238,6 +239,60 @@ def test_stray_fft_is_reported(tmp_path):
         ("b.py", "<module>", 2),
         ("b.py", "<module>", 4),
         ("transform.py", "Slices", 10),
+    ]
+
+
+# The modules that know which slices a Fourier stack holds: the rfft layout and its
+# weights live in transform; spectral alone puts a solved half on all p slices.
+SLICE_LAYOUT_HOMES = {
+    "_slice_weights": {"transform.py"},
+    "_all_slices": {"transform.py", "spectral.py"},
+    "p // 2 + 1": {"transform.py"},
+}
+
+
+def _slice_layout_uses(src: Path) -> list[tuple[str, str, int]]:
+    """(name, file, line) of every reference to a name of ``SLICE_LAYOUT_HOMES``
+    outside its homes, in the modules of ``src``: a load, an attribute or an
+    import of the name, or the rfft-half length written out as ``p // 2 + 1``
+    (in code, a docstring or a comment)."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        hits = [("p // 2 + 1", number) for number, line in enumerate(source.splitlines(), 1)
+                if "p // 2 + 1" in line]
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                hits.append((node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                hits.append((node.attr, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                hits += [(alias.name, node.lineno) for alias in node.names]
+        found += [(name, path.name, line) for name, line in hits
+                  if path.name not in SLICE_LAYOUT_HOMES.get(name, {path.name})]
+    return found
+
+
+def test_only_transform_knows_the_slice_layout():
+    assert _slice_layout_uses(SRC) == []
+
+
+def test_stray_slice_layout_is_reported(tmp_path):
+    (tmp_path / "transform.py").write_text(
+        "def _slice_weights(k, p):\n    return p // 2 + 1\n\n\n"
+        "def _all_slices(x, p):\n    return _slice_weights(len(x), p)\n"
+    )
+    (tmp_path / "spectral.py").write_text("from .transform import _all_slices\n\nX = _all_slices\n")
+    (tmp_path / "geometry.py").write_text(
+        "from . import transform\nfrom .transform import _slice_weights\n\n\n"
+        "def cross(x, p):  # the rfft half holds p // 2 + 1 slices\n"
+        "    return x @ _slice_weights(len(x), p) + transform._all_slices(x, p)\n"
+    )
+    assert sorted(_slice_layout_uses(tmp_path)) == [
+        ("_all_slices", "geometry.py", 6),
+        ("_slice_weights", "geometry.py", 2),
+        ("_slice_weights", "geometry.py", 6),
+        ("p // 2 + 1", "geometry.py", 5),
     ]
 
 

@@ -16,6 +16,7 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from tspectral import (
     bcirc,
     conj_transpose,
     dist_bures_wasserstein,
+    dist_log_euclidean,
     frobenius_norm,
     geodesic,
     geodesic_trace_profile,
@@ -252,6 +254,65 @@ def test_geodesic_traces_match_oracle(n, p, kind_a, kind_b, singular_b, seed):
     want = [np.trace(geodesic_bcirc_oracle(slices_a, slices_b, t)).real for t in prof.ts]
     np.testing.assert_allclose(prof.traces, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
     _assert_kind(geodesic(a, b, 0.5), a, b)
+
+
+def _stack_shapes(call):
+    """call() and the (solver, stack shape) of each eigh and eigvalsh it runs."""
+    solves = []
+
+    def recording(name):
+        solver = getattr(np.linalg, name)
+
+        def solve(stack, *args, **kwargs):
+            solves.append((name, stack.shape))
+            return solver(stack, *args, **kwargs)
+
+        return solve
+
+    with mock.patch.object(np.linalg, "eigh", recording("eigh")), \
+            mock.patch.object(np.linalg, "eigvalsh", recording("eigvalsh")):
+        return call(), solves
+
+
+@PROPERTY_SETTINGS
+@given(sizes, st.integers(1, 6), st.booleans(), seeds)
+def test_mixed_kinds_match_the_complex_cast(n, p, singular_b, seed):
+    """A real PD A meets a complex PSD B, in both orders: each geometry call
+    gives, to roundoff, what it gives with A cast to complex, and A is still
+    solved on its p // 2 + 1 rfft slices (B and M on all p)."""
+    rng = np.random.default_rng(seed)
+    a = _psd(rng, n, p, "real", shift=0.5)
+    b = _psd(rng, n, p, "complex", rank=max(n - 1, 1)) if singular_b else \
+        _psd(rng, n, p, "complex", shift=0.5)
+    a_cast = Tensor3(a.data.astype(complex))
+    half, full = ("eigh", (p // 2 + 1, n, n)), ("eigh", (p, n, n))
+    a_values, b_values = ("eigvalsh", half[1]), ("eigvalsh", full[1])
+
+    def profile(x, y):
+        return geodesic_trace_profile(x, y, 5).traces
+
+    def midpoint(x, y):
+        return geodesic(x, y, 0.5).data
+
+    cases = [  # (call, operands, solves on the mixed pair)
+        (dist_bures_wasserstein, (a, b), [half, full]),
+        (dist_bures_wasserstein, (b, a), [full, half]),
+        (profile, (a, b), [half, b_values, full]),
+        (midpoint, (a, b), [half, b_values, full]),
+    ]
+    if not singular_b:  # B is positive definite as well
+        cases += [
+            (dist_log_euclidean, (a, b), [half, full]),
+            (dist_log_euclidean, (b, a), [full, half]),
+            (profile, (b, a), [full, a_values, full]),
+            (midpoint, (b, a), [full, a_values, full]),
+        ]
+    for call, (x, y), solves in cases:
+        got, seen = _stack_shapes(lambda: call(x, y))
+        assert seen == solves, call
+        want = call(*(a_cast if t is a else t for t in (x, y)))
+        scale = np.abs(want).max() + 1.0
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * scale, err_msg=str(call))
 
 
 @pytest.mark.parametrize("p", [3, 4, 5, 8])
@@ -548,7 +609,7 @@ def test_batch_kernels_equal_per_item_calls(batch, n, p, kind, seed):
     # complex, so a real batch meets a complex one and goes on all p slices
     partners = [_psd(rng, n, p, "complex") for _ in range(batch)]
     partner = np.stack([t.data for t in partners])
-    checked = [_checked(x, "dist_bures_wasserstein", name, all_slices=True)
+    checked = [_checked(x, "dist_bures_wasserstein", name, kind="complex")
                for x, name in ((data, "A"), (partner, "B"))]
     dist = _bures_wasserstein(*checked)
     for i in range(batch):
