@@ -7,9 +7,10 @@ spectrum of length ``N = n * p``: with the block-circulant trace convention
 that is exactly the regime in which the slice-wise majorization argument
 aggregates, and it is what makes the identities below close numerically.
 
-Traces of t-products, such as tr(A*B), tr(A*B*A) and tr(U*H*U^H), are
-weighted sums over the Fourier slices, sum_k w_k tr(A_k B_k ...), taken by
-the one kernel ``transform._stack_trace``; no product tensor is formed.
+Traces of t-products, such as tr(A*B), tr(A*B*A) and tr(U*H*U^H), are weighted
+sums over Fourier slices, sum_k w_k tr(A_k B_k ...), by the kernel
+``transform._stack_trace`` on the stacks the operands' factors hold: no operand
+is transformed twice, no product formed.
 
 ``vn_trace_bounds``, ``sandwich_bounds``, ``extremal_ratio_bounds`` and
 ``symmetric_relax_bounds`` also take two batches of tensor data (..., n, n, p)
@@ -34,7 +35,7 @@ from .core import (
     unfold,
 )
 from .errors import DomainError, NumericError, PreconditionError, ShapeError
-from .spectral import _decompose, hermitian_eig, t_eigenvalues
+from .spectral import EigFactors, _decompose, hermitian_eig, t_eigenvalues
 from .transform import _adjoint, _from_stack, _product_kind, _stack_trace, _to_stack
 
 __all__ = [
@@ -52,6 +53,7 @@ __all__ = [
     "ky_fan_sum",
 ]
 
+# Slack of lower <= value <= upper, relative to max(1, |value|): far above the ~N eps roundoff.
 REPORT_RTOL = 1e-8
 
 # An eigenvalue whose imaginary part is at most this share of the spectral
@@ -65,6 +67,9 @@ SHIFT_IDENTITY_RTOL = 1e-9
 ISOMETRY_RTOL = 1e-9
 # tr(U*H*U^H) against the eigenvalue sum it attains, to the eigensolve's backward error.
 ATTAINED_RTOL = 1e-8
+
+# |2-norm - 1| of rayleigh_value's unfold(x): a vector normalized in floating point is off by ~eps.
+UNIT_NORM_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -113,11 +118,10 @@ class KyFanResult:
     optimizer: Tensor3
 
 
-def _product_trace(*factors) -> float:
-    """Real part of tr(T1 * ... * Tr), from the factors' Fourier stacks."""
-    kind = _product_kind(*factors)
-    stacks = [_to_stack(t, kind) for t in factors]
-    return np.real(_stack_trace(*stacks, p=_data(factors[0]).shape[-1], kind=kind))
+def _product_trace(*factors: EigFactors) -> float:
+    """Real part of tr(T1 * ... * Tr), from the Fourier stacks their factors hold."""
+    first = factors[0]
+    return np.real(_stack_trace(*(f._stack for f in factors), p=first._p, kind=first._kind))
 
 
 def _require_square(t: Tensor3, op: str) -> None:
@@ -125,14 +129,21 @@ def _require_square(t: Tensor3, op: str) -> None:
         raise ShapeError(f"{op} requires square slices, got {t.m}x{t.n}")
 
 
-def _spectrum(t, op: str, name: str, psd: bool = False) -> np.ndarray:
-    """Full real spectrum of a Hermitian operand, descending, length n*p;
-    raises :class:`PreconditionError` if it is not Hermitian (or not PSD)."""
-    factors = _decompose(t, f"{op} ({name})", vectors=False)
+def _spectrum(t, op: str, name: str, psd: bool = False, kind: str | None = None) -> tuple:
+    """(factors for a product of ``kind``, full real spectrum descending, length n*p) of a
+    Hermitian operand; raises :class:`PreconditionError` if it is not Hermitian (or not PSD)."""
+    factors = _decompose(t, f"{op} ({name})", vectors=False, kind=kind)
     if psd:
         factors._require(f"{op} requires {name} PSD", error=PreconditionError)
     ev = factors.fourier_eigenvalues
-    return np.sort(ev.reshape(ev.shape[:-2] + (-1,)), axis=-1)[..., ::-1]
+    return factors, np.sort(ev.reshape(ev.shape[:-2] + (-1,)), axis=-1)[..., ::-1]
+
+
+def _spectrum_pair(a, b, op: str, names=("first operand", "second operand"), psd=(True, True)):
+    """:func:`_spectrum` of A and B, of equal shapes, on the slices of their product."""
+    _require_same_shape(a, b, op)
+    kind = _product_kind(a, b)
+    return [_spectrum(t, op, name, need, kind) for t, name, need in zip((a, b), names, psd)]
 
 
 def rayleigh_value(a: Tensor3, x: Tensor3) -> float:
@@ -149,7 +160,7 @@ def rayleigh_value(a: Tensor3, x: Tensor3) -> float:
         )
     y = unfold(x).ravel()
     norm = float(np.linalg.norm(y))
-    if abs(norm - 1.0) > 1e-10:
+    if abs(norm - 1.0) > UNIT_NORM_ATOL:
         raise PreconditionError(f"unfold(x) must be a unit vector; 2-norm is {norm!r}")
     mat = bcirc(a)
     sym = (mat + mat.conj().T) / 2.0
@@ -174,7 +185,7 @@ def symmetrized_bounds(a: Tensor3) -> SymmetrizedBounds:
     (the CLI prints it as ``0.0000`` or ``-0.0000``).
     """
     _require_square(a, "symmetrized_bounds")
-    mu = _spectrum(_hermitian_part(a.data), "symmetrized_bounds", "(A + A^H)/2")
+    _, mu = _spectrum(_hermitian_part(a.data), "symmetrized_bounds", "(A + A^H)/2")
     mu_min, mu_max = float(mu[-1]), float(mu[0])
     rho_sym = float(np.abs(mu).max())
 
@@ -204,11 +215,9 @@ def vn_trace_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
 
         sum_i lam_i(A) lam_{N-i+1}(B)  <=  tr(A*B)  <=  sum_i lam_i(A) lam_i(B).
     """
-    _require_same_shape(a, b, "vn_trace_bounds")
-    lam_a = _spectrum(a, "vn_trace_bounds", "first operand", psd=True)
-    lam_b = _spectrum(b, "vn_trace_bounds", "second operand", psd=True)
+    (fa, lam_a), (fb, lam_b) = _spectrum_pair(a, b, "vn_trace_bounds")
     lower, upper = _vn_sums(lam_a, lam_b)
-    return BoundReport.build(lower, _product_trace(a, b), upper, "trace-product-psd")
+    return BoundReport.build(lower, _product_trace(fa, fb), upper, "trace-product-psd")
 
 
 def hermitian_trace_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
@@ -221,12 +230,8 @@ def hermitian_trace_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
 
     is verified numerically here and raises on disagreement.
     """
-    _require_same_shape(a, b, "hermitian_trace_bounds")
-    lam_a = _spectrum(a, "hermitian_trace_bounds", "first operand")
-    lam_b = _spectrum(b, "hermitian_trace_bounds", "second operand")
-    kind = _product_kind(a, b)
-    sa, sb = _to_stack(a, kind), _to_stack(b, kind)
-    value = float(np.real(_stack_trace(sa, sb, p=a.p, kind=kind)))
+    (fa, lam_a), (fb, lam_b) = _spectrum_pair(a, b, "hermitian_trace_bounds", psd=(False, False))
+    value = float(_product_trace(fa, fb))
     lower, upper = _vn_sums(lam_a, lam_b)
 
     # shift-identity self-check at alpha = 1 + |most negative eigenvalue|;
@@ -234,7 +239,7 @@ def hermitian_trace_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     big_n = a.n * a.p
     alpha = 1.0 + max(0.0, -float(lam_a[-1]), -float(lam_b[-1]))
     shift = alpha * np.eye(a.n)
-    lhs = float(np.real(_stack_trace(sa + shift, sb + shift, p=a.p, kind=kind)))
+    lhs = float(np.real(_stack_trace(fa._stack + shift, fb._stack + shift, p=a.p, kind=fa._kind)))
     rhs = value + alpha * (_real_trace(a) + _real_trace(b)) + big_n * alpha**2
     if abs(lhs - rhs) > SHIFT_IDENTITY_RTOL * max(1.0, abs(lhs)):
         raise NumericError(
@@ -248,12 +253,10 @@ def sandwich_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
 
         lam_min(B) tr(A)^2 / N  <=  tr(A*B*A)  <=  lam_max(B) tr(A)^2.
     """
-    _require_same_shape(a, b, "sandwich_bounds")
-    _spectrum(a, "sandwich_bounds", "first operand", psd=True)
-    lam_b = _spectrum(b, "sandwich_bounds", "second operand", psd=True)
+    (fa, _), (fb, lam_b) = _spectrum_pair(a, b, "sandwich_bounds")
     tr_a = _real_trace(a)
     big_n = lam_b.shape[-1]
-    value = _product_trace(a, b, a)
+    value = _product_trace(fa, fb, fa)
     lower, upper = lam_b[..., -1] * tr_a**2 / big_n, lam_b[..., 0] * tr_a**2
     return BoundReport.build(lower, value, upper, "sandwich-psd")
 
@@ -264,15 +267,13 @@ def extremal_ratio_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     For Hermitian A the ratio always lies in [lam_min(A), lam_max(A)], and
     both endpoints are attained (see :func:`extremal_ratio_witness`).
     """
-    _require_same_shape(a, b, "extremal_ratio_bounds")
-    lam_a = _spectrum(a, "extremal_ratio_bounds", "A")
-    _spectrum(b, "extremal_ratio_bounds", "B", psd=True)
+    (fa, lam_a), (fb, _) = _spectrum_pair(a, b, "extremal_ratio_bounds", ("A", "B"), (False, True))
     tr_b = _real_trace(b)
     bad = _first_failure(tr_b > 0.0)
     if bad is not None:
         tr_b = float(np.ravel(tr_b)[bad])
         raise DomainError(f"extremal_ratio_bounds requires trace(B) > 0, got {tr_b!r}")
-    value = _product_trace(a, b) / tr_b
+    value = _product_trace(fa, fb) / tr_b
     return BoundReport.build(lam_a[..., -1], value, lam_a[..., 0], "extremal-ratio")
 
 
@@ -306,14 +307,14 @@ def symmetric_relax_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     _require_same_shape(a, b, "symmetric_relax_bounds")
     if _product_kind(a, b) != "real":
         raise PreconditionError("symmetric_relax_bounds is defined for real tensors")
-    lam_b = _spectrum(b, "symmetric_relax_bounds", "B")
-    lam_bar = _spectrum(_hermitian_part(_data(a)), "symmetric_relax_bounds", "(A + A^T)/2")
+    fb, lam_b = _spectrum(b, "symmetric_relax_bounds", "B")
+    _, lam_bar = _spectrum(_hermitian_part(_data(a)), "symmetric_relax_bounds", "(A + A^T)/2")
     big_n = lam_b.shape[-1]
     tr_a = _real_trace(a)
     tr_b = _real_trace(b)
     lam1, lam_n = lam_bar[..., 0], lam_bar[..., -1]
     lam_n_b = lam_b[..., -1]
-    value = _product_trace(a, b)
+    value = _stack_trace(_to_stack(a), fb._stack, p=fb._p, kind="real")
     lower = lam_n * tr_b - lam_n_b * (big_n * lam_n - tr_a)
     upper = lam1 * tr_b - lam_n_b * (big_n * lam1 - tr_a)
     return BoundReport.build(lower, value, upper, "relaxed-symmetric")
@@ -354,7 +355,7 @@ def ky_fan_sum(h: Tensor3, k: int, which: str = "max") -> KyFanResult:
     resid = norm(gram - np.eye(k))
     if resid > ISOMETRY_RTOL * (1.0 + norm(gram)):
         raise NumericError(f"constructed optimizer is not a partial isometry: {resid:.3e}")
-    achieved = float(np.real(_stack_trace(_adjoint(q), _to_stack(h), q, p=h.p, kind=h.kind)))
+    achieved = float(np.real(_stack_trace(_adjoint(q), factors._stack, q, p=h.p, kind=h.kind)))
     if abs(achieved - value) > ATTAINED_RTOL * max(1.0, abs(value)):
         raise NumericError(
             f"optimizer achieves {achieved!r} but extremal value is {value!r}"

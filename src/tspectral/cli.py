@@ -302,13 +302,13 @@ def _decide_kyfan(m_h: np.ndarray, g: np.ndarray) -> np.ndarray:
     The extremes come from H's eigenvalues alone: no optimizer U is built."""
     h = _hermitian_part(m_h)
     k, p = g.shape[-1], m_h.shape[-1]
-    hi, lo = _ky_fan_values(_decompose(h, "ky_fan_sum", vectors=False).fourier_eigenvalues, k)
+    factors = _decompose(h, "ky_fan_sum", vectors=False, kind="complex")  # U is complex
+    hi, lo = _ky_fan_values(factors.fourier_eigenvalues, k)
     hi = hi + KYFAN_SWEEP_SLACK * np.maximum(1.0, np.abs(hi))
     lo = lo - KYFAN_SWEEP_SLACK * np.maximum(1.0, np.abs(lo))
     q, _ = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
     us = _adjoint(q)  # (..., 5, p, k, n)
-    hs = _to_stack(h, "complex")[:, None]  # U is complex
-    vals = np.real(_stack_trace(us, hs, _adjoint(us), p=p, kind="complex"))
+    vals = np.real(_stack_trace(us, factors._stack[:, None], _adjoint(us), p=p, kind="complex"))
     return ((vals <= hi[:, None]) & (vals >= lo[:, None])).all(axis=1)
 
 

@@ -18,9 +18,9 @@ The log-Euclidean distance never leaves the Fourier domain:
 
 The geodesic is set up once per operand pair: one eigendecomposition of A
 (Hermitian and positive-definiteness checks, A^(1/2) and A^(-1/2)), one PSD
-check of B and one eigendecomposition of M = A^(-1/2) * B * A^(-1/2) =
-Q * W * Q^H.  With X = A^(1/2) * Q, Fourier slice k of G(t) is
-X_k diag(w_k^t) X_k^H, so a trace sample costs O(np):
+check of B, whose decomposed stack builds M = A^(-1/2) * B * A^(-1/2), and
+one eigendecomposition M = Q * W * Q^H.  With X = A^(1/2) * Q, Fourier slice
+k of G(t) is X_k diag(w_k^t) X_k^H, so a trace sample costs O(np):
 tr G(t) = sum_k sum_i w_ik^t ||X_k e_i||^2.  By Sylvester's law of inertia
 M_k has as many zero eigenvalues as B_k; B_k's are those at most
 ``n * eps * lambda_max(B)``, and that many of M_k's smallest are set to 0,
@@ -50,7 +50,7 @@ from .core import (
 from .errors import DomainError, NumericError, ShapeError
 from .spectral import _decompose, _stack_eig
 from .spectral import t_eigenvalues  # noqa: F401  (perfbench's tracing check reads it here)
-from .transform import _adjoint, _from_stack, _product_kind, _slice_sum, _to_stack
+from .transform import _adjoint, _from_stack, _product_kind, _slice_sum
 
 __all__ = [
     "GeodesicProfile",
@@ -208,7 +208,7 @@ def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFac
     eig_b = _decompose(b, "geodesic", vectors=False, kind=kind)
     eig_b._require("geodesic requires B PSD")
     inv_root_a = eig_a._apply(1.0 / root)
-    mid = inv_root_a @ _to_stack(b, kind) @ inv_root_a
+    mid = inv_root_a @ eig_b._stack @ inv_root_a
     eig_m = _stack_eig(0.5 * (mid + _adjoint(mid)), a.p, kind)
     w = eig_m._require("geodesic requires A^(-1/2) B A^(-1/2) PSD")
     w_b = eig_b._w  # B's eigenvalues on M's slices

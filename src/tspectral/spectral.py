@@ -7,21 +7,21 @@ batched LAPACK call over the Fourier stack of :mod:`tspectral.transform` and
 are mapped back with the inverse DFT.  The dense block-circulant route is
 kept available as an oracle (``method="bcirc"``).
 
-Every operation that needs a Hermitian, PSD or positive definite operand,
-here and in :mod:`~tspectral.bounds` and :mod:`~tspectral.geometry`, goes
-through one private entry, :func:`_decompose`: the Hermitian check, whose
-failure raises an error naming the operation, then one batched ``eigh``
-(or ``eigvalsh``) on the Fourier stack.  The returned :class:`EigFactors`
-give the PSD and PD verdicts, the only place where :func:`psd_tolerance`
-and :func:`pd_tolerance` meet a spectrum, and the stacks Q diag(f(w)) Q^H
-that callers build from them.  The verdict-then-clamp rule lives there too:
-``EigFactors._require`` raises on a failed verdict, else returns the
-eigenvalues clamped at 0, so no caller clips a spectrum of its own.
+Every operation that needs a Hermitian, PSD or positive definite operand, here
+and in :mod:`~tspectral.bounds` and :mod:`~tspectral.geometry`, goes through
+one private entry, :func:`_decompose`: the Hermitian check, whose failure
+raises an error naming the operation, then one batched ``eigh`` (or
+``eigvalsh``) on the Fourier stack.  The returned :class:`EigFactors` keep that
+stack for the callers' traces and give the PSD and PD verdicts, the only place
+where ``PSD_RTOL`` and ``PD_RTOL`` meet a spectrum, and the stacks
+Q diag(f(w)) Q^H that callers build from them.  The verdict-then-clamp rule
+lives there too: ``EigFactors._require`` raises on a failed verdict, else
+returns the eigenvalues clamped at 0, so no caller clips a spectrum of its own.
 
-Each call checks and decomposes each of its operands once, and keeps
-nothing: a :class:`~tspectral.core.Tensor3` carries its data alone, so two
-calls on one tensor (say :func:`is_psd`, then :func:`t_function`) check and
-decompose it in each call.  :func:`t_eigenvalues` runs the same check, then
+Each call checks, transforms and decomposes each of its operands once, and
+keeps nothing: a :class:`~tspectral.core.Tensor3` carries its data alone, so
+two calls on one tensor (say :func:`is_psd`, then :func:`t_function`) check
+and decompose it in each call.  :func:`t_eigenvalues` runs the same check, then
 one ``eigvalsh`` (Hermitian) or ``eigvals`` on the Fourier stack.
 """
 
@@ -57,15 +57,11 @@ __all__ = [
 # point (an FFT round trip, a product M * M^H) near eps; any larger residue is structure.
 HERMITIAN_RTOL = 1e-10
 
-
-def psd_tolerance(lam_max):
-    """Eigenvalue slack below zero still accepted as semidefinite (elementwise)."""
-    return 1e-9 * np.maximum(1.0, np.abs(lam_max))
-
-
-def pd_tolerance(lam_max):
-    """Smallest eigenvalue still treated as strictly positive (elementwise)."""
-    return 1e-12 * np.maximum(1.0, np.abs(lam_max))
+# Verdict thresholds on the min eigenvalue, relative to max(1, |lambda_max|), where roundoff
+# leaves a zero eigenvalue within a few n eps.  PSD above -PSD_RTOL: a chosen margin over that;
+PSD_RTOL = 1e-9
+# PD above PD_RTOL: still over that roundoff, so a singular tensor is never taken as PD.
+PD_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -141,6 +137,7 @@ class EigFactors:
 
     _w: np.ndarray  # (..., p', n) eigenvalues of the stacked slices, descending per slice
     _q_stack: np.ndarray | None = field(repr=False)  # (..., p', n, n) stack of Q; None: values only
+    _stack: np.ndarray = field(repr=False)  # (..., p', n, n) stack of A itself
     _p: int
     _kind: str | None  # kind passed to the inverse; "real": an rfft half
 
@@ -150,11 +147,12 @@ class EigFactors:
 
     def _verdict(self, definite: bool = False) -> PsdCheck:
         """The :func:`is_psd` verdict, or with ``definite`` the positive
-        definiteness one (min eigenvalue above ``pd_tolerance``); for a batch,
+        definiteness one (min eigenvalue above ``PD_RTOL``, relative); for a batch,
         its fields are per-item arrays.  An rfft half has the min and max of all p slices."""
         item = (-2, -1) if self._w.ndim > 2 else None
         lam_min, lam_max = self._w.min(axis=item), self._w.max(axis=item)
-        ok = lam_min > pd_tolerance(lam_max) if definite else lam_min >= -psd_tolerance(lam_max)
+        scale = np.maximum(1.0, np.abs(lam_max))
+        ok = lam_min > PD_RTOL * scale if definite else lam_min >= -PSD_RTOL * scale
         return PsdCheck(ok, lam_min) if item else PsdCheck(bool(ok), float(lam_min))
 
     def _require(self, requirement: str, definite: bool = False, error=None) -> np.ndarray:
@@ -261,7 +259,7 @@ def _stack_eig(stack: np.ndarray, p: int, kind: str | None, vectors: bool = True
         q = _read_only(q[..., ::-1])  # read-only, like a tensor's data
     else:
         w, q = np.linalg.eigvalsh(stack), None
-    return EigFactors(w[..., ::-1], q, p, kind)
+    return EigFactors(w[..., ::-1], q, stack, p, kind)
 
 
 def _decompose(
@@ -270,11 +268,11 @@ def _decompose(
     """The one gate to a Hermitian operand's spectrum: the Hermitian check
     (:func:`is_hermitian` for a tensor, every item of a batch of tensor data
     (..., n, n, p)), raising a :class:`PreconditionError` that names ``op``, then
-    the factors of :func:`_stack_eig` on its Fourier stack.  Each call runs both
-    once and keeps nothing; a caller that holds the tensor's check passes it as
+    the factors of :func:`_stack_eig` on its Fourier stack, which they keep.  Each
+    call runs both once; a caller that holds the tensor's check passes it as
     ``check``.  ``kind`` is the kind of the product the factors serve, as in
-    :func:`~tspectral.transform._to_stack`: a real operand is solved on its
-    rfft half, and for ``"complex"`` its factors are then put on all p slices."""
+    :func:`~tspectral.transform._to_stack`: a real operand is solved on its rfft
+    half, and for ``"complex"`` its factors, stack included, are put on all p slices."""
     if check is None:
         check = is_hermitian(t) if isinstance(t, Tensor3) else HermitianCheck(*_hermitian_rule(t))
     bad = _first_failure(check.ok)
@@ -286,8 +284,8 @@ def _decompose(
     p, real = t.shape[-1], _product_kind(t) == "real"
     factors = _stack_eig(_to_stack(t), p, "real" if real else None, vectors)
     if real and kind == "complex":
-        q = factors._q_stack if factors._q_stack is None else _all_slices(factors._q_stack, p)
-        factors = EigFactors(_all_slices(factors._w, p, axis=-2), q, p, None)
+        full = [x if x is None else _all_slices(x, p) for x in (factors._q_stack, factors._stack)]
+        factors = EigFactors(_all_slices(factors._w, p, axis=-2), *full, p, None)
     return factors
 
 

@@ -16,9 +16,10 @@ Every fast kernel works on the private Fourier stack, shape ``(p', m, n)``,
 with one batched numpy call over all slices.  A real tensor's slice ``p - k``
 is the conjugate of slice ``k``, so its stack holds the ``p' = p // 2 + 1``
 slices of ``rfft`` (back through ``irfft``); a complex one all ``p`` of
-``fft``.  Only the stack helpers below know about this symmetry: every DFT
-of the package runs in :func:`_to_stack` or :func:`_from_stack`, and every
-sum over all p slices in :func:`_slice_sum`.
+``fft``.  Only the stack helpers below know about this symmetry: every DFT of
+the package runs in :func:`_to_stack` or :func:`_from_stack`, and every sum
+over all p slices in :func:`_slice_sum`.  Each call transforms each operand
+once; the decomposition's stack feeds the trace kernel.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def _slice_sum(per_slice: np.ndarray, p: int):
     return per_slice @ _slice_weights(per_slice.shape[-1], p)
 
 
-def _stack_trace(*stacks: np.ndarray, p: int, kind: str):
+def _stack_trace(*stacks: np.ndarray, p: int, kind: str | None):
     """Trace of the t-product of the tensors with these Fourier stacks, as the
     :func:`_slice_sum` of tr(S1_k ... Sr_k).  The last pair is contracted over
     both indices, so the full product is never formed.  A float for

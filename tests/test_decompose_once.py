@@ -1,15 +1,18 @@
-"""Each public call checks and decomposes each operand once.
+"""Each public call checks, transforms and decomposes each operand once.
 
 The counts are taken by wrapping ``spectral.is_hermitian`` wherever the
-package holds it, the numpy eigensolvers and the inverse FFTs, for the
-duration of one public call.  Traces of t-products are taken on Fourier
-stacks, so the bounds run no inverse FFT at all.  Nothing is kept between
-calls: a tensor holds its data alone, so each call in a sequence on the same
-tensors checks and decomposes each of its operands again, once.
+package holds it, the numpy eigensolvers and the forward and inverse FFTs,
+for the duration of one public call.  Traces of t-products are taken on the
+Fourier stacks that the operands' decompositions hold, so the bounds run no
+forward FFT beyond one per operand and no inverse FFT at all.  Nothing is
+kept between calls: a tensor holds its data alone, so each call in a
+sequence on the same tensors checks and decomposes each of its operands
+again, once.
 """
 
 import collections
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -36,7 +39,7 @@ from tspectral.cli import main
 
 _COUNTED = {
     np.linalg: ("eigh", "eigvalsh", "eig", "eigvals"),
-    np.fft: ("irfft", "ifft"),
+    np.fft: ("rfft", "fft", "irfft", "ifft"),
 }
 
 
@@ -67,6 +70,10 @@ def calls(monkeypatch):
 
 def _eigensolves(counter):
     return sum(counter[name] for name in _COUNTED[np.linalg])
+
+
+def _forward_transforms(counter):
+    return counter["rfft"] + counter["fft"]
 
 
 def test_ky_fan_sum(calls):
@@ -290,3 +297,78 @@ def test_bench_decomposes_on_every_call(calls, op, eighs):
         run()
         counts.append((calls["eigh"], _eigensolves(calls)))
     assert counts == [(eighs, eighs)] * 3
+
+
+def _column(n, p):
+    """An n x 1 x p tensor whose unfolding is a unit vector."""
+    return Tensor3(identity(n, p).data[:, :1, :])
+
+
+# Forward FFTs in one call on a real A and a B of the kind under test (complex in the
+# mixed case), both positive definite: one per operand.  (A + A^H)/2 is a separate
+# operand with its own transform, for symmetrized_bounds and symmetric_relax_bounds.
+_FORWARD_PER_CALL = {
+    "t_eigenvalues": (lambda a, b: spectral.t_eigenvalues(b), 1),
+    "hermitian_eig": (lambda a, b: spectral.hermitian_eig(b), 1),
+    "t_svd": (lambda a, b: spectral.t_svd(b), 1),
+    "t_function": (lambda a, b: spectral.t_function(b, "sqrt"), 1),
+    "is_hermitian": (lambda a, b: spectral.is_hermitian(b), 0),
+    "is_psd": (lambda a, b: spectral.is_psd(b), 1),
+    "psd_factor": (lambda a, b: spectral.psd_factor(b), 1),
+    "random_psd": (lambda a, b: spectral.random_psd(3, 4, 0), 1),
+    "rayleigh_value": (lambda a, b: bounds.rayleigh_value(b, _column(3, 4)), 0),
+    "symmetrized_bounds": (lambda a, b: bounds.symmetrized_bounds(b), 2),
+    "vn_trace_bounds": (lambda a, b: bounds.vn_trace_bounds(a, b), 2),
+    "hermitian_trace_bounds": (lambda a, b: bounds.hermitian_trace_bounds(a, b), 2),
+    "sandwich_bounds": (lambda a, b: bounds.sandwich_bounds(a, b), 2),
+    "extremal_ratio_bounds": (lambda a, b: bounds.extremal_ratio_bounds(a, b), 2),
+    "extremal_ratio_witness": (lambda a, b: bounds.extremal_ratio_witness(b), 1),
+    "symmetric_relax_bounds": (lambda a, b: bounds.symmetric_relax_bounds(a, b), 3),
+    "ky_fan_sum": (lambda a, b: bounds.ky_fan_sum(b, 2), 1),
+    "dist_frobenius": (lambda a, b: geometry.dist_frobenius(a, b), 0),
+    "dist_bures_wasserstein": (lambda a, b: geometry.dist_bures_wasserstein(a, b), 2),
+    "dist_log_euclidean": (lambda a, b: geometry.dist_log_euclidean(a, b), 2),
+    "geodesic": (lambda a, b: geometry.geodesic(a, b, 0.5), 2),
+    "geodesic_trace_profile": (lambda a, b: geometry.geodesic_trace_profile(a, b, 11), 2),
+}
+
+
+def test_forward_count_covers_every_public_function():
+    public = {
+        name
+        for module in (spectral, bounds, geometry)
+        for name in module.__all__
+        if inspect.isfunction(getattr(module, name))
+    }
+    assert set(_FORWARD_PER_CALL) == public
+
+
+@pytest.mark.parametrize(
+    "name, kind",
+    [
+        (name, kind)
+        for name in sorted(_FORWARD_PER_CALL)
+        for kind in ("real", "mixed")
+        if (name, kind) != ("symmetric_relax_bounds", "mixed")  # defined for real tensors only
+    ],
+)
+def test_one_forward_transform_per_operand(calls, name, kind):
+    a = random_psd(3, 4, 15) + identity(3, 4)
+    b = (random_psd(3, 4, 16) + identity(3, 4)) * (1.0 + 0j if kind == "mixed" else 1.0)
+    call, forward = _FORWARD_PER_CALL[name]
+    calls.clear()
+    call(a, b)
+    assert _forward_transforms(calls) == forward
+
+
+@pytest.mark.parametrize("prop, forward", [("kyfan", 1), ("vn-bounds", 4)])
+def test_sweep_group_transforms_each_operand_once(calls, prop, forward):
+    """A shape group transforms each of its batched operands once: the kyfan
+    group H alone, the vn-bounds group the two Gaussian draws M1 and M2 (to
+    form A = M1 * M1^T and B = M2 * M2^T) and then A and B."""
+    draw, decide, _ = cli._SWEEPS[prop]
+    draws = [draw(np.random.default_rng((0, trial))) for trial in range(100)]
+    group = [arrays for key, arrays in draws if key == draws[0][0]]
+    calls.clear()
+    assert decide(*cli._stacked(group)).all() and len(group) > 3
+    assert _forward_transforms(calls) == forward

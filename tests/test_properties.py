@@ -48,6 +48,7 @@ from tspectral import (
     trace,
     write_tensor,
 )
+from tspectral import bounds
 from tspectral.core import _conj_transpose_data, _norm
 from tspectral.geometry import _bures_wasserstein, _checked
 from tspectral.spectral import _decompose, _hermitian_rule, _stack_eig
@@ -64,6 +65,9 @@ from helpers_oracles import (
 
 # eigh and eigvalsh run different LAPACK drivers, whose eigenvalues differ by a few ulps.
 EIGH_VALUES_RTOL = 1e-13
+# A bound's fields against their dense twins, relative to max(1, |field|): the two routes
+# sum the same N = n p terms in other orders and eigensolves (3.4e-15 worst in 3000 draws).
+BOUND_TWIN_RTOL = 1e-12
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -254,6 +258,56 @@ def test_geodesic_traces_match_oracle(n, p, kind_a, kind_b, singular_b, seed):
     want = [np.trace(geodesic_bcirc_oracle(slices_a, slices_b, t)).real for t in prof.ts]
     np.testing.assert_allclose(prof.traces, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
     _assert_kind(geodesic(a, b, 0.5), a, b)
+
+
+def _general(rng, n, p, kind):
+    return _tensor(rng, n, n, p, kind)
+
+
+# The (A, B) draws of each two-operand bound, from (rng, n, p, kind).
+_BOUND_OPERANDS = {
+    "vn_trace_bounds": (_psd, _psd),
+    "hermitian_trace_bounds": (_hermitian, _hermitian),
+    "sandwich_bounds": (_psd, _psd),
+    "extremal_ratio_bounds": (_hermitian, _psd),
+    "symmetric_relax_bounds": (_general, _hermitian),
+}
+
+
+def _dense_bound(name, da, db):
+    """(lower, value, upper) of a bound from dense eigvalsh(bcirc(.)) and bcirc traces."""
+    lam_b = np.linalg.eigvalsh(db)[::-1]
+    big_n, tr_a, tr_b = len(lam_b), np.trace(da).real, np.trace(db).real
+    tr_ab = np.trace(da @ db).real
+    if name == "symmetric_relax_bounds":
+        lam_bar = np.linalg.eigvalsh((da + da.T) / 2)[::-1]
+        lower, upper = (lam * tr_b - lam_b[-1] * (big_n * lam - tr_a)
+                        for lam in (lam_bar[-1], lam_bar[0]))
+        return lower, tr_ab, upper
+    lam_a = np.linalg.eigvalsh(da)[::-1]
+    if name == "sandwich_bounds":
+        return lam_b[-1] * tr_a**2 / big_n, np.trace(da @ db @ da).real, lam_b[0] * tr_a**2
+    if name == "extremal_ratio_bounds":
+        return lam_a[-1], tr_ab / tr_b, lam_a[0]
+    return lam_a @ lam_b[::-1], tr_ab, lam_a @ lam_b
+
+
+@pytest.mark.parametrize("name", sorted(_BOUND_OPERANDS))
+@PROPERTY_SETTINGS
+@given(n=sizes, p=tube_lengths, kind_a=kinds, kind_b=kinds, seed=seeds)
+def test_bound_fields_match_dense_twins(name, n, p, kind_a, kind_b, seed):
+    """lower, value and upper of each two-operand bound against the dense route,
+    on real, mixed and complex pairs (real only for the relaxed bound)."""
+    if name == "symmetric_relax_bounds":
+        kind_a = kind_b = "real"
+    rng = np.random.default_rng(seed)
+    draw_a, draw_b = _BOUND_OPERANDS[name]
+    a, b = draw_a(rng, n, p, kind_a), draw_b(rng, n, p, kind_b)
+    report = getattr(bounds, name)(a, b)
+    want = _dense_bound(name, _dense(a), _dense(b))
+    got = (report.lower, report.value, report.upper)
+    scale = max(1.0, *map(abs, want))
+    assert np.abs(np.subtract(got, want)).max() <= BOUND_TWIN_RTOL * scale, (got, want)
 
 
 def _stack_shapes(call):
