@@ -31,11 +31,12 @@ from .core import (
     _hermitian_part,
     _real_trace,
     _require_same_shape,
+    _require_square,
     bcirc,
     unfold,
 )
 from .errors import DomainError, NumericError, PreconditionError, ShapeError
-from .spectral import EigFactors, _decompose, hermitian_eig, t_eigenvalues
+from .spectral import EigFactors, _decompose, t_eigenvalues
 from .transform import _adjoint, _from_stack, _product_kind, _stack_trace, _to_stack
 
 __all__ = [
@@ -122,11 +123,6 @@ def _product_trace(*factors: EigFactors) -> float:
     """Real part of tr(T1 * ... * Tr), from the Fourier stacks their factors hold."""
     first = factors[0]
     return np.real(_stack_trace(*(f._stack for f in factors), p=first._p, kind=first._kind))
-
-
-def _require_square(t: Tensor3, op: str) -> None:
-    if t.m != t.n:
-        raise ShapeError(f"{op} requires square slices, got {t.m}x{t.n}")
 
 
 def _spectrum(t, op: str, name: str, psd: bool = False, kind: str | None = None) -> tuple:
@@ -287,7 +283,7 @@ def extremal_ratio_witness(a: Tensor3, which: str = "max") -> Tensor3:
     """
     if which not in ("max", "min"):
         raise ValueError(f"which must be 'max' or 'min', got {which!r}")
-    factors = hermitian_eig(a)
+    factors = _decompose(a, "extremal_ratio_witness")
     w = factors._w.T  # (n, p'), descending per slice
     pick = np.argmax if which == "max" else np.argmin
     row, col = np.unravel_index(pick(w), w.shape)

@@ -58,7 +58,7 @@ from .spectral import (
     random_psd,
     t_eigenvalues,
 )
-from .transform import _adjoint, _slice_sum, _stack_trace, _to_stack, tprod
+from .transform import _adjoint, _slice_sum, _stack_trace, tprod
 
 SEED_ENV_VAR = "TSPECTRAL_SEED"
 
@@ -174,6 +174,8 @@ _BOUNDS = {"vn": vn_trace_bounds, "hermitian": hermitian_trace_bounds, "sandwich
 def cmd_bounds(args, report) -> int:
     if args.kind in ("symmetrized", "kyfan") and args.b is not None:
         raise ValueError(f"bounds {args.kind} takes one tensor file, got a second: {args.b}")
+    if args.kind in _BOUNDS and args.b is None:
+        raise ValueError(f"bounds {args.kind} requires two tensor files")
     a = read_tensor(args.a)
     if args.kind == "kyfan":
         res = ky_fan_sum(a, args.k, which=args.which)
@@ -189,8 +191,6 @@ def cmd_bounds(args, report) -> int:
         )
         reports = list(result.eigen_reports) + [result.radius_report]
     else:
-        if args.b is None:
-            raise ValueError(f"bounds {args.kind} requires two tensor files")
         reports = [_BOUNDS[args.kind](a, read_tensor(args.b))]
     for rep in reports:
         _print_report(rep)
@@ -241,9 +241,15 @@ def cmd_gen(args, report) -> int:
     return 0
 
 
+_CHECKS = ("hermitian", "psd", "pd")
+
+
 def cmd_verify(args, report) -> int:
-    a = read_tensor(args.a)
     checks = args.checks.split(",")
+    unknown = [check for check in checks if check not in _CHECKS]
+    if unknown:
+        raise ValueError(f"unknown check {unknown[0]!r}; use {', '.join(_CHECKS)}")
+    a = read_tensor(args.a)
     herm = is_hermitian(a)  # the one check; psd and pd share one values-only decomposition
     factors = None
     ok = True
@@ -251,20 +257,16 @@ def cmd_verify(args, report) -> int:
         if check == "hermitian":
             res = herm
             print(f"hermitian: residual = {_fmt(res.residual)} -> {'ok' if res.ok else 'FAIL'}")
-        elif check in ("psd", "pd"):
+        else:  # psd or pd
             if check == "pd" and not herm.ok:  # not PD; report the least real eigenvalue part
-                # (an rfft half's missing slices add only conjugates)
-                res = PsdCheck(False, float(np.linalg.eigvals(_to_stack(a)).real.min()))
+                res = PsdCheck(False, float(t_eigenvalues(a).min.real))
             else:
-                if factors is None:
-                    factors = _decompose(a, "is_psd", vectors=False, check=herm)
+                factors = factors or _decompose(a, "is_psd", vectors=False, check=herm)
                 res = factors._verdict(definite=check == "pd")
             print(
                 f"{check}: min_eigenvalue = {_fmt(res.min_eigenvalue)} -> "
                 f"{'ok' if res.ok else 'FAIL'}"
             )
-        else:
-            raise ValueError(f"unknown check {check!r}; use hermitian, psd, pd")
         ok &= res.ok
     return 0 if ok else 1
 

@@ -125,11 +125,11 @@ class Tensor3:
     # Linear-space operators; these stay closed over Tensor3 so that bound
     # and geometry code can form combinations like a*X + (1-a)*Y.
     def __add__(self, other: "Tensor3") -> "Tensor3":
-        self._check_same_shape(other)
+        _require_same_shape(self, other, "Tensor3 addition")
         return Tensor3(self.data + other.data)
 
     def __sub__(self, other: "Tensor3") -> "Tensor3":
-        self._check_same_shape(other)
+        _require_same_shape(self, other, "Tensor3 subtraction")
         return Tensor3(self.data - other.data)
 
     def __mul__(self, scalar) -> "Tensor3":
@@ -139,10 +139,6 @@ class Tensor3:
 
     def __neg__(self) -> "Tensor3":
         return Tensor3(-self.data)
-
-    def _check_same_shape(self, other: "Tensor3"):
-        if self.shape != other.shape:
-            raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
 
     def allclose(self, other: "Tensor3", rtol: float = 1e-12, atol: float = 1e-12) -> bool:
         return self.shape == other.shape and np.allclose(
@@ -161,6 +157,13 @@ def _data(x) -> np.ndarray:
 def _require_same_shape(a: Tensor3, b: Tensor3, op: str) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"{op} requires equal shapes, got {a.shape} vs {b.shape}")
+
+
+def _require_square(t, op: str) -> None:
+    """Square frontal slices, m == n, of a tensor or of the items of a batch of data."""
+    m, n = _data(t).shape[-3:-1]
+    if m != n:
+        raise ShapeError(f"{op} requires square slices, got {m}x{n}")
 
 
 def frontal_slice(t: Tensor3, k: int) -> np.ndarray:
@@ -240,8 +243,7 @@ def trace(t: Tensor3):
 
     Returns a float for real tensors and a complex scalar otherwise.
     """
-    if t.m != t.n:
-        raise ShapeError(f"trace requires square slices, got {t.m}x{t.n}")
+    _require_square(t, "trace")
     val = t.p * np.trace(t.data[:, :, 0])
     return float(val.real) if t.kind == "real" else complex(val)
 
@@ -357,6 +359,23 @@ def _fast_flat(raw: list, kind: str) -> np.ndarray | None:
         return None
 
 
+# A value's repr in an error message prints whole up to this length, which holds a few
+# integers of hundreds of digits each; past it, its head and its length in characters.
+_REPR_LIMIT = 4000
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, bounded: cut past ``_REPR_LIMIT``
+    characters, and a placeholder for a value nested too deeply to print."""
+    try:
+        text = repr(value)
+    except RecursionError:
+        return "<a value nested too deeply to print>"
+    if len(text) <= _REPR_LIMIT:
+        return text
+    return f"{text[:_REPR_LIMIT]}... <{len(text)} characters>"
+
+
 def _bad_entry(raw: list, kind: str, path) -> ParseError:
     """The error naming the first ``data[i]`` that :func:`_fast_flat` rejects:
     an entry of another type or shape, or one holding an integer beyond float range."""
@@ -364,7 +383,7 @@ def _bad_entry(raw: list, kind: str, path) -> ParseError:
     for i, v in enumerate(raw):
         numbers = [v] if kind == "real" else v if type(v) is list and len(v) == 2 else None
         if numbers is None or not set(map(type, numbers)) <= _NUMBER_TYPES:
-            return ParseError(f"{path}: data[{i}] is not {what}: {v!r}")
+            return ParseError(f"{path}: data[{i}] is not {what}: {_shown(v)}")
         try:
             list(map(float, numbers))
         except OverflowError:
@@ -425,7 +444,9 @@ def read_tensor(path) -> Tensor3:
     numbers beyond float range, a BOM, invalid UTF-8, lone surrogates), or
     whose document fails a check, is parsed again by ``json`` from the text
     that ``open(path, "r", encoding="utf-8")`` gives, so every error message
-    names what the standard library finds there.
+    names what the standard library finds there; where ``json`` fails on
+    nesting that ``orjson`` parsed, the error is what ``orjson``'s document
+    breaks.  A value shown in a message is cut to ``_REPR_LIMIT`` characters.
 
     Data in a file whose bytes hold no ``u`` and no ``f`` is converted by one
     numpy call when its dtype discovery finds only numbers
@@ -445,8 +466,10 @@ def read_tensor(path) -> Tensor3:
     gc.disable()
     try:
         return _tensor_from_doc(orjson.loads(raw), path, vouched)
-    except (orjson.JSONDecodeError, ParseError):
-        pass
+    except orjson.JSONDecodeError:
+        found = None
+    except ParseError as exc:
+        found = exc
     finally:
         if enabled:
             gc.enable()
@@ -455,6 +478,8 @@ def read_tensor(path) -> Tensor3:
         doc = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:  # nested deeper than json goes: orjson's finding, if any
+        raise found or ParseError(f"{path}: cannot parse tensor file: {exc}") from exc
     except ValueError as exc:  # invalid UTF-8, an integer longer than int_max_str_digits
         raise ParseError(f"{path}: cannot parse tensor file: {exc}") from exc
     return _tensor_from_doc(doc, path, vouched)
@@ -476,12 +501,12 @@ def _tensor_from_doc(doc, path, vouched: bool) -> Tensor3:
         or len(dims) != 3
         or not all(type(d) is int and d >= 1 for d in dims)  # bool is not a dim
     ):
-        raise ParseError(f"{path}: field 'dims' must be three integers >= 1, got {dims!r}")
+        raise ParseError(f"{path}: field 'dims' must be three integers >= 1, got {_shown(dims)}")
     m, n, p = dims
 
     kind = doc["kind"]
     if kind not in ("real", "complex"):
-        raise ParseError(f"{path}: field 'kind' must be 'real' or 'complex', got {kind!r}")
+        raise ParseError(f"{path}: field 'kind' must be 'real' or 'complex', got {_shown(kind)}")
 
     raw = doc["data"]
     if not isinstance(raw, list) or len(raw) != m * n * p:

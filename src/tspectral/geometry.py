@@ -195,8 +195,8 @@ class _GeodesicFactors:
 def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFactors:
     """Validate A and B and decompose A and M = A^(-1/2) B A^(-1/2), once each."""
     _require_same_shape(a, b, "geodesic")
-    if regularize < 0.0:
-        raise DomainError(f"regularize must be >= 0, got {regularize!r}")
+    if not 0.0 <= regularize < math.inf:
+        raise DomainError(f"regularize must be finite and >= 0, got {regularize!r}")
     if regularize > 0.0:
         a = a + regularize * identity(a.n, a.p)
     kind = _product_kind(a, b)
@@ -222,7 +222,7 @@ def geodesic(a: Tensor3, b: Tensor3, t: float, regularize: float = 0.0) -> Tenso
 
     ``a`` must be positive definite (its inverse square root appears in the
     formula); singular ``a`` raises rather than being silently shifted.
-    Passing ``regularize=eps > 0`` explicitly adds ``eps * I`` to ``a``
+    Passing a finite ``regularize=eps > 0`` explicitly adds ``eps * I`` to ``a``
     first.  ``b`` must be PSD and ``t`` must lie in [0, 1].
     """
     if not 0.0 <= t <= 1.0:

@@ -21,8 +21,11 @@ returns the eigenvalues clamped at 0, so no caller clips a spectrum of its own.
 Each call checks, transforms and decomposes each of its operands once, and
 keeps nothing: a :class:`~tspectral.core.Tensor3` carries its data alone, so
 two calls on one tensor (say :func:`is_psd`, then :func:`t_function`) check
-and decompose it in each call.  :func:`t_eigenvalues` runs the same check, then
-one ``eigvalsh`` (Hermitian) or ``eigvals`` on the Fourier stack.
+and decompose it in each call.  Every eigensolve of the package takes one of two
+routes: :func:`_stack_eig`, the one Hermitian solver, which :func:`_decompose`
+reaches for every Hermitian operand (:func:`t_eigenvalues` of a Hermitian tensor
+included); and :func:`t_eigenvalues` itself, for a general tensor's Fourier stack
+(``eigvals``) and the dense block-circulant oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +36,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Tensor3, _conj_transpose_data, _first_failure, _norm, bcirc, identity
+from .core import (
+    Tensor3,
+    _conj_transpose_data,
+    _data,
+    _first_failure,
+    _norm,
+    _require_square,
+    bcirc,
+    identity,
+)
 from .errors import DomainError, PreconditionError, ShapeError, SingularityError
 from .transform import _adjoint, _all_slices, _from_stack, _product_kind, _to_stack
 
@@ -237,18 +249,13 @@ def is_hermitian(t: Tensor3) -> HermitianCheck:
     ``1e-10 * ||A||_F``.  The rule is relative and both norms rescale where
     squaring the entries would overflow or underflow, so ``cA`` gets the
     verdict of ``A`` (|c| from 1e-300 to 1e+300 for entries near 1), and the
-    zero tensor is Hermitian."""
-    if t.m != t.n:
-        raise ShapeError(f"hermitian check requires square slices, got {t.m}x{t.n}")
-    return HermitianCheck(*_hermitian_rule(t.data))  # a bool and a float for one tensor
-
-
-def _hermitian_rule(data: np.ndarray):
-    """The :func:`is_hermitian` verdict and residual of tensor data, or of each
-    item of a batch of it (..., n, n, p), on the data arrays alone."""
+    zero tensor is Hermitian.  A batch of tensor data (..., n, n, p) gets
+    per-item arrays in both fields."""
+    _require_square(t, "hermitian check")
+    data = _data(t)
     batch, root_p = data.ndim - 3, math.sqrt(data.shape[-1])
     resid = root_p * _norm(data - _conj_transpose_data(data), batch)
-    return resid <= HERMITIAN_RTOL * (root_p * _norm(data, batch)), resid
+    return HermitianCheck(resid <= HERMITIAN_RTOL * (root_p * _norm(data, batch)), resid)
 
 
 def _stack_eig(stack: np.ndarray, p: int, kind: str | None, vectors: bool = True) -> EigFactors:
@@ -265,16 +272,15 @@ def _stack_eig(stack: np.ndarray, p: int, kind: str | None, vectors: bool = True
 def _decompose(
     t, op: str, vectors: bool = True, check: HermitianCheck | None = None, kind: str | None = None
 ) -> EigFactors:
-    """The one gate to a Hermitian operand's spectrum: the Hermitian check
-    (:func:`is_hermitian` for a tensor, every item of a batch of tensor data
-    (..., n, n, p)), raising a :class:`PreconditionError` that names ``op``, then
-    the factors of :func:`_stack_eig` on its Fourier stack, which they keep.  Each
-    call runs both once; a caller that holds the tensor's check passes it as
-    ``check``.  ``kind`` is the kind of the product the factors serve, as in
+    """The one gate to a Hermitian operand's spectrum: :func:`is_hermitian` of a
+    tensor, or of every item of a batch of tensor data (..., n, n, p), raising a
+    :class:`PreconditionError` that names ``op``, then the factors of
+    :func:`_stack_eig` on its Fourier stack, which they keep.  Each call runs both
+    once; a caller that holds the operand's check passes it as ``check``.  ``kind``
+    is the kind of the product the factors serve, as in
     :func:`~tspectral.transform._to_stack`: a real operand is solved on its rfft
     half, and for ``"complex"`` its factors, stack included, are put on all p slices."""
-    if check is None:
-        check = is_hermitian(t) if isinstance(t, Tensor3) else HermitianCheck(*_hermitian_rule(t))
+    check = is_hermitian(t) if check is None else check
     bad = _first_failure(check.ok)
     if bad is not None:
         raise PreconditionError(
@@ -302,15 +308,16 @@ def t_eigenvalues(t: Tensor3, method: str = "fourier") -> Spectrum:
     ``method="bcirc"`` decomposes the dense block-circulant matrix instead
     and is the slow cross-check.  For Hermitian input the values are real.
     """
-    if t.m != t.n:
-        raise ShapeError(f"eigenvalues require square slices, got {t.m}x{t.n}")
-    eig = np.linalg.eigvalsh if is_hermitian(t).ok else np.linalg.eigvals
+    _require_square(t, "t_eigenvalues")
+    herm = is_hermitian(t)
     if method == "fourier":
-        vals = _all_slices(eig(_to_stack(t)), t.p, axis=-2).ravel()
+        w = (_decompose(t, "t_eigenvalues", vectors=False, check=herm)._w if herm.ok
+             else np.linalg.eigvals(_to_stack(t)))
+        vals = _all_slices(w, t.p, axis=-2).ravel()
         prov = np.repeat(np.arange(1, t.p + 1), t.n)
         return Spectrum(*_sorted_spectrum(vals, prov))
     if method == "bcirc":
-        vals = eig(bcirc(t))
+        vals = (np.linalg.eigvalsh if herm.ok else np.linalg.eigvals)(bcirc(t))
         return Spectrum(_sorted_spectrum(vals, np.zeros(len(vals), dtype=int))[0])
     raise ValueError(f"unknown eigenvalue method {method!r}; use 'fourier' or 'bcirc'")
 

@@ -17,8 +17,9 @@ with one batched numpy call over all slices.  A real tensor's slice ``p - k``
 is the conjugate of slice ``k``, so its stack holds the ``p' = p // 2 + 1``
 slices of ``rfft`` (back through ``irfft``); a complex one all ``p`` of
 ``fft``.  Only the stack helpers below know about this symmetry: every DFT of
-the package runs in :func:`_to_stack` or :func:`_from_stack`, and every sum
-over all p slices in :func:`_slice_sum`.  Each call transforms each operand
+the package runs in :func:`_to_stack` or :func:`_from_stack`, each of which
+raises ``NumericError`` on a transform that is not finite, and every sum over
+all p slices in :func:`_slice_sum`.  Each call transforms each operand
 once; the decomposition's stack feeds the trace kernel.
 """
 
@@ -44,11 +45,15 @@ REAL_COERCION_RTOL = 1e-8
 def _to_stack(t, kind: str | None = None) -> np.ndarray:
     """Fourier stack of a tensor, shape (p', m, n), or of each item of a batch
     of data, shape (..., p', m, n): the rfft half when ``kind`` (default the
-    kind of ``t``) is ``"real"``, all p slices otherwise."""
+    kind of ``t``) is ``"real"``, all p slices otherwise.  A stack that is not
+    finite, such as the sum of p entries near the float maximum, raises
+    :class:`~tspectral.errors.NumericError`."""
     data = _data(t)
     real = kind == "real" if kind else data.dtype.kind != "c"
-    fft = np.fft.rfft if real else np.fft.fft
-    return fft(data, axis=-1).transpose((*range(data.ndim - 3), -1, -3, -2))
+    stack = (np.fft.rfft if real else np.fft.fft)(data, axis=-1)
+    if not np.isfinite(stack).all():
+        raise NumericError("an operand overflowed: its Fourier transform is not finite")
+    return stack.transpose((*range(data.ndim - 3), -1, -3, -2))
 
 
 def _from_stack(stack: np.ndarray, p: int, kind: str | None = None):

@@ -107,6 +107,36 @@ class TestTprodCommand:
         assert out.read_bytes() == (fixtures_dir / "a2.json").read_bytes()
 
 
+_FORWARD_OVERFLOW = "numeric failure: an operand overflowed: its Fourier transform is not finite\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the rfft
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the rfft
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eig", "{huge}"],
+        ["verify", "{huge}", "--checks", "hermitian,psd,pd"],
+        ["dist", "--metric", "bw", "{huge}", "{pd}"],
+        ["bounds", "vn", "{pd}", "{huge}"],
+        ["geodesic", "{huge}", "{pd}", "--t", "0.5", "-o", "{out}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_overflowing_forward_transform_exits_1(capsys, tmp_path, argv):
+    """A finite, Hermitian file whose Fourier slices overflow (four entries of
+    1e308 summed along each tube) is a numeric failure, not a nan spectrum or
+    a failed PSD precondition."""
+    files = {"huge": tmp_path / "huge.json", "pd": tmp_path / "pd.json", "out": tmp_path / "g.json"}
+    write_tensor(Tensor3(np.full((2, 2, 4), 1e308)), files["huge"])
+    write_tensor(identity(2, 4), files["pd"])
+    code, stdout, err = run(capsys, *(arg.format(**files) for arg in argv))
+    assert code == 1
+    assert err.endswith(_FORWARD_OVERFLOW)
+    assert "nan" not in stdout
+    assert not files["out"].exists()
+
+
 class TestEigCommand:
     def test_eigenvalue_fixture(self, capsys, fixtures_dir):
         code, stdout, _ = run(capsys, "eig", str(fixtures_dir / "a2.json"))
@@ -165,10 +195,12 @@ class TestBoundsCommand:
         assert (code, stdout) == (2, "")
         assert f"bounds {kind} takes one tensor file" in err
 
-    def test_missing_second_operand_exit_2(self, capsys, fixtures_dir):
-        code, _, err = run(capsys, "bounds", "vn", str(fixtures_dir / "a2.json"))
-        assert code == 2
-        assert "two tensor files" in err
+    @pytest.mark.parametrize("first", ["a2.json", "missing.json", "a3.json"])
+    def test_missing_second_operand_exit_2(self, capsys, fixtures_dir, first):
+        """The file count is checked before any file is read."""
+        code, stdout, err = run(capsys, "bounds", "vn", str(fixtures_dir / first))
+        assert (code, stdout) == (2, "")
+        assert err == "error: bounds vn requires two tensor files\n"
 
     def test_precondition_violation_exit_2(self, capsys, fixtures_dir):
         code, _, err = run(
@@ -334,6 +366,7 @@ _VERIFY_INPUTS = {
 }
 
 _NOT_HERMITIAN = "is_psd requires a Hermitian tensor"
+_UNKNOWN_CHECK = "error: unknown check 'bogus'; use hermitian, psd, pd\n"
 
 # (input, --checks) -> (exit code, stdout, text required in stderr)
 _VERIFY_TABLE = {
@@ -371,6 +404,11 @@ _VERIFY_TABLE = {
     ("non_hermitian", "pd,psd"): (2, "pd: min_eigenvalue = 1 -> FAIL\n", _NOT_HERMITIAN),
     ("non_hermitian", "psd"): (2, "", _NOT_HERMITIAN),
     ("non_hermitian", "pd"): (1, "pd: min_eigenvalue = 1 -> FAIL\n", ""),
+    # an unknown check is a usage error before any file is read or check is run
+    ("pd", "hermitian,bogus"): (2, "", _UNKNOWN_CHECK),
+    ("pd", "psd,bogus"): (2, "", _UNKNOWN_CHECK),
+    ("non_hermitian", "bogus,hermitian"): (2, "", _UNKNOWN_CHECK),
+    ("missing", "hermitian,bogus"): (2, "", _UNKNOWN_CHECK),
 }
 
 
@@ -379,11 +417,25 @@ def test_verify_table(capsys, tmp_path, name, checks):
     """Exact stdout and exit code of ``verify`` for each kind of operand and
     each order of the spectral checks."""
     f = tmp_path / f"{name}.json"
-    write_tensor(_VERIFY_INPUTS[name], f)
+    if name in _VERIFY_INPUTS:
+        write_tensor(_VERIFY_INPUTS[name], f)
     want_code, want_out, want_err = _VERIFY_TABLE[name, checks]
     code, stdout, err = run(capsys, "verify", str(f), "--checks", checks)
     assert (code, stdout) == (want_code, want_out)
     assert want_err in err
+
+
+@pytest.mark.parametrize("note", ["", ', "note": NaN'], ids=["entry", "document"])
+def test_nesting_too_deep_exit_2(capsys, tmp_path, note):
+    """An entry nested 100,000 deep is a parse error naming it; so is one that
+    json cannot descend into after orjson rejects the document."""
+    f = tmp_path / "deep.json"
+    deep = "[" * 100_000 + "1" + "]" * 100_000
+    f.write_text(f'{{"dims": [1, 1, 1], "kind": "real", "data": [{deep}]{note}}}')
+    code, stdout, err = run(capsys, "verify", str(f), "--checks", "hermitian")
+    assert (code, stdout) == (2, "")
+    want = "data[0] is not a real number" if not note else "cannot parse tensor file"
+    assert err.startswith(f"error: {f}: {want}")
 
 
 @pytest.mark.parametrize(

@@ -384,6 +384,9 @@ def test_rejected_entry_is_named_at_every_position(tmp_path, kind, entry, messag
 
 
 _HEAD = b'{"dims": [1, 1, 1], "kind": "real", "data": '
+_NESTED = b"[" * 100_000 + b"1" + b"]" * 100_000
+_LONG_ENTRY = repr(list(range(200_000)))
+_LIMIT_KIND = "x" * (core._REPR_LIMIT - 2)  # its repr, quotes included, is _REPR_LIMIT long
 
 # (id, file bytes or None for no file, the ParseError text after "<path>: "); json
 # gives these texts, and a file orjson rejects, or whose orjson document fails a
@@ -418,6 +421,23 @@ _REJECTED_FILES = [
      "field 'data' must hold exactly m*n*p = 2 entries, got 1"),
     ("missing-file", None,
      "cannot read tensor file: [Errno 2] No such file or directory: '{path}'"),
+    # nesting past what repr or json recurses into, and values whose repr is long: a
+    # value is shown cut to _REPR_LIMIT, or named when it is nested too deeply to print;
+    # where orjson parsed the document, its finding is the error
+    ("entry-nested-100000", _HEAD + b"[" + _NESTED + b"]}",
+     "data[0] is not a real number: <a value nested too deeply to print>"),
+    ("pair-nested-100000", _HEAD.replace(b"real", b"complex") + b"[" + _NESTED + b"]}",
+     "data[0] is not a [re, im] pair: <a value nested too deeply to print>"),
+    ("dims-nested-100000", b'{"dims": ' + _NESTED + b', "kind": "real", "data": [1]}',
+     "field 'dims' must be three integers >= 1, got <a value nested too deeply to print>"),
+    ("note-nested-100000-orjson-rejects", _HEAD + b'[NaN], "note": ' + _NESTED + b"}",
+     "cannot parse tensor file: maximum recursion depth exceeded while decoding a JSON array "
+     "from a unicode string"),
+    ("entry-of-200000-numbers", _HEAD + b"[" + _LONG_ENTRY.encode() + b"]}",
+     f"data[0] is not a real number: {_LONG_ENTRY[:core._REPR_LIMIT]}... "
+     f"<{len(_LONG_ENTRY)} characters>"),
+    ("kind-of-limit-length", _HEAD.replace(b"real", _LIMIT_KIND.encode()) + b"[1]}",
+     f"field 'kind' must be 'real' or 'complex', got '{_LIMIT_KIND}'"),
 ]
 
 

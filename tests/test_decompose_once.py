@@ -1,10 +1,11 @@
 """Each public call checks, transforms and decomposes each operand once.
 
 The counts are taken by wrapping ``spectral.is_hermitian`` wherever the
-package holds it, the numpy eigensolvers and the forward and inverse FFTs,
-for the duration of one public call.  Traces of t-products are taken on the
-Fourier stacks that the operands' decompositions hold, so the bounds run no
-forward FFT beyond one per operand and no inverse FFT at all.  Nothing is
+package holds it, spectral's own ``_stack_eig``, the numpy eigensolvers and
+the forward and inverse FFTs, for the duration of one public call.  Traces of
+t-products are taken on the Fourier stacks that the operands' decompositions
+hold, so the bounds run no forward FFT beyond one per operand and no inverse
+FFT at all.  Nothing is
 kept between calls: a tensor holds its data alone, so each call in a
 sequence on the same tensors checks and decomposes each of its operands
 again, once.
@@ -23,6 +24,7 @@ from tspectral import (
     Tensor3,
     dist_bures_wasserstein,
     dist_log_euclidean,
+    extremal_ratio_witness,
     geodesic_trace_profile,
     hermitian_eig,
     identity,
@@ -63,8 +65,8 @@ def calls(monkeypatch):
     for module in (tspectral, spectral, bounds, geometry, cli):
         if getattr(module, "is_hermitian", None) is check:
             monkeypatch.setattr(module, "is_hermitian", counting(check, "is_hermitian"))
-    # the rule behind is_hermitian, which a batch of tensors runs directly
-    monkeypatch.setattr(spectral, "_hermitian_rule", counting(spectral._hermitian_rule, "rule"))
+    # the one Hermitian solver, as _decompose and t_eigenvalues reach it
+    monkeypatch.setattr(spectral, "_stack_eig", counting(spectral._stack_eig, "_stack_eig"))
     return counter
 
 
@@ -137,7 +139,7 @@ def test_trace_bounds_run_no_inverse_fft(calls, name, kind, p):
     b = random_psd(3, p, 7) * (1.0 + 0j if kind == "mixed" else 1.0)
     calls.clear()
     assert getattr(bounds, name)(a, b).satisfied
-    assert calls["rule"] == 2  # relax checks B and the data (A + A^T)/2
+    assert calls["is_hermitian"] == 2  # relax checks B and the data (A + A^T)/2
     assert _eigensolves(calls) == 2
     assert calls["irfft"] + calls["ifft"] == 0
 
@@ -155,22 +157,22 @@ def test_concavity_trial_traces_without_inverse_fft(calls, seed):
     """tr sqrt(X) is a weighted sum over Fourier-slice eigenvalues: each of the
     three traces is one eigvalsh and no sqrt(X) tensor; the only inverse FFTs
     are those of the two random_psd draws.  A trial replayed alone (a group
-    of one) runs each tensor's Hermitian rule once."""
+    of one) runs each tensor's Hermitian check once."""
     assert cli.sweep_trial("concavity", seed, 0)
-    assert calls["rule"] == 3
+    assert calls["is_hermitian"] == 3
     assert (calls["eigvalsh"], _eigensolves(calls)) == (3, 3)
     assert calls["irfft"] + calls["ifft"] == 2
 
 
 def test_concavity_group_is_decided_in_one_pass(calls):
-    """A whole shape group costs what one trial does: three Hermitian rules,
+    """A whole shape group costs what one trial does: three Hermitian checks,
     three eigvalsh and the two inverse FFTs of the random_psd draws."""
     draw, decide, _ = cli._SWEEPS["concavity"]
     draws = [draw(np.random.default_rng((0, trial))) for trial in range(60)]
     group = [arrays for key, arrays in draws if key == draws[0][0]]
     calls.clear()
     assert decide(*cli._stacked(group)).all() and len(group) > 3
-    assert calls["rule"] == 3
+    assert calls["is_hermitian"] == 3
     assert (calls["eigvalsh"], _eigensolves(calls)) == (3, 3)
     assert calls["irfft"] + calls["ifft"] == 2
 
@@ -178,23 +180,23 @@ def test_concavity_group_is_decided_in_one_pass(calls):
 @pytest.mark.parametrize("seed", range(4))
 def test_kyfan_trial_decides_from_eigenvalues(calls, seed):
     """Both Ky Fan extremes are sums of H's eigenvalues: a trial replayed alone
-    runs one Hermitian rule and one eigvalsh, and builds no optimizer, so it
+    runs one Hermitian check and one eigvalsh, and builds no optimizer, so it
     runs no inverse FFT."""
     assert cli.sweep_trial("kyfan", seed, 0)
-    assert calls["rule"] == 1
+    assert calls["is_hermitian"] == 1
     assert (calls["eigvalsh"], _eigensolves(calls)) == (1, 1)
     assert calls["irfft"] + calls["ifft"] == 0
 
 
 def test_kyfan_group_decides_from_eigenvalues(calls):
-    """A whole shape group costs what one trial does: one Hermitian rule, one
+    """A whole shape group costs what one trial does: one Hermitian check, one
     eigvalsh and no inverse FFT, for five U on each trial."""
     draw, decide, _ = cli._SWEEPS["kyfan"]
     draws = [draw(np.random.default_rng((0, trial))) for trial in range(24)]
     group = [arrays for key, arrays in draws if key == draws[0][0]]
     calls.clear()
     assert decide(*cli._stacked(group)).all() and len(group) > 3
-    assert calls["rule"] == 1
+    assert calls["is_hermitian"] == 1
     assert (calls["eigvalsh"], _eigensolves(calls)) == (1, 1)
     assert calls["irfft"] + calls["ifft"] == 0
 
@@ -252,12 +254,28 @@ def test_t_eigenvalues_after_hermitian_eig(calls):
     assert counts == [(1, 1, 0, 1), (1, 0, 1, 1)]
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_t_eigenvalues_solves_hermitian_input_in_the_one_solver(calls, kind):
+    """A Hermitian tensor's eigenvalues come from ``_stack_eig``, the solver that
+    serves every other Hermitian operand; a general tensor's from ``eigvals``."""
+    h = cli._random_hermitian(3, 5, np.random.default_rng(17))
+    h = h * (1.0 + 0j if kind == "complex" else 1.0)
+    calls.clear()
+    t_eigenvalues(h)
+    assert calls["_stack_eig"] == 1
+    assert (calls["is_hermitian"], calls["eigvalsh"], _eigensolves(calls)) == (1, 1, 1)
+    calls.clear()
+    t_eigenvalues(Tensor3(np.random.default_rng(18).standard_normal((3, 3, 5))))
+    assert (calls["_stack_eig"], calls["eigvals"], _eigensolves(calls)) == (0, 1, 1)
+
+
 def test_failed_check_runs_in_each_call_and_names_its_op(calls):
     t = Tensor3(np.random.default_rng(14).standard_normal((3, 3, 4)))
     for op, call in (
         ("is_psd", lambda: is_psd(t)),
         ("t_function", lambda: t_function(t, "sqrt")),
         ("ky_fan_sum", lambda: ky_fan_sum(t, 1)),
+        ("extremal_ratio_witness", lambda: extremal_ratio_witness(t)),
     ):
         calls.clear()
         with pytest.raises(PreconditionError, match=f"^{op} requires a Hermitian tensor"):
@@ -270,19 +288,19 @@ def test_failed_check_runs_in_each_call_and_names_its_op(calls):
 def test_bw_axioms_trial_decomposes_each_tensor_once(calls, seed):
     """Five distances over three tensors: three checks and three eigh."""
     assert cli.sweep_trial("bw-metric-axioms", seed, 0)
-    assert calls["rule"] == 3
+    assert calls["is_hermitian"] == 3
     assert (calls["eigh"], _eigensolves(calls)) == (3, 3)
 
 
 def test_bw_axioms_group_decomposes_each_tensor_once(calls):
-    """A whole shape group costs what one trial does: three Hermitian rules and
+    """A whole shape group costs what one trial does: three Hermitian checks and
     three eigh, for five distances on each trial."""
     draw, decide, _ = cli._SWEEPS["bw-metric-axioms"]
     draws = [draw(np.random.default_rng((0, trial))) for trial in range(40)]
     group = [arrays for key, arrays in draws if key == draws[0][0]]
     calls.clear()
     assert decide(*cli._stacked(group)).all() and len(group) > 3
-    assert calls["rule"] == 3
+    assert calls["is_hermitian"] == 3
     assert (calls["eigh"], _eigensolves(calls)) == (3, 3)
 
 

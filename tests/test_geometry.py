@@ -428,6 +428,10 @@ def _profile_error_case(case, a2):
         return a, -1.0 * identity(2, 2), kwargs
     if case == "negative regularize":
         return a, a, {**kwargs, "regularize": -1e-3}
+    if case == "nan regularize":
+        return a, a, {**kwargs, "regularize": math.nan}
+    if case == "inf regularize":
+        return a, a, {**kwargs, "regularize": math.inf}
     if case == "one sample":
         return a, a, {**kwargs, "num_samples": 1}
     if case == "non-Hermitian A":
@@ -441,6 +445,8 @@ def _profile_error_case(case, a2):
         ("singular A", SingularityError, {"regularize": 1e-6}),
         ("B not PSD", DomainError, None),
         ("negative regularize", DomainError, None),
+        ("nan regularize", DomainError, None),
+        ("inf regularize", DomainError, None),
         ("one sample", DomainError, None),
         ("non-Hermitian A", TSpectralError, None),
     ],

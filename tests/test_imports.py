@@ -1,14 +1,16 @@
 """Every name a module of the package imports is used in that module, every
 module-level private name the package defines is used somewhere in it, the
 third-party modules ``src/`` imports are exactly the declared runtime
-dependencies, every DFT runs in the two Fourier-stack helpers, only the
-tensor-file reader switches the cyclic garbage collector, only the Fourier
-layers know which slices a stack holds, the package
+dependencies, every DFT runs in the two Fourier-stack helpers, every
+eigensolve runs in ``spectral``'s two solver routes, the shape rules live in
+``core`` alone, only the tensor-file reader switches the cyclic garbage
+collector, only the Fourier layers know which slices a stack holds, the package
 re-exports exactly the public names of its layers, and the CLI builds and
 prints its run report in ``main`` alone.
 
 A stdlib ``ast`` walk, so refactors cannot leave stale imports, stranded
-helpers, stale dependencies or a second Fourier layout behind.  Names listed
+helpers, stale dependencies, a second Fourier layout, a stray eigensolver or a
+copied shape rule behind.  Names listed
 in the module's ``__all__`` (re-exports) and imports on a line marked
 ``# noqa: F401`` are exempt from the import check.  ``from .x import *``
 imports the names of ``x.__all__``, and an ``__all__`` may be composed of
@@ -239,6 +241,96 @@ def test_stray_fft_is_reported(tmp_path):
         ("b.py", "<module>", 2),
         ("b.py", "<module>", 4),
         ("transform.py", "Slices", 10),
+    ]
+
+
+# The one home of each eigensolver route: Hermitian Fourier stacks in _stack_eig,
+# general stacks and the dense oracle in t_eigenvalues.
+EIGENSOLVERS = ("eigh", "eigvalsh", "eig", "eigvals")
+EIGENSOLVER_HOMES = {("spectral.py", "_stack_eig"), ("spectral.py", "t_eigenvalues")}
+
+
+def _eigensolver_uses(src: Path) -> list[tuple[str, str, int]]:
+    """(file, top-level definition or ``<module>``, line) of every reference to a
+    numpy eigensolver in the modules of ``src``: an attribute named as one, of any
+    object (``np.linalg.eigh``, an alias's ``la.eigh``), called or not, and every
+    import of one (or ``*``) from a numpy module."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute):
+                    hit = node.attr in EIGENSOLVERS
+                elif isinstance(node, ast.ImportFrom):
+                    hit = (node.module or "").split(".")[0] == "numpy" and any(
+                        a.name in (*EIGENSOLVERS, "*") for a in node.names
+                    )
+                else:
+                    continue
+                if hit:
+                    found.append((path.name, owner, node.lineno))
+    return found
+
+
+def test_every_eigensolve_runs_in_spectral():
+    """A hook on ``_stack_eig`` and ``t_eigenvalues`` sees every eigensolve."""
+    uses = _eigensolver_uses(SRC)
+    assert {(name, owner) for name, owner, _ in uses} == EIGENSOLVER_HOMES
+
+
+def test_stray_eigensolver_is_reported(tmp_path):
+    (tmp_path / "spectral.py").write_text(
+        "import numpy as np\n\n\ndef _stack_eig(s):\n    return np.linalg.eigh(s)\n\n\n"
+        "def t_eigenvalues(s):\n    return np.linalg.eigvals(s)\n\n\n"
+        "class Slices:\n    def of(self, s):\n        return np.linalg.eigvalsh(s)\n"
+    )
+    (tmp_path / "cli.py").write_text(
+        "import numpy.linalg as la\nfrom numpy.linalg import eig\n\nSOLVE = la.eigvals\n\n\n"
+        "def verify(s):\n    return np.linalg.eigvals(s).real.min()\n"
+    )
+    assert [use for use in _eigensolver_uses(tmp_path) if use[:2] not in EIGENSOLVER_HOMES] == [
+        ("cli.py", "<module>", 2),
+        ("cli.py", "<module>", 4),
+        ("cli.py", "verify", 8),
+        ("spectral.py", "Slices", 14),
+    ]
+
+
+# The one home of the shape rules: core's _require_square and _require_same_shape.
+SHAPE_RULE_TEXTS = ("requires square slices", "requires equal shapes")
+
+
+def _shape_rule_texts(src: Path) -> list[tuple[str, str, int]]:
+    """(text, file, line) of every occurrence of a text of ``SHAPE_RULE_TEXTS``
+    in the modules of ``src``, in code, a docstring or a comment."""
+    return [
+        (text, path.name, number)
+        for path in sorted(src.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        for text in SHAPE_RULE_TEXTS
+        if text in line
+    ]
+
+
+def test_shape_rules_live_in_core():
+    uses = _shape_rule_texts(SRC)
+    assert {(text, name) for text, name, _ in uses} == {(t, "core.py") for t in SHAPE_RULE_TEXTS}
+
+
+def test_stray_shape_rule_is_reported(tmp_path):
+    (tmp_path / "core.py").write_text(
+        'def _require_square(t, op):\n    raise ValueError(f"{op} requires square slices")\n'
+    )
+    (tmp_path / "bounds.py").write_text(
+        "def rayleigh_value(a):\n    if a.m != a.n:  # requires square slices\n"
+        '        raise ValueError("rayleigh_value requires square slices")\n\n\n'
+        'def pair(a, b):\n    """A and B: this requires equal shapes."""\n'
+    )
+    assert [use for use in _shape_rule_texts(tmp_path) if use[1] != "core.py"] == [
+        ("requires square slices", "bounds.py", 2),
+        ("requires square slices", "bounds.py", 3),
+        ("requires equal shapes", "bounds.py", 7),
     ]
 
 

@@ -31,6 +31,7 @@ from tspectral import (
     conj_transpose,
     dist_bures_wasserstein,
     dist_log_euclidean,
+    extremal_ratio_witness,
     frobenius_norm,
     geodesic,
     geodesic_trace_profile,
@@ -51,7 +52,7 @@ from tspectral import (
 from tspectral import bounds
 from tspectral.core import _conj_transpose_data, _norm
 from tspectral.geometry import _bures_wasserstein, _checked
-from tspectral.spectral import _decompose, _hermitian_rule, _stack_eig
+from tspectral.spectral import _decompose, _stack_eig
 from tspectral.transform import _adjoint, _all_slices, _from_stack, _stack_trace, _to_stack
 from helpers_oracles import (
     assert_multiset_close,
@@ -68,6 +69,15 @@ EIGH_VALUES_RTOL = 1e-13
 # A bound's fields against their dense twins, relative to max(1, |field|): the two routes
 # sum the same N = n p terms in other orders and eigensolves (3.4e-15 worst in 3000 draws).
 BOUND_TWIN_RTOL = 1e-12
+# dist_log_euclidean against its dense twin, relative to max(1, d): the same logs of other
+# eigensolves, summed in another order (8.2e-15 worst in 3000 draws).
+LOG_EUCLIDEAN_TWIN_RTOL = 1e-12
+# The witness's least dense eigenvalue, over max(1, its largest): a projector's zeros as a
+# dense eigvalsh returns them, a few N eps from 0 (6.9e-16 worst in 3000 draws).
+WITNESS_PSD_RTOL = 1e-12
+# The witness's trace ratio against A's dense extreme eigenvalue, relative to max(1, |lambda|):
+# a slice eigh against a dense eigvalsh of the same spectrum (2.5e-15 worst in 3000 draws).
+WITNESS_RATIO_RTOL = 1e-12
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -308,6 +318,34 @@ def test_bound_fields_match_dense_twins(name, n, p, kind_a, kind_b, seed):
     got = (report.lower, report.value, report.upper)
     scale = max(1.0, *map(abs, want))
     assert np.abs(np.subtract(got, want)).max() <= BOUND_TWIN_RTOL * scale, (got, want)
+
+
+@PROPERTY_SETTINGS
+@given(sizes, tube_lengths, kinds, kinds, seeds)
+def test_log_euclidean_matches_dense_twin(n, p, kind_a, kind_b, seed):
+    """||log bcirc(A) - log bcirc(B)||_F, each log through eigh of the dense bcirc."""
+    rng = np.random.default_rng(seed)
+    a, b = _psd(rng, n, p, kind_a, shift=0.5), _psd(rng, n, p, kind_b, shift=0.5)
+    want = np.linalg.norm(_dense_function(_dense(a), "log") - _dense_function(_dense(b), "log"))
+    got = dist_log_euclidean(a, b)
+    assert abs(got - want) <= LOG_EUCLIDEAN_TWIN_RTOL * max(1.0, want), (got, want)
+
+
+@PROPERTY_SETTINGS
+@given(sizes, tube_lengths, kinds, st.sampled_from(["max", "min"]), seeds)
+def test_extremal_ratio_witness_matches_dense_twin(n, p, kind, which, seed):
+    """B is PSD by dense eigvalsh, and tr(bcirc(A) bcirc(B)) / tr(bcirc(B)) is
+    the dense lambda_max or lambda_min of bcirc(A)."""
+    a = _hermitian(np.random.default_rng(seed), n, p, kind)
+    b = extremal_ratio_witness(a, which)
+    _assert_kind(b, a)
+    da, db = _dense(a), _dense(b)
+    lam_b = np.linalg.eigvalsh(db)
+    assert lam_b[0] >= -WITNESS_PSD_RTOL * max(1.0, lam_b[-1])
+    lam_a = np.linalg.eigvalsh(da)
+    want = lam_a[-1] if which == "max" else lam_a[0]
+    ratio = np.trace(da @ db).real / np.trace(db).real
+    assert abs(ratio - want) <= WITNESS_RATIO_RTOL * max(1.0, abs(want)), (ratio, want)
 
 
 def _stack_shapes(call):
@@ -646,7 +684,7 @@ def test_batch_kernels_equal_per_item_calls(batch, n, p, kind, seed):
         for i in range(batch):
             assert np.allclose(inverse[i], _from_stack(stacks[i], p, out_kind).data, rtol=1e-14, atol=0)
     traces = _stack_trace(other_stacks, stacks, p=p, kind=kind)
-    ok, resid = _hermitian_rule(data)
+    batch_check = is_hermitian(data)
     factors = _stack_eig(stacks, p, eig_kind, vectors=False)
     psd = factors._verdict()
     for i in range(batch):
@@ -655,7 +693,8 @@ def test_batch_kernels_equal_per_item_calls(batch, n, p, kind, seed):
         verdict = one._verdict()
         assert (psd.ok[i], psd.min_eigenvalue[i]) == (verdict.ok, verdict.min_eigenvalue)
         check = is_hermitian(items[i])
-        assert ok[i] == check.ok and resid[i] == pytest.approx(check.residual, rel=1e-12, abs=0)
+        assert batch_check.ok[i] == check.ok
+        assert batch_check.residual[i] == pytest.approx(check.residual, rel=1e-12, abs=0)
         want = _stack_trace(other_stacks[i], stacks[i], p=p, kind=kind)
         assert traces[i] == pytest.approx(want, rel=1e-13, abs=1e-13 * abs(want) + 1e-300)
 

@@ -187,6 +187,20 @@ def test_overflowing_product_raises_overflow(shape, kind):
         tprod_fft(big, big)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the fft
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the fft
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("batch", [False, True], ids=["tensor", "batch"])
+def test_overflowing_forward_transform_raises(kind, batch):
+    """Finite entries whose tube sums leave float range give no inf or nan stack."""
+    data = np.full((2, 2, 4), 1e308) * (1.0 if kind == "real" else 1.0 + 1.0j)
+    if batch:
+        data = np.stack([np.ones_like(data), data])
+    with pytest.raises(NumericError, match="^an operand overflowed: its Fourier transform is not finite$"):
+        _to_stack(data if batch else Tensor3(data))
+    assert np.isfinite(_to_stack(Tensor3(np.full((2, 2, 4), 1e307)))).all()
+
+
 @pytest.mark.parametrize("p", [1, 2, 5])
 def test_batch_inverse_raises_for_its_first_failing_item(p):
     """Per item, an overflow is an overflow and a broken symmetry a residue;
