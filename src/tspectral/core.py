@@ -312,51 +312,32 @@ def _first_failure(ok) -> int | None:
 _NUMBER_TYPES = {int, float}  # exact types: the parsers give bool for true/false
 
 
-def _vouched_flat(raw: list, kind: str) -> np.ndarray | None:
-    """The flat data when numpy's dtype discovery finds only numbers in it;
-    ``None`` when it finds anything else, and then :func:`_fast_flat` decides.
+def _flat(raw: list, kind: str, vouched: bool) -> np.ndarray | None:
+    """The flat data, each number rounded as ``float`` rounds it; ``None`` when
+    an entry has another type or shape, or holds an integer beyond float range,
+    and then :func:`_bad_entry` names the entry.
 
-    Only for a document whose bytes hold no ``u`` and no ``f``: JSON spells
-    true, false and null with one of them, so no entry is a bool or None.  A
-    str, dict, nested list or integer beyond int64 then comes out as another
-    dtype or shape, or raises, so a 1-D float64 or int64 array holds exactly
-    the numbers the exact gate would take, each rounded as ``float`` rounds it.
+    ``vouched``: the document's bytes hold no ``u`` and no ``f``, one of which
+    JSON spells true, false and null with, so no entry is a bool or None.  A
+    str, dict, nested list or integer beyond int64 then comes out of numpy's
+    dtype discovery as another dtype or shape, or raises, so a 1-D float64 or
+    int64 array holds exactly the numbers the exact type gate would take.  All
+    other data, and what discovery does not vouch for, passes that gate.
     """
     try:
         if kind == "complex":
-            if set(map(len, raw)) != {2}:
+            if set(map(len, raw)) != {2}:  # len of a number raises TypeError
                 return None
             raw = list(chain.from_iterable(raw))  # one flat list: a nested np.array is 2x slower
-        flat = np.array(raw)
-    except (TypeError, ValueError):  # len of a number; a ragged or too deep nesting
-        return None
-    if flat.ndim != 1 or flat.dtype not in (np.float64, np.int64):
+        flat = np.array(raw) if vouched else None
+        if flat is None or flat.ndim != 1 or flat.dtype not in (np.float64, np.int64):
+            if not set(map(type, raw)) <= _NUMBER_TYPES:
+                return None
+            flat = np.array(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # a ragged or too deep nesting; a huge int
         return None
     flat = flat.astype(np.float64, copy=False)
     return flat.view(np.complex128) if kind == "complex" else flat
-
-
-def _fast_flat(raw: list, kind: str) -> np.ndarray | None:
-    """The flat data in one numpy call when every entry has the right shape
-    and exact number types; ``None`` when it has not, or holds an integer
-    beyond float range, and then :func:`_bad_entry` names the entry."""
-    if kind == "real":
-        ok = set(map(type, raw)) <= _NUMBER_TYPES
-    else:
-        ok = (
-            set(map(type, raw)) == {list}
-            and set(map(len, raw)) == {2}
-            and set(map(type, chain.from_iterable(raw))) <= _NUMBER_TYPES
-        )
-    if not ok:
-        return None
-    try:
-        if kind == "real":
-            return np.array(raw, dtype=np.float64)
-        # one flat pass over the components; a nested np.array is 2-3x slower
-        return np.fromiter(chain.from_iterable(raw), np.float64, 2 * len(raw)).view(np.complex128)
-    except OverflowError:  # an integer beyond float range
-        return None
 
 
 # A value's repr in an error message prints whole up to this length, which holds a few
@@ -377,7 +358,7 @@ def _shown(value) -> str:
 
 
 def _bad_entry(raw: list, kind: str, path) -> ParseError:
-    """The error naming the first ``data[i]`` that :func:`_fast_flat` rejects:
+    """The error naming the first ``data[i]`` that :func:`_flat` rejects:
     an entry of another type or shape, or one holding an integer beyond float range."""
     what, verb = ("a real number", "is") if kind == "real" else ("a [re, im] pair", "holds")
     for i, v in enumerate(raw):
@@ -388,7 +369,7 @@ def _bad_entry(raw: list, kind: str, path) -> ParseError:
             list(map(float, numbers))
         except OverflowError:
             return ParseError(f"{path}: data[{i}] {verb} an integer beyond float range")
-    raise AssertionError("_bad_entry found no entry that _fast_flat rejects")
+    raise AssertionError("_bad_entry found no entry that _flat rejects")
 
 
 # orjson prints the same shortest round-trip digits as float.__repr__ (Ryu and
@@ -437,6 +418,20 @@ def write_tensor(t: Tensor3, path) -> None:
         fh.writelines((head, body.replace(b",", b", "), b"}\n"))  # no joined copy
 
 
+# orjson (3.8.3) recurses on the C stack with no depth limit, and an 8 MB stack overflows
+# at about 55,000 nested objects or 130,000 nested arrays; half the first keeps complex
+# files of up to 24,997 pairs (their "[" and "{" bytes are the pairs plus 3) on orjson.
+_ORJSON_MAX_BRACKETS = 25_000
+
+
+def _brackets(raw: bytes) -> int:
+    """The number of ``[`` and ``{`` bytes in ``raw``.  They differ in bit 0x20
+    alone, so one buffer, compared in place, counts both (a second buffer for
+    the compare cost almost four times as much on a 1.35 MB file)."""
+    marks = np.frombuffer(raw, np.uint8) | 0x20
+    return int(np.count_nonzero(np.equal(marks, 0x7B, out=marks.view(np.bool_))))
+
+
 def read_tensor(path) -> Tensor3:
     """Parse a tensor file, validating the schema and finiteness.
 
@@ -446,33 +441,38 @@ def read_tensor(path) -> Tensor3:
     that ``open(path, "r", encoding="utf-8")`` gives, so every error message
     names what the standard library finds there; where ``json`` fails on
     nesting that ``orjson`` parsed, the error is what ``orjson``'s document
-    breaks.  A value shown in a message is cut to ``_REPR_LIMIT`` characters.
+    breaks.  A file holding more than ``_ORJSON_MAX_BRACKETS`` ``[`` and ``{``
+    bytes, which bound its nesting depth, goes to ``json`` alone, whose
+    recursion limit gives a ``ParseError`` where ``orjson`` could overflow the
+    stack.  A value shown in a message is cut to ``_REPR_LIMIT`` characters.
 
     Data in a file whose bytes hold no ``u`` and no ``f`` is converted by one
-    numpy call when its dtype discovery finds only numbers
-    (:func:`_vouched_flat`); all other data goes through the exact per-entry
-    gate.  The cyclic garbage collector is off, process-wide, while the
-    ``orjson`` document exists, and the caller's setting comes back after.
+    numpy call when its dtype discovery finds only numbers; all other data
+    passes the exact per-entry type gate first (:func:`_flat`).  The cyclic
+    garbage collector is off, process-wide, while the ``orjson`` document
+    exists, and the caller's setting comes back after.
     """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: cannot read tensor file: {exc}") from exc
-    vouched = b"u" not in raw and b"f" not in raw  # no true, false or null: _vouched_flat
-    # orjson's lists are new containers, which set off collections (full ones
-    # too) that find nothing to free; the pause lasts until the document is dropped
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _tensor_from_doc(orjson.loads(raw), path, vouched)
-    except orjson.JSONDecodeError:
-        found = None
-    except ParseError as exc:
-        found = exc
-    finally:
-        if enabled:
-            gc.enable()
+    vouched = b"u" not in raw and b"f" not in raw  # no true, false or null: see _flat
+    found = None
+    if _brackets(raw) <= _ORJSON_MAX_BRACKETS:
+        # orjson's lists are new containers, which set off collections (full ones
+        # too) that find nothing to free; the pause lasts until the document is dropped
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return _tensor_from_doc(orjson.loads(raw), path, vouched)
+        except orjson.JSONDecodeError:
+            pass
+        except ParseError as exc:
+            found = exc
+        finally:
+            if enabled:
+                gc.enable()
     try:
         # universal newlines, as a text-mode open reads: error line numbers count \r too
         doc = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
@@ -488,7 +488,7 @@ def read_tensor(path) -> Tensor3:
 def _tensor_from_doc(doc, path, vouched: bool) -> Tensor3:
     """The tensor a parsed JSON document describes; ``ParseError`` names the
     first field or ``data[i]`` entry that breaks the schema or is not finite.
-    ``vouched``: the file's bytes hold no ``u`` and no ``f`` (:func:`_vouched_flat`)."""
+    ``vouched``: the file's bytes hold no ``u`` and no ``f`` (:func:`_flat`)."""
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level value must be an object")
     for key in ("dims", "kind", "data"):
@@ -515,9 +515,7 @@ def _tensor_from_doc(doc, path, vouched: bool) -> Tensor3:
             f"{path}: field 'data' must hold exactly m*n*p = {m * n * p} entries, got {got}"
         )
 
-    flat = _vouched_flat(raw, kind) if vouched else None
-    if flat is None:
-        flat = _fast_flat(raw, kind)
+    flat = _flat(raw, kind, vouched)
     if flat is None:
         raise _bad_entry(raw, kind, path)
 

@@ -360,6 +360,8 @@ def t_function(t: Tensor3, fn: str, exponent: float | None = None) -> Tensor3:
     if fn == "pow":
         if exponent is None:
             raise ValueError("t_function(..., 'pow') requires an exponent")
+        if not math.isfinite(exponent):
+            raise DomainError(f"pow requires a finite exponent, got {exponent!r}")
     elif exponent is not None:
         raise ValueError(f"exponent is only meaningful for 'pow', not {fn!r}")
 

@@ -1,12 +1,16 @@
 import json
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tspectral
 from tspectral import (
     Tensor3,
     bounds,
@@ -427,15 +431,40 @@ def test_verify_table(capsys, tmp_path, name, checks):
 
 @pytest.mark.parametrize("note", ["", ', "note": NaN'], ids=["entry", "document"])
 def test_nesting_too_deep_exit_2(capsys, tmp_path, note):
-    """An entry nested 100,000 deep is a parse error naming it; so is one that
+    """An entry nested 20,000 deep is a parse error naming it; so is one that
     json cannot descend into after orjson rejects the document."""
     f = tmp_path / "deep.json"
-    deep = "[" * 100_000 + "1" + "]" * 100_000
+    deep = "[" * 20_000 + "1" + "]" * 20_000
     f.write_text(f'{{"dims": [1, 1, 1], "kind": "real", "data": [{deep}]{note}}}')
     code, stdout, err = run(capsys, "verify", str(f), "--checks", "hermitian")
     assert (code, stdout) == (2, "")
     want = "data[0] is not a real number" if not note else "cannot parse tensor file"
     assert err.startswith(f"error: {f}: {want}")
+
+
+_DEEP = 200_000  # deeper than orjson's recursion survives on an 8 MB stack, arrays or objects
+
+
+@pytest.mark.parametrize(
+    "text, container",
+    [
+        ('{"dims": [1, 1, 1], "kind": "real", "data": [' + "[" * _DEEP + "1" + "]" * _DEEP + "]}",
+         "array"),
+        ('{"a": ' * _DEEP + "1" + "}" * _DEEP, "object"),
+    ],
+    ids=["array", "object"],
+)
+def test_nesting_past_the_bracket_bound_exits_2(tmp_path, text, container):
+    """A file nested deeper than orjson's stack allows is a parse error, not a
+    crash; run in a child process, where a crash cannot take pytest down."""
+    f = tmp_path / "deep.json"
+    f.write_text(text)
+    src = str(Path(tspectral.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); from tspectral.cli import main; sys.exit(main())"
+    out = subprocess.run([sys.executable, "-c", code, "eig", str(f)], capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == (f"error: {f}: cannot parse tensor file: maximum recursion depth "
+                          f"exceeded while decoding a JSON {container} from a unicode string\n")
 
 
 @pytest.mark.parametrize(

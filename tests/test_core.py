@@ -3,6 +3,7 @@ import json
 import math
 
 import numpy as np
+import orjson
 import pytest
 
 from tspectral import (
@@ -384,7 +385,10 @@ def test_rejected_entry_is_named_at_every_position(tmp_path, kind, entry, messag
 
 
 _HEAD = b'{"dims": [1, 1, 1], "kind": "real", "data": '
-_NESTED = b"[" * 100_000 + b"1" + b"]" * 100_000
+_NESTED = b"[" * 20_000 + b"1" + b"]" * 20_000  # past json's and repr's depth, not the bound
+_DEEP = b"[" * 100_000 + b"1" + b"]" * 100_000  # past core._ORJSON_MAX_BRACKETS
+_DEEP_MESSAGE = ("cannot parse tensor file: maximum recursion depth exceeded while decoding "
+                 "a JSON array from a unicode string")
 _LONG_ENTRY = repr(list(range(200_000)))
 _LIMIT_KIND = "x" * (core._REPR_LIMIT - 2)  # its repr, quotes included, is _REPR_LIMIT long
 
@@ -424,15 +428,18 @@ _REJECTED_FILES = [
     # nesting past what repr or json recurses into, and values whose repr is long: a
     # value is shown cut to _REPR_LIMIT, or named when it is nested too deeply to print;
     # where orjson parsed the document, its finding is the error
-    ("entry-nested-100000", _HEAD + b"[" + _NESTED + b"]}",
+    ("entry-nested-20000", _HEAD + b"[" + _NESTED + b"]}",
      "data[0] is not a real number: <a value nested too deeply to print>"),
-    ("pair-nested-100000", _HEAD.replace(b"real", b"complex") + b"[" + _NESTED + b"]}",
+    ("pair-nested-20000", _HEAD.replace(b"real", b"complex") + b"[" + _NESTED + b"]}",
      "data[0] is not a [re, im] pair: <a value nested too deeply to print>"),
-    ("dims-nested-100000", b'{"dims": ' + _NESTED + b', "kind": "real", "data": [1]}',
+    ("dims-nested-20000", b'{"dims": ' + _NESTED + b', "kind": "real", "data": [1]}',
      "field 'dims' must be three integers >= 1, got <a value nested too deeply to print>"),
-    ("note-nested-100000-orjson-rejects", _HEAD + b'[NaN], "note": ' + _NESTED + b"}",
-     "cannot parse tensor file: maximum recursion depth exceeded while decoding a JSON array "
-     "from a unicode string"),
+    ("note-nested-20000-orjson-rejects", _HEAD + b'[NaN], "note": ' + _NESTED + b"}",
+     _DEEP_MESSAGE),
+    # more "[" and "{" bytes than the bound: json alone parses the file
+    ("entry-nested-100000", _HEAD + b"[" + _DEEP + b"]}", _DEEP_MESSAGE),
+    ("dims-nested-100000", b'{"dims": ' + _DEEP + b', "kind": "real", "data": [1]}',
+     _DEEP_MESSAGE),
     ("entry-of-200000-numbers", _HEAD + b"[" + _LONG_ENTRY.encode() + b"]}",
      f"data[0] is not a real number: {_LONG_ENTRY[:core._REPR_LIMIT]}... "
      f"<{len(_LONG_ENTRY)} characters>"),
@@ -455,6 +462,32 @@ def test_rejected_file_gives_the_json_message(tmp_path, raw, message):
     assert str(err.value) == f"{path}: " + message.format(path=path)
 
 
+@pytest.mark.parametrize("extra, parsers", [(0, ["orjson"]), (1, ["json"])],
+                         ids=["at-the-bound", "past-the-bound"])
+def test_bracket_bound_sends_a_file_to_json_alone(tmp_path, monkeypatch, extra, parsers):
+    """A complex file's "[" and "{" bytes are its pairs plus three: orjson parses
+    it up to the bound, json alone one pair past it, and both read the same bits."""
+    pairs = core._ORJSON_MAX_BRACKETS - 3 + extra
+    t = random_tensor(np.random.default_rng(47), 1, 1, pairs, complex_kind=True)
+    path = tmp_path / "t.json"
+    write_tensor(t, path)
+    calls = []
+
+    def record(module):
+        loads = module.loads
+
+        def recorded(doc):
+            calls.append(module.__name__)
+            return loads(doc)
+
+        monkeypatch.setattr(module, "loads", recorded)
+
+    record(orjson)
+    record(json)
+    assert read_tensor(path).data.tobytes() == t.data.tobytes()
+    assert calls == parsers
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 @pytest.mark.parametrize("text", [_HEAD + b"[1.5]}", _HEAD + b"[true]}", b"{nope"],
                          ids=["valid", "rejected-entry", "invalid-json"])
@@ -475,14 +508,17 @@ def test_read_restores_the_callers_gc_state(tmp_path, enabled, text):
 
 @pytest.fixture
 def exact_gate(monkeypatch):
-    """The kinds of data that reach the exact per-entry gate, in call order."""
-    seen, fast_flat = [], core._fast_flat
+    """The sets of entry types that reach the exact per-entry type gate of the
+    reader, in call order: ``set(map(type, raw)) <= _NUMBER_TYPES`` runs the
+    reflected ``>=`` of a set subclass first, so the spy sees every gate run."""
+    seen = []
 
-    def spy(raw, kind):
-        seen.append(kind)
-        return fast_flat(raw, kind)
+    class Gate(set):
+        def __ge__(self, types):
+            seen.append(types)
+            return set.__ge__(self, types)
 
-    monkeypatch.setattr(core, "_fast_flat", spy)
+    monkeypatch.setattr(core, "_NUMBER_TYPES", Gate(core._NUMBER_TYPES))
     return seen
 
 
@@ -502,13 +538,14 @@ def test_written_files_skip_the_exact_gate(tmp_path, exact_gate, complex_kind):
 @pytest.mark.parametrize("complex_kind", [False, True], ids=["real", "complex"])
 def test_file_spelling_full_reads_through_the_exact_gate(tmp_path, exact_gate, complex_kind):
     """A "u" or an "f" anywhere in the bytes, here in an extra field, sends
-    the data through the exact gate, which reads it bit for bit the same."""
+    the data through the exact gate, which reads it bit for bit the same; it
+    runs once, over the numbers (a complex file's pairs flattened first)."""
     t = random_tensor(np.random.default_rng(43), 2, 3, 4, complex_kind)
     path = tmp_path / "t.json"
     write_tensor(t, path)
     path.write_bytes(path.read_bytes()[:-2] + b', "note": "full"}\n')
     assert read_tensor(path).data.tobytes() == t.data.tobytes()
-    assert exact_gate == [t.kind]
+    assert exact_gate == [{float}]
 
 
 @pytest.mark.parametrize("complex_kind", [False, True])

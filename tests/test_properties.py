@@ -9,9 +9,13 @@ block-circulant matrix and never touch the library's FFT code.  The tensor
 file round trip draws its own shapes and entries, and the file reader is
 checked against a frozen copy of its exact per-entry gate.  The array-level shortcuts
 (the Hermitian residual, the single copy into a tensor, ``random_psd`` on one
-Fourier stack) are checked against the tensor-level forms they replace.
+Fourier stack) are checked against the tensor-level forms they replace.  A
+registry at the end names, for every public function of the five layers, its
+dense-twin test or the reason it has none.
 """
 
+import ast
+import inspect
 import io
 import json
 import tempfile
@@ -38,9 +42,11 @@ from tspectral import (
     hermitian_eig,
     identity,
     is_hermitian,
+    ky_fan_sum,
     random_psd,
     read_tensor,
     symmetric_relax_bounds,
+    symmetrized_bounds,
     t_eigenvalues,
     t_function,
     t_svd,
@@ -49,7 +55,7 @@ from tspectral import (
     trace,
     write_tensor,
 )
-from tspectral import bounds
+from tspectral import bounds, core, geometry, spectral, transform
 from tspectral.core import _conj_transpose_data, _norm
 from tspectral.geometry import _bures_wasserstein, _checked
 from tspectral.spectral import _decompose, _stack_eig
@@ -61,6 +67,7 @@ from helpers_oracles import (
     oracle_bcirc,
     oracle_bcirc_gather,
     oracle_eigenvalues,
+    oracle_fourier_blocks,
     reference_read_tensor,
 )
 
@@ -78,6 +85,13 @@ WITNESS_PSD_RTOL = 1e-12
 # The witness's trace ratio against A's dense extreme eigenvalue, relative to max(1, |lambda|):
 # a slice eigh against a dense eigvalsh of the same spectrum (2.5e-15 worst in 3000 draws).
 WITNESS_RATIO_RTOL = 1e-12
+# symmetrized_bounds' mu_min, mu_max and rho_tensor against dense eigvalsh and eigvals of
+# bcirc, relative to max(1, |value|): slice solves against one dense solve (6.2e-15 worst
+# in 3000 draws; the non-real eigenvalues kept their imaginary parts above 2e-4 there).
+SYMMETRIZED_TWIN_RTOL = 1e-12
+# ky_fan_sum's value against per-block eigvalsh sums of the DFT-diagonalized bcirc, relative
+# to max(1, |value|): up to 4 p eigenvalues summed in other orders (2.1e-14 worst in 3000 draws).
+KY_FAN_TWIN_RTOL = 1e-12
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -346,6 +360,39 @@ def test_extremal_ratio_witness_matches_dense_twin(n, p, kind, which, seed):
     want = lam_a[-1] if which == "max" else lam_a[0]
     ratio = np.trace(da @ db).real / np.trace(db).real
     assert abs(ratio - want) <= WITNESS_RATIO_RTOL * max(1.0, abs(want)), (ratio, want)
+
+
+@PROPERTY_SETTINGS
+@given(sizes, tube_lengths, kinds, st.booleans(), seeds)
+def test_symmetrized_bounds_match_dense_twin(n, p, kind, hermitian, seed):
+    """mu_min and mu_max are the extreme eigvalsh of (bcirc(A) + bcirc(A)^H) / 2, and
+    rho_tensor the largest |lambda| over the real eigenvalues of the dense eigvals(bcirc(A))."""
+    rng = np.random.default_rng(seed)
+    a = _hermitian(rng, n, p, kind) if hermitian else _tensor(rng, n, n, p, kind)
+    got = symmetrized_bounds(a)
+    da = _dense(a)
+    mu = np.linalg.eigvalsh((da + da.conj().T) / 2)
+    scale = max(1.0, np.abs(mu).max())
+    assert abs(got.mu_min - mu[0]) <= SYMMETRIZED_TWIN_RTOL * scale, (got.mu_min, mu[0])
+    assert abs(got.mu_max - mu[-1]) <= SYMMETRIZED_TWIN_RTOL * scale, (got.mu_max, mu[-1])
+    lam = np.linalg.eigvals(da)
+    real = lam[np.abs(lam.imag) <= bounds.HERMITIAN_IMAG_ATOL * max(1.0, np.abs(lam).max())].real
+    rho = np.abs(real).max() if len(real) else 0.0
+    assert len(got.eigen_reports) == len(real)
+    assert abs(got.rho_tensor - rho) <= SYMMETRIZED_TWIN_RTOL * max(1.0, rho), (got.rho_tensor, rho)
+
+
+@PROPERTY_SETTINGS
+@given(sizes, tube_lengths, kinds, st.sampled_from(["max", "min"]), st.integers(0, 3), seeds)
+def test_ky_fan_sum_matches_dense_twin(n, p, kind, which, k, seed):
+    """The value is the sum over the p diagonal blocks of the DFT-diagonalized bcirc(H)
+    of each block's top-k (max) or bottom-k (min) eigvalsh."""
+    k = 1 + k % n
+    h = _hermitian(np.random.default_rng(seed), n, p, kind)
+    w = np.linalg.eigvalsh(oracle_fourier_blocks(list(h.slices())))  # (p, n), ascending
+    want = (w[:, n - k:] if which == "max" else w[:, :k]).sum()
+    got = ky_fan_sum(h, k, which).value
+    assert abs(got - want) <= KY_FAN_TWIN_RTOL * max(1.0, abs(want)), (got, want)
 
 
 def _stack_shapes(call):
@@ -716,3 +763,95 @@ def test_batch_kernels_equal_per_item_calls(batch, n, p, kind, seed):
             want = [one.lower, one.value, one.upper]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
             assert relax.satisfied[i] == one.satisfied
+
+
+# Every public function of the five layers maps to the test that checks it against its
+# dense twin ("file::test" or "file::Class::test" under tests/), or to why it has none.
+DENSE_TWINS = {
+    "conj_transpose": "test_core.py::TestBcirc::test_commutes_with_conj_transpose",
+    "trace": "test_core.py::TestTrace::test_equals_bcirc_trace",
+    "frobenius_norm": "test_core.py::TestFrobeniusNorm::test_trace_route_agrees",
+    "tprod_fft": "test_properties.py::test_tprod_fft_matches_dense",
+    "t_eigenvalues": "test_properties.py::test_eigenvalues_match_bcirc",
+    "hermitian_eig": "test_properties.py::test_hermitian_eig_reconstructs",
+    "t_svd": "test_properties.py::test_t_svd_reconstructs",
+    "t_function": "test_properties.py::test_t_function_matches_dense",
+    "random_psd": "test_properties.py::test_random_psd_is_m_times_m_transpose",
+    "symmetrized_bounds": "test_properties.py::test_symmetrized_bounds_match_dense_twin",
+    "vn_trace_bounds": "test_properties.py::test_bound_fields_match_dense_twins",
+    "hermitian_trace_bounds": "test_properties.py::test_bound_fields_match_dense_twins",
+    "sandwich_bounds": "test_properties.py::test_bound_fields_match_dense_twins",
+    "extremal_ratio_bounds": "test_properties.py::test_bound_fields_match_dense_twins",
+    "symmetric_relax_bounds": "test_properties.py::test_bound_fields_match_dense_twins",
+    "extremal_ratio_witness": "test_properties.py::test_extremal_ratio_witness_matches_dense_twin",
+    "ky_fan_sum": "test_properties.py::test_ky_fan_sum_matches_dense_twin",
+    "dist_bures_wasserstein": "test_properties.py::test_bures_wasserstein_matches_oracle",
+    "dist_log_euclidean": "test_properties.py::test_log_euclidean_matches_dense_twin",
+    "geodesic": "test_geometry.py::TestGeodesicDenseOracle::test_geodesic_matches_oracle",
+    "geodesic_trace_profile": "test_properties.py::test_geodesic_traces_match_oracle",
+}
+NO_DENSE_TWIN = {
+    "bcirc": "the dense oracle itself",
+    "tprod_dense": "the dense oracle itself: a product of bcirc matrices",
+    "tprod": "dispatches to tprod_fft or tprod_dense by its path argument",
+    "rayleigh_value": "computed on the dense bcirc matrix itself",
+    "frontal_slice": "a copy of one slice: no operator to twin",
+    "unfold": "a reshape of the data: no operator to twin",
+    "fold": "a reshape of the data: no operator to twin",
+    "identity": "a constant: I_n in the first slice",
+    "read_tensor": "no operator: checked against the frozen reference reader",
+    "write_tensor": "no operator: its bytes are checked against json.dumps",
+    "is_hermitian": "no solve: its residual is checked against ||A - A^H|| of the tensor",
+    "is_psd": "a verdict on the values-only spectrum, tied to t_eigenvalues bit for bit",
+    "psd_factor": "hermitian_eig's factors, checked by M * M^H = A through tprod_fft",
+    "dist_frobenius": "frobenius_norm of A - B",
+}
+
+
+def _test_ids(directory: Path) -> set[str]:
+    """``file::test`` and ``file::Class::test`` of every test function and method
+    defined at the top level of the ``test_*.py`` files in ``directory``."""
+    ids = set()
+    for path in directory.glob("test_*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_"):
+                ids.add(f"{path.name}::{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                ids.update(f"{path.name}::{node.name}::{item.name}" for item in node.body
+                           if isinstance(item, ast.FunctionDef) and item.name.startswith("test_"))
+    return ids
+
+
+def _twin_registry_faults(public, twins, reasons, tests) -> list[str]:
+    """What is wrong with a twin registry for the public function names ``public``."""
+    faults = [f"{name}: no dense twin and no reason" for name in public
+              if name not in twins and name not in reasons]
+    faults += [f"{name}: both a dense twin and a reason" for name in twins.keys() & reasons]
+    faults += [f"{name}: not a public function" for name in (twins.keys() | reasons) - public]
+    faults += [f"{name}: no test {test}" for name, test in twins.items() if test not in tests]
+    return sorted(faults)
+
+
+def test_every_public_function_has_a_dense_twin_or_a_reason():
+    public = {name for module in (core, transform, spectral, bounds, geometry)
+              for name in module.__all__ if inspect.isfunction(getattr(module, name))}
+    tests = _test_ids(Path(__file__).parent)
+    assert _twin_registry_faults(public, DENSE_TWINS, NO_DENSE_TWIN, tests) == []
+
+
+def test_stray_twin_entry_is_reported(tmp_path):
+    (tmp_path / "test_x.py").write_text(
+        "def test_a():\n    pass\n\n\nclass TestB:\n    def test_c(self):\n        pass\n\n\n"
+        "def helper():\n    pass\n"
+    )
+    twins = {"f": "test_x.py::test_a", "g": "test_x.py::test_gone", "h": "test_x.py::helper",
+             "stray": "test_x.py::TestB::test_c"}
+    reasons = {"f": "a reason", "k": "a reason"}
+    assert _twin_registry_faults({"f", "g", "h", "k", "m"}, twins, reasons,
+                                 _test_ids(tmp_path)) == [
+        "f: both a dense twin and a reason",
+        "g: no test test_x.py::test_gone",
+        "h: no test test_x.py::helper",
+        "m: no dense twin and no reason",
+        "stray: not a public function",
+    ]

@@ -213,6 +213,15 @@ class TestTFunction:
         assert t_function(a, "pow", exponent=1.0).allclose(a, atol=1e-9)
         assert t_function(a, "pow", exponent=0.0).allclose(identity(3, 2), atol=1e-12)
 
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf])
+    def test_pow_rejects_a_non_finite_exponent(self, exponent):
+        a = random_psd_tensor(np.random.default_rng(149), 3, 2) + 0.5 * identity(3, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                t_function(a, "pow", exponent=exponent)
+        assert str(err.value) == f"pow requires a finite exponent, got {exponent!r}"
+
     def test_inv_sqrt(self):
         rng = np.random.default_rng(151)
         a = random_psd_tensor(rng, 3, 3) + 0.5 * identity(3, 3)
