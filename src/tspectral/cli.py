@@ -25,6 +25,7 @@ from .core import (
     Tensor3,
     _hermitian_part,
     frobenius_norm,
+    identity,
     read_tensor,
     trace,
     write_tensor,
@@ -445,6 +446,9 @@ def _bench_callable(op: str, n: int, p: int, seed: int):
     if op == "kyfan":
         h = _random_hermitian(n, p, rng)
         return lambda: ky_fan_sum(h, max(1, n // 2))
+    if op == "geodesic":
+        a, b = random_psd(n, p, rng) + identity(n, p), random_psd(n, p, rng)
+        return lambda: geodesic_trace_profile(a, b, 11)
     raise ValueError(f"unknown benchmark op {op!r}")
 
 
@@ -634,8 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("bench", help="runtime scaling benchmark")
-    sp.add_argument("--op", choices=("tprod-dense", "tprod-fft", "eig", "bw-dist", "kyfan"),
-                    required=True)
+    sp.add_argument("--op", required=True,
+                    choices=("tprod-dense", "tprod-fft", "eig", "bw-dist", "kyfan", "geodesic"))
     sp.add_argument("--n-grid", default="8")
     sp.add_argument("--p-grid", default="8,16,32,64")
     sp.add_argument("--reps", type=int, default=5)

@@ -23,11 +23,11 @@ import json
 import math
 import re
 import sys
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-import orjson
 
 from .errors import DomainError, NumericError, ParseError, ShapeError
 
@@ -317,26 +317,22 @@ def _flat(raw: list, kind: str, vouched: bool) -> np.ndarray | None:
     an entry has another type or shape, or holds an integer beyond float range,
     and then :func:`_bad_entry` names the entry.
 
-    ``vouched``: the document's bytes hold no ``u`` and no ``f``, one of which
-    JSON spells true, false and null with, so no entry is a bool or None.  A
-    str, dict, nested list or integer beyond int64 then comes out of numpy's
-    dtype discovery as another dtype or shape, or raises, so a 1-D float64 or
-    int64 array holds exactly the numbers the exact type gate would take.  All
-    other data, and what discovery does not vouch for, passes that gate.
+    One converter, ``array("d")``, takes every list: it raises ``TypeError`` on
+    a str, None, list or dict and ``OverflowError`` on an integer beyond float
+    range, but takes a bool as a number.  ``vouched``: the document's bytes
+    hold no ``u`` and no ``f``, one of which JSON spells true, false and null
+    with, so no entry is a bool.  All other data passes the exact type gate first.
     """
     try:
         if kind == "complex":
             if set(map(len, raw)) != {2}:  # len of a number raises TypeError
                 return None
-            raw = list(chain.from_iterable(raw))  # one flat list: a nested np.array is 2x slower
-        flat = np.array(raw) if vouched else None
-        if flat is None or flat.ndim != 1 or flat.dtype not in (np.float64, np.int64):
-            if not set(map(type, raw)) <= _NUMBER_TYPES:
-                return None
-            flat = np.array(raw, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):  # a ragged or too deep nesting; a huge int
+            raw = list(chain.from_iterable(raw))
+        if not vouched and not set(map(type, raw)) <= _NUMBER_TYPES:
+            return None
+        flat = np.frombuffer(array("d", raw))
+    except (TypeError, OverflowError):
         return None
-    flat = flat.astype(np.float64, copy=False)
     return flat.view(np.complex128) if kind == "complex" else flat
 
 
@@ -396,6 +392,8 @@ def write_tensor(t: Tensor3, path) -> None:
     the data, with its float layout rewritten into ``repr``'s.  A tensor with
     a non-finite entry raises ``NumericError`` before the file is opened.
     """
+    import orjson  # loaded by the first read or write, not by every import of the package
+
     flat = np.transpose(t.data, (2, 0, 1)).ravel()
     finite = np.isfinite(flat)
     if not finite.all():
@@ -452,6 +450,8 @@ def read_tensor(path) -> Tensor3:
     garbage collector is off, process-wide, while the ``orjson`` document
     exists, and the caller's setting comes back after.
     """
+    import orjson  # see write_tensor
+
     try:
         with open(path, "rb") as fh:
             raw = fh.read()

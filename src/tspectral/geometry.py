@@ -10,22 +10,25 @@ geodesic ``G(t) = A^(1/2) * (A^(-1/2) * B * A^(-1/2))^t * A^(1/2)``.
 
 Hermitian, PSD and positive-definiteness decisions are made in
 :mod:`tspectral.spectral`: each operand is checked and decomposed once, and
-A^(1/2), A^(-1/2) and log A are built from its factors as Fourier stacks.
+log A and the BW cross term are built from its factors as Fourier stacks.
 A real operand of a complex product is solved on its rfft half and handed
 over on all p slices; every sum over slices is :func:`~tspectral.transform._slice_sum`.
 The log-Euclidean distance never leaves the Fourier domain:
 ||T||_F^2 = sum_k ||T_k||_F^2 over the p Fourier slices.
 
-The geodesic is set up once per operand pair: one eigendecomposition of A
-(Hermitian and positive-definiteness checks, A^(1/2) and A^(-1/2)), one PSD
-check of B, whose decomposed stack builds M = A^(-1/2) * B * A^(-1/2), and
-one eigendecomposition M = Q * W * Q^H.  With X = A^(1/2) * Q, Fourier slice
-k of G(t) is X_k diag(w_k^t) X_k^H, so a trace sample costs O(np):
-tr G(t) = sum_k sum_i w_ik^t ||X_k e_i||^2.  By Sylvester's law of inertia
-M_k has as many zero eigenvalues as B_k; B_k's are those at most
-``n * eps * lambda_max(B)``, and that many of M_k's smallest are set to 0,
-so for singular B every G(t) with t > 0 has B's rank, also when A is
-ill-conditioned, and no eigenvalue of a positive definite B is dropped.
+The geodesic is set up once per operand pair, from any factor A = L * L^H:
+G(t) = L * (L^(-1) * B * L^(-H))^t * L^H is the same tensor as the formula
+above.  A's eigenvalues alone give its Hermitian and positive-definiteness
+checks, one Cholesky factorization per Fourier slice gives L, B's eigenvalues
+give its PSD check, and one eigendecomposition M = L^(-1) * B * L^(-H) =
+Q * W * Q^H follows.  With X = L * Q, Fourier slice k of G(t) is
+X_k diag(w_k^t) X_k^H, so a trace sample costs O(np):
+tr G(t) = sum_k sum_i w_ik^t ||X_k e_i||^2.  M_k is congruent to B_k, so by
+Sylvester's law of inertia it has as many zero eigenvalues as B_k; B_k's are
+those at most ``n * eps * lambda_max(B)``, and that many of M_k's smallest
+are set to 0, so for singular B every G(t) with t > 0 has B's rank, also
+when A is ill-conditioned, and no eigenvalue of a positive definite B is
+dropped.
 
 Trace conventions: traces default to the block-circulant convention.
 Passing ``convention="slice1"`` rescales every trace by ``1/p`` (first
@@ -47,7 +50,7 @@ from .core import (
     frobenius_norm,
     identity,
 )
-from .errors import DomainError, NumericError, ShapeError
+from .errors import DomainError, NumericError, ShapeError, SingularityError
 from .spectral import _decompose, _stack_eig
 from .spectral import t_eigenvalues  # noqa: F401  (perfbench's tracing check reads it here)
 from .transform import _adjoint, _from_stack, _product_kind, _slice_sum
@@ -70,7 +73,7 @@ _CONVENTIONS = ("bcirc", "slice1")
 RADICAND_RTOL = 1e-10
 
 # An eigenvalue of B at most n * eps * lambda_max(B) counts as 0 (numpy's matrix_rank rule);
-# M = A^(-1/2) B A^(-1/2) has as many zero eigenvalues as B on each Fourier slice.
+# M = L^(-1) B L^(-H), congruent to B, has as many zero eigenvalues on each Fourier slice.
 NULL_EIGENVALUE_RTOL = float(np.finfo(np.float64).eps)
 
 
@@ -179,7 +182,7 @@ def dist_log_euclidean(a: Tensor3, b: Tensor3, convention: str = "bcirc") -> flo
 class _GeodesicFactors:
     """A #_t B in the Fourier domain: slice k of G(t) is x[k] diag(w[k]^t) x[k]^H."""
 
-    x: np.ndarray  # (p', n, n) stack: X_k = A_k^(1/2) Q_k, where M_k = Q_k diag(w_k) Q_k^H
+    x: np.ndarray  # (p', n, n) stack: X_k = L_k Q_k; A_k = L_k L_k^H, M_k = Q_k diag(w_k) Q_k^H
     w: np.ndarray  # (p', n): eigenvalues of M_k, null space set to 0
     kind: str
     p: int
@@ -193,35 +196,39 @@ class _GeodesicFactors:
 
 
 def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFactors:
-    """Validate A and B and decompose A and M = A^(-1/2) B A^(-1/2), once each."""
+    """Validate A and B, factor A = L L^H and decompose M = L^(-1) B L^(-H), once each."""
     _require_same_shape(a, b, "geodesic")
     if not 0.0 <= regularize < math.inf:
         raise DomainError(f"regularize must be finite and >= 0, got {regularize!r}")
     if regularize > 0.0:
         a = a + regularize * identity(a.n, a.p)
     kind = _product_kind(a, b)
-    eig_a = _decompose(a, "geodesic", kind=kind)
-    root = np.sqrt(eig_a._require(
-        "geodesic requires positive definite A (pass regularize=eps to shift explicitly)",
-        definite=True,
-    ))
+    need_a = "geodesic requires positive definite A (pass regularize=eps to shift explicitly)"
+    eig_a = _decompose(a, "geodesic", vectors=False, kind=kind)
+    eig_a._require(need_a, definite=True)
     eig_b = _decompose(b, "geodesic", vectors=False, kind=kind)
     eig_b._require("geodesic requires B PSD")
-    inv_root_a = eig_a._apply(1.0 / root)
-    mid = inv_root_a @ eig_b._stack @ inv_root_a
+    try:
+        chol = np.linalg.cholesky(eig_a._stack)
+    except np.linalg.LinAlgError as exc:  # roundoff beyond the PD verdict's margin
+        raise SingularityError(f"{need_a}; its Cholesky factorization failed") from exc
+    inv_chol = np.linalg.inv(chol)
+    mid = inv_chol @ eig_b._stack @ _adjoint(inv_chol)
     eig_m = _stack_eig(0.5 * (mid + _adjoint(mid)), a.p, kind)
-    w = eig_m._require("geodesic requires A^(-1/2) B A^(-1/2) PSD")
+    w = eig_m._require("geodesic requires L^(-1) B L^(-H) PSD")
     w_b = eig_b._w  # B's eigenvalues on M's slices
     nulls = np.sum(w_b <= a.n * NULL_EIGENVALUE_RTOL * max(w_b.max(), 0.0), axis=1)
     w[np.arange(a.n) >= a.n - nulls[:, None]] = 0.0  # M's smallest, _w being descending
-    return _GeodesicFactors(eig_a._apply(root) @ eig_m._q_stack, w, kind, a.p)
+    return _GeodesicFactors(chol @ eig_m._q_stack, w, kind, a.p)
 
 
 def geodesic(a: Tensor3, b: Tensor3, t: float, regularize: float = 0.0) -> Tensor3:
     """Point on the geodesic G(t) = A^(1/2) (A^(-1/2) B A^(-1/2))^t A^(1/2).
 
-    ``a`` must be positive definite (its inverse square root appears in the
-    formula); singular ``a`` raises rather than being silently shifted.
+    It is computed as L (L^(-1) B L^(-H))^t L^H from the Cholesky factor
+    A = L L^H of each Fourier slice, the same tensor.  ``a`` must be positive
+    definite (its inverse appears in the formula); singular ``a`` raises
+    rather than being silently shifted.
     Passing a finite ``regularize=eps > 0`` explicitly adds ``eps * I`` to ``a``
     first.  ``b`` must be PSD and ``t`` must lie in [0, 1].
     """
@@ -239,12 +246,14 @@ def geodesic_trace_profile(
 ) -> GeodesicProfile:
     """Traces of the geodesic at ``num_samples`` uniform t in [0, 1].
 
-    A and M = A^(-1/2) B A^(-1/2) are decomposed once; after that each
-    sample costs O(np) (``keep_tensors=True`` adds one O(n^3 p) slice
-    product and an inverse FFT per sample).  On each Fourier slice, as many
-    of M's smallest eigenvalues as B has eigenvalues at most
-    ``n * eps * lambda_max(B)`` are set to 0, so for singular B every G(t)
-    with t > 0 has B's rank; roundoff is not raised to the power t.
+    Per Fourier slice, A is factored once as L L^H (eigenvalues for its
+    checks, then Cholesky) and M = L^(-1) B L^(-H) is decomposed once; after
+    that each sample costs O(np) (``keep_tensors=True`` adds one O(n^3 p)
+    slice product and an inverse FFT per sample).  M is congruent to B, so
+    on each Fourier slice as many of M's smallest eigenvalues as B has
+    eigenvalues at most ``n * eps * lambda_max(B)`` are set to 0: for
+    singular B every G(t) with t > 0 has B's rank, and roundoff is not
+    raised to the power t.
     Preconditions and errors are those of :func:`geodesic`.
     """
     if num_samples < 2:

@@ -467,6 +467,18 @@ def test_nesting_past_the_bracket_bound_exits_2(tmp_path, text, container):
                           f"exceeded while decoding a JSON {container} from a unicode string\n")
 
 
+def test_commands_without_files_do_not_load_orjson():
+    """orjson is loaded by the first tensor read or write, so a sweep or a bench,
+    which touch no file, never load it; run in a child process, whose modules are its own."""
+    src = str(Path(tspectral.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); from tspectral.cli import main; "
+            "main(['sweep', 'vn-bounds', '--trials', '3']); "
+            "main(['bench', '--op', 'geodesic', '--n-grid', '2', '--p-grid', '2', '--reps', '1']); "
+            "print('orjson' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (out.returncode, out.stdout.splitlines()[-1], out.stderr) == (0, "False", "")
+
+
 @pytest.mark.parametrize(
     "kind, entry",
     [("real", "-1" + "0" * 400), ("complex", "[1" + "0" * 400 + ", 0]")],
@@ -642,7 +654,7 @@ class TestBenchCommand:
         finally:
             cli._openblas_threads.cache_clear()
 
-    @pytest.mark.parametrize("op", ["eig", "bw-dist", "kyfan"])
+    @pytest.mark.parametrize("op", ["eig", "bw-dist", "kyfan", "geodesic"])
     def test_times_each_op_on_a_tiny_grid(self, op):
         rows = cli.run_benchmark(op, [2], [2, 3], 1)
         assert [(r.op, r.n, r.p) for r in rows] == [(op, 2, 2), (op, 2, 3)]

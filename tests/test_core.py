@@ -445,6 +445,12 @@ _REJECTED_FILES = [
      f"<{len(_LONG_ENTRY)} characters>"),
     ("kind-of-limit-length", _HEAD.replace(b"real", _LIMIT_KIND.encode()) + b"[1]}",
      f"field 'kind' must be 'real' or 'complex', got '{_LIMIT_KIND}'"),
+    # vouched files (no "u" and no "f" byte) pass no type gate: the converter rejects these
+    ("vouched-str", _HEAD + b'["1.5"]}', "data[0] is not a real number: '1.5'"),
+    ("vouched-nested-list", _HEAD + b"[[1.5]]}", "data[0] is not a real number: [1.5]"),
+    ("vouched-object", _HEAD + b"[{}]}", "data[0] is not a real number: {{}}"),  # str.format text
+    ("vouched-10**400", _HEAD + b"[1" + b"0" * 400 + b"]}",
+     "data[0] is an integer beyond float range"),
 ]
 
 
@@ -460,6 +466,13 @@ def test_rejected_file_gives_the_json_message(tmp_path, raw, message):
     with pytest.raises(ParseError) as err:
         read_tensor(path)
     assert str(err.value) == f"{path}: " + message.format(path=path)
+
+
+@pytest.mark.parametrize("number", [10**20, 2**53 + 1, -(2**64) - 1])
+def test_vouched_integer_rounds_as_float_does(tmp_path, number):
+    path = tmp_path / "int.json"
+    path.write_bytes(_HEAD + b"[%d]}" % number)
+    assert read_tensor(path).data[0, 0, 0] == float(number)
 
 
 @pytest.mark.parametrize("extra, parsers", [(0, ["orjson"]), (1, ["json"])],

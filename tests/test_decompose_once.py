@@ -67,6 +67,8 @@ def calls(monkeypatch):
             monkeypatch.setattr(module, "is_hermitian", counting(check, "is_hermitian"))
     # the one Hermitian solver, as _decompose and t_eigenvalues reach it
     monkeypatch.setattr(spectral, "_stack_eig", counting(spectral._stack_eig, "_stack_eig"))
+    # the geodesic's factor of A, not an eigensolve
+    monkeypatch.setattr(np.linalg, "cholesky", counting(np.linalg.cholesky, "cholesky"))
     return counter
 
 
@@ -110,12 +112,16 @@ def test_dist_log_euclidean(calls, complex_b):
 
 
 def test_geodesic_trace_profile(calls):
+    """A's checks need its eigenvalues alone and its factor is a Cholesky one:
+    eigvalsh of A and of B, one Cholesky of A, then one eigh of M."""
     a = random_psd(3, 5, 4) + identity(3, 5)
     b = random_psd(3, 5, 5)
     calls.clear()
     geodesic_trace_profile(a, b, 11)
     assert calls["is_hermitian"] == 2
-    assert _eigensolves(calls) == 3
+    assert (calls["eigh"], calls["eigvalsh"], _eigensolves(calls)) == (1, 2, 3)
+    assert calls["cholesky"] == 1
+    assert _forward_transforms(calls) == 2
 
 
 _TRACE_BOUNDS = [

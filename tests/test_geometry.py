@@ -472,3 +472,25 @@ def test_profile_errors(case, error, fix, a2, tmp_path, capsys):
         prof = geodesic_trace_profile(a, b, **fixed)
         assert np.all(np.isfinite(prof.traces))
         assert cli(fixed) == 0
+
+
+def test_failed_cholesky_is_a_singular_start(monkeypatch, tmp_path, capsys):
+    """A Cholesky failure on an A that passed the positive definiteness verdict
+    (roundoff at the verdict's margin) raises SingularityError with the same
+    requirement, and the CLI exits 2."""
+    rng = np.random.default_rng(402)
+    a, b = random_pd_tensor(rng, 3, 4), random_psd_tensor(rng, 3, 4)
+    fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+    write_tensor(a, fa)
+    write_tensor(b, fb)
+
+    def failing(stack):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    with pytest.raises(SingularityError, match="geodesic requires positive definite A"):
+        geodesic_trace_profile(a, b, 5)
+    out = tmp_path / "profile.csv"
+    assert main(["geodesic", str(fa), str(fb), "--samples", "5", "-o", str(out)]) == 2
+    assert "Cholesky" in capsys.readouterr().err
+    assert not out.exists()
