@@ -37,7 +37,7 @@ from .core import (
 )
 from .errors import DomainError, NumericError, PreconditionError, ShapeError
 from .spectral import EigFactors, _decompose, t_eigenvalues
-from .transform import _adjoint, _from_stack, _product_kind, _stack_trace, _to_stack
+from .transform import _adjoint, _from_stack, _product_kind, _slice_sum, _stack_trace, _to_stack
 
 __all__ = [
     "BoundReport",
@@ -117,12 +117,6 @@ class SymmetrizedBounds:
 class KyFanResult:
     value: float
     optimizer: Tensor3
-
-
-def _product_trace(*factors: EigFactors) -> float:
-    """Real part of tr(T1 * ... * Tr), from the Fourier stacks their factors hold."""
-    first = factors[0]
-    return np.real(_stack_trace(*(f._stack for f in factors), p=first._p, kind=first._kind))
 
 
 def _spectrum(t, op: str, name: str, psd: bool = False, kind: str | None = None) -> tuple:
@@ -213,7 +207,8 @@ def vn_trace_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     """
     (fa, lam_a), (fb, lam_b) = _spectrum_pair(a, b, "vn_trace_bounds")
     lower, upper = _vn_sums(lam_a, lam_b)
-    return BoundReport.build(lower, _product_trace(fa, fb), upper, "trace-product-psd")
+    value = _stack_trace(fa._stack, fb._stack, p=fa._p)
+    return BoundReport.build(lower, value, upper, "trace-product-psd")
 
 
 def hermitian_trace_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
@@ -227,7 +222,7 @@ def hermitian_trace_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     is verified numerically here and raises on disagreement.
     """
     (fa, lam_a), (fb, lam_b) = _spectrum_pair(a, b, "hermitian_trace_bounds", psd=(False, False))
-    value = float(_product_trace(fa, fb))
+    value = _stack_trace(fa._stack, fb._stack, p=fa._p)
     lower, upper = _vn_sums(lam_a, lam_b)
 
     # shift-identity self-check at alpha = 1 + |most negative eigenvalue|;
@@ -235,7 +230,7 @@ def hermitian_trace_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     big_n = a.n * a.p
     alpha = 1.0 + max(0.0, -float(lam_a[-1]), -float(lam_b[-1]))
     shift = alpha * np.eye(a.n)
-    lhs = float(np.real(_stack_trace(fa._stack + shift, fb._stack + shift, p=a.p, kind=fa._kind)))
+    lhs = _stack_trace(fa._stack + shift, fb._stack + shift, p=a.p)
     rhs = value + alpha * (_real_trace(a) + _real_trace(b)) + big_n * alpha**2
     if abs(lhs - rhs) > SHIFT_IDENTITY_RTOL * max(1.0, abs(lhs)):
         raise NumericError(
@@ -252,7 +247,7 @@ def sandwich_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     (fa, _), (fb, lam_b) = _spectrum_pair(a, b, "sandwich_bounds")
     tr_a = _real_trace(a)
     big_n = lam_b.shape[-1]
-    value = _product_trace(fa, fb, fa)
+    value = _stack_trace(fa._stack, fb._stack, fa._stack, p=fa._p)
     lower, upper = lam_b[..., -1] * tr_a**2 / big_n, lam_b[..., 0] * tr_a**2
     return BoundReport.build(lower, value, upper, "sandwich-psd")
 
@@ -269,7 +264,7 @@ def extremal_ratio_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     if bad is not None:
         tr_b = float(np.ravel(tr_b)[bad])
         raise DomainError(f"extremal_ratio_bounds requires trace(B) > 0, got {tr_b!r}")
-    value = _product_trace(fa, fb) / tr_b
+    value = _stack_trace(fa._stack, fb._stack, p=fa._p) / tr_b
     return BoundReport.build(lam_a[..., -1], value, lam_a[..., 0], "extremal-ratio")
 
 
@@ -310,18 +305,18 @@ def symmetric_relax_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     tr_b = _real_trace(b)
     lam1, lam_n = lam_bar[..., 0], lam_bar[..., -1]
     lam_n_b = lam_b[..., -1]
-    value = _stack_trace(_to_stack(a), fb._stack, p=fb._p, kind="real")
+    value = _stack_trace(_to_stack(a), fb._stack, p=fb._p)
     lower = lam_n * tr_b - lam_n_b * (big_n * lam_n - tr_a)
     upper = lam1 * tr_b - lam_n_b * (big_n * lam1 - tr_a)
     return BoundReport.build(lower, value, upper, "relaxed-symmetric")
 
 
-def _ky_fan_values(eigenvalues: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _ky_fan_values(factors: EigFactors, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The maximum and the minimum of tr(U*H*U^H) over k x n x p partial isometries U,
-    from H's Fourier-slice eigenvalues (..., n, p), descending per slice: the sums
-    over all p slices of each slice's top-k and bottom-k eigenvalues."""
-    n = eigenvalues.shape[-2]
-    return tuple(eigenvalues[..., chosen, :].sum(axis=(-2, -1))
+    from H's factors: the :func:`_slice_sum` of each solved slice's top-k and
+    bottom-k eigenvalues, ``_w`` being descending per slice."""
+    w, n = factors._w, factors._w.shape[-1]
+    return tuple(_slice_sum(w[..., chosen].sum(axis=-1), factors._p)
                  for chosen in (slice(0, k), slice(n - k, n)))
 
 
@@ -339,19 +334,19 @@ def ky_fan_sum(h: Tensor3, k: int, which: str = "max") -> KyFanResult:
     if not 1 <= k <= h.n:
         raise DomainError(f"k must satisfy 1 <= k <= {h.n}, got {k}")
     factors = _decompose(h, "ky_fan_sum")
-    top, bottom = map(float, _ky_fan_values(factors.fourier_eigenvalues, k))
+    top, bottom = map(float, _ky_fan_values(factors, k))
     value, chosen = (top, slice(0, k)) if which == "max" else (bottom, slice(h.n - k, h.n))
     q = factors._q_stack[:, :, chosen]  # U's stack is Q^H, so U*U^H's is Q^H Q
     u = _from_stack(_adjoint(q), h.p, factors._kind)
 
     def norm(x):  # ||X||_F^2 = tr(X^H * X), on the Fourier stack of X
-        return np.sqrt(np.real(_stack_trace(_adjoint(x), x, p=h.p, kind=h.kind)))
+        return np.sqrt(_stack_trace(_adjoint(x), x, p=h.p))
 
     gram = _adjoint(q) @ q
     resid = norm(gram - np.eye(k))
     if resid > ISOMETRY_RTOL * (1.0 + norm(gram)):
         raise NumericError(f"constructed optimizer is not a partial isometry: {resid:.3e}")
-    achieved = float(np.real(_stack_trace(_adjoint(q), factors._stack, q, p=h.p, kind=h.kind)))
+    achieved = _stack_trace(_adjoint(q), factors._stack, q, p=h.p)
     if abs(achieved - value) > ATTAINED_RTOL * max(1.0, abs(value)):
         raise NumericError(
             f"optimizer achieves {achieved!r} but extremal value is {value!r}"

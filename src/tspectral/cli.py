@@ -306,12 +306,12 @@ def _decide_kyfan(m_h: np.ndarray, g: np.ndarray) -> np.ndarray:
     h = _hermitian_part(m_h)
     k, p = g.shape[-1], m_h.shape[-1]
     factors = _decompose(h, "ky_fan_sum", vectors=False, kind="complex")  # U is complex
-    hi, lo = _ky_fan_values(factors.fourier_eigenvalues, k)
+    hi, lo = _ky_fan_values(factors, k)
     hi = hi + KYFAN_SWEEP_SLACK * np.maximum(1.0, np.abs(hi))
     lo = lo - KYFAN_SWEEP_SLACK * np.maximum(1.0, np.abs(lo))
     q, _ = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
     us = _adjoint(q)  # (..., 5, p, k, n)
-    vals = np.real(_stack_trace(us, factors._stack[:, None], _adjoint(us), p=p, kind="complex"))
+    vals = _stack_trace(us, factors._stack[:, None], _adjoint(us), p=p)
     return ((vals <= hi[:, None]) & (vals >= lo[:, None])).all(axis=1)
 
 

@@ -192,7 +192,7 @@ class _GeodesicFactors:
 
     def traces(self, ts: np.ndarray) -> np.ndarray:
         col_norms = np.sum(np.abs(self.x) ** 2, axis=1)  # ||X_k e_i||^2, shape (p', n)
-        return np.array([_slice_sum(np.sum(self.w**t * col_norms, axis=-1), self.p) for t in ts])
+        return _slice_sum(np.sum(self.w ** ts[:, None, None] * col_norms, axis=-1), self.p)
 
 
 def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFactors:

@@ -141,17 +141,18 @@ class EigFactors:
     """Unitary factorization A = Q * L * Q^H of a Hermitian tensor.
 
     ``L`` is f-diagonal; its Fourier-slice diagonals are the (real)
-    eigenvalues.  The fields hold only the slices that were solved (an rfft
-    half for a real operand); the read-only ``fourier_eigenvalues``, shape
-    (n, p) and descending per slice, and the tensors ``q`` and ``l`` are
-    built when first read.
+    eigenvalues.  ``_kind`` is the kind of the product the factors serve,
+    ``"real"`` or ``"complex"``: the fields hold the rfft half for ``"real"``,
+    all p slices for ``"complex"``, and ``q`` and ``l`` are tensors of that
+    kind.  The read-only ``fourier_eigenvalues``, shape (n, p) and descending
+    per slice, and the tensors ``q`` and ``l`` are built when first read.
     """
 
     _w: np.ndarray  # (..., p', n) eigenvalues of the stacked slices, descending per slice
     _q_stack: np.ndarray | None = field(repr=False)  # (..., p', n, n) stack of Q; None: values only
     _stack: np.ndarray = field(repr=False)  # (..., p', n, n) stack of A itself
     _p: int
-    _kind: str | None  # kind passed to the inverse; "real": an rfft half
+    _kind: str  # the product's kind: "real" (an rfft half) or "complex" (all p slices)
 
     @cached_property
     def fourier_eigenvalues(self) -> np.ndarray:
@@ -197,7 +198,8 @@ class EigFactors:
 class TSvdFactors:
     """t-SVD triple A = U * S * V^H with f-diagonal non-negative S.
 
-    The fields hold only the slices that were solved, as in :class:`EigFactors`;
+    The fields hold only the slices that were solved, and ``_kind`` is the
+    operand's kind, which ``u``, ``s`` and ``v`` take, as in :class:`EigFactors`;
     the read-only ``fourier_singular_values``, shape (min(m, n), p), and the
     tensors ``u``, ``s`` and ``v`` are built when first read.
     """
@@ -206,7 +208,7 @@ class TSvdFactors:
     _u_stack: np.ndarray = field(repr=False)  # (p', m, m) Fourier stack of U
     _v_stack: np.ndarray = field(repr=False)  # (p', n, n) Fourier stack of V
     _p: int
-    _kind: str | None
+    _kind: str  # the operand's kind: "real" (an rfft half) or "complex" (all p slices)
 
     @cached_property
     def fourier_singular_values(self) -> np.ndarray:
@@ -258,7 +260,7 @@ def is_hermitian(t: Tensor3) -> HermitianCheck:
     return HermitianCheck(resid <= HERMITIAN_RTOL * (root_p * _norm(data, batch)), resid)
 
 
-def _stack_eig(stack: np.ndarray, p: int, kind: str | None, vectors: bool = True) -> EigFactors:
+def _stack_eig(stack: np.ndarray, p: int, kind: str, vectors: bool = True) -> EigFactors:
     """Factors of a Hermitian Fourier stack (an rfft half when ``kind`` is
     ``"real"``) or a batch of them: one batched ``eigh``, or ``eigvalsh`` without ``vectors``."""
     if vectors:
@@ -277,9 +279,9 @@ def _decompose(
     :class:`PreconditionError` that names ``op``, then the factors of
     :func:`_stack_eig` on its Fourier stack, which they keep.  Each call runs both
     once; a caller that holds the operand's check passes it as ``check``.  ``kind``
-    is the kind of the product the factors serve, as in
-    :func:`~tspectral.transform._to_stack`: a real operand is solved on its rfft
-    half, and for ``"complex"`` its factors, stack included, are put on all p slices."""
+    is the kind of the product the factors serve (default the operand's own), which
+    the factors take: a real operand is solved on its rfft half, and for
+    ``"complex"`` its factors, stack included, are put on all p slices."""
     check = is_hermitian(t) if check is None else check
     bad = _first_failure(check.ok)
     if bad is not None:
@@ -287,11 +289,11 @@ def _decompose(
             f"{op} requires a Hermitian tensor: residual "
             f"{np.ravel(check.residual)[bad]:.3e} exceeds {HERMITIAN_RTOL:.0e} * ||A||_F"
         )
-    p, real = t.shape[-1], _product_kind(t) == "real"
-    factors = _stack_eig(_to_stack(t), p, "real" if real else None, vectors)
-    if real and kind == "complex":
+    p, own = t.shape[-1], _product_kind(t)
+    factors = _stack_eig(_to_stack(t), p, own, vectors)
+    if own == "real" and kind == "complex":
         full = [x if x is None else _all_slices(x, p) for x in (factors._q_stack, factors._stack)]
-        factors = EigFactors(_all_slices(factors._w, p, axis=-2), *full, p, None)
+        factors = EigFactors(_all_slices(factors._w, p, axis=-2), *full, p, kind)
     return factors
 
 
@@ -327,7 +329,8 @@ def hermitian_eig(t: Tensor3) -> EigFactors:
 
     Eigenvalues are sorted descending within each Fourier slice.  Real
     input is decomposed on its independent Fourier slices, the rfft half
-    of :mod:`tspectral.transform`, so the Q and L factors come back real.
+    of :mod:`tspectral.transform`, so the Q and L factors come back real;
+    those of complex input are complex.
     """
     return _decompose(t, "hermitian_eig")
 
@@ -337,10 +340,10 @@ def t_svd(t: Tensor3) -> TSvdFactors:
 
     Works for rectangular tensors; U is m x m x p, S is m x n x p with
     descending non-negative diagonal tubes in the Fourier domain, V is
-    n x n x p.
+    n x n x p.  All three have the kind of A.
     """
     u, sv, vh = np.linalg.svd(_to_stack(t))
-    return TSvdFactors(sv, u, _adjoint(vh), t.p, "real" if t.kind == "real" else None)
+    return TSvdFactors(sv, u, _adjoint(vh), t.p, t.kind)
 
 
 _FUNCTION_TAGS = ("sqrt", "log", "inv_sqrt", "pow")
@@ -353,7 +356,7 @@ def t_function(t: Tensor3, fn: str, exponent: float | None = None) -> Tensor3:
     [-tol, 0] are clamped to zero), ``log`` and ``inv_sqrt`` (positive
     definite input), ``pow`` with a float ``exponent`` (PSD input, positive
     definite when ``exponent < 0``).  The result is Hermitian by
-    construction and real-kind whenever the input is real.
+    construction and real-kind exactly when the input is real.
     """
     if fn not in _FUNCTION_TAGS:
         raise ValueError(f"unknown function tag {fn!r}; expected one of {_FUNCTION_TAGS}")
@@ -377,8 +380,8 @@ def t_function(t: Tensor3, fn: str, exponent: float | None = None) -> Tensor3:
     elif fn == "inv_sqrt":
         fw = 1.0 / np.sqrt(w)
     else:
-        if exponent == 0:
-            return identity(t.n, t.p)
+        if exponent == 0:  # exactly I, of the input's kind
+            return identity(t.n, t.p) * (1.0 if t.kind == "real" else 1.0 + 0j)
         fw = np.power(w, float(exponent))
     return _from_stack(factors._apply(fw), t.p, factors._kind)
 
@@ -387,7 +390,7 @@ def is_psd(t: Tensor3) -> PsdCheck:
     """Positive semidefiniteness of a Hermitian tensor.
 
     True when the smallest block-circulant eigenvalue is at least
-    ``-1e-9 * max(1, lambda_max)``.  Non-Hermitian input raises.
+    ``-1e-9 * max(1, |lambda_max|)``.  Non-Hermitian input raises.
     """
     return _decompose(t, "is_psd", vectors=False)._verdict()
 

@@ -20,7 +20,9 @@ slices of ``rfft`` (back through ``irfft``); a complex one all ``p`` of
 the package runs in :func:`_to_stack` or :func:`_from_stack`, each of which
 raises ``NumericError`` on a transform that is not finite, and every sum over
 all p slices in :func:`_slice_sum`.  Each call transforms each operand
-once; the decomposition's stack feeds the trace kernel.
+once; the decomposition's stack feeds the trace kernel.  A kind is that of
+a product, ``"real"`` exactly when every operand is real: it sets both the
+slice layout and the kind of every tensor mapped back, and traces are real.
 """
 
 from __future__ import annotations
@@ -56,43 +58,40 @@ def _to_stack(t, kind: str | None = None) -> np.ndarray:
     return stack.transpose((*range(data.ndim - 3), -1, -3, -2))
 
 
-def _from_stack(stack: np.ndarray, p: int, kind: str | None = None):
+def _from_stack(stack: np.ndarray, p: int, kind: str):
     """Inverse of :func:`_to_stack` (the inverse DFT carries the 1/p factor): a
-    tensor, or for a batch its data (real when every item is).
+    tensor, or for a batch its data, of ``kind``, the kind of the product it
+    serves: ``"real"`` or ``"complex"``.
 
-    Per item, ``kind="real"`` demands a real result and raises
-    :class:`~tspectral.errors.NumericError` when the imaginary residue exceeds
-    ``REAL_COERCION_RTOL * (1 + max|entry|)``; ``None`` coerces to real only
-    when the residue is below that threshold; ``"complex"`` keeps the result
-    complex.  The first failing item raises.
-
-    With ``kind="real"`` a stack of fewer than p slices is an rfft half.
-    ``irfft`` drops the imaginary parts of its DC and (for even p) Nyquist
-    slices; their sum over p is the imaginary residue the full inverse DFT
-    would show, so that is what is checked.  A non-finite result raises too.
+    ``"real"`` demands a real result and raises
+    :class:`~tspectral.errors.NumericError` when an item's imaginary residue
+    exceeds ``REAL_COERCION_RTOL * (1 + max|entry|)``; with fewer than p
+    slices the stack is an rfft half, whose ``irfft`` drops the imaginary
+    parts of the DC and (for even p) Nyquist slices: their sum over p is the
+    residue the full inverse DFT would show, so that is what is checked.  A
+    non-finite result raises for either kind.  The first failing item raises.
     """
     item = (-3, -2, -1) if stack.ndim > 3 else None  # the axes of one item
-    if kind == "real" and stack.shape[-3] < p:
+    real = kind == "real"
+    if real and stack.shape[-3] < p:
         edges = stack[..., :1, :, :] if p % 2 else stack[..., [0, p // 2], :, :]
         resid = np.abs(edges.imag).sum(axis=-3).max(axis=item and item[1:], initial=0.0) / p
         data = np.fft.irfft(stack, n=p, axis=-3)
     else:
         data = np.fft.ifft(stack, axis=-3)
-        resid = np.abs(data.imag).max(axis=item, initial=0.0)
+        resid = np.abs(data.imag).max(axis=item, initial=0.0) if real else 0.0
     scale = 1.0 + np.abs(data).max(axis=item, initial=0.0)
-    ok = resid <= REAL_COERCION_RTOL * scale
-    bad = _first_failure((scale < np.inf) & (ok | (kind != "real")))  # scale >= 1 or nan
+    ok = (scale < np.inf) & (resid <= REAL_COERCION_RTOL * scale)  # scale >= 1 or nan
+    bad = _first_failure(ok)
     if bad is not None:
-        resid, scale = np.ravel(resid)[bad], np.ravel(scale)[bad]
+        scale = np.ravel(scale)[bad]
         if not scale < np.inf:
             raise NumericError("the result overflowed: its inverse transform is not finite")
         raise NumericError(
-            f"imaginary residue {resid:.3e} exceeds {REAL_COERCION_RTOL * scale:.3e}; "
-            "spectral slices are not conjugate-symmetric"
+            f"imaginary residue {np.ravel(resid)[bad]:.3e} exceeds "
+            f"{REAL_COERCION_RTOL * scale:.3e}; spectral slices are not conjugate-symmetric"
         )
-    if kind != "complex" and _first_failure(ok) is None:
-        data = data.real
-    data = data.transpose((*range(data.ndim - 3), -2, -1, -3))
+    data = (data.real if real else data).transpose((*range(data.ndim - 3), -2, -1, -3))
     return Tensor3(data) if data.ndim == 3 else data
 
 
@@ -117,19 +116,19 @@ def _slice_sum(per_slice: np.ndarray, p: int):
     return per_slice @ _slice_weights(per_slice.shape[-1], p)
 
 
-def _stack_trace(*stacks: np.ndarray, p: int, kind: str | None):
-    """Trace of the t-product of the tensors with these Fourier stacks, as the
-    :func:`_slice_sum` of tr(S1_k ... Sr_k).  The last pair is contracted over
-    both indices, so the full product is never formed.  A float for
-    ``kind="real"``, else complex (arrays for batches)."""
+def _stack_trace(*stacks: np.ndarray, p: int):
+    """Real trace of the t-product of the tensors with these Fourier stacks (the
+    real part, for complex ones): the :func:`_slice_sum` of Re tr(S1_k ... Sr_k),
+    a float, or an array for batches.  The last pair is contracted over both
+    indices, so the full product is never formed."""
     *head, last = stacks
     per_slice = np.einsum("...kij,...kji->...k", reduce(np.matmul, head), last)
-    total = _slice_sum(per_slice.real if kind == "real" else per_slice, p)
+    total = _slice_sum(per_slice.real, p)
     return total if total.ndim else total.item()
 
 
 def _product_kind(*tensors) -> str:
-    """Kind of a t-product: ``"real"`` when every factor (or batch of data) is real."""
+    """Kind of a t-product: ``"real"`` exactly when every factor (or batch of data) is real."""
     return "complex" if any(_data(t).dtype.kind == "c" for t in tensors) else "real"
 
 

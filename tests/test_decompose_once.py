@@ -69,6 +69,8 @@ def calls(monkeypatch):
     monkeypatch.setattr(spectral, "_stack_eig", counting(spectral._stack_eig, "_stack_eig"))
     # the geodesic's factor of A, not an eigensolve
     monkeypatch.setattr(np.linalg, "cholesky", counting(np.linalg.cholesky, "cholesky"))
+    # an rfft half's data widened to all p slices
+    monkeypatch.setattr(spectral, "_all_slices", counting(spectral._all_slices, "_all_slices"))
     return counter
 
 
@@ -81,11 +83,14 @@ def _forward_transforms(counter):
 
 
 def test_ky_fan_sum(calls):
+    """A real H is solved on its rfft half, and both extremes are sums over the
+    solved slices: nothing is widened to all p slices."""
     h = random_psd(3, 5, 0)
     calls.clear()
     ky_fan_sum(h, 2)
     assert calls["is_hermitian"] == 1
     assert (calls["eigh"], _eigensolves(calls)) == (1, 1)
+    assert calls["_all_slices"] == 0
 
 
 def test_verify_all_checks(calls, capsys, tmp_path):

@@ -5,7 +5,9 @@ entries.  A real tensor is decomposed on its p // 2 + 1 independent Fourier
 slices: for p = 1 and 2 those are all slices, odd p adds mirrored interior
 slices, and even p >= 4 has interior slices plus a Nyquist slice that, like
 DC, occurs once.  The oracles in ``helpers_oracles`` work on the dense
-block-circulant matrix and never touch the library's FFT code.  The tensor
+block-circulant matrix and never touch the library's FFT code.  The kind
+rule, that a tensor result is real exactly when every operand is, also draws
+real tensors held as complex data.  The tensor
 file round trip draws its own shapes and entries, and the file reader is
 checked against a frozen copy of its exact per-entry gate.  The array-level shortcuts
 (the Hermitian residual, the single copy into a tensor, ``random_psd`` on one
@@ -43,6 +45,7 @@ from tspectral import (
     identity,
     is_hermitian,
     ky_fan_sum,
+    psd_factor,
     random_psd,
     read_tensor,
     symmetric_relax_bounds,
@@ -123,10 +126,11 @@ def _dense(t):
     return oracle_bcirc(list(t.slices()))
 
 
-def _assert_kind(result, *operands):
-    """Real operands give a real-kind result."""
-    if all(t.kind == "real" for t in operands):
-        assert result.kind == "real"
+def _assert_kind(result, *operands, name="result"):
+    """A result has its operands' kind: real exactly when every operand is real."""
+    kinds = [t.kind for t in operands]
+    want = "real" if all(kind == "real" for kind in kinds) else "complex"
+    assert result.kind == want, f"{name} of {kinds} operands is {result.kind}"
 
 
 def _assert_dense_close(t, want, rtol=1e-9):
@@ -165,16 +169,16 @@ def test_stack_trace_matches_dense_trace(m, n, p, kind_a, kind_b, seed):
 
     def kernel(*factors):
         kind = _product_kind(*factors)
-        got = _stack_trace(*(_to_stack(t, kind) for t in factors), p=p, kind=kind)
-        assert isinstance(got, float if kind == "real" else complex)
+        got = _stack_trace(*(_to_stack(t, kind) for t in factors), p=p)
+        assert isinstance(got, float)
         return got
 
     rng = np.random.default_rng(seed)
     a, b = _tensor(rng, m, n, p, kind_a), _tensor(rng, n, m, p, kind_b)
-    want = trace(tprod_dense(a, b))
+    want = np.real(trace(tprod_dense(a, b)))
     assert abs(kernel(a, b) - want) <= 1e-12 * frobenius_norm(a) * frobenius_norm(b)
     a, b = _tensor(rng, n, n, p, kind_a), _tensor(rng, n, n, p, kind_b)
-    want = trace(tprod_dense(tprod_dense(a, b), a))
+    want = np.real(trace(tprod_dense(tprod_dense(a, b), a)))
     assert abs(kernel(a, b, a) - want) <= 1e-12 * frobenius_norm(a) ** 2 * frobenius_norm(b)
 
 
@@ -282,6 +286,44 @@ def test_geodesic_traces_match_oracle(n, p, kind_a, kind_b, singular_b, seed):
     want = [np.trace(geodesic_bcirc_oracle(slices_a, slices_b, t)).real for t in prof.ts]
     np.testing.assert_allclose(prof.traces, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
     _assert_kind(geodesic(a, b, 0.5), a, b)
+
+
+# A "complex copy" is a real draw held as complex data: a complex operand all the same.
+operand_kinds = st.sampled_from(["real", "complex", "complex copy"])
+
+
+def _of_kind(draw, rng, n, p, kind, **kwargs):
+    """``draw(rng, n, p, kind)``, or for a complex copy a real draw held as complex."""
+    t = draw(rng, n, p, "real" if kind == "complex copy" else kind, **kwargs)
+    return Tensor3(t.data.astype(complex)) if kind == "complex copy" else t
+
+
+@PROPERTY_SETTINGS
+@given(sizes, tube_lengths, operand_kinds, operand_kinds, seeds)
+def test_result_kind_is_operands_kind(n, p, kind_a, kind_b, seed):
+    """Every public function that returns a tensor gives its operands' kind, real
+    exactly when every operand is real, whether it forms a product or maps factors back."""
+    rng = np.random.default_rng(seed)
+    a = _of_kind(_psd, rng, n, p, kind_a, shift=0.5)
+    b = _of_kind(_psd, rng, n, p, kind_b, shift=0.5)
+    wide = _of_kind(lambda rng, n, p, kind: _tensor(rng, n, n + 1, p, kind), rng, n, p, kind_b)
+    eig, svd = hermitian_eig(a), t_svd(wide)
+    results = {
+        "tprod_fft": (tprod_fft(a, b), a, b),
+        "t_function": (t_function(a, "sqrt"), a),
+        "t_function pow 0": (t_function(a, "pow", exponent=0.0), a),
+        "psd_factor": (psd_factor(a), a),
+        "hermitian_eig.q": (eig.q, a),
+        "hermitian_eig.l": (eig.l, a),
+        "t_svd.u": (svd.u, wide),
+        "t_svd.s": (svd.s, wide),
+        "t_svd.v": (svd.v, wide),
+        "extremal_ratio_witness": (extremal_ratio_witness(a, "min"), a),
+        "ky_fan_sum.optimizer": (ky_fan_sum(a, 1).optimizer, a),
+        "geodesic": (geodesic(a, b, 0.5), a, b),
+    }
+    for name, (result, *operands) in results.items():
+        _assert_kind(result, *operands, name=name)
 
 
 def _general(rng, n, p, kind):
@@ -718,7 +760,6 @@ def test_batch_kernels_equal_per_item_calls(batch, n, p, kind, seed):
     others = [_tensor(rng, n, n, p, kind) for _ in range(batch)]
     data = np.stack([t.data for t in items])
     other = np.stack([t.data for t in others])
-    eig_kind = "real" if kind == "real" else None
 
     stacks, other_stacks = _to_stack(data), _to_stack(other)
     for i in range(batch):
@@ -728,23 +769,25 @@ def test_batch_kernels_equal_per_item_calls(batch, n, p, kind, seed):
         assert np.array_equal(_all_slices(other_stacks, p)[i], _all_slices(other_stacks[i], p))
         assert _norm(other, 1)[i] == pytest.approx(_norm(others[i].data), rel=1e-14)
         assert _norm(data, 1)[i] == pytest.approx(_norm(items[i].data), rel=1e-14)
-    for out_kind in ({"real", None, "complex"} if kind == "real" else {None, "complex"}):
-        inverse = _from_stack(stacks, p, out_kind)
+    for out_kind in ("real", "complex") if kind == "real" else ("complex",):
+        out_stacks = _to_stack(data, out_kind)
+        inverse = _from_stack(out_stacks, p, out_kind)
         for i in range(batch):
-            assert np.allclose(inverse[i], _from_stack(stacks[i], p, out_kind).data, rtol=1e-14, atol=0)
-    traces = _stack_trace(other_stacks, stacks, p=p, kind=kind)
+            alone = _from_stack(out_stacks[i], p, out_kind).data
+            assert np.allclose(inverse[i], alone, rtol=1e-14, atol=0)
+    traces = _stack_trace(other_stacks, stacks, p=p)
     batch_check = is_hermitian(data)
-    factors = _stack_eig(stacks, p, eig_kind, vectors=False)
+    factors = _stack_eig(stacks, p, kind, vectors=False)
     psd = factors._verdict()
     for i in range(batch):
-        one = _stack_eig(stacks[i], p, eig_kind, vectors=False)
+        one = _stack_eig(stacks[i], p, kind, vectors=False)
         assert np.array_equal(factors.fourier_eigenvalues[i], one.fourier_eigenvalues)
         verdict = one._verdict()
         assert (psd.ok[i], psd.min_eigenvalue[i]) == (verdict.ok, verdict.min_eigenvalue)
         check = is_hermitian(items[i])
         assert batch_check.ok[i] == check.ok
         assert batch_check.residual[i] == pytest.approx(check.residual, rel=1e-12, abs=0)
-        want = _stack_trace(other_stacks[i], stacks[i], p=p, kind=kind)
+        want = _stack_trace(other_stacks[i], stacks[i], p=p)
         assert traces[i] == pytest.approx(want, rel=1e-13, abs=1e-13 * abs(want) + 1e-300)
 
     # the batch-capable bounds and the Bures-Wasserstein kernel; the partners are

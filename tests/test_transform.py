@@ -68,17 +68,15 @@ class TestFromStack:
         np.testing.assert_allclose(_from_stack(blocks, 5, "complex").data, t.data, atol=1e-12)
 
     def test_round_trip_real_coerces(self, a1):
-        for stack, kind in ((_to_stack(a1, "complex"), None), (_to_stack(a1), "real")):
-            back = _from_stack(stack, 2, kind)
+        blocks = oracle_fourier_blocks(list(a1.slices()))
+        for stack in (_to_stack(a1, "complex"), _to_stack(a1), blocks):
+            back = _from_stack(stack, 2, "real")
             assert back.kind == "real"
             assert back.allclose(a1)
-        back = _from_stack(oracle_fourier_blocks(list(a1.slices())), 2)
-        assert back.kind == "real"
-        assert back.allclose(a1)
 
     def test_constant_slices_invert_to_first_slice(self):
         mat = np.array([[1.0, 2.0], [3.0, 4.0]])
-        t = _from_stack(np.repeat(mat[None].astype(complex), 4, axis=0), 4)
+        t = _from_stack(np.repeat(mat[None].astype(complex), 4, axis=0), 4, "real")
         assert t.kind == "real"
         np.testing.assert_allclose(t.data[:, :, 0], mat, atol=1e-14)
         np.testing.assert_allclose(t.data[:, :, 1:], 0.0, atol=1e-14)
@@ -203,8 +201,9 @@ def test_overflowing_forward_transform_raises(kind, batch):
 
 @pytest.mark.parametrize("p", [1, 2, 5])
 def test_batch_inverse_raises_for_its_first_failing_item(p):
-    """Per item, an overflow is an overflow and a broken symmetry a residue;
-    the error raised is the first failing item's."""
+    """Per item, an overflow is an overflow under either kind and a broken
+    symmetry a residue under ``"real"``; the error raised is the first failing
+    item's.  ``"complex"`` checks no residue and keeps every item complex."""
     data = np.random.default_rng(5).standard_normal((4, 2, 2, p))
     stacks = _to_stack(data)
     overflow = stacks.copy()
@@ -212,15 +211,22 @@ def test_batch_inverse_raises_for_its_first_failing_item(p):
     asymmetric = overflow.copy()
     asymmetric[1, 0, 0, 0] += 1j
     assert _from_stack(stacks, p, "real").shape == (4, 2, 2, p)
-    with pytest.raises(NumericError, match="overflowed"):
-        _from_stack(overflow, p, "real")
-    with pytest.raises(NumericError, match="overflowed"):
-        _from_stack(overflow, p, None)
+    full_overflow = _to_stack(data, "complex")
+    full_overflow[2, 0, 0, 0] = np.inf
+    for kind, stack in (("real", overflow), ("complex", full_overflow)):
+        with pytest.raises(NumericError, match="overflowed"):
+            _from_stack(stack, p, kind)
     with pytest.raises(NumericError, match="imaginary residue"):
         _from_stack(asymmetric, p, "real")
+    full_overflow[1, 0, 0, 0] += 1j
+    with pytest.raises(NumericError, match="overflowed"):  # item 1 is not checked
+        _from_stack(full_overflow, p, "complex")
     full = _to_stack(data, "complex")
     full[1, 0, 0, 0] += 1j
-    mixed = _from_stack(full, p, None)  # item 1 stays complex, so the batch does
-    assert mixed.dtype.kind == "c"
-    assert _from_stack(full[0], p, None).kind == "real"
-    assert np.array_equal(mixed[0].real, _from_stack(full[0], p, None).data)
+    with pytest.raises(NumericError, match="imaginary residue"):
+        _from_stack(full, p, "real")
+    kept = _from_stack(full, p, "complex")
+    assert kept.dtype.kind == "c"
+    for i in range(len(data)):
+        assert _from_stack(full[i], p, "complex").kind == "complex"
+        assert np.array_equal(kept[i], _from_stack(full[i], p, "complex").data)
