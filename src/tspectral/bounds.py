@@ -311,6 +311,14 @@ def symmetric_relax_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     return BoundReport.build(lower, value, upper, "relaxed-symmetric")
 
 
+def _ky_fan_factors(h: Tensor3, k: int, vectors: bool = True) -> EigFactors:
+    """H's factors for its Ky Fan extremes over k x n x p partial isometries,
+    once k is checked: the rule 1 <= k <= n comes before H's decomposition."""
+    if not 1 <= k <= h.n:
+        raise DomainError(f"k must satisfy 1 <= k <= {h.n}, got {k}")
+    return _decompose(h, "ky_fan_sum", vectors=vectors)
+
+
 def _ky_fan_values(factors: EigFactors, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The maximum and the minimum of tr(U*H*U^H) over k x n x p partial isometries U,
     from H's factors: the :func:`_slice_sum` of each solved slice's top-k and
@@ -331,9 +339,7 @@ def ky_fan_sum(h: Tensor3, k: int, which: str = "max") -> KyFanResult:
     """
     if which not in ("max", "min"):
         raise ValueError(f"which must be 'max' or 'min', got {which!r}")
-    if not 1 <= k <= h.n:
-        raise DomainError(f"k must satisfy 1 <= k <= {h.n}, got {k}")
-    factors = _decompose(h, "ky_fan_sum")
+    factors = _ky_fan_factors(h, k)
     top, bottom = map(float, _ky_fan_values(factors, k))
     value, chosen = (top, slice(0, k)) if which == "max" else (bottom, slice(h.n - k, h.n))
     q = factors._q_stack[:, :, chosen]  # U's stack is Q^H, so U*U^H's is Q^H Q

@@ -444,11 +444,11 @@ def read_tensor(path) -> Tensor3:
     recursion limit gives a ``ParseError`` where ``orjson`` could overflow the
     stack.  A value shown in a message is cut to ``_REPR_LIMIT`` characters.
 
-    Data in a file whose bytes hold no ``u`` and no ``f`` is converted by one
-    numpy call when its dtype discovery finds only numbers; all other data
-    passes the exact per-entry type gate first (:func:`_flat`).  The cyclic
-    garbage collector is off, process-wide, while the ``orjson`` document
-    exists, and the caller's setting comes back after.
+    Every list is converted by one ``array("d")`` call (:func:`_flat`), with no
+    dtype discovery.  Data in a file whose bytes hold no ``u`` and no ``f``
+    goes to it directly; all other data passes the exact per-entry type gate
+    first.  The cyclic garbage collector is off, process-wide, while the
+    ``orjson`` document exists, and the caller's setting comes back after.
     """
     import orjson  # see write_tensor
 

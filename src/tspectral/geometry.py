@@ -10,7 +10,9 @@ geodesic ``G(t) = A^(1/2) * (A^(-1/2) * B * A^(-1/2))^t * A^(1/2)``.
 
 Hermitian, PSD and positive-definiteness decisions are made in
 :mod:`tspectral.spectral`: each operand is checked and decomposed once, and
-log A and the BW cross term are built from its factors as Fourier stacks.
+log A and the factor R_A = Q W^(1/2) of A = Q W Q^H are built from its factors as
+Fourier stacks.  The BW distance is the Procrustes sum of squares
+min over unitary U of ||R_A - R_B U||_F^2, never the difference of traces above.
 A real operand of a complex product is solved on its rfft half and handed
 over on all p slices; every sum over slices is :func:`~tspectral.transform._slice_sum`.
 The log-Euclidean distance never leaves the Fourier domain:
@@ -42,15 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Tensor3,
-    _first_failure,
-    _real_trace,
-    _require_same_shape,
-    frobenius_norm,
-    identity,
-)
-from .errors import DomainError, NumericError, ShapeError, SingularityError
+from .core import Tensor3, _require_same_shape, frobenius_norm, identity
+from .errors import DomainError, ShapeError, SingularityError
 from .spectral import _decompose, _stack_eig
 from .spectral import t_eigenvalues  # noqa: F401  (perfbench's tracing check reads it here)
 from .transform import _adjoint, _from_stack, _product_kind, _slice_sum
@@ -65,12 +60,6 @@ __all__ = [
 ]
 
 _CONVENTIONS = ("bcirc", "slice1")
-
-# A Bures-Wasserstein radicand below -RADICAND_RTOL * (tr A + tr B) raises; one between that
-# floor and 0 clamps.  The radicand is >= 0 in exact arithmetic, so the floor is a sanity
-# check, and 1e-10 is a chosen safety margin, about 4.5e5 * eps: d(A, A) on 50 random
-# 4x4x8 PSD tensors scaled by 1e8 leaves radicands of at most ~1e-15 * (tr A + tr B).
-RADICAND_RTOL = 1e-10
 
 # An eigenvalue of B at most n * eps * lambda_max(B) counts as 0 (numpy's matrix_rank rule);
 # M = L^(-1) B L^(-H), congruent to B, has as many zero eigenvalues on each Fourier slice.
@@ -105,12 +94,11 @@ class GeodesicProfile:
 
 
 def _checked(t, op: str, name: str, definite: bool = False, kind: str | None = None) -> tuple:
-    """(factors, clamped eigenvalues, real trace) of an operand, or of a batch of them,
+    """(factors, clamped eigenvalues) of an operand, or of a batch of them,
     checked (PSD, or positive definite) and decomposed once for a product of ``kind``."""
     factors = _decompose(t, op, kind=kind)
     need = "positive definite" if definite else "PSD"
-    w = factors._require(f"{op} requires {name} {need}", definite=definite)
-    return factors, w, _real_trace(t)
+    return factors, factors._require(f"{op} requires {name} {need}", definite=definite)
 
 
 def _checked_pair(a: Tensor3, b: Tensor3, op: str, definite: bool = False) -> list[tuple]:
@@ -131,17 +119,15 @@ def dist_frobenius(a: Tensor3, b: Tensor3, convention: str = "bcirc") -> float:
 def dist_bures_wasserstein(a: Tensor3, b: Tensor3, convention: str = "bcirc") -> float:
     """Bures-Wasserstein distance between PSD tensors.
 
-    The cross term tr((A^(1/2) * B * A^(1/2))^(1/2)) is evaluated as the
-    nuclear norm of A^(1/2) * B^(1/2), slice-wise in the Fourier domain.
-    The two forms agree exactly for PSD operands, but the nuclear-norm form
-    never squares small eigenvalues, so near-singular inputs do not see the
-    square root's infinite slope at zero amplify roundoff (this is what
-    keeps d(A, A) at the 1e-7 level instead of 1e-5).  With A_k = Q W Q^H
-    and B_k = R V R^H, A_k^(1/2) B_k^(1/2) has the singular values of
-    W^(1/2) (Q^H R) V^(1/2), so one eigendecomposition per operand serves
-    both its PSD check and its root.  A radicand below ``-1e-10 * (tr A +
-    tr B)`` (both traces under ``convention``) raises; one between that
-    floor and 0 clamps to zero, so d(cA, cB) = sqrt(c) d(A, B) at any scale.
+    It is evaluated in its Procrustes form d(A, B) = min over unitary U of
+    ||A^(1/2) - B^(1/2) * U||_F (Bhatia, Jain and Lim, Expo. Math. 37 (2019),
+    Thm 1), slice-wise in the Fourier domain.  Any factors R_A R_A^H = A_k and
+    R_B R_B^H = B_k serve in place of the roots; with A_k = Q W Q^H they are
+    R_A = Q W^(1/2), so one eigendecomposition per operand serves both its PSD
+    check and its factor.  With the SVD R_A^H R_B = X S Y^H the minimum is
+    ||R_A X - R_B Y||_F, a sum of squares: it is never negative, and near
+    pairs (B close to A) keep their digits, where tr A + tr B - 2 tr(...)^(1/2)
+    cancels.  Under ``convention="slice1"`` d^2 is divided by p.
     """
     pair = _checked_pair(a, b, "dist_bures_wasserstein")
     return float(_bures_wasserstein(*pair, _convention_scale(convention, a.p)))
@@ -150,19 +136,12 @@ def dist_bures_wasserstein(a: Tensor3, b: Tensor3, convention: str = "bcirc") ->
 def _bures_wasserstein(checked_a: tuple, checked_b: tuple, scale: float = 1.0):
     """d(A, B) of :func:`dist_bures_wasserstein`, per item for batches, from the
     :func:`_checked` A and B on the same slices."""
-    (fa, wa, tr_a), (fb, wb, tr_b) = checked_a, checked_b
-    traces = tr_a + tr_b
-    root_wa, root_wb = np.sqrt(wa), np.sqrt(wb)
-    core = root_wa[..., :, None] * (_adjoint(fa._q_stack) @ fb._q_stack) * root_wb[..., None, :]
-    nuclear = np.linalg.svd(core, compute_uv=False).sum(axis=-1)
-    cross = _slice_sum(nuclear, fa._p)
-    radicand = (traces - 2.0 * cross) * scale
-    floor = -RADICAND_RTOL * traces * scale
-    bad = _first_failure(~(radicand < floor))
-    if bad is not None:
-        radicand, floor = np.ravel(radicand)[bad], np.ravel(floor)[bad]
-        raise NumericError(f"Bures-Wasserstein radicand {radicand:.3e} below {floor:.3e}")
-    return np.sqrt(np.maximum(radicand, 0.0))
+    (fa, wa), (fb, wb) = checked_a, checked_b
+    root_a = fa._q_stack * np.sqrt(wa)[..., None, :]
+    root_b = fb._q_stack * np.sqrt(wb)[..., None, :]
+    x, _, yh = np.linalg.svd(_adjoint(root_a) @ root_b)
+    sq_norms = np.sum(np.abs(root_a @ x - root_b @ _adjoint(yh)) ** 2, axis=(-2, -1))
+    return np.sqrt(scale * _slice_sum(sq_norms, fa._p))
 
 
 def dist_log_euclidean(a: Tensor3, b: Tensor3, convention: str = "bcirc") -> float:
@@ -172,7 +151,7 @@ def dist_log_euclidean(a: Tensor3, b: Tensor3, convention: str = "bcirc") -> flo
     Fourier slices of ||T_k||_F^2, so no inverse transform is needed.
     """
     pair = _checked_pair(a, b, "dist_log_euclidean", definite=True)
-    log_a, log_b = (f._apply(np.log(w)) for f, w, _ in pair)
+    log_a, log_b = (f._apply(np.log(w)) for f, w in pair)
     sq_norms = np.sum(np.abs(log_a - log_b) ** 2, axis=(1, 2))  # per Fourier slice
     sq_norm = float(_slice_sum(sq_norms, a.p))
     return math.sqrt(_convention_scale(convention, a.p) * sq_norm)

@@ -190,6 +190,14 @@ class TestBoundsCommand:
         assert code == 0
         assert stdout.startswith("kyfan_max(k=1) = 7.41421356")
 
+    @pytest.mark.parametrize("k", ["0", "3"])
+    @pytest.mark.parametrize("fixture", ["a2.json", "a3.json"])
+    def test_kyfan_k_out_of_range_exit_2(self, capsys, fixtures_dir, fixture, k):
+        """The rule 1 <= k <= n comes first, also for a tensor that is not Hermitian (a3)."""
+        code, stdout, err = run(capsys, "bounds", "kyfan", str(fixtures_dir / fixture), "--k", k)
+        assert (code, stdout) == (2, "")
+        assert f"k must satisfy 1 <= k <= 2, got {k}" in err
+
     @pytest.mark.parametrize("second", ["b2.json", "missing.json"])
     @pytest.mark.parametrize("kind", ["symmetrized", "kyfan"])
     def test_one_operand_kind_rejects_second_file_exit_2(self, capsys, fixtures_dir, kind, second):

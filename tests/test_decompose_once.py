@@ -93,6 +93,20 @@ def test_ky_fan_sum(calls):
     assert calls["_all_slices"] == 0
 
 
+@pytest.mark.parametrize("which", ["max", "min"])
+def test_bounds_kyfan_reads_eigenvalues_only(calls, capsys, tmp_path, which):
+    """``bounds kyfan`` prints one extreme: one Hermitian check and one eigvalsh,
+    and no optimizer, so no inverse FFT."""
+    f = tmp_path / "h.json"
+    write_tensor(random_psd(3, 4, 2), f)
+    calls.clear()
+    assert main(["bounds", "kyfan", str(f), "--k", "2", "--which", which]) == 0
+    assert capsys.readouterr().out.startswith(f"kyfan_{which}(k=2) = ")
+    assert calls["is_hermitian"] == 1
+    assert (calls["eigvalsh"], _eigensolves(calls)) == (1, 1)
+    assert calls["irfft"] + calls["ifft"] == 0
+
+
 def test_verify_all_checks(calls, capsys, tmp_path):
     f = tmp_path / "a.json"
     write_tensor(random_psd(3, 4, 1), f)

@@ -20,12 +20,14 @@ from tspectral import (
     is_hermitian,
     is_psd,
     random_psd,
+    tprod_fft,
     trace,
     write_tensor,
 )
 from tspectral.cli import main
 from conftest import random_pd_tensor, random_psd_tensor, random_tensor
 from helpers_oracles import (
+    bw_bcirc_mpmath,
     geodesic_bcirc_oracle,
     matrix_bures_wasserstein,
     oracle_bcirc,
@@ -65,6 +67,18 @@ class TestFrobeniusDistance:
         assert math.isclose(
             dist_frobenius(1e200 * r, -1e200 * r), 2e200 * frobenius_norm(r), rel_tol=1e-15
         )
+
+
+# |d(A, B) - d_exact| over u * sqrt(tr A + tr B), u the unit roundoff: the factors R_A, R_B
+# (R R^H = A) carry LAPACK backward errors of a few n p u times ||R||_F = sqrt(tr A), with room.
+NEAR_PAIR_ROUNDOFFS = 64
+
+
+def _exact_hermitian_psd(rng, n, p, complex_kind):
+    """G = M * M^H of a random M, then (G + G^H) / 2: Hermitian entry for entry."""
+    m = random_tensor(rng, n, n, p, complex_kind)
+    g = tprod_fft(m, conj_transpose(m))
+    return (g + conj_transpose(g)) * 0.5
 
 
 class TestBuresWasserstein:
@@ -128,9 +142,24 @@ class TestBuresWasserstein:
         with pytest.raises(ValueError):
             dist_bures_wasserstein(a2, b2, convention="other")
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n, p", [(2, 3), (3, 2), (2, 4)])
+    @pytest.mark.parametrize("eps", [0.0, 1e-8, 1e-6, 1e-4])
+    def test_near_pair_matches_mpmath(self, eps, n, p, kind):
+        """d(A, A + eps E) keeps its digits as B nears A, against the trace formula
+        on bcirc at 50 digits, which in float64 cancels to no correct digit."""
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(379)
+        a, e = (_exact_hermitian_psd(rng, n, p, kind == "complex") for _ in range(2))
+        b = a + eps * e
+        want = bw_bcirc_mpmath(a.data, b.data)
+        unit = np.finfo(np.float64).eps / 2
+        tol = NEAR_PAIR_ROUNDOFFS * unit * math.sqrt(np.real(trace(a) + trace(b)))
+        assert abs(dist_bures_wasserstein(a, b) - want) <= tol
+
     def test_self_distance_at_large_scale(self):
-        """The radicand's roundoff grows with the traces; d(cA, cA) must not
-        raise at c = 1e8 and stays at roundoff relative to sqrt(tr cA)."""
+        """The factors' roundoff grows with sqrt(tr cA); d(cA, cA) at c = 1e8
+        stays at that roundoff."""
         c = 1e8
         for seed in range(50):
             a = c * random_psd(4, 8, seed)

@@ -5,8 +5,9 @@ dependencies, every DFT runs in the two Fourier-stack helpers, every
 eigensolve runs in ``spectral``'s two solver routes, the shape rules live in
 ``core`` alone, only the tensor-file reader switches the cyclic garbage
 collector, only the Fourier layers know which slices a stack holds, the package
-re-exports exactly the public names of its layers, and the CLI builds and
-prints its run report in ``main`` alone.
+re-exports exactly the public names of its layers, the CLI builds and
+prints its run report in ``main`` alone, and every named tolerance has a
+one-line justification directly above it.
 
 A stdlib ``ast`` walk, so refactors cannot leave stale imports, stranded
 helpers, stale dependencies, a second Fourier layout, a stray eigensolver or a
@@ -489,4 +490,43 @@ def test_stray_report_is_reported(tmp_path):
     )
     assert _report_sites(tmp_path / "cli.py") == [
         ("json", "cmd", 5), ("RunReport", "cmd", 6), ("json", "main", 11),
+    ]
+
+
+# A named tolerance carries its one-line justification: a comment line directly above it.
+TOLERANCE_SUFFIXES = ("_RTOL", "_ATOL", "_SLACK", "_MARGIN")
+
+
+def _tolerances(src: Path) -> list[tuple[str, int, str, bool]]:
+    """(file, line, name, justified) of every module-level constant of the modules
+    in ``src`` whose name ends in a suffix of ``TOLERANCE_SUFFIXES``; ``justified``
+    when the line directly above it is a comment."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                above = lines[node.lineno - 2].lstrip() if node.lineno > 1 else ""
+                found += [(path.name, node.lineno, t.id, above.startswith("#")) for t in targets
+                          if isinstance(t, ast.Name) and t.id.endswith(TOLERANCE_SUFFIXES)]
+    return found
+
+
+def test_every_tolerance_is_justified():
+    tolerances = _tolerances(SRC)
+    assert {file for file, *_ in tolerances} >= {"bounds.py", "cli.py", "spectral.py"}
+    assert [t[:3] for t in tolerances if not t[3]] == []
+
+
+def test_stray_tolerance_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "EDGE_RTOL = 1e-9\n# roundoff of a sum of n terms\nSUM_ATOL = 1e-12\n\n"
+        "GAP_SLACK = 1e-8  # a trailing comment is not a line above\n"
+        "x = 1\nSTEP_MARGIN: float = 0.5\nSCALE = 2.0\n\n\n"
+        "def f():\n    LOCAL_RTOL = 1e-3\n    return LOCAL_RTOL\n"
+    )
+    assert [t[:3] for t in _tolerances(tmp_path) if not t[3]] == [
+        ("a.py", 1, "EDGE_RTOL"), ("a.py", 5, "GAP_SLACK"), ("a.py", 7, "STEP_MARGIN"),
     ]
