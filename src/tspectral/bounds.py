@@ -15,7 +15,8 @@ is transformed twice, no product formed.
 ``vn_trace_bounds``, ``sandwich_bounds``, ``extremal_ratio_bounds`` and
 ``symmetric_relax_bounds`` also take two batches of tensor data (..., n, n, p)
 and report all items at once: every field but a report's ``context`` is then
-an array, and every check runs per item.
+an array, and every check runs per item.  The pair rule of the two-operand
+bounds is :func:`~tspectral.spectral._decompose_pair`; errors name the operand ``A`` or ``B``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .core import (
     unfold,
 )
 from .errors import DomainError, NumericError, PreconditionError, ShapeError
-from .spectral import EigFactors, _decompose, t_eigenvalues
+from .spectral import EigFactors, _decompose, _decompose_pair, t_eigenvalues
 from .transform import _adjoint, _from_stack, _product_kind, _slice_sum, _stack_trace, _to_stack
 
 __all__ = [
@@ -119,21 +120,17 @@ class KyFanResult:
     optimizer: Tensor3
 
 
-def _spectrum(t, op: str, name: str, psd: bool = False, kind: str | None = None) -> tuple:
-    """(factors for a product of ``kind``, full real spectrum descending, length n*p) of a
-    Hermitian operand; raises :class:`PreconditionError` if it is not Hermitian (or not PSD)."""
-    factors = _decompose(t, f"{op} ({name})", vectors=False, kind=kind)
-    if psd:
-        factors._require(f"{op} requires {name} PSD", error=PreconditionError)
-    ev = factors.fourier_eigenvalues
-    return factors, np.sort(ev.reshape(ev.shape[:-2] + (-1,)), axis=-1)[..., ::-1]
-
-
-def _spectrum_pair(a, b, op: str, names=("first operand", "second operand"), psd=(True, True)):
-    """:func:`_spectrum` of A and B, of equal shapes, on the slices of their product."""
-    _require_same_shape(a, b, op)
-    kind = _product_kind(a, b)
-    return [_spectrum(t, op, name, need, kind) for t, name, need in zip((a, b), names, psd)]
+def _spectra(a, b, op: str, psd: str = "AB") -> list[tuple]:
+    """(factors, full real spectrum descending, length n*p) of A and of B from
+    :func:`_decompose_pair`; raises :class:`PreconditionError` if an operand named in
+    ``psd`` is not PSD."""
+    spectra = []
+    for factors, name in zip(_decompose_pair(a, b, op, vectors=False), "AB"):
+        if name in psd:
+            factors._require(f"{op} requires {name} PSD", error=PreconditionError)
+        ev = factors.fourier_eigenvalues
+        spectra.append((factors, np.sort(ev.reshape(ev.shape[:-2] + (-1,)), axis=-1)[..., ::-1]))
+    return spectra
 
 
 def rayleigh_value(a: Tensor3, x: Tensor3) -> float:
@@ -175,8 +172,8 @@ def symmetrized_bounds(a: Tensor3) -> SymmetrizedBounds:
     (the CLI prints it as ``0.0000`` or ``-0.0000``).
     """
     _require_square(a, "symmetrized_bounds")
-    _, mu = _spectrum(_hermitian_part(a.data), "symmetrized_bounds", "(A + A^H)/2")
-    mu_min, mu_max = float(mu[-1]), float(mu[0])
+    mu = _decompose(_hermitian_part(a.data), "symmetrized_bounds", vectors=False)._w
+    mu_min, mu_max = float(mu.min()), float(mu.max())
     rho_sym = float(np.abs(mu).max())
 
     spec = t_eigenvalues(a)
@@ -205,7 +202,7 @@ def vn_trace_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
 
         sum_i lam_i(A) lam_{N-i+1}(B)  <=  tr(A*B)  <=  sum_i lam_i(A) lam_i(B).
     """
-    (fa, lam_a), (fb, lam_b) = _spectrum_pair(a, b, "vn_trace_bounds")
+    (fa, lam_a), (fb, lam_b) = _spectra(a, b, "vn_trace_bounds")
     lower, upper = _vn_sums(lam_a, lam_b)
     value = _stack_trace(fa._stack, fb._stack, p=fa._p)
     return BoundReport.build(lower, value, upper, "trace-product-psd")
@@ -221,7 +218,7 @@ def hermitian_trace_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
 
     is verified numerically here and raises on disagreement.
     """
-    (fa, lam_a), (fb, lam_b) = _spectrum_pair(a, b, "hermitian_trace_bounds", psd=(False, False))
+    (fa, lam_a), (fb, lam_b) = _spectra(a, b, "hermitian_trace_bounds", psd="")
     value = _stack_trace(fa._stack, fb._stack, p=fa._p)
     lower, upper = _vn_sums(lam_a, lam_b)
 
@@ -244,7 +241,7 @@ def sandwich_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
 
         lam_min(B) tr(A)^2 / N  <=  tr(A*B*A)  <=  lam_max(B) tr(A)^2.
     """
-    (fa, _), (fb, lam_b) = _spectrum_pair(a, b, "sandwich_bounds")
+    (fa, _), (fb, lam_b) = _spectra(a, b, "sandwich_bounds")
     tr_a = _real_trace(a)
     big_n = lam_b.shape[-1]
     value = _stack_trace(fa._stack, fb._stack, fa._stack, p=fa._p)
@@ -258,7 +255,7 @@ def extremal_ratio_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     For Hermitian A the ratio always lies in [lam_min(A), lam_max(A)], and
     both endpoints are attained (see :func:`extremal_ratio_witness`).
     """
-    (fa, lam_a), (fb, _) = _spectrum_pair(a, b, "extremal_ratio_bounds", ("A", "B"), (False, True))
+    (fa, lam_a), (fb, _) = _spectra(a, b, "extremal_ratio_bounds", psd="B")
     tr_b = _real_trace(b)
     bad = _first_failure(tr_b > 0.0)
     if bad is not None:
@@ -298,8 +295,8 @@ def symmetric_relax_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     _require_same_shape(a, b, "symmetric_relax_bounds")
     if _product_kind(a, b) != "real":
         raise PreconditionError("symmetric_relax_bounds is defined for real tensors")
-    fb, lam_b = _spectrum(b, "symmetric_relax_bounds", "B")
-    _, lam_bar = _spectrum(_hermitian_part(_data(a)), "symmetric_relax_bounds", "(A + A^T)/2")
+    _require_square(a, "symmetric_relax_bounds")  # before (A + A^T)/2 is formed
+    (_, lam_bar), (fb, lam_b) = _spectra(_hermitian_part(_data(a)), b, "symmetric_relax_bounds", "")
     big_n = lam_b.shape[-1]
     tr_a = _real_trace(a)
     tr_b = _real_trace(b)

@@ -44,7 +44,7 @@ from .bounds import (
 )
 from .geometry import (
     _bures_wasserstein,
-    _checked,
+    _checked_pair,
     _convention_scale,
     dist_bures_wasserstein,
     dist_frobenius,
@@ -341,9 +341,10 @@ def _trace_sqrt(x: np.ndarray) -> np.ndarray:
 def _decide_bw_axioms(*gaussians: np.ndarray) -> np.ndarray:
     """d = dist_bures_wasserstein is a metric on A, B, C = M * M^T: d(A, B) >= 0 and
     symmetric, d(A, A) = 0 and d(A, C) <= d(A, B) + d(B, C).  A, B and C are checked
-    and decomposed once each, their checks naming them as d(A, B) and d(A, C) do."""
-    psd = [_gram(m) for m in gaussians]
-    ops = [_checked(t, "dist_bures_wasserstein", name) for t, name in zip(psd, "ABB")]
+    and decomposed once each: A and B as d(A, B) checks them, C as d(C, C) does."""
+    a, b, c = (_gram(m) for m in gaussians)
+    ops = [*_checked_pair(a, b, "dist_bures_wasserstein"),
+           _checked_pair(c, c, "dist_bures_wasserstein")[0]]
 
     def dist(x: int, y: int) -> np.ndarray:
         return _bures_wasserstein(ops[x], ops[y])

@@ -9,7 +9,8 @@ and the log-Euclidean distance ``||log A - log B||_F``, together with the
 geodesic ``G(t) = A^(1/2) * (A^(-1/2) * B * A^(-1/2))^t * A^(1/2)``.
 
 Hermitian, PSD and positive-definiteness decisions are made in
-:mod:`tspectral.spectral`: each operand is checked and decomposed once, and
+:mod:`tspectral.spectral`, whose :func:`~tspectral.spectral._decompose_pair` is the
+pair rule: each operand is checked and decomposed once, errors name ``A`` or ``B``, and
 log A and the factor R_A = Q W^(1/2) of A = Q W Q^H are built from its factors as
 Fourier stacks.  The BW distance is the Procrustes sum of squares
 min over unitary U of ||R_A - R_B U||_F^2, never the difference of traces above.
@@ -46,9 +47,9 @@ import numpy as np
 
 from .core import Tensor3, _require_same_shape, frobenius_norm, identity
 from .errors import DomainError, ShapeError, SingularityError
-from .spectral import _decompose, _stack_eig
+from .spectral import _decompose_pair, _stack_eig
 from .spectral import t_eigenvalues  # noqa: F401  (perfbench's tracing check reads it here)
-from .transform import _adjoint, _from_stack, _product_kind, _slice_sum
+from .transform import _adjoint, _from_stack, _slice_sum
 
 __all__ = [
     "GeodesicProfile",
@@ -93,21 +94,12 @@ class GeodesicProfile:
         object.__setattr__(self, "traces", tr)
 
 
-def _checked(t, op: str, name: str, definite: bool = False, kind: str | None = None) -> tuple:
-    """(factors, clamped eigenvalues) of an operand, or of a batch of them,
-    checked (PSD, or positive definite) and decomposed once for a product of ``kind``."""
-    factors = _decompose(t, op, kind=kind)
+def _checked_pair(a, b, op: str, definite: bool = False) -> list[tuple]:
+    """(factors, clamped eigenvalues) of A and of B (tensors, or batches of data) from
+    :func:`_decompose_pair`, each required PSD, or positive definite."""
     need = "positive definite" if definite else "PSD"
-    return factors, factors._require(f"{op} requires {name} {need}", definite=definite)
-
-
-def _checked_pair(a: Tensor3, b: Tensor3, op: str, definite: bool = False) -> list[tuple]:
-    """:func:`_checked` of A and B, on the slices of their product; one object
-    passed as both is checked and decomposed once."""
-    _require_same_shape(a, b, op)
-    kind = _product_kind(a, b)
-    checked_a = _checked(a, op, "A", definite, kind)
-    return [checked_a, checked_a if b is a else _checked(b, op, "B", definite, kind)]
+    return [(f, f._require(f"{op} requires {name} {need}", definite=definite))
+            for f, name in zip(_decompose_pair(a, b, op), "AB")]
 
 
 def dist_frobenius(a: Tensor3, b: Tensor3, convention: str = "bcirc") -> float:
@@ -135,7 +127,7 @@ def dist_bures_wasserstein(a: Tensor3, b: Tensor3, convention: str = "bcirc") ->
 
 def _bures_wasserstein(checked_a: tuple, checked_b: tuple, scale: float = 1.0):
     """d(A, B) of :func:`dist_bures_wasserstein`, per item for batches, from the
-    :func:`_checked` A and B on the same slices."""
+    :func:`_checked_pair` A and B on the same slices."""
     (fa, wa), (fb, wb) = checked_a, checked_b
     root_a = fa._q_stack * np.sqrt(wa)[..., None, :]
     root_b = fb._q_stack * np.sqrt(wb)[..., None, :]
@@ -176,16 +168,15 @@ class _GeodesicFactors:
 
 def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFactors:
     """Validate A and B, factor A = L L^H and decompose M = L^(-1) B L^(-H), once each."""
-    _require_same_shape(a, b, "geodesic")
     if not 0.0 <= regularize < math.inf:
         raise DomainError(f"regularize must be finite and >= 0, got {regularize!r}")
     if regularize > 0.0:
         a = a + regularize * identity(a.n, a.p)
-    kind = _product_kind(a, b)
     need_a = "geodesic requires positive definite A (pass regularize=eps to shift explicitly)"
-    eig_a = _decompose(a, "geodesic", vectors=False, kind=kind)
+    pair = _decompose_pair(a, b, "geodesic", vectors=False)
+    eig_a = next(pair)
     eig_a._require(need_a, definite=True)
-    eig_b = _decompose(b, "geodesic", vectors=False, kind=kind)
+    eig_b = next(pair)
     eig_b._require("geodesic requires B PSD")
     try:
         chol = np.linalg.cholesky(eig_a._stack)
@@ -193,12 +184,12 @@ def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFac
         raise SingularityError(f"{need_a}; its Cholesky factorization failed") from exc
     inv_chol = np.linalg.inv(chol)
     mid = inv_chol @ eig_b._stack @ _adjoint(inv_chol)
-    eig_m = _stack_eig(0.5 * (mid + _adjoint(mid)), a.p, kind)
+    eig_m = _stack_eig(0.5 * (mid + _adjoint(mid)), a.p, eig_a._kind)
     w = eig_m._require("geodesic requires L^(-1) B L^(-H) PSD")
     w_b = eig_b._w  # B's eigenvalues on M's slices
     nulls = np.sum(w_b <= a.n * NULL_EIGENVALUE_RTOL * max(w_b.max(), 0.0), axis=1)
     w[np.arange(a.n) >= a.n - nulls[:, None]] = 0.0  # M's smallest, _w being descending
-    return _GeodesicFactors(chol @ eig_m._q_stack, w, kind, a.p)
+    return _GeodesicFactors(chol @ eig_m._q_stack, w, eig_a._kind, a.p)
 
 
 def geodesic(a: Tensor3, b: Tensor3, t: float, regularize: float = 0.0) -> Tensor3:

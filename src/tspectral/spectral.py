@@ -7,16 +7,17 @@ batched LAPACK call over the Fourier stack of :mod:`tspectral.transform` and
 are mapped back with the inverse DFT.  The dense block-circulant route is
 kept available as an oracle (``method="bcirc"``).
 
-Every operation that needs a Hermitian, PSD or positive definite operand, here
-and in :mod:`~tspectral.bounds` and :mod:`~tspectral.geometry`, goes through
-one private entry, :func:`_decompose`: the Hermitian check, whose failure
-raises an error naming the operation, then one batched ``eigh`` (or
-``eigvalsh``) on the Fourier stack.  The returned :class:`EigFactors` keep that
-stack for the callers' traces and give the PSD and PD verdicts, the only place
-where ``PSD_RTOL`` and ``PD_RTOL`` meet a spectrum, and the stacks
-Q diag(f(w)) Q^H that callers build from them.  The verdict-then-clamp rule
-lives there too: ``EigFactors._require`` raises on a failed verdict, else
-returns the eigenvalues clamped at 0, so no caller clips a spectrum of its own.
+Every operation that needs a Hermitian, PSD or positive definite operand, here and in
+:mod:`~tspectral.bounds` and :mod:`~tspectral.geometry`, goes through one of two private
+entries.  :func:`_decompose` takes one operand: the Hermitian check, whose failure raises
+an error naming the operation and the operand, then one batched ``eigh`` (or ``eigvalsh``)
+on the Fourier stack.  :func:`_decompose_pair` takes the two of every bound, distance and
+geodesic: equal shapes, then :func:`_decompose` of ``A`` and ``B`` in their product's kind,
+once for one object passed as both.  The :class:`EigFactors` keep that stack for the
+callers' traces and give the PSD and PD verdicts, the only place where ``PSD_RTOL`` and
+``PD_RTOL`` meet a spectrum, and the stacks Q diag(f(w)) Q^H that callers build from them.
+The verdict-then-clamp rule lives there too: ``EigFactors._require`` raises on a failed
+verdict, else returns the eigenvalues clamped at 0, so no caller clips a spectrum of its own.
 
 Each call checks, transforms and decomposes each of its operands once, and
 keeps nothing: a :class:`~tspectral.core.Tensor3` carries its data alone, so
@@ -42,6 +43,7 @@ from .core import (
     _data,
     _first_failure,
     _norm,
+    _require_same_shape,
     _require_square,
     bcirc,
     identity,
@@ -271,12 +273,11 @@ def _stack_eig(stack: np.ndarray, p: int, kind: str, vectors: bool = True) -> Ei
     return EigFactors(w[..., ::-1], q, stack, p, kind)
 
 
-def _decompose(
-    t, op: str, vectors: bool = True, check: HermitianCheck | None = None, kind: str | None = None
-) -> EigFactors:
+def _decompose(t, op: str, vectors: bool = True, check: HermitianCheck | None = None,
+               kind: str | None = None, name: str = "A") -> EigFactors:
     """The one gate to a Hermitian operand's spectrum: :func:`is_hermitian` of a
     tensor, or of every item of a batch of tensor data (..., n, n, p), raising a
-    :class:`PreconditionError` that names ``op``, then the factors of
+    :class:`PreconditionError` that names ``op`` and the operand ``name``, then the factors of
     :func:`_stack_eig` on its Fourier stack, which they keep.  Each call runs both
     once; a caller that holds the operand's check passes it as ``check``.  ``kind``
     is the kind of the product the factors serve (default the operand's own), which
@@ -286,8 +287,8 @@ def _decompose(
     bad = _first_failure(check.ok)
     if bad is not None:
         raise PreconditionError(
-            f"{op} requires a Hermitian tensor: residual "
-            f"{np.ravel(check.residual)[bad]:.3e} exceeds {HERMITIAN_RTOL:.0e} * ||A||_F"
+            f"{op} requires a Hermitian tensor {name}: residual "
+            f"{np.ravel(check.residual)[bad]:.3e} exceeds {HERMITIAN_RTOL:.0e} * ||{name}||_F"
         )
     p, own = t.shape[-1], _product_kind(t)
     factors = _stack_eig(_to_stack(t), p, own, vectors)
@@ -295,6 +296,16 @@ def _decompose(
         full = [x if x is None else _all_slices(x, p) for x in (factors._q_stack, factors._stack)]
         factors = EigFactors(_all_slices(factors._w, p, axis=-2), *full, p, kind)
     return factors
+
+
+def _decompose_pair(a, b, op: str, vectors: bool = True):
+    """The one gate to a pair's spectra: equal shapes, then yields the factors of :func:`_decompose`
+    of A and then of B (tensors, or batches of data) in their product's kind, A's again for one
+    object passed as both.  A caller's requirement on A's factors runs before B is checked."""
+    _require_same_shape(a, b, op)
+    fa = _decompose(a, op, vectors, kind=_product_kind(a, b))
+    yield fa
+    yield fa if b is a else _decompose(b, op, vectors, kind=fa._kind, name="B")
 
 
 def _sorted_spectrum(values: np.ndarray, provenance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,13 +14,16 @@ again, once.
 import collections
 import dataclasses
 import inspect
+import re
 
 import numpy as np
 import pytest
 
 import tspectral
 from tspectral import (
+    DomainError,
     PreconditionError,
+    SingularityError,
     Tensor3,
     dist_bures_wasserstein,
     dist_log_euclidean,
@@ -256,6 +259,24 @@ def test_dist_bures_wasserstein_in_sequence(calls):
     assert counts == [(2, 2, 0, 2)] * 2 + [(1, 1, 0, 1)]
 
 
+def test_one_object_as_both_operands_is_decomposed_once(calls):
+    """Every bound, distance and geodesic given one object as A and B checks and
+    decomposes it once: the bounds need its eigenvalues, the distances its vectors,
+    and the geodesic its eigenvalues, then one eigh of M = L^(-1) A L^(-H)."""
+    a = random_psd(3, 4, 19) + identity(3, 4)
+    counts = _per_call(
+        calls,
+        lambda: bounds.vn_trace_bounds(a, a),
+        lambda: bounds.hermitian_trace_bounds(a, a),
+        lambda: bounds.sandwich_bounds(a, a),
+        lambda: bounds.extremal_ratio_bounds(a, a),
+        lambda: dist_bures_wasserstein(a, a),
+        lambda: dist_log_euclidean(a, a),
+        lambda: geometry.geodesic(a, a, 0.5),
+    )
+    assert counts == [(1, 0, 1, 1)] * 4 + [(1, 1, 0, 1)] * 2 + [(1, 1, 1, 2)]
+
+
 def test_ky_fan_max_then_min(calls):
     h = cli._random_hermitian(3, 4, np.random.default_rng(11))
     counts = _per_call(
@@ -307,6 +328,84 @@ def test_failed_check_runs_in_each_call_and_names_its_op(calls):
             call()
         assert calls["is_hermitian"] == 1
         assert _eigensolves(calls) == 0
+
+
+# Every public function of two spectral operands -> (call, operands that must be PSD
+# (or positive definite), the error of each failing one); symmetric_relax_bounds
+# checks only B, its A being general.
+_PAIRS = {
+    "vn_trace_bounds": (bounds.vn_trace_bounds, {"A": PreconditionError, "B": PreconditionError}),
+    "hermitian_trace_bounds": (bounds.hermitian_trace_bounds, {}),
+    "sandwich_bounds": (bounds.sandwich_bounds, {"A": PreconditionError, "B": PreconditionError}),
+    "extremal_ratio_bounds": (bounds.extremal_ratio_bounds, {"B": PreconditionError}),
+    "symmetric_relax_bounds": (bounds.symmetric_relax_bounds, {}),
+    "dist_bures_wasserstein": (dist_bures_wasserstein, {"A": DomainError, "B": DomainError}),
+    "dist_log_euclidean": (dist_log_euclidean, {"A": SingularityError, "B": SingularityError}),
+    "geodesic": (lambda a, b: geometry.geodesic(a, b, 0.5),
+                 {"A": SingularityError, "B": DomainError}),
+    "geodesic_trace_profile": (lambda a, b: geodesic_trace_profile(a, b, 5),
+                               {"A": SingularityError, "B": DomainError}),
+}
+
+
+def test_pair_table_covers_every_two_operand_function():
+    """Every public function whose first two parameters are ``a`` and ``b`` but
+    dist_frobenius, which decomposes neither."""
+    pairs = {
+        name
+        for module in (spectral, bounds, geometry)
+        for name in module.__all__
+        if inspect.isfunction(fn := getattr(module, name))
+        and list(inspect.signature(fn).parameters)[:2] == ["a", "b"]
+    }
+    assert pairs - {"dist_frobenius"} == set(_PAIRS)
+
+
+@pytest.mark.parametrize(
+    "name, failing, failure",
+    [
+        (name, failing, failure)
+        for name, (_, psd_errors) in _PAIRS.items()
+        for failing in "AB"
+        for failure in ("not Hermitian", "not PSD")
+        if (failure, name, failing) != ("not Hermitian", "symmetric_relax_bounds", "A")
+        and (failure == "not Hermitian" or failing in psd_errors)
+    ],
+)
+def test_failed_pair_check_names_its_operand(name, failing, failure):
+    """An operand that fails its Hermitian, PSD or positive definiteness check is
+    named in the error, ``A`` or ``B``, and the other operand is not; the Hermitian
+    residual is measured against the failing operand's norm."""
+    call, psd_errors = _PAIRS[name]
+    good = random_psd(3, 4, 20) + identity(3, 4)
+    if failure == "not Hermitian":
+        bad = Tensor3(np.random.default_rng(21).standard_normal((3, 3, 4)))
+        error = PreconditionError
+    else:
+        bad, error = -1.0 * good, psd_errors[failing]
+    a, b = (bad, good) if failing == "A" else (good, bad)
+    with pytest.raises(error) as caught:
+        call(a, b)
+    message = str(caught.value)
+    assert message.startswith(name.removesuffix("_trace_profile"))
+    assert set(re.findall(r"\b[AB]\b", message)) == {failing}
+    if failure == "not Hermitian":
+        assert f"requires a Hermitian tensor {failing}: " in message
+        assert message.endswith(f"* ||{failing}||_F")
+
+
+@pytest.mark.parametrize("name", [name for name, (_, errors) in _PAIRS.items() if "A" in errors])
+def test_failed_requirement_on_a_comes_before_b_is_checked(calls, name):
+    """A that is not PSD (nor positive definite) is reported although B is not even
+    Hermitian: A is checked, decomposed and required before B is checked."""
+    call, psd_errors = _PAIRS[name]
+    a = -1.0 * (random_psd(3, 4, 20) + identity(3, 4))
+    b = Tensor3(np.random.default_rng(21).standard_normal((3, 3, 4)))
+    calls.clear()
+    with pytest.raises(psd_errors["A"]) as caught:
+        call(a, b)
+    assert set(re.findall(r"\b[AB]\b", str(caught.value))) == {"A"}
+    assert calls["is_hermitian"] == 1
 
 
 @pytest.mark.parametrize("seed", range(4))

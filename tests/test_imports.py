@@ -3,15 +3,15 @@ module-level private name the package defines is used somewhere in it, the
 third-party modules ``src/`` imports are exactly the declared runtime
 dependencies, every DFT runs in the two Fourier-stack helpers, every
 eigensolve runs in ``spectral``'s two solver routes, the shape rules live in
-``core`` alone, only the tensor-file reader switches the cyclic garbage
-collector, only the Fourier layers know which slices a stack holds, the package
-re-exports exactly the public names of its layers, the CLI builds and
-prints its run report in ``main`` alone, and every named tolerance has a
-one-line justification directly above it.
+``core`` alone, the pair rule in ``spectral`` alone, only the tensor-file reader
+switches the cyclic garbage collector, only the Fourier layers know which slices
+a stack holds, the package re-exports exactly the public names of its layers,
+the CLI builds and prints its run report in ``main`` alone, and every named
+tolerance has a one-line justification directly above it.
 
 A stdlib ``ast`` walk, so refactors cannot leave stale imports, stranded
 helpers, stale dependencies, a second Fourier layout, a stray eigensolver or a
-copied shape rule behind.  Names listed
+copied shape or pair rule behind.  Names listed
 in the module's ``__all__`` (re-exports) and imports on a line marked
 ``# noqa: F401`` are exempt from the import check.  ``from .x import *``
 imports the names of ``x.__all__``, and an ``__all__`` may be composed of
@@ -332,6 +332,60 @@ def test_stray_shape_rule_is_reported(tmp_path):
         ("requires square slices", "bounds.py", 2),
         ("requires square slices", "bounds.py", 3),
         ("requires equal shapes", "bounds.py", 7),
+    ]
+
+
+# The one home of the pair rule: spectral's _decompose_pair takes a pair's kind from
+# transform's _product_kind; symmetric_relax_bounds reads it only to refuse complex input.
+PRODUCT_KIND_FILES = ("transform.py", "spectral.py")
+PRODUCT_KIND_HOMES = {("bounds.py", "symmetric_relax_bounds"), ("bounds.py", "import")}
+
+
+def _product_kind_uses(src: Path) -> list[tuple[str, str, int]]:
+    """(file, top-level definition or ``<module>``, line) of every reference to
+    ``_product_kind`` in the modules of ``src`` outside ``PRODUCT_KIND_FILES``: a
+    load or an attribute of that name, and, with ``import`` as the owner, an
+    import of it from any module (``*`` skips a private name)."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name in PRODUCT_KIND_FILES:
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom):
+                    if any(a.name == "_product_kind" for a in node.names):
+                        found.append((path.name, "import", node.lineno))
+                elif getattr(node, "id", getattr(node, "attr", None)) == "_product_kind":
+                    found.append((path.name, owner, node.lineno))
+    return found
+
+
+def test_pair_rule_lives_in_spectral():
+    uses = _product_kind_uses(SRC)
+    assert {(name, owner) for name, owner, _ in uses} == PRODUCT_KIND_HOMES
+
+
+def test_stray_pair_rule_is_reported(tmp_path):
+    (tmp_path / "spectral.py").write_text(
+        "from .transform import _product_kind\n\n\n"
+        "def _decompose_pair(a, b):\n    return _product_kind(a, b)\n"
+    )
+    (tmp_path / "bounds.py").write_text(
+        "from .transform import _product_kind\n\n\n"
+        "def symmetric_relax_bounds(a, b):\n    return _product_kind(a, b)\n\n\n"
+        "def vn_trace_bounds(a, b):\n    return _product_kind(a, b)\n"
+    )
+    (tmp_path / "geometry.py").write_text(
+        "from . import transform\nfrom .transform import _product_kind as kind\n\n"
+        "KIND = transform._product_kind\n\n\n"
+        "class Pair:\n    def kind(self, a, b):\n        return transform._product_kind(a, b)\n"
+    )
+    assert [use for use in _product_kind_uses(tmp_path) if use[:2] not in PRODUCT_KIND_HOMES] == [
+        ("bounds.py", "vn_trace_bounds", 9),
+        ("geometry.py", "import", 2),
+        ("geometry.py", "<module>", 4),
+        ("geometry.py", "Pair", 9),
     ]
 
 

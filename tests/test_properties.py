@@ -60,7 +60,7 @@ from tspectral import (
 )
 from tspectral import bounds, core, geometry, spectral, transform
 from tspectral.core import _conj_transpose_data, _norm
-from tspectral.geometry import _bures_wasserstein, _checked
+from tspectral.geometry import _bures_wasserstein, _checked_pair
 from tspectral.spectral import _decompose, _stack_eig
 from tspectral.transform import _adjoint, _all_slices, _from_stack, _stack_trace, _to_stack
 from helpers_oracles import (
@@ -794,9 +794,7 @@ def test_batch_kernels_equal_per_item_calls(batch, n, p, kind, seed):
     # complex, so a real batch meets a complex one and goes on all p slices
     partners = [_psd(rng, n, p, "complex") for _ in range(batch)]
     partner = np.stack([t.data for t in partners])
-    checked = [_checked(x, "dist_bures_wasserstein", name, kind="complex")
-               for x, name in ((data, "A"), (partner, "B"))]
-    dist = _bures_wasserstein(*checked)
+    dist = _bures_wasserstein(*_checked_pair(data, partner, "dist_bures_wasserstein"))
     for i in range(batch):
         want = dist_bures_wasserstein(items[i], partners[i])
         assert dist[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
