@@ -22,8 +22,8 @@ import io
 import json
 import math
 import re
+import struct
 import sys
-from array import array
 from dataclasses import dataclass
 from itertools import chain
 
@@ -317,10 +317,10 @@ def _flat(raw: list, kind: str, vouched: bool) -> np.ndarray | None:
     an entry has another type or shape, or holds an integer beyond float range,
     and then :func:`_bad_entry` names the entry.
 
-    One converter, ``array("d")``, takes every list: it raises ``TypeError`` on
-    a str, None, list or dict and ``OverflowError`` on an integer beyond float
-    range, but takes a bool as a number.  ``vouched``: the document's bytes
-    hold no ``u`` and no ``f``, one of which JSON spells true, false and null
+    One converter, a ``struct.pack`` of the list with the ``d`` code, takes every
+    list: it raises ``struct.error`` on a str, None, list or dict and on an integer
+    beyond float range, but takes a bool as a number.  ``vouched``: the document's
+    bytes hold no ``u`` and no ``f``, one of which JSON spells true, false and null
     with, so no entry is a bool.  All other data passes the exact type gate first.
     """
     try:
@@ -330,8 +330,8 @@ def _flat(raw: list, kind: str, vouched: bool) -> np.ndarray | None:
             raw = list(chain.from_iterable(raw))
         if not vouched and not set(map(type, raw)) <= _NUMBER_TYPES:
             return None
-        flat = np.frombuffer(array("d", raw))
-    except (TypeError, OverflowError):
+        flat = np.frombuffer(struct.pack(f"{len(raw)}d", *raw))
+    except (TypeError, struct.error):
         return None
     return flat.view(np.complex128) if kind == "complex" else flat
 
@@ -395,12 +395,10 @@ def write_tensor(t: Tensor3, path) -> None:
     import orjson  # loaded by the first read or write, not by every import of the package
 
     flat = np.transpose(t.data, (2, 0, 1)).ravel()
-    finite = np.isfinite(flat)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
-        raise NumericError(
-            f"{path}: data[{bad}] is not finite; tensor files hold finite numbers only"
-        )
+    bad = _first_failure(np.isfinite(flat))
+    if bad is not None:
+        raise NumericError(f"{path}: data[{bad}] is not finite; "
+                           "tensor files hold finite numbers only")
     if t.kind == "complex":
         flat = flat.view(np.float64).reshape(-1, 2)  # [re, im] rows
     body = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)
@@ -416,10 +414,22 @@ def write_tensor(t: Tensor3, path) -> None:
         fh.writelines((head, body.replace(b",", b", "), b"}\n"))  # no joined copy
 
 
-# orjson (3.8.3) recurses on the C stack with no depth limit, and an 8 MB stack overflows
+# orjson (3.8.3) recurses on the C stack with no depth limit, and an 8 MiB stack overflows
 # at about 55,000 nested objects or 130,000 nested arrays; half the first keeps complex
 # files of up to 24,997 pairs (their "[" and "{" bytes are the pairs plus 3) on orjson.
-_ORJSON_MAX_BRACKETS = 25_000
+_ORJSON_MAX_BRACKETS, _ORJSON_STACK = 25_000, 8 << 20
+
+
+def _orjson_max_brackets() -> int:
+    """The bound times the process's soft stack limit, read now, over 8 MiB, at most 1
+    (unlimited counts as 8 MiB); a thread whose stack is below that limit is not covered."""
+    try:
+        import resource
+    except ImportError:  # not on Windows: the bound is unscaled
+        return _ORJSON_MAX_BRACKETS
+    limit = resource.getrlimit(resource.RLIMIT_STACK)[0]
+    stack = _ORJSON_STACK if limit == resource.RLIM_INFINITY else min(limit, _ORJSON_STACK)
+    return _ORJSON_MAX_BRACKETS * stack // _ORJSON_STACK
 
 
 def _brackets(raw: bytes) -> int:
@@ -439,16 +449,16 @@ def read_tensor(path) -> Tensor3:
     that ``open(path, "r", encoding="utf-8")`` gives, so every error message
     names what the standard library finds there; where ``json`` fails on
     nesting that ``orjson`` parsed, the error is what ``orjson``'s document
-    breaks.  A file holding more than ``_ORJSON_MAX_BRACKETS`` ``[`` and ``{``
-    bytes, which bound its nesting depth, goes to ``json`` alone, whose
-    recursion limit gives a ``ParseError`` where ``orjson`` could overflow the
-    stack.  A value shown in a message is cut to ``_REPR_LIMIT`` characters.
+    breaks.  A file with more ``[`` and ``{`` bytes, which bound its nesting, than
+    :func:`_orjson_max_brackets` goes to ``json`` alone, whose recursion limit gives
+    a ``ParseError`` where ``orjson`` could overflow the stack.  A value shown in a
+    message is cut to ``_REPR_LIMIT`` characters.
 
-    Every list is converted by one ``array("d")`` call (:func:`_flat`), with no
-    dtype discovery.  Data in a file whose bytes hold no ``u`` and no ``f``
-    goes to it directly; all other data passes the exact per-entry type gate
-    first.  The cyclic garbage collector is off, process-wide, while the
-    ``orjson`` document exists, and the caller's setting comes back after.
+    Every list is converted by one ``struct.pack`` (:func:`_flat`), which rejects a
+    str, null, list, object or integer beyond float range but takes a bool.  Data in
+    a file whose bytes hold no ``u`` and no ``f`` goes to it directly, other data
+    after the exact per-entry type gate.  The cyclic garbage collector is off,
+    process-wide, while the ``orjson`` document exists, and then set back.
     """
     import orjson  # see write_tensor
 
@@ -459,7 +469,7 @@ def read_tensor(path) -> Tensor3:
         raise ParseError(f"{path}: cannot read tensor file: {exc}") from exc
     vouched = b"u" not in raw and b"f" not in raw  # no true, false or null: see _flat
     found = None
-    if _brackets(raw) <= _ORJSON_MAX_BRACKETS:
+    if _brackets(raw) <= _orjson_max_brackets():
         # orjson's lists are new containers, which set off collections (full ones
         # too) that find nothing to free; the pause lasts until the document is dropped
         enabled = gc.isenabled()

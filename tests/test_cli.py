@@ -475,6 +475,28 @@ def test_nesting_past_the_bracket_bound_exits_2(tmp_path, text, container):
                           f"exceeded while decoding a JSON {container} from a unicode string\n")
 
 
+def test_small_stack_scales_the_bracket_bound(tmp_path):
+    """Under a 1 MiB stack the bound falls to 3,125: a valid file whose note nests
+    10,000 objects, which orjson parses on an 8 MiB stack and crashes on under 1 MiB,
+    goes to json alone and is a parse error, not a crash."""
+    resource = pytest.importorskip("resource")
+    f = tmp_path / "deep.json"
+    f.write_text('{"dims": [1, 1, 1], "kind": "real", "data": [1.5], "note": '
+                 + '{"a": ' * 10_000 + "1" + "}" * 10_000 + "}")
+    hard = resource.getrlimit(resource.RLIMIT_STACK)[1]
+
+    def small_stack():
+        resource.setrlimit(resource.RLIMIT_STACK, (1 << 20, hard))
+
+    src = str(Path(tspectral.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); from tspectral.cli import main; sys.exit(main())"
+    out = subprocess.run([sys.executable, "-c", code, "eig", str(f)], capture_output=True,
+                         text=True, preexec_fn=small_stack)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == (f"error: {f}: cannot parse tensor file: maximum recursion depth "
+                          "exceeded while decoding a JSON object from a unicode string\n")
+
+
 def test_commands_without_files_do_not_load_orjson():
     """orjson is loaded by the first tensor read or write, so a sweep or a bench,
     which touch no file, never load it; run in a child process, whose modules are its own."""

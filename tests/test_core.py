@@ -367,6 +367,9 @@ _REJECTED_ENTRIES = [
     ("complex", "[1.5]", "is not a [re, im] pair: [1.5]"),
     ("complex", "[1, 2, 3]", "is not a [re, im] pair: [1, 2, 3]"),
     ("complex", "2.5", "is not a [re, im] pair: 2.5"),
+    # length 2, so they pass the pair-length check; the converter rejects them
+    ("complex", '"ab"', "is not a [re, im] pair: 'ab'"),
+    ("complex", '{"a": 1, "b": 2}', "is not a [re, im] pair: {'a': 1, 'b': 2}"),
 ]
 
 
@@ -386,7 +389,7 @@ def test_rejected_entry_is_named_at_every_position(tmp_path, kind, entry, messag
 
 _HEAD = b'{"dims": [1, 1, 1], "kind": "real", "data": '
 _NESTED = b"[" * 20_000 + b"1" + b"]" * 20_000  # past json's and repr's depth, not the bound
-_DEEP = b"[" * 100_000 + b"1" + b"]" * 100_000  # past core._ORJSON_MAX_BRACKETS
+_DEEP = b"[" * 100_000 + b"1" + b"]" * 100_000  # past core._orjson_max_brackets()
 _DEEP_MESSAGE = ("cannot parse tensor file: maximum recursion depth exceeded while decoding "
                  "a JSON array from a unicode string")
 _LONG_ENTRY = repr(list(range(200_000)))
@@ -480,7 +483,7 @@ def test_vouched_integer_rounds_as_float_does(tmp_path, number):
 def test_bracket_bound_sends_a_file_to_json_alone(tmp_path, monkeypatch, extra, parsers):
     """A complex file's "[" and "{" bytes are its pairs plus three: orjson parses
     it up to the bound, json alone one pair past it, and both read the same bits."""
-    pairs = core._ORJSON_MAX_BRACKETS - 3 + extra
+    pairs = core._orjson_max_brackets() - 3 + extra
     t = random_tensor(np.random.default_rng(47), 1, 1, pairs, complex_kind=True)
     path = tmp_path / "t.json"
     write_tensor(t, path)
