@@ -308,10 +308,9 @@ def _decompose_pair(a, b, op: str, vectors: bool = True):
     yield fa if b is a else _decompose(b, op, vectors, kind=fa._kind, name="B")
 
 
-def _sorted_spectrum(values: np.ndarray, provenance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # descending real, then descending imag, ties by ascending slice index
-    order = np.lexsort((provenance, -values.imag, -values.real))
-    return values[order], provenance[order]
+def _descending(values: np.ndarray) -> np.ndarray:
+    # descending real, then descending imag; lexsort is stable, so ties keep their order
+    return np.lexsort((-values.imag, -values.real))
 
 
 def t_eigenvalues(t: Tensor3, method: str = "fourier") -> Spectrum:
@@ -326,12 +325,12 @@ def t_eigenvalues(t: Tensor3, method: str = "fourier") -> Spectrum:
     if method == "fourier":
         w = (_decompose(t, "t_eigenvalues", vectors=False, check=herm)._w if herm.ok
              else np.linalg.eigvals(_to_stack(t)))
-        vals = _all_slices(w, t.p, axis=-2).ravel()
-        prov = np.repeat(np.arange(1, t.p + 1), t.n)
-        return Spectrum(*_sorted_spectrum(vals, prov))
+        vals = _all_slices(w, t.p, axis=-2).ravel()  # slice-major, so ties go by ascending slice
+        order = _descending(vals)
+        return Spectrum(vals[order], np.repeat(np.arange(1, t.p + 1), t.n)[order])
     if method == "bcirc":
         vals = (np.linalg.eigvalsh if herm.ok else np.linalg.eigvals)(bcirc(t))
-        return Spectrum(_sorted_spectrum(vals, np.zeros(len(vals), dtype=int))[0])
+        return Spectrum(vals[_descending(vals)])
     raise ValueError(f"unknown eigenvalue method {method!r}; use 'fourier' or 'bcirc'")
 
 

@@ -15,11 +15,12 @@ oracle; ``tprod_fft`` is the fast path.  Callers pick the path explicitly.
 Every fast kernel works on the private Fourier stack, shape ``(p', m, n)``,
 with one batched numpy call over all slices.  A real tensor's slice ``p - k``
 is the conjugate of slice ``k``, so its stack holds the ``p' = p // 2 + 1``
-slices of ``rfft`` (back through ``irfft``); a complex one all ``p`` of
-``fft``.  Only the stack helpers below know about this symmetry: every DFT of
-the package runs in :func:`_to_stack` or :func:`_from_stack`, each of which
-raises ``NumericError`` on a transform that is not finite, and every sum over
-all p slices in :func:`_slice_sum`.  Each call transforms each operand
+slices of ``rfft``; a complex one all ``p`` of ``fft``.  One rule keeps the
+layouts apart: real data enters by ``rfft``, reaches all p slices only through
+:func:`_all_slices`, and a real result leaves only by ``irfft`` of an rfft half.
+Every DFT of the package runs in :func:`_to_stack` or :func:`_from_stack`, each
+of which raises ``NumericError`` on a transform that is not finite, and every
+sum over all p slices in :func:`_slice_sum`.  Each call transforms each operand
 once; the decomposition's stack feeds the trace kernel.  A kind is that of
 a product, ``"real"`` exactly when every operand is real: it sets both the
 slice layout and the kind of every tensor mapped back, and traces are real.
@@ -44,15 +45,13 @@ __all__ = [
 REAL_COERCION_RTOL = 1e-8
 
 
-def _to_stack(t, kind: str | None = None) -> np.ndarray:
+def _to_stack(t) -> np.ndarray:
     """Fourier stack of a tensor, shape (p', m, n), or of each item of a batch
-    of data, shape (..., p', m, n): the rfft half when ``kind`` (default the
-    kind of ``t``) is ``"real"``, all p slices otherwise.  A stack that is not
-    finite, such as the sum of p entries near the float maximum, raises
-    :class:`~tspectral.errors.NumericError`."""
+    of data, shape (..., p', m, n): the rfft half of real data, all p slices of
+    complex data.  A stack that is not finite, such as the sum of p entries near
+    the float maximum, raises :class:`~tspectral.errors.NumericError`."""
     data = _data(t)
-    real = kind == "real" if kind else data.dtype.kind != "c"
-    stack = (np.fft.rfft if real else np.fft.fft)(data, axis=-1)
+    stack = (np.fft.fft if data.dtype.kind == "c" else np.fft.rfft)(data, axis=-1)
     if not np.isfinite(stack).all():
         raise NumericError("an operand overflowed: its Fourier transform is not finite")
     return stack.transpose((*range(data.ndim - 3), -1, -3, -2))
@@ -61,26 +60,21 @@ def _to_stack(t, kind: str | None = None) -> np.ndarray:
 def _from_stack(stack: np.ndarray, p: int, kind: str):
     """Inverse of :func:`_to_stack` (the inverse DFT carries the 1/p factor): a
     tensor, or for a batch its data, of ``kind``, the kind of the product it
-    serves: ``"real"`` or ``"complex"``.
-
-    ``"real"`` demands a real result and raises
-    :class:`~tspectral.errors.NumericError` when an item's imaginary residue
-    exceeds ``REAL_COERCION_RTOL * (1 + max|entry|)``; with fewer than p
-    slices the stack is an rfft half, whose ``irfft`` drops the imaginary
-    parts of the DC and (for even p) Nyquist slices: their sum over p is the
-    residue the full inverse DFT would show, so that is what is checked.  A
-    non-finite result raises for either kind.  The first failing item raises.
+    serves.  A ``"real"`` stack is an rfft half and leaves by ``irfft``, which
+    drops the imaginary parts of the DC and (for even p) Nyquist slices: their
+    sum over p is the imaginary residue the full inverse DFT would show, and an
+    item's residue above ``REAL_COERCION_RTOL * (1 + max|entry|)`` raises
+    :class:`~tspectral.errors.NumericError`.  A ``"complex"`` stack holds all p
+    slices and leaves by ``ifft``.  A non-finite result raises for either kind.
+    The first failing item raises.
     """
-    item = (-3, -2, -1) if stack.ndim > 3 else None  # the axes of one item
-    real = kind == "real"
-    if real and stack.shape[-3] < p:
+    if kind == "real":
         edges = stack[..., :1, :, :] if p % 2 else stack[..., [0, p // 2], :, :]
-        resid = np.abs(edges.imag).sum(axis=-3).max(axis=item and item[1:], initial=0.0) / p
+        resid = np.abs(edges.imag).sum(axis=-3).max(axis=(-2, -1), initial=0.0) / p
         data = np.fft.irfft(stack, n=p, axis=-3)
     else:
-        data = np.fft.ifft(stack, axis=-3)
-        resid = np.abs(data.imag).max(axis=item, initial=0.0) if real else 0.0
-    scale = 1.0 + np.abs(data).max(axis=item, initial=0.0)
+        data, resid = np.fft.ifft(stack, axis=-3), 0.0
+    scale = 1.0 + np.abs(data).max(axis=(-3, -2, -1), initial=0.0)  # over each item
     ok = (scale < np.inf) & (resid <= REAL_COERCION_RTOL * scale)  # scale >= 1 or nan
     bad = _first_failure(ok)
     if bad is not None:
@@ -91,7 +85,7 @@ def _from_stack(stack: np.ndarray, p: int, kind: str):
             f"imaginary residue {np.ravel(resid)[bad]:.3e} exceeds "
             f"{REAL_COERCION_RTOL * scale:.3e}; spectral slices are not conjugate-symmetric"
         )
-    data = (data.real if real else data).transpose((*range(data.ndim - 3), -2, -1, -3))
+    data = data.transpose((*range(data.ndim - 3), -2, -1, -3))
     return Tensor3(data) if data.ndim == 3 else data
 
 
@@ -154,7 +148,8 @@ def tprod_fft(a: Tensor3, b: Tensor3) -> Tensor3:
     """Fast t-product via slice-wise products in the Fourier domain."""
     _check_conformable(a, b)
     kind = _product_kind(a, b)
-    return _from_stack(_to_stack(a, kind) @ _to_stack(b, kind), a.p, kind)
+    sa, sb = (_all_slices(_to_stack(t), a.p) if t.kind != kind else _to_stack(t) for t in (a, b))
+    return _from_stack(sa @ sb, a.p, kind)
 
 
 def tprod(a: Tensor3, b: Tensor3, path: str = "fft") -> Tensor3:

@@ -390,7 +390,8 @@ def test_stray_pair_rule_is_reported(tmp_path):
 
 
 # The modules that know which slices a Fourier stack holds: the rfft layout and its
-# weights live in transform; spectral alone puts a solved half on all p slices.
+# weights live in transform; transform (for a t-product) and spectral (for a solved
+# half) put an rfft half on all p slices.
 SLICE_LAYOUT_HOMES = {
     "_slice_weights": {"transform.py"},
     "_all_slices": {"transform.py", "spectral.py"},

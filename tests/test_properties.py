@@ -165,11 +165,12 @@ def test_tprod_fft_matches_dense(m, n, l, p, kind_a, kind_b, seed):
 def test_stack_trace_matches_dense_trace(m, n, p, kind_a, kind_b, seed):
     """The Fourier trace kernel against trace(tprod_dense(...)), for tr(A*B)
     with A of m x n and B of n x m, and for tr(A*B*A) with both n x n."""
-    from tspectral.transform import _product_kind, _stack_trace, _to_stack
+    from tspectral.transform import _all_slices, _product_kind, _stack_trace, _to_stack
 
     def kernel(*factors):
         kind = _product_kind(*factors)
-        got = _stack_trace(*(_to_stack(t, kind) for t in factors), p=p)
+        stacks = (_to_stack(t) if kind == "real" else _all_slices(_to_stack(t), p) for t in factors)
+        got = _stack_trace(*stacks, p=p)
         assert isinstance(got, float)
         return got
 
@@ -770,7 +771,7 @@ def test_batch_kernels_equal_per_item_calls(batch, n, p, kind, seed):
         assert _norm(other, 1)[i] == pytest.approx(_norm(others[i].data), rel=1e-14)
         assert _norm(data, 1)[i] == pytest.approx(_norm(items[i].data), rel=1e-14)
     for out_kind in ("real", "complex") if kind == "real" else ("complex",):
-        out_stacks = _to_stack(data, out_kind)
+        out_stacks = stacks if out_kind == "real" else _all_slices(stacks, p)
         inverse = _from_stack(out_stacks, p, out_kind)
         for i in range(batch):
             alone = _from_stack(out_stacks[i], p, out_kind).data

@@ -31,19 +31,18 @@ class TestToStack:
         t = identity(3, 4)
         eyes = np.broadcast_to(np.eye(3), (4, 3, 3))
         np.testing.assert_allclose(_all_slices(_to_stack(t), 4), eyes, atol=1e-12)
-        np.testing.assert_allclose(_to_stack(t, "complex"), eyes, atol=1e-12)
+        np.testing.assert_allclose(_to_stack(t * (1.0 + 0j)), eyes, atol=1e-12)
         np.testing.assert_allclose(oracle_fourier_blocks(list(t.slices())), eyes, atol=1e-12)
 
     def test_conjugate_symmetry_for_real_input(self):
         rng = np.random.default_rng(41)
         t = random_tensor(rng, 3, 4, 5)
-        full = _to_stack(t, "complex")
+        half = _to_stack(t)
+        assert half.shape == (3, 3, 4)
+        full = _all_slices(half, 5)
         np.testing.assert_allclose(full, oracle_fourier_blocks(list(t.slices())), atol=1e-12)
         for k in range(1, 5):
             np.testing.assert_allclose(full[k], full[5 - k].conj(), rtol=1e-12, atol=1e-12)
-        half = _to_stack(t)
-        assert half.shape == (3, 3, 4)
-        np.testing.assert_allclose(_all_slices(half, 5), full, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("complex_kind", [False, True])
     def test_block_diagonalization_identity(self, complex_kind):
@@ -69,22 +68,22 @@ class TestFromStack:
 
     def test_round_trip_real_coerces(self, a1):
         blocks = oracle_fourier_blocks(list(a1.slices()))
-        for stack in (_to_stack(a1, "complex"), _to_stack(a1), blocks):
+        for stack in (_all_slices(_to_stack(a1), 2), _to_stack(a1), blocks):
             back = _from_stack(stack, 2, "real")
             assert back.kind == "real"
             assert back.allclose(a1)
 
     def test_constant_slices_invert_to_first_slice(self):
         mat = np.array([[1.0, 2.0], [3.0, 4.0]])
-        t = _from_stack(np.repeat(mat[None].astype(complex), 4, axis=0), 4, "real")
+        t = _from_stack(np.repeat(mat[None].astype(complex), 3, axis=0), 4, "real")  # the rfft half
         assert t.kind == "real"
         np.testing.assert_allclose(t.data[:, :, 0], mat, atol=1e-14)
         np.testing.assert_allclose(t.data[:, :, 1:], 0.0, atol=1e-14)
         np.testing.assert_allclose(oracle_bcirc(list(t.slices())), np.kron(np.eye(4), mat), atol=1e-14)
 
     def test_real_demand_fails_on_asymmetric_spectrum(self):
-        stack = np.zeros((3, 2, 2), dtype=complex)
-        stack[1] = 1.0j  # no conjugate partner
+        stack = np.zeros((2, 2, 2), dtype=complex)  # the rfft half for p = 3
+        stack[0] = 1.0j  # a DC slice is its own conjugate partner, so it must be real
         with pytest.raises(NumericError, match="residue"):
             _from_stack(stack, 3, kind="real")
 
@@ -211,7 +210,7 @@ def test_batch_inverse_raises_for_its_first_failing_item(p):
     asymmetric = overflow.copy()
     asymmetric[1, 0, 0, 0] += 1j
     assert _from_stack(stacks, p, "real").shape == (4, 2, 2, p)
-    full_overflow = _to_stack(data, "complex")
+    full_overflow = _all_slices(stacks, p)
     full_overflow[2, 0, 0, 0] = np.inf
     for kind, stack in (("real", overflow), ("complex", full_overflow)):
         with pytest.raises(NumericError, match="overflowed"):
@@ -221,12 +220,87 @@ def test_batch_inverse_raises_for_its_first_failing_item(p):
     full_overflow[1, 0, 0, 0] += 1j
     with pytest.raises(NumericError, match="overflowed"):  # item 1 is not checked
         _from_stack(full_overflow, p, "complex")
-    full = _to_stack(data, "complex")
-    full[1, 0, 0, 0] += 1j
+    half = stacks.copy()
+    half[1, 0, 0, 0] += 1j
     with pytest.raises(NumericError, match="imaginary residue"):
-        _from_stack(full, p, "real")
+        _from_stack(half, p, "real")
+    full = _all_slices(half, p)
     kept = _from_stack(full, p, "complex")
     assert kept.dtype.kind == "c"
     for i in range(len(data)):
         assert _from_stack(full[i], p, "complex").kind == "complex"
         assert np.array_equal(kept[i], _from_stack(full[i], p, "complex").data)
+
+
+@pytest.fixture
+def inverses(monkeypatch):
+    """(stack shape, p, kind) of every _from_stack call while the test runs, wrapped
+    in each module that imports it."""
+    from tspectral import bounds, geometry, spectral, transform
+
+    seen = []
+    inverse = transform._from_stack
+
+    def recording(stack, p, kind):
+        seen.append((stack.shape, p, kind))
+        return inverse(stack, p, kind)
+
+    for module in (transform, spectral, bounds, geometry):
+        if getattr(module, "_from_stack", None) is inverse:
+            monkeypatch.setattr(module, "_from_stack", recording)
+    return seen
+
+
+def _every_public_call(a, b, x):
+    """Each public function of transform, spectral, bounds and geometry on A alone
+    or on the pair (A, B) of positive definite n x n x p tensors; x is n x 1 x p."""
+    from tspectral import bounds, geometry, spectral
+
+    if a is b:  # one operand: the single-tensor functions
+        spectral.t_eigenvalues(a)
+        spectral.t_eigenvalues(a, method="bcirc")
+        factors = spectral.hermitian_eig(a)
+        factors.q, factors.l
+        for t in (a, tprod_fft(a, x)):  # square and rectangular
+            svd = spectral.t_svd(t)
+            svd.u, svd.s, svd.v
+        for fn in ("sqrt", "log", "inv_sqrt"):
+            spectral.t_function(a, fn)
+        spectral.t_function(a, "pow", 0.5)
+        spectral.is_hermitian(a), spectral.is_psd(a), spectral.psd_factor(a)
+        bounds.rayleigh_value(a, x), bounds.symmetrized_bounds(a)
+        for which in ("max", "min"):
+            bounds.extremal_ratio_witness(a, which), bounds.ky_fan_sum(a, 1, which)
+        if a.kind == "real":
+            spectral.random_psd(a.n, a.p, 0), bounds.symmetric_relax_bounds(a, a)
+    for path in ("fft", "dense"):
+        tprod(a, b, path), tprod(b, a, path)
+    for bound in (bounds.vn_trace_bounds, bounds.hermitian_trace_bounds, bounds.sandwich_bounds,
+                  bounds.extremal_ratio_bounds):
+        bound(a, b)
+    for dist in (geometry.dist_frobenius, geometry.dist_bures_wasserstein,
+                 geometry.dist_log_euclidean):
+        dist(a, b)
+    geometry.geodesic(a, b, 0.5)
+    geometry.geodesic_trace_profile(a, b, 3, keep_tensors=True)
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+def test_every_real_inverse_is_of_an_rfft_half(inverses, p):
+    """The slice layout of each kind: a ``"real"`` stack that reaches _from_stack
+    holds the p // 2 + 1 slices of an rfft half, a ``"complex"`` one all p slices."""
+    from tspectral import cli
+
+    rng = np.random.default_rng(p)
+    real, cplx = (identity(3, p) + tprod_fft(m, conj_transpose(m))
+                  for m in (random_tensor(rng, 3, 3, p, kind) for kind in (False, True)))
+    x = random_tensor(rng, 3, 1, p)
+    x = x * (1.0 / np.linalg.norm(x.data))
+    _every_public_call(real, real, x)
+    _every_public_call(real, cplx, x)
+    for draw, decide, _ in cli._SWEEPS.values():  # the property sweeps' batched paths
+        cli._decide_all(decide, [draw(np.random.default_rng((p, trial))) for trial in range(4)])
+    for shape, q, kind in inverses:
+        assert shape[-3] == (q // 2 + 1 if kind == "real" else q), (shape, q, kind)
+    kinds = {kind for _, q, kind in inverses if q == p}
+    assert kinds == {"real", "complex"}
