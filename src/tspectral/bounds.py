@@ -16,7 +16,8 @@ is transformed twice, no product formed.
 ``symmetric_relax_bounds`` also take two batches of tensor data (..., n, n, p)
 and report all items at once: every field but a report's ``context`` is then
 an array, and every check runs per item.  The pair rule of the two-operand
-bounds is :func:`~tspectral.spectral._decompose_pair`; errors name the operand ``A`` or ``B``.
+bounds is :func:`~tspectral.spectral._decompose_pair`, which also requires PSD each
+operand a bound needs PSD; errors name the operand ``A`` or ``B``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .core import (
 )
 from .errors import DomainError, NumericError, PreconditionError, ShapeError
 from .spectral import EigFactors, _decompose, _decompose_pair, t_eigenvalues
-from .transform import _adjoint, _from_stack, _product_kind, _slice_sum, _stack_trace, _to_stack
+from .transform import _adjoint, _from_stack, _product_kind, _slice_sum, _stack_trace
 
 __all__ = [
     "BoundReport",
@@ -120,17 +121,13 @@ class KyFanResult:
     optimizer: Tensor3
 
 
-def _spectra(a, b, op: str, psd: str = "AB") -> list[tuple]:
+def _spectra(a, b, op: str, need=(None, None)) -> list[tuple]:
     """(factors, full real spectrum descending, length n*p) of A and of B from
-    :func:`_decompose_pair`; raises :class:`PreconditionError` if an operand named in
-    ``psd`` is not PSD."""
-    spectra = []
-    for factors, name in zip(_decompose_pair(a, b, op, vectors=False), "AB"):
-        if name in psd:
-            factors._require(f"{op} requires {name} PSD", error=PreconditionError)
-        ev = factors.fourier_eigenvalues
-        spectra.append((factors, np.sort(ev.reshape(ev.shape[:-2] + (-1,)), axis=-1)[..., ::-1]))
-    return spectra
+    :func:`_decompose_pair`, which raises :class:`PreconditionError` for an operand
+    that ``need`` requires PSD and is not."""
+    pair = _decompose_pair(a, b, op, need, vectors=False, error=PreconditionError)
+    full = [(f, f.fourier_eigenvalues) for f, _ in pair]
+    return [(f, np.sort(ev.reshape(ev.shape[:-2] + (-1,)), axis=-1)[..., ::-1]) for f, ev in full]
 
 
 def rayleigh_value(a: Tensor3, x: Tensor3) -> float:
@@ -202,7 +199,7 @@ def vn_trace_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
 
         sum_i lam_i(A) lam_{N-i+1}(B)  <=  tr(A*B)  <=  sum_i lam_i(A) lam_i(B).
     """
-    (fa, lam_a), (fb, lam_b) = _spectra(a, b, "vn_trace_bounds")
+    (fa, lam_a), (fb, lam_b) = _spectra(a, b, "vn_trace_bounds", ("PSD", "PSD"))
     lower, upper = _vn_sums(lam_a, lam_b)
     value = _stack_trace(fa._stack, fb._stack, p=fa._p)
     return BoundReport.build(lower, value, upper, "trace-product-psd")
@@ -218,7 +215,7 @@ def hermitian_trace_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
 
     is verified numerically here and raises on disagreement.
     """
-    (fa, lam_a), (fb, lam_b) = _spectra(a, b, "hermitian_trace_bounds", psd="")
+    (fa, lam_a), (fb, lam_b) = _spectra(a, b, "hermitian_trace_bounds")
     value = _stack_trace(fa._stack, fb._stack, p=fa._p)
     lower, upper = _vn_sums(lam_a, lam_b)
 
@@ -241,7 +238,7 @@ def sandwich_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
 
         lam_min(B) tr(A)^2 / N  <=  tr(A*B*A)  <=  lam_max(B) tr(A)^2.
     """
-    (fa, _), (fb, lam_b) = _spectra(a, b, "sandwich_bounds")
+    (fa, _), (fb, lam_b) = _spectra(a, b, "sandwich_bounds", ("PSD", "PSD"))
     tr_a = _real_trace(a)
     big_n = lam_b.shape[-1]
     value = _stack_trace(fa._stack, fb._stack, fa._stack, p=fa._p)
@@ -255,7 +252,7 @@ def extremal_ratio_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     For Hermitian A the ratio always lies in [lam_min(A), lam_max(A)], and
     both endpoints are attained (see :func:`extremal_ratio_witness`).
     """
-    (fa, lam_a), (fb, _) = _spectra(a, b, "extremal_ratio_bounds", psd="B")
+    (fa, lam_a), (fb, _) = _spectra(a, b, "extremal_ratio_bounds", (None, "PSD"))
     tr_b = _real_trace(b)
     bad = _first_failure(tr_b > 0.0)
     if bad is not None:
@@ -296,13 +293,13 @@ def symmetric_relax_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     if _product_kind(a, b) != "real":
         raise PreconditionError("symmetric_relax_bounds is defined for real tensors")
     _require_square(a, "symmetric_relax_bounds")  # before (A + A^T)/2 is formed
-    (_, lam_bar), (fb, lam_b) = _spectra(_hermitian_part(_data(a)), b, "symmetric_relax_bounds", "")
+    (f_sym, lam_bar), (fb, lam_b) = _spectra(_hermitian_part(_data(a)), b, "symmetric_relax_bounds")
     big_n = lam_b.shape[-1]
     tr_a = _real_trace(a)
     tr_b = _real_trace(b)
     lam1, lam_n = lam_bar[..., 0], lam_bar[..., -1]
     lam_n_b = lam_b[..., -1]
-    value = _stack_trace(_to_stack(a), fb._stack, p=fb._p)
+    value = _stack_trace(f_sym._stack, fb._stack, p=fb._p)  # = tr(A*B), B being symmetric
     lower = lam_n * tr_b - lam_n_b * (big_n * lam_n - tr_a)
     upper = lam1 * tr_b - lam_n_b * (big_n * lam1 - tr_a)
     return BoundReport.build(lower, value, upper, "relaxed-symmetric")

@@ -44,7 +44,6 @@ from .bounds import (
 )
 from .geometry import (
     _bures_wasserstein,
-    _checked_pair,
     _convention_scale,
     dist_bures_wasserstein,
     dist_frobenius,
@@ -55,6 +54,7 @@ from .geometry import (
 from .spectral import (
     PsdCheck,
     _decompose,
+    _decompose_pair,
     _gram,
     is_hermitian,
     random_psd,
@@ -343,8 +343,8 @@ def _decide_bw_axioms(*gaussians: np.ndarray) -> np.ndarray:
     symmetric, d(A, A) = 0 and d(A, C) <= d(A, B) + d(B, C).  A, B and C are checked
     and decomposed once each: A and B as d(A, B) checks them, C as d(C, C) does."""
     a, b, c = (_gram(m) for m in gaussians)
-    ops = [*_checked_pair(a, b, "dist_bures_wasserstein"),
-           _checked_pair(c, c, "dist_bures_wasserstein")[0]]
+    ops = [*_decompose_pair(a, b, "dist_bures_wasserstein", ("PSD", "PSD")),
+           _decompose_pair(c, c, "dist_bures_wasserstein", ("PSD", "PSD"))[0]]
 
     def dist(x: int, y: int) -> np.ndarray:
         return _bures_wasserstein(ops[x], ops[y])

@@ -24,6 +24,7 @@ import math
 import re
 import struct
 import sys
+import threading
 from dataclasses import dataclass
 from itertools import chain
 
@@ -421,14 +422,15 @@ _ORJSON_MAX_BRACKETS, _ORJSON_STACK = 25_000, 8 << 20
 
 
 def _orjson_max_brackets() -> int:
-    """The bound times the process's soft stack limit, read now, over 8 MiB, at most 1
-    (unlimited counts as 8 MiB); a thread whose stack is below that limit is not covered."""
+    """The bound times the stack, read now, over 8 MiB, at most 1: the process's soft stack
+    limit (unlimited counts as 8 MiB), or the size ``threading`` gives new threads if smaller."""
     try:
         import resource
     except ImportError:  # not on Windows: the bound is unscaled
         return _ORJSON_MAX_BRACKETS
     limit = resource.getrlimit(resource.RLIMIT_STACK)[0]
-    stack = _ORJSON_STACK if limit == resource.RLIM_INFINITY else min(limit, _ORJSON_STACK)
+    limit = _ORJSON_STACK if limit == resource.RLIM_INFINITY else limit
+    stack = min(limit, threading.stack_size() or limit, _ORJSON_STACK)
     return _ORJSON_MAX_BRACKETS * stack // _ORJSON_STACK
 
 
@@ -529,8 +531,7 @@ def _tensor_from_doc(doc, path, vouched: bool) -> Tensor3:
     if flat is None:
         raise _bad_entry(raw, kind, path)
 
-    if not np.all(np.isfinite(flat.view(np.float64) if kind == "complex" else flat)):
-        bad = int(np.flatnonzero(~np.isfinite(flat))[0])
+    if (bad := _first_failure(np.isfinite(flat))) is not None:
         raise ParseError(f"{path}: data[{bad}] is not finite")
 
     return Tensor3(np.transpose(flat.reshape(p, m, n), (1, 2, 0)))

@@ -9,23 +9,23 @@ and the log-Euclidean distance ``||log A - log B||_F``, together with the
 geodesic ``G(t) = A^(1/2) * (A^(-1/2) * B * A^(-1/2))^t * A^(1/2)``.
 
 Hermitian, PSD and positive-definiteness decisions are made in
-:mod:`tspectral.spectral`, whose :func:`~tspectral.spectral._decompose_pair` is the
-pair rule: each operand is checked and decomposed once, errors name ``A`` or ``B``, and
-log A and the factor R_A = Q W^(1/2) of A = Q W Q^H are built from its factors as
-Fourier stacks.  The BW distance is the Procrustes sum of squares
-min over unitary U of ||R_A - R_B U||_F^2, never the difference of traces above.
-A real operand of a complex product is solved on its rfft half and handed
-over on all p slices; every sum over slices is :func:`~tspectral.transform._slice_sum`.
+:mod:`tspectral.spectral`, whose :func:`~tspectral.spectral._decompose_pair` is the pair
+rule: each operand is checked, decomposed and required PSD (or positive definite) once,
+errors name ``A`` or ``B``, and log A and the factor R_A = Q W^(1/2) of A = Q W Q^H are
+built from its factors as Fourier stacks.  The BW distance is the Procrustes sum of
+squares min over unitary U of ||R_A - R_B U||_F^2, never the difference of traces above.
+A real operand of a complex product is solved on its rfft half and handed over on all p
+slices; every sum over slices is :func:`~tspectral.transform._slice_sum`.
 The log-Euclidean distance never leaves the Fourier domain:
 ||T||_F^2 = sum_k ||T_k||_F^2 over the p Fourier slices.
 
 The geodesic is set up once per operand pair, from any factor A = L * L^H:
 G(t) = L * (L^(-1) * B * L^(-H))^t * L^H is the same tensor as the formula
-above.  A's eigenvalues alone give its Hermitian and positive-definiteness
-checks, one Cholesky factorization per Fourier slice gives L, B's eigenvalues
-give its PSD check, and one eigendecomposition M = L^(-1) * B * L^(-H) =
-Q * W * Q^H follows.  With X = L * Q, Fourier slice k of G(t) is
-X_k diag(w_k^t) X_k^H, so a trace sample costs O(np):
+above.  In the pair gate, A's eigenvalues alone give its Hermitian and
+positive-definiteness checks and B's its Hermitian and PSD checks; one Cholesky
+factorization per Fourier slice then gives L, and one eigendecomposition
+M = L^(-1) * B * L^(-H) = Q * W * Q^H follows.  With X = L * Q, Fourier slice k
+of G(t) is X_k diag(w_k^t) X_k^H, so a trace sample costs O(np):
 tr G(t) = sum_k sum_i w_ik^t ||X_k e_i||^2.  M_k is congruent to B_k, so by
 Sylvester's law of inertia it has as many zero eigenvalues as B_k; B_k's are
 those at most ``n * eps * lambda_max(B)``, and that many of M_k's smallest
@@ -94,14 +94,6 @@ class GeodesicProfile:
         object.__setattr__(self, "traces", tr)
 
 
-def _checked_pair(a, b, op: str, definite: bool = False) -> list[tuple]:
-    """(factors, clamped eigenvalues) of A and of B (tensors, or batches of data) from
-    :func:`_decompose_pair`, each required PSD, or positive definite."""
-    need = "positive definite" if definite else "PSD"
-    return [(f, f._require(f"{op} requires {name} {need}", definite=definite))
-            for f, name in zip(_decompose_pair(a, b, op), "AB")]
-
-
 def dist_frobenius(a: Tensor3, b: Tensor3, convention: str = "bcirc") -> float:
     """Frobenius distance ||A - B||_F under the chosen trace convention."""
     _require_same_shape(a, b, "dist_frobenius")
@@ -121,13 +113,13 @@ def dist_bures_wasserstein(a: Tensor3, b: Tensor3, convention: str = "bcirc") ->
     pairs (B close to A) keep their digits, where tr A + tr B - 2 tr(...)^(1/2)
     cancels.  Under ``convention="slice1"`` d^2 is divided by p.
     """
-    pair = _checked_pair(a, b, "dist_bures_wasserstein")
+    pair = _decompose_pair(a, b, "dist_bures_wasserstein", ("PSD", "PSD"))
     return float(_bures_wasserstein(*pair, _convention_scale(convention, a.p)))
 
 
 def _bures_wasserstein(checked_a: tuple, checked_b: tuple, scale: float = 1.0):
     """d(A, B) of :func:`dist_bures_wasserstein`, per item for batches, from the
-    :func:`_checked_pair` A and B on the same slices."""
+    :func:`_decompose_pair` (factors, clamped eigenvalues) of PSD A and B on the same slices."""
     (fa, wa), (fb, wb) = checked_a, checked_b
     root_a = fa._q_stack * np.sqrt(wa)[..., None, :]
     root_b = fb._q_stack * np.sqrt(wb)[..., None, :]
@@ -142,7 +134,7 @@ def dist_log_euclidean(a: Tensor3, b: Tensor3, convention: str = "bcirc") -> flo
     log A and log B stay Fourier stacks: ||T||_F^2 is the sum over the p
     Fourier slices of ||T_k||_F^2, so no inverse transform is needed.
     """
-    pair = _checked_pair(a, b, "dist_log_euclidean", definite=True)
+    pair = _decompose_pair(a, b, "dist_log_euclidean", ("positive definite", "positive definite"))
     log_a, log_b = (f._apply(np.log(w)) for f, w in pair)
     sq_norms = np.sum(np.abs(log_a - log_b) ** 2, axis=(1, 2))  # per Fourier slice
     sq_norm = float(_slice_sum(sq_norms, a.p))
@@ -172,16 +164,17 @@ def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFac
         raise DomainError(f"regularize must be finite and >= 0, got {regularize!r}")
     if regularize > 0.0:
         a = a + regularize * identity(a.n, a.p)
-    need_a = "geodesic requires positive definite A (pass regularize=eps to shift explicitly)"
-    pair = _decompose_pair(a, b, "geodesic", vectors=False)
-    eig_a = next(pair)
-    eig_a._require(need_a, definite=True)
-    eig_b = next(pair)
-    eig_b._require("geodesic requires B PSD")
+    hint = "(pass regularize=eps to shift explicitly)"
+    try:
+        (eig_a, _), (eig_b, _) = _decompose_pair(a, b, "geodesic", ("positive definite", "PSD"),
+                                                 vectors=False)
+    except SingularityError as exc:  # A's requirement, the only definite one
+        raise SingularityError(f"{exc} {hint}") from None
     try:
         chol = np.linalg.cholesky(eig_a._stack)
     except np.linalg.LinAlgError as exc:  # roundoff beyond the PD verdict's margin
-        raise SingularityError(f"{need_a}; its Cholesky factorization failed") from exc
+        raise SingularityError(f"geodesic requires positive definite A {hint}; "
+                               "its Cholesky factorization failed") from exc
     inv_chol = np.linalg.inv(chol)
     mid = inv_chol @ eig_b._stack @ _adjoint(inv_chol)
     eig_m = _stack_eig(0.5 * (mid + _adjoint(mid)), a.p, eig_a._kind)

@@ -13,9 +13,10 @@ entries.  :func:`_decompose` takes one operand: the Hermitian check, whose failu
 an error naming the operation and the operand, then one batched ``eigh`` (or ``eigvalsh``)
 on the Fourier stack.  :func:`_decompose_pair` takes the two of every bound, distance and
 geodesic: equal shapes, then :func:`_decompose` of ``A`` and ``B`` in their product's kind,
-once for one object passed as both.  The :class:`EigFactors` keep that stack for the
-callers' traces and give the PSD and PD verdicts, the only place where ``PSD_RTOL`` and
-``PD_RTOL`` meet a spectrum, and the stacks Q diag(f(w)) Q^H that callers build from them.
+once for one object passed as both, and each operand's PSD or PD requirement, A's before B
+is checked.  The :class:`EigFactors` keep that stack for the callers' traces and give the
+PSD and PD verdicts, the only place where ``PSD_RTOL`` and ``PD_RTOL`` meet a spectrum,
+and the stacks Q diag(f(w)) Q^H that callers build from them.
 The verdict-then-clamp rule lives there too: ``EigFactors._require`` raises on a failed
 verdict, else returns the eigenvalues clamped at 0, so no caller clips a spectrum of its own.
 
@@ -298,14 +299,18 @@ def _decompose(t, op: str, vectors: bool = True, check: HermitianCheck | None = 
     return factors
 
 
-def _decompose_pair(a, b, op: str, vectors: bool = True):
-    """The one gate to a pair's spectra: equal shapes, then yields the factors of :func:`_decompose`
-    of A and then of B (tensors, or batches of data) in their product's kind, A's again for one
-    object passed as both.  A caller's requirement on A's factors runs before B is checked."""
+def _decompose_pair(a, b, op: str, need=(None, None), vectors: bool = True, error=None):
+    """The one gate to a pair's spectra: equal shapes, then (factors, w) of A, then of B (tensors or
+    data batches), by :func:`_decompose` in their product's kind, once for one object as both: w is
+    ``_w``, or where ``need`` is "PSD" or "positive definite", ``_require``'s, raising ``error``."""
     _require_same_shape(a, b, op)
-    fa = _decompose(a, op, vectors, kind=_product_kind(a, b))
-    yield fa
-    yield fa if b is a else _decompose(b, op, vectors, kind=fa._kind, name="B")
+    pair, kind = [], _product_kind(a, b)
+    for t, name, required in zip((a, b), "AB", need):
+        f = pair[0][0] if pair and b is a else _decompose(t, op, vectors, kind=kind, name=name)
+        w = f._w if required is None else f._require(
+            f"{op} requires {name} {required}", required == "positive definite", error)
+        pair.append((f, w))
+    return pair
 
 
 def _descending(values: np.ndarray) -> np.ndarray:

@@ -66,8 +66,11 @@ def _from_stack(stack: np.ndarray, p: int, kind: str):
     item's residue above ``REAL_COERCION_RTOL * (1 + max|entry|)`` raises
     :class:`~tspectral.errors.NumericError`.  A ``"complex"`` stack holds all p
     slices and leaves by ``ifft``.  A non-finite result raises for either kind.
-    The first failing item raises.
+    The first failing item raises; a slice count that does not fit ``kind`` raises ShapeError.
     """
+    slices = p // 2 + 1 if kind == "real" else p
+    if stack.shape[-3] != slices:
+        raise ShapeError(f"a {kind} stack of p = {p} holds {slices} slices, got {stack.shape[-3]}")
     if kind == "real":
         edges = stack[..., :1, :, :] if p % 2 else stack[..., [0, p // 2], :, :]
         resid = np.abs(edges.imag).sum(axis=-3).max(axis=(-2, -1), initial=0.0) / p

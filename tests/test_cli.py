@@ -475,14 +475,18 @@ def test_nesting_past_the_bracket_bound_exits_2(tmp_path, text, container):
                           f"exceeded while decoding a JSON {container} from a unicode string\n")
 
 
+# A valid file whose note nests 10,000 objects, which orjson parses on an 8 MiB stack
+# and crashes on under 1 MiB.
+_DEEP_NOTE = ('{"dims": [1, 1, 1], "kind": "real", "data": [1.5], "note": '
+              + '{"a": ' * 10_000 + "1" + "}" * 10_000 + "}")
+
+
 def test_small_stack_scales_the_bracket_bound(tmp_path):
-    """Under a 1 MiB stack the bound falls to 3,125: a valid file whose note nests
-    10,000 objects, which orjson parses on an 8 MiB stack and crashes on under 1 MiB,
-    goes to json alone and is a parse error, not a crash."""
+    """Under a 1 MiB stack the bound falls to 3,125: the deep note goes to json
+    alone and is a parse error, not a crash."""
     resource = pytest.importorskip("resource")
     f = tmp_path / "deep.json"
-    f.write_text('{"dims": [1, 1, 1], "kind": "real", "data": [1.5], "note": '
-                 + '{"a": ' * 10_000 + "1" + "}" * 10_000 + "}")
+    f.write_text(_DEEP_NOTE)
     hard = resource.getrlimit(resource.RLIMIT_STACK)[1]
 
     def small_stack():
@@ -492,6 +496,24 @@ def test_small_stack_scales_the_bracket_bound(tmp_path):
     code = f"import sys; sys.path.insert(0, {src!r}); from tspectral.cli import main; sys.exit(main())"
     out = subprocess.run([sys.executable, "-c", code, "eig", str(f)], capture_output=True,
                          text=True, preexec_fn=small_stack)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == (f"error: {f}: cannot parse tensor file: maximum recursion depth "
+                          "exceeded while decoding a JSON object from a unicode string\n")
+
+
+def test_small_thread_stack_scales_the_bracket_bound(tmp_path):
+    """A thread that ``threading`` starts with a 1 MiB stack, below the process's limit,
+    reads the deep note: the bound falls to 3,125 there too, and the read is a parse
+    error, not a crash; run in a child process, where a crash cannot take pytest down."""
+    pytest.importorskip("resource")
+    f = tmp_path / "deep.json"
+    f.write_text(_DEEP_NOTE)
+    src = str(Path(tspectral.__file__).resolve().parents[1])
+    code = (f"import sys, threading; sys.path.insert(0, {src!r}); from tspectral.cli import main\n"
+            "threading.stack_size(1 << 20); codes = []\n"
+            "t = threading.Thread(target=lambda: codes.append(main(sys.argv[1:])))\n"
+            "t.start(); t.join(); sys.exit(codes[0])")
+    out = subprocess.run([sys.executable, "-c", code, "eig", str(f)], capture_output=True, text=True)
     assert (out.returncode, out.stdout) == (2, "")
     assert out.stderr == (f"error: {f}: cannot parse tensor file: maximum recursion depth "
                           "exceeded while decoding a JSON object from a unicode string\n")

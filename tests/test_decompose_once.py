@@ -387,11 +387,17 @@ def test_failed_pair_check_names_its_operand(name, failing, failure):
     with pytest.raises(error) as caught:
         call(a, b)
     message = str(caught.value)
-    assert message.startswith(name.removesuffix("_trace_profile"))
+    op = name.removesuffix("_trace_profile")
+    assert message.startswith(op)
     assert set(re.findall(r"\b[AB]\b", message)) == {failing}
     if failure == "not Hermitian":
         assert f"requires a Hermitian tensor {failing}: " in message
         assert message.endswith(f"* ||{failing}||_F")
+    else:  # the gate's wording; the geodesic adds its regularize hint after it
+        need = "positive definite" if error is SingularityError else "PSD"
+        assert message.startswith(f"{op} requires {failing} {need}; min eigenvalue ")
+        hint = " (pass regularize=eps to shift explicitly)"
+        assert message.endswith(hint) == (op == "geodesic" and failing == "A")
 
 
 @pytest.mark.parametrize("name", [name for name, (_, errors) in _PAIRS.items() if "A" in errors])
@@ -448,7 +454,8 @@ def _column(n, p):
 
 # Forward FFTs in one call on a real A and a B of the kind under test (complex in the
 # mixed case), both positive definite: one per operand.  (A + A^H)/2 is a separate
-# operand with its own transform, for symmetrized_bounds and symmetric_relax_bounds.
+# operand with its own transform, for symmetrized_bounds and symmetric_relax_bounds;
+# the latter takes tr(A*B) from its stack, so A itself is never transformed.
 _FORWARD_PER_CALL = {
     "t_eigenvalues": (lambda a, b: spectral.t_eigenvalues(b), 1),
     "hermitian_eig": (lambda a, b: spectral.hermitian_eig(b), 1),
@@ -465,7 +472,7 @@ _FORWARD_PER_CALL = {
     "sandwich_bounds": (lambda a, b: bounds.sandwich_bounds(a, b), 2),
     "extremal_ratio_bounds": (lambda a, b: bounds.extremal_ratio_bounds(a, b), 2),
     "extremal_ratio_witness": (lambda a, b: bounds.extremal_ratio_witness(b), 1),
-    "symmetric_relax_bounds": (lambda a, b: bounds.symmetric_relax_bounds(a, b), 3),
+    "symmetric_relax_bounds": (lambda a, b: bounds.symmetric_relax_bounds(a, b), 2),
     "ky_fan_sum": (lambda a, b: bounds.ky_fan_sum(b, 2), 1),
     "dist_frobenius": (lambda a, b: geometry.dist_frobenius(a, b), 0),
     "dist_bures_wasserstein": (lambda a, b: geometry.dist_bures_wasserstein(a, b), 2),

@@ -3,11 +3,12 @@ module-level private name the package defines is used somewhere in it, the
 third-party modules ``src/`` imports are exactly the declared runtime
 dependencies, every DFT runs in the two Fourier-stack helpers, every
 eigensolve runs in ``spectral``'s two solver routes, the shape rules live in
-``core`` alone, the pair rule in ``spectral`` alone, only the tensor-file reader
-switches the cyclic garbage collector, only the Fourier layers know which slices
-a stack holds, the package re-exports exactly the public names of its layers,
-the CLI builds and prints its run report in ``main`` alone, and every named
-tolerance has a one-line justification directly above it.
+``core`` alone, the pair rule and its PSD and PD requirements in ``spectral``
+alone, only the tensor-file reader switches the cyclic garbage collector, only
+the Fourier layers know which slices a stack holds, the package re-exports
+exactly the public names of its layers, the CLI builds and prints its run
+report in ``main`` alone, and every named tolerance has a one-line
+justification directly above it.
 
 A stdlib ``ast`` walk, so refactors cannot leave stale imports, stranded
 helpers, stale dependencies, a second Fourier layout, a stray eigensolver or a
@@ -19,6 +20,7 @@ sibling modules' ``x.__all__``; both are read from the sibling's source.
 """
 
 import ast
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -386,6 +388,55 @@ def test_stray_pair_rule_is_reported(tmp_path):
         ("geometry.py", "import", 2),
         ("geometry.py", "<module>", 4),
         ("geometry.py", "Pair", 9),
+    ]
+
+
+# The one home of a pair's PSD and PD requirements: spectral's _decompose_pair, a plain
+# function, so no caller steps between A and B.  Outside spectral a verdict is required
+# only of what is no pair: the geodesic's M = L^(-1) B L^(-H) and the concavity sweep's batch.
+REQUIRE_HOMES = [("cli.py", "_trace_sqrt"), ("geometry.py", "_geodesic_factors")]
+
+
+def _require_calls(src: Path) -> list[tuple[str, str, int]]:
+    """(file, top-level definition or ``<module>``, line) of every call of a function or
+    method named ``_require`` in the modules of ``src`` but ``spectral.py``."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            found += [(path.name, getattr(top, "name", "<module>"), node.lineno)
+                      for node in ast.walk(top) if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_require"]
+    return found
+
+
+def test_pair_requirements_live_in_the_gate():
+    from tspectral import spectral
+
+    assert [use[:2] for use in _require_calls(SRC)] == REQUIRE_HOMES
+    assert not inspect.isgeneratorfunction(spectral._decompose_pair)
+
+
+def test_stray_pair_requirement_is_reported(tmp_path):
+    (tmp_path / "spectral.py").write_text(
+        "def _decompose_pair(a, b):\n    return [a._require('A PSD'), b._require('B PSD')]\n"
+    )
+    (tmp_path / "bounds.py").write_text(
+        "def _spectra(pair):\n    for factors in pair:\n        factors._require('PSD')\n"
+    )
+    (tmp_path / "geometry.py").write_text(
+        "def _geodesic_factors(eig_a, eig_b, eig_m):\n    eig_a._require('A positive definite')\n"
+        "    return eig_m._require('M PSD')\n\n\n"
+        "CHECK = _require(None)\n"
+    )
+    (tmp_path / "cli.py").write_text("def _trace_sqrt(f):\n    return f._require('PSD')\n")
+    assert _require_calls(tmp_path) == [
+        ("bounds.py", "_spectra", 3),
+        ("cli.py", "_trace_sqrt", 2),
+        ("geometry.py", "_geodesic_factors", 2),
+        ("geometry.py", "_geodesic_factors", 3),
+        ("geometry.py", "<module>", 6),
     ]
 
 

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from tspectral import (
     NumericError,
     ParseError,
+    ShapeError,
     Tensor3,
     bcirc,
     conj_transpose,
@@ -60,8 +61,8 @@ from tspectral import (
 )
 from tspectral import bounds, core, geometry, spectral, transform
 from tspectral.core import _conj_transpose_data, _norm
-from tspectral.geometry import _bures_wasserstein, _checked_pair
-from tspectral.spectral import _decompose, _stack_eig
+from tspectral.geometry import _bures_wasserstein
+from tspectral.spectral import _decompose, _decompose_pair, _stack_eig
 from tspectral.transform import _adjoint, _all_slices, _from_stack, _stack_trace, _to_stack
 from helpers_oracles import (
     assert_multiset_close,
@@ -518,7 +519,8 @@ def test_half_stack_round_trip_and_weights(p):
 @pytest.mark.parametrize("p, edge", [(3, 0), (4, 0), (4, 2), (5, 0), (8, 4)])
 def test_half_stack_edge_imaginary_part_is_not_dropped(p, edge):
     """irfft ignores the imaginary parts of the DC and Nyquist slices; a real
-    inverse must refuse them rather than lose them, as one of all p slices does."""
+    inverse must refuse them rather than lose them.  All p slices are no real
+    stack, so they are refused for their length."""
     from tspectral.transform import _from_stack, _to_stack
 
     half = _to_stack(identity(2, p)).copy()
@@ -526,11 +528,26 @@ def test_half_stack_edge_imaginary_part_is_not_dropped(p, edge):
     with pytest.raises(NumericError, match="residue"):
         _from_stack(half, p, "real")
     full = np.concatenate([half, half[1 : p - len(half) + 1][::-1].conj()])
-    with pytest.raises(NumericError, match="residue"):
+    with pytest.raises(ShapeError, match=f"real stack of p = {p} holds {len(half)} slices"):
         _from_stack(full, p, "real")
     half[edge, 0, 1] -= 1e-3j
     half[1, 0, 1] += 1e-3j  # an interior slice stands for a conjugate pair: no residue
     assert _from_stack(half, p, "real").kind == "real"
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 8])
+def test_stack_of_the_wrong_length_for_its_kind_is_refused(p):
+    """A real stack is an rfft half and a complex one holds all p slices.  All p
+    slices with real edges whose upper slices are no conjugates of the lower ones
+    would lose them in irfft; an rfft half inverted as complex would lose p."""
+    from tspectral.transform import _from_stack, _to_stack
+
+    full = np.moveaxis(np.fft.fft(_tensor(np.random.default_rng(p), 2, 2, p, "real").data), -1, 0)
+    full[p // 2 + 1 :] += 1j  # a real slice k needs slice p - k to be its conjugate
+    for stack, kind in ((full, "real"), (_to_stack(identity(2, p)), "complex")):
+        want = p // 2 + 1 if kind == "real" else p
+        with pytest.raises(ShapeError, match=f"{kind} stack of p = {p} holds {want} slices, got "):
+            _from_stack(stack, p, kind)
 
 
 # -0.0, the smallest subnormal, a mid subnormal, the float range ends and
@@ -795,7 +812,8 @@ def test_batch_kernels_equal_per_item_calls(batch, n, p, kind, seed):
     # complex, so a real batch meets a complex one and goes on all p slices
     partners = [_psd(rng, n, p, "complex") for _ in range(batch)]
     partner = np.stack([t.data for t in partners])
-    dist = _bures_wasserstein(*_checked_pair(data, partner, "dist_bures_wasserstein"))
+    pair = _decompose_pair(data, partner, "dist_bures_wasserstein", ("PSD", "PSD"))
+    dist = _bures_wasserstein(*pair)
     for i in range(batch):
         want = dist_bures_wasserstein(items[i], partners[i])
         assert dist[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
