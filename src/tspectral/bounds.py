@@ -34,12 +34,11 @@ from .core import (
     _real_trace,
     _require_same_shape,
     _require_square,
-    bcirc,
-    unfold,
 )
 from .errors import DomainError, NumericError, PreconditionError, ShapeError
 from .spectral import EigFactors, _decompose, _decompose_pair, t_eigenvalues
-from .transform import _adjoint, _from_stack, _product_kind, _slice_sum, _stack_trace
+from .transform import (_adjoint, _from_stack, _product_kind, _product_stacks, _slice_sum,
+                        _stack_trace)
 
 __all__ = [
     "BoundReport",
@@ -134,21 +133,21 @@ def rayleigh_value(a: Tensor3, x: Tensor3) -> float:
     """Quadratic form of the symmetrized block-circulant matrix.
 
     ``x`` must be an n x 1 x p tensor whose unfolding is a unit vector; the
-    returned value is ``y^H M y`` with ``M = (bcirc(a) + bcirc(a)^H) / 2``.
-    For a unit eigentensor this recovers the associated eigenvalue.
+    returned value is ``y^H M y`` with ``y = unfold(x)`` and
+    ``M = (bcirc(a) + bcirc(a)^H) / 2``.  For a unit eigentensor this recovers
+    the associated eigenvalue.  It is computed on the Fourier slices, as
+    ``(1/p) sum_k Re(x_k^H A_k x_k)``, the trace of the t-product x^H * A * x over p.
     """
     _require_square(a, "rayleigh_value")
     if x.m != a.n or x.n != 1 or x.p != a.p:
         raise ShapeError(
             f"rayleigh_value needs x of shape ({a.n}, 1, {a.p}), got {x.shape}"
         )
-    y = unfold(x).ravel()
-    norm = float(np.linalg.norm(y))
+    norm = float(np.linalg.norm(x.data))
     if abs(norm - 1.0) > UNIT_NORM_ATOL:
         raise PreconditionError(f"unfold(x) must be a unit vector; 2-norm is {norm!r}")
-    mat = bcirc(a)
-    sym = (mat + mat.conj().T) / 2.0
-    return float(np.real(np.conj(y) @ sym @ y))
+    sa, sx = _product_stacks(a, x)
+    return _stack_trace(_adjoint(sx), sa, sx, p=a.p) / a.p
 
 
 def symmetrized_bounds(a: Tensor3) -> SymmetrizedBounds:
@@ -163,10 +162,10 @@ def symmetrized_bounds(a: Tensor3) -> SymmetrizedBounds:
     outside the enclosure and are deliberately excluded.
 
     (bcirc(A) + bcirc(A)^H) / 2 is bcirc((A + A^H) / 2), so its extreme
-    eigenvalues are those of the Fourier slices of (A + A^H) / 2;
-    :func:`rayleigh_value` keeps the dense form.  The two agree to
-    roundoff, so a slack that is 0 up to roundoff may carry either sign
-    (the CLI prints it as ``0.0000`` or ``-0.0000``).
+    eigenvalues are those of the Fourier slices of (A + A^H) / 2, the slices
+    on which :func:`rayleigh_value` evaluates its quadratic form.  Each agrees
+    with its dense form to roundoff, so a slack that is 0 up to roundoff may
+    carry either sign (the CLI prints it as ``0.0000`` or ``-0.0000``).
     """
     _require_square(a, "symmetrized_bounds")
     mu = _decompose(_hermitian_part(a.data), "symmetrized_bounds", vectors=False)._w

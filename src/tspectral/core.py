@@ -24,7 +24,6 @@ import math
 import re
 import struct
 import sys
-import threading
 from dataclasses import dataclass
 from itertools import chain
 
@@ -415,31 +414,33 @@ def write_tensor(t: Tensor3, path) -> None:
         fh.writelines((head, body.replace(b",", b", "), b"}\n"))  # no joined copy
 
 
-# orjson (3.8.3) recurses on the C stack with no depth limit, and an 8 MiB stack overflows
-# at about 55,000 nested objects or 130,000 nested arrays; half the first keeps complex
-# files of up to 24,997 pairs (their "[" and "{" bytes are the pairs plus 3) on orjson.
-_ORJSON_MAX_BRACKETS, _ORJSON_STACK = 25_000, 8 << 20
+# orjson (3.8.3) recurses on the C stack with no depth limit: this many levels, about 150
+# bytes each (55,000 nested objects overflow 8 MiB), fit in 32 KiB, the smallest stack
+# threading gives a thread; a valid tensor document nests 2 or 3 deep.
+_ORJSON_MAX_DEPTH = 64
+# The bytes json.dumps and write_tensor put between the [re, im] pairs of a complex file.
+_PAIR_SEPARATOR = int.from_bytes(b"], [", "little")
 
 
-def _orjson_max_brackets() -> int:
-    """The bound times the stack, read now, over 8 MiB, at most 1: the process's soft stack
-    limit (unlimited counts as 8 MiB), or the size ``threading`` gives new threads if smaller."""
-    try:
-        import resource
-    except ImportError:  # not on Windows: the bound is unscaled
-        return _ORJSON_MAX_BRACKETS
-    limit = resource.getrlimit(resource.RLIMIT_STACK)[0]
-    limit = _ORJSON_STACK if limit == resource.RLIM_INFINITY else limit
-    stack = min(limit, threading.stack_size() or limit, _ORJSON_STACK)
-    return _ORJSON_MAX_BRACKETS * stack // _ORJSON_STACK
+def _depth_bound(raw: bytes) -> int:
+    """An upper bound on the nesting depth of the JSON text ``raw``, whatever its strings
+    hold: the number of ``[`` and ``{`` bytes, less, when that is above
+    ``_ORJSON_MAX_DEPTH``, the number of ``], [`` separators.  Each separator has one
+    bracket that is not open at the deepest point: the ``]``'s partner if that point
+    comes after the ``]``, else its own ``[``; no quote lies between the two, so both are
+    inside one string or both outside every string.  A complex file bounds to 4; laid
+    out with other separators (``],[`` or indented), one of over 61 pairs goes to ``json``.
 
-
-def _brackets(raw: bytes) -> int:
-    """The number of ``[`` and ``{`` bytes in ``raw``.  They differ in bit 0x20
-    alone, so one buffer, compared in place, counts both (a second buffer for
-    the compare cost almost four times as much on a 1.35 MB file)."""
+    ``[`` and ``{`` differ in bit 0x20 alone, so one buffer, compared in place, counts
+    both; the separators are counted on four ``<u4`` views of the bytes, one per offset."""
     marks = np.frombuffer(raw, np.uint8) | 0x20
-    return int(np.count_nonzero(np.equal(marks, 0x7B, out=marks.view(np.bool_))))
+    brackets = int(np.count_nonzero(np.equal(marks, 0x7B, out=marks.view(np.bool_))))
+    if brackets <= _ORJSON_MAX_DEPTH:
+        return brackets
+    return brackets - sum(
+        int(np.count_nonzero(np.frombuffer(raw, "<u4", (len(raw) - k) // 4, k) == _PAIR_SEPARATOR))
+        for k in range(4)
+    )
 
 
 def read_tensor(path) -> Tensor3:
@@ -449,12 +450,11 @@ def read_tensor(path) -> Tensor3:
     numbers beyond float range, a BOM, invalid UTF-8, lone surrogates), or
     whose document fails a check, is parsed again by ``json`` from the text
     that ``open(path, "r", encoding="utf-8")`` gives, so every error message
-    names what the standard library finds there; where ``json`` fails on
-    nesting that ``orjson`` parsed, the error is what ``orjson``'s document
-    breaks.  A file with more ``[`` and ``{`` bytes, which bound its nesting, than
-    :func:`_orjson_max_brackets` goes to ``json`` alone, whose recursion limit gives
-    a ``ParseError`` where ``orjson`` could overflow the stack.  A value shown in a
-    message is cut to ``_REPR_LIMIT`` characters.
+    names what the standard library finds there.  A file whose nesting may
+    exceed ``_ORJSON_MAX_DEPTH`` (:func:`_depth_bound`) goes to ``json`` alone,
+    whose recursion limit gives a ``ParseError`` where ``orjson`` could overflow
+    the stack; the bound is the same in every thread and under every stack limit.
+    A value shown in a message is cut to ``_REPR_LIMIT`` characters.
 
     Every list is converted by one ``struct.pack`` (:func:`_flat`), which rejects a
     str, null, list, object or integer beyond float range but takes a bool.  Data in
@@ -470,18 +470,15 @@ def read_tensor(path) -> Tensor3:
     except OSError as exc:
         raise ParseError(f"{path}: cannot read tensor file: {exc}") from exc
     vouched = b"u" not in raw and b"f" not in raw  # no true, false or null: see _flat
-    found = None
-    if _brackets(raw) <= _orjson_max_brackets():
+    if _depth_bound(raw) <= _ORJSON_MAX_DEPTH:
         # orjson's lists are new containers, which set off collections (full ones
         # too) that find nothing to free; the pause lasts until the document is dropped
         enabled = gc.isenabled()
         gc.disable()
         try:
             return _tensor_from_doc(orjson.loads(raw), path, vouched)
-        except orjson.JSONDecodeError:
+        except (orjson.JSONDecodeError, ParseError):
             pass
-        except ParseError as exc:
-            found = exc
         finally:
             if enabled:
                 gc.enable()
@@ -490,9 +487,8 @@ def read_tensor(path) -> Tensor3:
         doc = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except RecursionError as exc:  # nested deeper than json goes: orjson's finding, if any
-        raise found or ParseError(f"{path}: cannot parse tensor file: {exc}") from exc
-    except ValueError as exc:  # invalid UTF-8, an integer longer than int_max_str_digits
+    except (RecursionError, ValueError) as exc:
+        # nested deeper than json goes, invalid UTF-8, an integer longer than int_max_str_digits
         raise ParseError(f"{path}: cannot parse tensor file: {exc}") from exc
     return _tensor_from_doc(doc, path, vouched)
 

@@ -173,8 +173,8 @@ def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFac
     try:
         chol = np.linalg.cholesky(eig_a._stack)
     except np.linalg.LinAlgError as exc:  # roundoff beyond the PD verdict's margin
-        raise SingularityError(f"geodesic requires positive definite A {hint}; "
-                               "its Cholesky factorization failed") from exc
+        raise SingularityError("geodesic requires A positive definite; "
+                               f"its Cholesky factorization failed {hint}") from exc
     inv_chol = np.linalg.inv(chol)
     mid = inv_chol @ eig_b._stack @ _adjoint(inv_chol)
     eig_m = _stack_eig(0.5 * (mid + _adjoint(mid)), a.p, eig_a._kind)

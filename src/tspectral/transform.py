@@ -129,6 +129,13 @@ def _product_kind(*tensors) -> str:
     return "complex" if any(_data(t).dtype.kind == "c" for t in tensors) else "real"
 
 
+def _product_stacks(*tensors: Tensor3) -> list[np.ndarray]:
+    """The Fourier stacks of a t-product's factors in the product's layout: a
+    real factor of a complex product is widened to all p slices."""
+    kind = _product_kind(*tensors)
+    return [_to_stack(t) if t.kind == kind else _all_slices(_to_stack(t), t.p) for t in tensors]
+
+
 def _adjoint(stack: np.ndarray) -> np.ndarray:
     """Conjugate transpose of every slice of a stack."""
     return stack.conj().swapaxes(-1, -2)
@@ -150,9 +157,8 @@ def tprod_dense(a: Tensor3, b: Tensor3) -> Tensor3:
 def tprod_fft(a: Tensor3, b: Tensor3) -> Tensor3:
     """Fast t-product via slice-wise products in the Fourier domain."""
     _check_conformable(a, b)
-    kind = _product_kind(a, b)
-    sa, sb = (_all_slices(_to_stack(t), a.p) if t.kind != kind else _to_stack(t) for t in (a, b))
-    return _from_stack(sa @ sb, a.p, kind)
+    sa, sb = _product_stacks(a, b)
+    return _from_stack(sa @ sb, a.p, _product_kind(a, b))
 
 
 def tprod(a: Tensor3, b: Tensor3, path: str = "fft") -> Tensor3:

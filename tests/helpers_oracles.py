@@ -81,6 +81,14 @@ def oracle_tprod_slices(a_slices, b_slices):
     return out
 
 
+def oracle_rayleigh_value(a_slices, x_slices):
+    """y^H ((M + M^H) / 2) y with M the block-circulant matrix of A, assembled block by
+    block, and y the unfolding of the n x 1 x p tensor x: its slices stacked vertically."""
+    mat = oracle_bcirc(a_slices)
+    y = np.concatenate([np.ravel(s) for s in x_slices])
+    return float(np.real(np.conj(y) @ ((mat + mat.conj().T) / 2.0) @ y))
+
+
 def oracle_eigenvalues(slices):
     """Eigenvalues of the dense block-circulant matrix."""
     return np.linalg.eigvals(oracle_bcirc(slices))

@@ -439,15 +439,15 @@ def test_verify_table(capsys, tmp_path, name, checks):
 
 @pytest.mark.parametrize("note", ["", ', "note": NaN'], ids=["entry", "document"])
 def test_nesting_too_deep_exit_2(capsys, tmp_path, note):
-    """An entry nested 20,000 deep is a parse error naming it; so is one that
-    json cannot descend into after orjson rejects the document."""
+    """An entry nested 20,000 deep is past the depth bound, so json alone parses the
+    file, and its recursion limit is the parse error, whatever else the document holds."""
     f = tmp_path / "deep.json"
     deep = "[" * 20_000 + "1" + "]" * 20_000
     f.write_text(f'{{"dims": [1, 1, 1], "kind": "real", "data": [{deep}]{note}}}')
     code, stdout, err = run(capsys, "verify", str(f), "--checks", "hermitian")
     assert (code, stdout) == (2, "")
-    want = "data[0] is not a real number" if not note else "cannot parse tensor file"
-    assert err.startswith(f"error: {f}: {want}")
+    assert err.startswith(f"error: {f}: cannot parse tensor file: maximum recursion depth "
+                          "exceeded while decoding a JSON array")
 
 
 _DEEP = 200_000  # deeper than orjson's recursion survives on an 8 MB stack, arrays or objects
@@ -481,9 +481,9 @@ _DEEP_NOTE = ('{"dims": [1, 1, 1], "kind": "real", "data": [1.5], "note": '
               + '{"a": ' * 10_000 + "1" + "}" * 10_000 + "}")
 
 
-def test_small_stack_scales_the_bracket_bound(tmp_path):
-    """Under a 1 MiB stack the bound falls to 3,125: the deep note goes to json
-    alone and is a parse error, not a crash."""
+def test_small_stack_reads_the_deep_note_as_a_parse_error(tmp_path):
+    """Under a 1 MiB stack the deep note, past the depth bound, goes to json alone
+    and is a parse error, not a crash."""
     resource = pytest.importorskip("resource")
     f = tmp_path / "deep.json"
     f.write_text(_DEEP_NOTE)
@@ -501,11 +501,10 @@ def test_small_stack_scales_the_bracket_bound(tmp_path):
                           "exceeded while decoding a JSON object from a unicode string\n")
 
 
-def test_small_thread_stack_scales_the_bracket_bound(tmp_path):
+def test_small_thread_stack_reads_the_deep_note_as_a_parse_error(tmp_path):
     """A thread that ``threading`` starts with a 1 MiB stack, below the process's limit,
-    reads the deep note: the bound falls to 3,125 there too, and the read is a parse
+    reads the deep note: it goes to json alone there too, and the read is a parse
     error, not a crash; run in a child process, where a crash cannot take pytest down."""
-    pytest.importorskip("resource")
     f = tmp_path / "deep.json"
     f.write_text(_DEEP_NOTE)
     src = str(Path(tspectral.__file__).resolve().parents[1])
@@ -513,6 +512,25 @@ def test_small_thread_stack_scales_the_bracket_bound(tmp_path):
             "threading.stack_size(1 << 20); codes = []\n"
             "t = threading.Thread(target=lambda: codes.append(main(sys.argv[1:])))\n"
             "t.start(); t.join(); sys.exit(codes[0])")
+    out = subprocess.run([sys.executable, "-c", code, "eig", str(f)], capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == (f"error: {f}: cannot parse tensor file: maximum recursion depth "
+                          "exceeded while decoding a JSON object from a unicode string\n")
+
+
+def test_thread_started_before_a_stack_size_reset_reads_the_deep_note(tmp_path):
+    """A thread started with a 1 MiB stack reads the deep note after the main thread has
+    set ``threading.stack_size`` back to 0: the reader's bound depends on no stack size,
+    so the read is a parse error, not a crash; run in a child process, where a crash
+    cannot take pytest down."""
+    f = tmp_path / "deep.json"
+    f.write_text(_DEEP_NOTE)
+    src = str(Path(tspectral.__file__).resolve().parents[1])
+    code = (f"import sys, threading; sys.path.insert(0, {src!r}); from tspectral.cli import main\n"
+            "threading.stack_size(1 << 20); codes = []; reset = threading.Event()\n"
+            "def read():\n    reset.wait(); codes.append(main(sys.argv[1:]))\n"
+            "t = threading.Thread(target=read); t.start()\n"
+            "threading.stack_size(0); reset.set(); t.join(); sys.exit(codes[0])")
     out = subprocess.run([sys.executable, "-c", code, "eig", str(f)], capture_output=True, text=True)
     assert (out.returncode, out.stdout) == (2, "")
     assert out.stderr == (f"error: {f}: cannot parse tensor file: maximum recursion depth "

@@ -388,8 +388,8 @@ def test_rejected_entry_is_named_at_every_position(tmp_path, kind, entry, messag
 
 
 _HEAD = b'{"dims": [1, 1, 1], "kind": "real", "data": '
-_NESTED = b"[" * 20_000 + b"1" + b"]" * 20_000  # past json's and repr's depth, not the bound
-_DEEP = b"[" * 100_000 + b"1" + b"]" * 100_000  # past core._orjson_max_brackets()
+_NESTED = b"[" * 20_000 + b"1" + b"]" * 20_000  # past json's depth and core._ORJSON_MAX_DEPTH
+_DEEP = b"[" * 100_000 + b"1" + b"]" * 100_000  # as _NESTED, five times deeper
 _DEEP_MESSAGE = ("cannot parse tensor file: maximum recursion depth exceeded while decoding "
                  "a JSON array from a unicode string")
 _LONG_ENTRY = repr(list(range(200_000)))
@@ -428,21 +428,19 @@ _REJECTED_FILES = [
      "field 'data' must hold exactly m*n*p = 2 entries, got 1"),
     ("missing-file", None,
      "cannot read tensor file: [Errno 2] No such file or directory: '{path}'"),
-    # nesting past what repr or json recurses into, and values whose repr is long: a
-    # value is shown cut to _REPR_LIMIT, or named when it is nested too deeply to print;
-    # where orjson parsed the document, its finding is the error
-    ("entry-nested-20000", _HEAD + b"[" + _NESTED + b"]}",
-     "data[0] is not a real number: <a value nested too deeply to print>"),
+    # nesting past core._ORJSON_MAX_DEPTH: json alone parses the file, and nesting past
+    # its recursion limit is the error, on every stack
+    ("entry-nested-20000", _HEAD + b"[" + _NESTED + b"]}", _DEEP_MESSAGE),
     ("pair-nested-20000", _HEAD.replace(b"real", b"complex") + b"[" + _NESTED + b"]}",
-     "data[0] is not a [re, im] pair: <a value nested too deeply to print>"),
+     _DEEP_MESSAGE),
     ("dims-nested-20000", b'{"dims": ' + _NESTED + b', "kind": "real", "data": [1]}',
-     "field 'dims' must be three integers >= 1, got <a value nested too deeply to print>"),
+     _DEEP_MESSAGE),
     ("note-nested-20000-orjson-rejects", _HEAD + b'[NaN], "note": ' + _NESTED + b"}",
      _DEEP_MESSAGE),
-    # more "[" and "{" bytes than the bound: json alone parses the file
     ("entry-nested-100000", _HEAD + b"[" + _DEEP + b"]}", _DEEP_MESSAGE),
     ("dims-nested-100000", b'{"dims": ' + _DEEP + b', "kind": "real", "data": [1]}',
      _DEEP_MESSAGE),
+    # a value whose repr is long is shown cut to _REPR_LIMIT
     ("entry-of-200000-numbers", _HEAD + b"[" + _LONG_ENTRY.encode() + b"]}",
      f"data[0] is not a real number: {_LONG_ENTRY[:core._REPR_LIMIT]}... "
      f"<{len(_LONG_ENTRY)} characters>"),
@@ -478,30 +476,67 @@ def test_vouched_integer_rounds_as_float_does(tmp_path, number):
     assert read_tensor(path).data[0, 0, 0] == float(number)
 
 
-@pytest.mark.parametrize("extra, parsers", [(0, ["orjson"]), (1, ["json"])],
-                         ids=["at-the-bound", "past-the-bound"])
-def test_bracket_bound_sends_a_file_to_json_alone(tmp_path, monkeypatch, extra, parsers):
-    """A complex file's "[" and "{" bytes are its pairs plus three: orjson parses
-    it up to the bound, json alone one pair past it, and both read the same bits."""
-    pairs = core._orjson_max_brackets() - 3 + extra
-    t = random_tensor(np.random.default_rng(47), 1, 1, pairs, complex_kind=True)
-    path = tmp_path / "t.json"
-    write_tensor(t, path)
+def _recorded_parsers(monkeypatch) -> list[str]:
+    """The names of the modules whose ``loads`` runs from now on, in call order."""
     calls = []
-
-    def record(module):
-        loads = module.loads
-
-        def recorded(doc):
-            calls.append(module.__name__)
+    for module in (orjson, json):
+        def recorded(doc, loads=module.loads, name=module.__name__):
+            calls.append(name)
             return loads(doc)
 
         monkeypatch.setattr(module, "loads", recorded)
+    return calls
 
-    record(orjson)
-    record(json)
-    assert read_tensor(path).data.tobytes() == t.data.tobytes()
+
+@pytest.mark.parametrize("extra, parsers", [(0, ["orjson"]), (1, ["json"])],
+                         ids=["at-the-bound", "past-the-bound"])
+def test_depth_bound_sends_a_deeper_file_to_json_alone(tmp_path, monkeypatch, extra, parsers):
+    """A file with core._ORJSON_MAX_DEPTH "[" and "{" bytes, the document's three and a
+    note nested in it, goes to orjson; one with a byte more goes to json alone; both
+    read the same bits."""
+    depth = core._ORJSON_MAX_DEPTH - 3 + extra
+    note = b"[" * depth + b"1" + b"]" * depth
+    path = tmp_path / "t.json"
+    path.write_bytes(b'{"dims": [1, 1, 2], "kind": "real", "data": [1.5, -0.1], "note": '
+                     + note + b"}")
+    calls = _recorded_parsers(monkeypatch)
+    assert read_tensor(path).data.tobytes() == np.array([1.5, -0.1]).tobytes()
     assert calls == parsers
+
+
+def test_large_complex_file_goes_to_orjson(tmp_path, monkeypatch):
+    """The "], [" separators between a complex file's pairs take them off the depth
+    bound, so a 16x16x128 complex file (32,771 "[" and "{" bytes) goes to orjson, with
+    the bits json reads."""
+    t = random_tensor(np.random.default_rng(47), 16, 16, 128, complex_kind=True)
+    path = tmp_path / "t.json"
+    write_tensor(t, path)
+    calls = _recorded_parsers(monkeypatch)
+    assert read_tensor(path).data.tobytes() == t.data.tobytes()
+    assert calls == ["orjson"]
+
+
+@pytest.mark.parametrize(
+    "text, bound",
+    [
+        (b"[" * 70 + b"]" * 70, 70),
+        (b"[" + b"[1, 2], [3, 4], " * 40 + b"[5, 6]]", 2),  # 82 brackets, 80 separators
+        (b'["' + b"], [" * 70 + b'"]', 1),  # separators in a string count too
+        (b"[" * 40 + b"], [" * 40 + b"]" * 40, 40),  # as deep as it bounds
+    ],
+    ids=["no-separators", "pairs", "in-a-string", "partners-closed"],
+)
+def test_depth_bound_subtracts_the_separators_past_the_limit(text, bound):
+    assert core._depth_bound(text) == bound
+
+
+def test_shown_names_a_value_nested_too_deeply_to_print():
+    """json stops at its recursion limit, so no document read reaches here this deep;
+    the placeholder stands in case a value does."""
+    value = [1.5]
+    for _ in range(100_000):
+        value = [value]
+    assert core._shown(value) == "<a value nested too deeply to print>"
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])

@@ -465,7 +465,7 @@ _FORWARD_PER_CALL = {
     "is_psd": (lambda a, b: spectral.is_psd(b), 1),
     "psd_factor": (lambda a, b: spectral.psd_factor(b), 1),
     "random_psd": (lambda a, b: spectral.random_psd(3, 4, 0), 1),
-    "rayleigh_value": (lambda a, b: bounds.rayleigh_value(b, _column(3, 4)), 0),
+    "rayleigh_value": (lambda a, b: bounds.rayleigh_value(b, _column(3, 4)), 2),
     "symmetrized_bounds": (lambda a, b: bounds.symmetrized_bounds(b), 2),
     "vn_trace_bounds": (lambda a, b: bounds.vn_trace_bounds(a, b), 2),
     "hermitian_trace_bounds": (lambda a, b: bounds.hermitian_trace_bounds(a, b), 2),

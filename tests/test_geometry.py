@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -517,7 +518,9 @@ def test_failed_cholesky_is_a_singular_start(monkeypatch, tmp_path, capsys):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
     monkeypatch.setattr(np.linalg, "cholesky", failing)
-    with pytest.raises(SingularityError, match="geodesic requires positive definite A"):
+    with pytest.raises(SingularityError, match=re.escape(
+            "geodesic requires A positive definite; its Cholesky factorization failed "
+            "(pass regularize=eps to shift explicitly)")):
         geodesic_trace_profile(a, b, 5)
     out = tmp_path / "profile.csv"
     assert main(["geodesic", str(fa), str(fb), "--samples", "5", "-o", str(out)]) == 2

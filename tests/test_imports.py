@@ -4,7 +4,8 @@ third-party modules ``src/`` imports are exactly the declared runtime
 dependencies, every DFT runs in the two Fourier-stack helpers, every
 eigensolve runs in ``spectral``'s two solver routes, the shape rules live in
 ``core`` alone, the pair rule and its PSD and PD requirements in ``spectral``
-alone, only the tensor-file reader switches the cyclic garbage collector, only
+alone, only the tensor-file reader switches the cyclic garbage collector, no module
+imports ``resource`` or ``threading``, only
 the Fourier layers know which slices a stack holds, the package re-exports
 exactly the public names of its layers, the CLI builds and prints its run
 report in ``main`` alone, and every named tolerance has a one-line
@@ -543,6 +544,43 @@ def test_stray_gc_toggle_is_reported(tmp_path):
         ("cli.py", "<module>", 1),
         ("cli.py", "Main", 7),
         ("core.py", "write_tensor", 11),
+    ]
+
+
+# Modules that expose process state (stack limits, thread stack sizes): the reader's
+# choice of parser rests on the file's bytes alone, so nothing in the package reads them.
+PROCESS_STATE_MODULES = ("resource", "threading")
+
+
+def _process_state_imports(src: Path) -> list[tuple[str, str, int]]:
+    """(file, module, line) of every absolute import, at any depth, of a module of
+    ``PROCESS_STATE_MODULES`` or of a name from one, in the modules under ``src``."""
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [(path.name, top, node.lineno) for top in (m.split(".")[0] for m in modules)
+                      if top in PROCESS_STATE_MODULES]
+    return found
+
+
+def test_no_module_reads_process_state():
+    assert _process_state_imports(SRC) == []
+
+
+def test_process_state_import_is_reported(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "import sys, resource\n\n\ndef read(path):\n    from threading import stack_size\n"
+        "    import threading as t\n    return stack_size, t\n"
+    )
+    (tmp_path / "cli.py").write_text("import os.path\nfrom .threading import local\n")
+    assert _process_state_imports(tmp_path) == [
+        ("core.py", "resource", 1), ("core.py", "threading", 5), ("core.py", "threading", 6),
     ]
 
 

@@ -72,6 +72,7 @@ from helpers_oracles import (
     oracle_bcirc_gather,
     oracle_eigenvalues,
     oracle_fourier_blocks,
+    oracle_rayleigh_value,
     reference_read_tensor,
 )
 
@@ -96,6 +97,9 @@ SYMMETRIZED_TWIN_RTOL = 1e-12
 # ky_fan_sum's value against per-block eigvalsh sums of the DFT-diagonalized bcirc, relative
 # to max(1, |value|): up to 4 p eigenvalues summed in other orders (2.1e-14 worst in 3000 draws).
 KY_FAN_TWIN_RTOL = 1e-12
+# rayleigh_value against y^H ((bcirc(A) + bcirc(A)^H) / 2) y, relative to max(1, |value|): p
+# Fourier-slice forms against one dense form of n^2 p^2 products (1.0e-15 worst in 3000 draws).
+RAYLEIGH_TWIN_RTOL = 1e-12
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -424,6 +428,22 @@ def test_symmetrized_bounds_match_dense_twin(n, p, kind, hermitian, seed):
     rho = np.abs(real).max() if len(real) else 0.0
     assert len(got.eigen_reports) == len(real)
     assert abs(got.rho_tensor - rho) <= SYMMETRIZED_TWIN_RTOL * max(1.0, rho), (got.rho_tensor, rho)
+
+
+@pytest.mark.parametrize("p", [1, 4, 5], ids=["p1", "even-p", "odd-p"])
+@pytest.mark.parametrize("a_kind", ["real", "complex"])
+@pytest.mark.parametrize("x_kind", ["real", "complex"])
+def test_rayleigh_value_matches_dense_twin(p, a_kind, x_kind):
+    """The value is y^H M y with M = (bcirc(A) + bcirc(A)^H) / 2 and y = unfold(x),
+    for a general A and unit x of each kind, mixed kinds included."""
+    rng = np.random.default_rng(p)
+    for n in (1, 2, 4):
+        a = _tensor(rng, n, n, p, a_kind)
+        y = _tensor(rng, n, 1, p, x_kind).data
+        x = Tensor3(y / np.linalg.norm(y))
+        got = bounds.rayleigh_value(a, x)
+        want = oracle_rayleigh_value(list(a.slices()), list(x.slices()))
+        assert abs(got - want) <= RAYLEIGH_TWIN_RTOL * max(1.0, abs(want)), (got, want)
 
 
 @PROPERTY_SETTINGS
@@ -847,6 +867,7 @@ DENSE_TWINS = {
     "symmetric_relax_bounds": "test_properties.py::test_bound_fields_match_dense_twins",
     "extremal_ratio_witness": "test_properties.py::test_extremal_ratio_witness_matches_dense_twin",
     "ky_fan_sum": "test_properties.py::test_ky_fan_sum_matches_dense_twin",
+    "rayleigh_value": "test_properties.py::test_rayleigh_value_matches_dense_twin",
     "dist_bures_wasserstein": "test_properties.py::test_bures_wasserstein_matches_oracle",
     "dist_log_euclidean": "test_properties.py::test_log_euclidean_matches_dense_twin",
     "geodesic": "test_geometry.py::TestGeodesicDenseOracle::test_geodesic_matches_oracle",
@@ -856,7 +877,6 @@ NO_DENSE_TWIN = {
     "bcirc": "the dense oracle itself",
     "tprod_dense": "the dense oracle itself: a product of bcirc matrices",
     "tprod": "dispatches to tprod_fft or tprod_dense by its path argument",
-    "rayleigh_value": "computed on the dense bcirc matrix itself",
     "frontal_slice": "a copy of one slice: no operator to twin",
     "unfold": "a reshape of the data: no operator to twin",
     "fold": "a reshape of the data: no operator to twin",
