@@ -63,11 +63,13 @@ REPORT_RTOL = 1e-8
 HERMITIAN_IMAG_ATOL = 1e-9
 
 # Self-checks, each far above the roundoff of what it compares (a few n eps, relative):
-# tr((A+aI)*(B+aI)) against its expansion, both sums of N products;
+# tr((A+aI)*(B+aI)) against its expansion, both sums of N products, relative to the largest
+# of the two sides' terms (they cancel; N a^2 >= N, as a >= 1);
 SHIFT_IDENTITY_RTOL = 1e-9
 # U*U^H = I_k for ky_fan_sum's optimizer, as orthonormal as LAPACK's eigenvectors;
 ISOMETRY_RTOL = 1e-9
-# tr(U*H*U^H) against the eigenvalue sum it attains, to the eigensolve's backward error.
+# tr(U*H*U^H) against the eigenvalue sum it attains, to the eigensolve's backward error,
+# relative to the sum of the added eigenvalues' magnitudes, since the sum may cancel.
 ATTAINED_RTOL = 1e-8
 
 # |2-norm - 1| of rayleigh_value's unfold(x): a vector normalized in floating point is off by ~eps.
@@ -224,8 +226,9 @@ def hermitian_trace_bounds(a: Tensor3, b: Tensor3) -> BoundReport:
     alpha = 1.0 + max(0.0, -float(lam_a[-1]), -float(lam_b[-1]))
     shift = alpha * np.eye(a.n)
     lhs = _stack_trace(fa._stack + shift, fb._stack + shift, p=a.p)
-    rhs = value + alpha * (_real_trace(a) + _real_trace(b)) + big_n * alpha**2
-    if abs(lhs - rhs) > SHIFT_IDENTITY_RTOL * max(1.0, abs(lhs)):
+    terms = (value, alpha * (_real_trace(a) + _real_trace(b)), big_n * alpha**2)
+    rhs = sum(terms)
+    if abs(lhs - rhs) > SHIFT_IDENTITY_RTOL * max(abs(x) for x in (lhs, *terms)):
         raise NumericError(
             f"shift identity violated: {lhs!r} vs {rhs!r} at alpha={alpha!r}"
         )
@@ -346,7 +349,8 @@ def ky_fan_sum(h: Tensor3, k: int, which: str = "max") -> KyFanResult:
     if resid > ISOMETRY_RTOL * (1.0 + norm(gram)):
         raise NumericError(f"constructed optimizer is not a partial isometry: {resid:.3e}")
     achieved = _stack_trace(_adjoint(q), factors._stack, q, p=h.p)
-    if abs(achieved - value) > ATTAINED_RTOL * max(1.0, abs(value)):
+    added = _slice_sum(np.abs(factors._w[:, chosen]).sum(axis=-1), h.p)  # |terms| of value
+    if abs(achieved - value) > ATTAINED_RTOL * max(1.0, added):
         raise NumericError(
             f"optimizer achieves {achieved!r} but extremal value is {value!r}"
         )

@@ -78,7 +78,7 @@ CONCAVITY_MARGIN = 1e-12
 
 @dataclass
 class RunReport:
-    """Deterministic record of one CLI invocation (timing aside).
+    """Deterministic record of one CLI invocation; ``timing`` is kept empty for stage times.
 
     ``main`` fills ``command`` and ``inputs`` from the parsed options and a command
     adds what it computes.  An output may be a zero-argument callable: ``to_json``
@@ -147,9 +147,7 @@ def _random_hermitian(n: int, p: int, rng: np.random.Generator) -> Tensor3:
 def cmd_tprod(args, report) -> int:
     a = read_tensor(args.a)
     b = read_tensor(args.b)
-    t0 = time.perf_counter()
     c = tprod(a, b, path=args.path)
-    report.timing["tprod_seconds"] = time.perf_counter() - t0
     with _output():
         write_tensor(c, args.out)
     scale = _convention_scale(args.convention, c.p)

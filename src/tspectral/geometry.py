@@ -21,17 +21,21 @@ The log-Euclidean distance never leaves the Fourier domain:
 
 The geodesic is set up once per operand pair, from any factor A = L * L^H:
 G(t) = L * (L^(-1) * B * L^(-H))^t * L^H is the same tensor as the formula
-above.  In the pair gate, A's eigenvalues alone give its Hermitian and
-positive-definiteness checks and B's its Hermitian and PSD checks; one Cholesky
+above.  In the pair gate, each operand's Hermitian check is the residual of
+:func:`~tspectral.spectral.is_hermitian`, and its eigenvalues give A's
+positive-definiteness verdict and B's PSD verdict; one Cholesky
 factorization per Fourier slice then gives L, and one eigendecomposition
 M = L^(-1) * B * L^(-H) = Q * W * Q^H follows.  With X = L * Q, Fourier slice k
 of G(t) is X_k diag(w_k^t) X_k^H, so a trace sample costs O(np):
 tr G(t) = sum_k sum_i w_ik^t ||X_k e_i||^2.  M_k is congruent to B_k, so by
-Sylvester's law of inertia it has as many zero eigenvalues as B_k; B_k's are
-those at most ``n * eps * lambda_max(B)``, and that many of M_k's smallest
-are set to 0, so for singular B every G(t) with t > 0 has B's rank, also
-when A is ill-conditioned, and no eigenvalue of a positive definite B is
-dropped.
+Sylvester's law of inertia it has B_k's inertia, and M gets no verdict of its
+own: B's PSD verdict is M's.  Where B_k's eigenvalue is null (at most
+``n * eps * lambda_max(B)``), M_k's in the same position (both spectra
+descending) is set to 0, so for singular B every G(t) with t > 0 has B's rank,
+also when A is ill-conditioned, and no eigenvalue of a positive definite B is
+dropped.  Any other negative eigenvalue of M is roundoff of forming it, about
+``eps * ||B|| / lambda_min(A)``, and is clamped at 0; so every B that
+:func:`~tspectral.spectral.is_psd` accepts has a geodesic.
 
 Trace conventions: traces default to the block-circulant convention.
 Passing ``convention="slice1"`` rescales every trace by ``1/p`` (first
@@ -62,8 +66,10 @@ __all__ = [
 
 _CONVENTIONS = ("bcirc", "slice1")
 
-# An eigenvalue of B at most n * eps * lambda_max(B) counts as 0 (numpy's matrix_rank rule);
-# M = L^(-1) B L^(-H), congruent to B, has as many zero eigenvalues on each Fourier slice.
+# An eigenvalue of B at most n * eps * lambda_max(B) counts as 0 (numpy's matrix_rank rule).
+# M = L^(-1) B L^(-H) is congruent to B, so by Sylvester's law of inertia each Fourier slice of
+# M has B's: B's PSD verdict is M's, and M's eigenvalue i (both spectra descending) is 0 where
+# B's is.  One below 0 elsewhere is roundoff of forming M, about eps ||B|| / lambda_min(A).
 NULL_EIGENVALUE_RTOL = float(np.finfo(np.float64).eps)
 
 
@@ -166,8 +172,8 @@ def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFac
         a = a + regularize * identity(a.n, a.p)
     hint = "(pass regularize=eps to shift explicitly)"
     try:
-        (eig_a, _), (eig_b, _) = _decompose_pair(a, b, "geodesic", ("positive definite", "PSD"),
-                                                 vectors=False)
+        (eig_a, _), (eig_b, w_b) = _decompose_pair(
+            a, b, "geodesic", ("positive definite", "PSD"), vectors=False)
     except SingularityError as exc:  # A's requirement, the only definite one
         raise SingularityError(f"{exc} {hint}") from None
     try:
@@ -178,10 +184,9 @@ def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFac
     inv_chol = np.linalg.inv(chol)
     mid = inv_chol @ eig_b._stack @ _adjoint(inv_chol)
     eig_m = _stack_eig(0.5 * (mid + _adjoint(mid)), a.p, eig_a._kind)
-    w = eig_m._require("geodesic requires L^(-1) B L^(-H) PSD")
-    w_b = eig_b._w  # B's eigenvalues on M's slices
-    nulls = np.sum(w_b <= a.n * NULL_EIGENVALUE_RTOL * max(w_b.max(), 0.0), axis=1)
-    w[np.arange(a.n) >= a.n - nulls[:, None]] = 0.0  # M's smallest, _w being descending
+    # M_k has B_k's inertia, so B's verdict and null positions are M's; other negatives: roundoff
+    null = w_b <= a.n * NULL_EIGENVALUE_RTOL * max(w_b.max(), 0.0)
+    w = np.where(null, 0.0, np.maximum(eig_m._w, 0.0))
     return _GeodesicFactors(chol @ eig_m._q_stack, w, eig_a._kind, a.p)
 
 
@@ -213,10 +218,10 @@ def geodesic_trace_profile(
     checks, then Cholesky) and M = L^(-1) B L^(-H) is decomposed once; after
     that each sample costs O(np) (``keep_tensors=True`` adds one O(n^3 p)
     slice product and an inverse FFT per sample).  M is congruent to B, so
-    on each Fourier slice as many of M's smallest eigenvalues as B has
-    eigenvalues at most ``n * eps * lambda_max(B)`` are set to 0: for
-    singular B every G(t) with t > 0 has B's rank, and roundoff is not
-    raised to the power t.
+    it has B's inertia on each Fourier slice: B's PSD verdict is M's, M's
+    eigenvalues are set to 0 where B's are at most ``n * eps * lambda_max(B)``
+    (for singular B every G(t) with t > 0 has B's rank, and roundoff is not
+    raised to the power t), and any other negative one is clamped at 0.
     Preconditions and errors are those of :func:`geodesic`.
     """
     if num_samples < 2:

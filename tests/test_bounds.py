@@ -5,6 +5,7 @@ import pytest
 
 from tspectral import (
     DomainError,
+    NumericError,
     PreconditionError,
     ShapeError,
     Tensor3,
@@ -24,7 +25,11 @@ from tspectral import (
     tprod_fft,
     trace,
     vn_trace_bounds,
+    write_tensor,
 )
+from tspectral import bounds
+from tspectral.cli import main
+from tspectral.transform import _slice_weights
 from conftest import random_hermitian, random_psd_tensor, random_tensor
 from helpers_oracles import oracle_bcirc, random_partial_isometry
 
@@ -188,6 +193,44 @@ class TestHermitianTraceBounds:
                 + (3 * 2) * alpha**2
             )
             assert lhs == pytest.approx(rhs, rel=1e-9)
+
+    @pytest.mark.parametrize("c", [1e8, 1e10, 1e12])
+    def test_shift_identity_at_large_shift(self, c, tmp_path):
+        """At alpha = 1 + c the expansion's terms, near c^2, cancel to a lhs near c,
+        so the identity holds to the roundoff of the terms, not of lhs."""
+        a, b = -c * identity(2, 1), c * identity(2, 1)
+        rep = hermitian_trace_bounds(a, b)
+        assert rep.value == pytest.approx(-2 * c * c, rel=1e-15) and rep.satisfied
+        fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+        write_tensor(a, fa)
+        write_tensor(b, fb)
+        assert main(["bounds", "hermitian", str(fa), str(fb)]) == 0
+        rng = np.random.default_rng(212)
+        for _ in range(20):
+            n, p = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            h1, h2 = random_hermitian(rng, n, p), random_hermitian(rng, n, p)
+            assert hermitian_trace_bounds(c * h1 - 3 * c * identity(n, p), c * h2).satisfied
+
+    def test_shift_identity_catches_a_wrong_slice_weight(self, monkeypatch):
+        """The shifted trace with one slice counted once too often breaks the identity
+        by about c^2 of terms near c^2, which the relative check still catches."""
+        rng = np.random.default_rng(213)
+        c = 1e8
+        a = c * random_hermitian(rng, 3, 4) - 3 * c * identity(3, 4)
+        b = c * random_hermitian(rng, 3, 4)
+        calls = []
+
+        def shifted_with_wrong_weight(*stacks, p):
+            calls.append(p)
+            per_slice = np.einsum("kij,kji->k", stacks[0], stacks[1]).real
+            weights = _slice_weights(len(per_slice), p)
+            weights[-1] += len(calls) == 2  # the second call is the shifted trace
+            return float(per_slice @ weights)
+
+        monkeypatch.setattr(bounds, "_stack_trace", shifted_with_wrong_weight)
+        with pytest.raises(NumericError, match="shift identity violated"):
+            hermitian_trace_bounds(a, b)
+        assert len(calls) == 2
 
     def test_rejects_non_hermitian(self, a3, a2):
         with pytest.raises(PreconditionError):
@@ -355,6 +398,17 @@ class TestKyFanSum:
         assert np.all(np.diff(maxima) >= -1e-10)
         assert np.all(np.diff(minima) >= -1e-10)  # adds non-negative values
         assert maxima[-1] == pytest.approx(trace(h), rel=1e-9)
+
+    @pytest.mark.parametrize("c", [1e8, 1e10, 1e12])
+    def test_attained_value_when_the_sum_cancels(self, c):
+        """Slice 1 holds diag(c, -c, -2c) in a random orthonormal basis, so every Fourier
+        slice does and the top-2 sum c - c cancels to roundoff of the eigenvalues' size c."""
+        q, _ = np.linalg.qr(np.random.default_rng(264).standard_normal((3, 3)))
+        data = np.zeros((3, 3, 4))
+        data[:, :, 0] = (q * [c, -c, -2 * c]) @ q.T
+        h = 0.5 * (Tensor3(data) + conj_transpose(Tensor3(data)))
+        assert abs(ky_fan_sum(h, 2, "max").value) <= 1e-13 * c
+        assert ky_fan_sum(h, 2, "min").value == pytest.approx(-12 * c, rel=1e-13)
 
     def test_k_out_of_range(self, a2):
         with pytest.raises(DomainError):

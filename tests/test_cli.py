@@ -877,16 +877,15 @@ class TestParserOncePerProcess:
 
 def _expected_report(argv, fx):
     """The ``command``, ``outputs``, ``bound_reports`` and ``timing`` keys of the
-    report of ``argv``, computed from the library; ``timing`` holds key names only."""
+    report of ``argv``, computed from the library; ``timing`` is empty."""
     args = cli.build_parser().parse_args(argv)
     t = {name: read_tensor(getattr(args, name)) for name in ("a", "b") if getattr(args, name, None)}
-    outputs, reports, timing = {}, [], []
+    outputs, reports = {}, []
     if args.command == "tprod":
         c = tprod(t["a"], t["b"], path=args.path)
         scale = 1.0 / c.p if args.convention == "slice1" else 1.0
         tr = float(np.real(trace(c) * scale)) if c.m == c.n else None
         outputs = {"out": args.out, "trace": tr, "frobenius_norm": frobenius_norm(c)}
-        timing = ["tprod_seconds"]
     elif args.command == "eig":
         vals = t_eigenvalues(t["a"], method=args.method).values
         outputs = {"eigenvalues": np.column_stack((vals.real, vals.imag)).tolist()}
@@ -905,8 +904,8 @@ def _expected_report(argv, fx):
                  "relax": bounds.symmetric_relax_bounds}[args.kind]
         reports = [bound(t["a"], t["b"])]
     doc = {"command": args.command, "outputs": outputs,
-           "bound_reports": [asdict(r) for r in reports]}
-    return json.loads(json.dumps(doc)), timing
+           "bound_reports": [asdict(r) for r in reports], "timing": {}}
+    return json.loads(json.dumps(doc))
 
 
 _JSON_CASES = [
@@ -943,9 +942,16 @@ def test_json_appends_one_report_line(capsys, fixtures_dir, tmp_path, case):
     assert sorted(doc) == ["bound_reports", "command", "inputs", "outputs", "timing"]
     parsed = vars(cli.build_parser().parse_args(argv))
     assert doc.pop("inputs") == {k: v for k, v in parsed.items() if k not in ("fn", "json", "command")}
-    expected, timing = _expected_report(argv, fx)
-    assert sorted(doc.pop("timing")) == timing
-    assert doc == expected
+    assert doc == _expected_report(argv, fx)
+
+
+def test_tprod_report_is_deterministic(capsys, fixtures_dir, tmp_path):
+    """Two tprod --json runs print the same report line: no wall-clock value is in it."""
+    argv = ["tprod", str(fixtures_dir / "a3.json"), str(fixtures_dir / "b3.json"),
+            "-o", str(tmp_path / "c.json"), "--json"]
+    first, second = (run(capsys, *argv)[1].splitlines()[-1] for _ in range(2))
+    assert first == second
+    assert json.loads(first)["timing"] == {}
 
 
 def test_tprod_report_records_the_convention(capsys, fixtures_dir, tmp_path):

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tspectral import (
     DomainError,
@@ -26,6 +28,7 @@ from tspectral import (
     write_tensor,
 )
 from tspectral.cli import main
+from tspectral.spectral import PSD_RTOL
 from conftest import random_pd_tensor, random_psd_tensor, random_tensor
 from helpers_oracles import (
     bw_bcirc_mpmath,
@@ -445,6 +448,74 @@ def test_small_b_eigenvalue_at_ill_conditioned_a_is_kept(rotated, p):
     prof = geodesic_trace_profile(ta, tb, 11)
     want = [p * np.sum(a ** (1 - t) * b**t) for t in prof.ts]
     np.testing.assert_allclose(prof.traces, want, rtol=1e-6 if rotated else 1e-12, atol=0.0)
+
+
+def _roundoff_negative_b_pair():
+    """A = diag(1, 1e-6) and B = diag(1, -9e-10), 2 x 2 x 1: is_psd accepts B, and
+    M = diag(1, -9e-4) has B's inertia, its negative eigenvalue on B's null position."""
+    a, b = np.zeros((2, 2, 1)), np.zeros((2, 2, 1))
+    a[:, :, 0], b[:, :, 0] = np.diag([1.0, 1e-6]), np.diag([1.0, -9e-10])
+    return Tensor3(a), Tensor3(b)
+
+
+def test_b_that_is_psd_accepts_has_a_geodesic():
+    a, b = _roundoff_negative_b_pair()
+    assert is_psd(b)
+    prof = geodesic_trace_profile(a, b, 5)
+    want = [np.trace(geodesic_bcirc_oracle(_slices(a), [np.diag([1.0, 0.0])], t)).real
+            for t in prof.ts]
+    np.testing.assert_allclose(prof.traces, want, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(prof.traces, [1.0 + 1e-6, 1.0, 1.0, 1.0, 1.0], rtol=1e-15, atol=0.0)
+
+
+def test_cli_geodesic_of_b_that_is_psd_accepts(tmp_path, capsys):
+    a, b = _roundoff_negative_b_pair()
+    fa, fb, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "profile.csv"
+    write_tensor(a, fa)
+    write_tensor(b, fb)
+    assert main(["verify", str(fb), "--checks", "hermitian,psd"]) == 0
+    assert main(["geodesic", str(fa), str(fb), "--samples", "3", "-o", str(out)]) == 0
+    assert "wrote 3 samples" in capsys.readouterr().out
+    assert out.read_text(encoding="utf-8").splitlines()[-1] == "1,1"
+
+
+# Traces of B's geodesic against its clamp's, over PSD_RTOL * cond(A): B lies PSD_RTOL *
+# lambda_max(B) from its clamp, and L^(-1) amplifies that up to cond(A) (0.52 of it in 2000 draws).
+CLAMPED_B_RTOL = PSD_RTOL
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 4), p=st.sampled_from([1, 2, 3]), complex_kind=st.booleans(),
+       log_cond=st.floats(2.0, 6.0), log_tilt=st.floats(-6.0, 0.0),
+       neg=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 2**32 - 1))
+def test_every_b_that_is_psd_accepts_has_a_geodesic(n, p, complex_kind, log_cond, log_tilt,
+                                                     neg, seed):
+    """B has one eigenvalue in [-PSD_RTOL * lambda_max(B), 0), on an eigenvector tilted by
+    10^log_tilt from A's smallest, where A^(-1/2) amplifies it most; its traces match the
+    oracle's on B with that eigenvalue set to 0.  Every Fourier slice is the first one."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_kind
+                                              else 0.0)
+
+    qa, _ = np.linalg.qr(draw())
+    qb, _ = np.linalg.qr(qa + 10.0**log_tilt * draw())
+    la = np.logspace(0.0, -log_cond, n)
+    lb = np.append(rng.uniform(0.5, 1.0, n - 1), 0.0)
+    lb[-1] = -neg * PSD_RTOL * lb.max()
+    ta, tb = (np.zeros((n, n, p), qa.dtype) for _ in range(2))
+    ta[:, :, 0], tb[:, :, 0] = (qa * la) @ qa.conj().T, (qb * lb) @ qb.conj().T
+    a, b = (0.5 * (t + conj_transpose(t)) for t in (Tensor3(ta), Tensor3(tb)))
+    if not is_psd(b):
+        return
+    prof = geodesic_trace_profile(a, b, 5)
+    assert np.all(np.isfinite(prof.traces))
+    clamped = [(qb * np.maximum(lb, 0.0)) @ qb.conj().T] + [np.zeros((n, n))] * (p - 1)
+    # M's null eigenvalue is roundoff near eps * cond(A) of its largest, its others >= 0.5 / cond(A)
+    want = [np.trace(geodesic_bcirc_oracle(_slices(a), clamped, t, null_rtol=1e-8)).real
+            for t in prof.ts]
+    np.testing.assert_allclose(prof.traces, want, rtol=CLAMPED_B_RTOL * 10.0**log_cond, atol=0.0)
 
 
 def _profile_error_case(case, a2):
