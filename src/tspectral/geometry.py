@@ -27,15 +27,10 @@ positive-definiteness verdict and B's PSD verdict; one Cholesky
 factorization per Fourier slice then gives L, and one eigendecomposition
 M = L^(-1) * B * L^(-H) = Q * W * Q^H follows.  With X = L * Q, Fourier slice k
 of G(t) is X_k diag(w_k^t) X_k^H, so a trace sample costs O(np):
-tr G(t) = sum_k sum_i w_ik^t ||X_k e_i||^2.  M_k is congruent to B_k, so by
-Sylvester's law of inertia it has B_k's inertia, and M gets no verdict of its
-own: B's PSD verdict is M's.  Where B_k's eigenvalue is null (at most
-``n * eps * lambda_max(B)``), M_k's in the same position (both spectra
-descending) is set to 0, so for singular B every G(t) with t > 0 has B's rank,
-also when A is ill-conditioned, and no eigenvalue of a positive definite B is
-dropped.  Any other negative eigenvalue of M is roundoff of forming it, about
-``eps * ||B|| / lambda_min(A)``, and is clamped at 0; so every B that
-:func:`~tspectral.spectral.is_psd` accepts has a geodesic.
+tr G(t) = sum_k sum_i w_ik^t ||X_k e_i||^2.  M gets no verdict of its own:
+B's PSD verdict and null space decide M's (see ``NULL_EIGENVALUE_RTOL``), so
+every B that :func:`~tspectral.spectral.is_psd` accepts has a geodesic, to B's
+clamp where B has an eigenvalue in the verdict's negative margin.
 
 Trace conventions: traces default to the block-circulant convention.
 Passing ``convention="slice1"`` rescales every trace by ``1/p`` (first
@@ -50,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Tensor3, _require_same_shape, frobenius_norm, identity
-from .errors import DomainError, ShapeError, SingularityError
+from .errors import DomainError, NumericError, ShapeError, SingularityError
 from .spectral import _decompose_pair, _stack_eig
 from .spectral import t_eigenvalues  # noqa: F401  (perfbench's tracing check reads it here)
 from .transform import _adjoint, _from_stack, _slice_sum
@@ -68,8 +63,12 @@ _CONVENTIONS = ("bcirc", "slice1")
 
 # An eigenvalue of B at most n * eps * lambda_max(B) counts as 0 (numpy's matrix_rank rule).
 # M = L^(-1) B L^(-H) is congruent to B, so by Sylvester's law of inertia each Fourier slice of
-# M has B's: B's PSD verdict is M's, and M's eigenvalue i (both spectra descending) is 0 where
-# B's is.  One below 0 elsewhere is roundoff of forming M, about eps ||B|| / lambda_min(A).
+# M has B's inertia: B's PSD verdict is M's, and M's eigenvalue i (both spectra descending) is
+# set to 0 where B's is null, so for singular B every G(t) with t > 0 has B's rank, also when A
+# is ill-conditioned.  A slice where B has an eigenvalue below -n * eps * lambda_max(B), inside
+# is_psd's margin, is clamped before M is formed: zeroing M's eigenvalue alone would leave that
+# eigenvalue, amplified by up to cond(A), in G(1).  Any other negative eigenvalue of M is
+# roundoff of forming it, about eps ||B|| / lambda_min(A), and is clamped at 0.
 NULL_EIGENVALUE_RTOL = float(np.finfo(np.float64).eps)
 
 
@@ -172,8 +171,8 @@ def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFac
         a = a + regularize * identity(a.n, a.p)
     hint = "(pass regularize=eps to shift explicitly)"
     try:
-        (eig_a, _), (eig_b, w_b) = _decompose_pair(
-            a, b, "geodesic", ("positive definite", "PSD"), vectors=False)
+        (eig_a, _), (eig_b, _) = _decompose_pair(a, b, "geodesic", ("positive definite", "PSD"),
+                                                 vectors=False)
     except SingularityError as exc:  # A's requirement, the only definite one
         raise SingularityError(f"{exc} {hint}") from None
     try:
@@ -181,12 +180,19 @@ def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFac
     except np.linalg.LinAlgError as exc:  # roundoff beyond the PD verdict's margin
         raise SingularityError("geodesic requires A positive definite; "
                                f"its Cholesky factorization failed {hint}") from exc
+    w_b, b_stack = eig_b._w, eig_b._stack
+    tol = a.n * NULL_EIGENVALUE_RTOL * max(w_b.max(), 0.0)  # see NULL_EIGENVALUE_RTOL
+    if (neg := (w_b < -tol).any(axis=-1)).any():  # B's clamp, on the slices that need it
+        clamp = _stack_eig(b_stack[neg], a.p, eig_b._kind)
+        b_stack = b_stack.copy()
+        b_stack[neg] = clamp._apply(np.maximum(clamp._w, 0.0))
     inv_chol = np.linalg.inv(chol)
-    mid = inv_chol @ eig_b._stack @ _adjoint(inv_chol)
-    eig_m = _stack_eig(0.5 * (mid + _adjoint(mid)), a.p, eig_a._kind)
-    # M_k has B_k's inertia, so B's verdict and null positions are M's; other negatives: roundoff
-    null = w_b <= a.n * NULL_EIGENVALUE_RTOL * max(w_b.max(), 0.0)
-    w = np.where(null, 0.0, np.maximum(eig_m._w, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite M raises below
+        mid = inv_chol @ b_stack @ _adjoint(inv_chol)
+        eig_m = _stack_eig(0.5 * (mid + _adjoint(mid)), a.p, eig_a._kind)
+    if not (np.isfinite(mid).all() and np.isfinite(eig_m._w).all()):
+        raise NumericError("the result overflowed: L^(-1) B L^(-H) is not finite")
+    w = np.where(w_b <= tol, 0.0, np.maximum(eig_m._w, 0.0))
     return _GeodesicFactors(chol @ eig_m._q_stack, w, eig_a._kind, a.p)
 
 
@@ -217,11 +223,9 @@ def geodesic_trace_profile(
     Per Fourier slice, A is factored once as L L^H (eigenvalues for its
     checks, then Cholesky) and M = L^(-1) B L^(-H) is decomposed once; after
     that each sample costs O(np) (``keep_tensors=True`` adds one O(n^3 p)
-    slice product and an inverse FFT per sample).  M is congruent to B, so
-    it has B's inertia on each Fourier slice: B's PSD verdict is M's, M's
-    eigenvalues are set to 0 where B's are at most ``n * eps * lambda_max(B)``
-    (for singular B every G(t) with t > 0 has B's rank, and roundoff is not
-    raised to the power t), and any other negative one is clamped at 0.
+    slice product and an inverse FFT per sample).  M takes B's PSD verdict and
+    null space (see ``NULL_EIGENVALUE_RTOL``): for singular B every G(t) with
+    t > 0 has B's rank, and roundoff is not raised to the power t.
     Preconditions and errors are those of :func:`geodesic`.
     """
     if num_samples < 2:

@@ -19,9 +19,8 @@ PSD and PD verdicts, the only place where ``PSD_RTOL`` and ``PD_RTOL`` meet a sp
 and the stacks Q diag(f(w)) Q^H that callers build from them.
 The verdict-then-clamp rule lives there too: ``EigFactors._require`` raises on a failed
 verdict, else returns the eigenvalues clamped at 0, so no caller clips a spectrum of its own
-but the geodesic, for M = L^(-1) B L^(-H): M is congruent to B, so by Sylvester's law of
-inertia B's verdict is M's, and M's eigenvalues are 0 where B's are null and are clamped at
-0 elsewhere, where a negative one is roundoff of forming M.
+but the geodesic, whose M = L^(-1) B L^(-H) takes B's verdict (see
+``geometry.NULL_EIGENVALUE_RTOL``).
 
 Each call checks, transforms and decomposes each of its operands once, and
 keeps nothing: a :class:`~tspectral.core.Tensor3` carries its data alone, so

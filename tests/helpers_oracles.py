@@ -173,6 +173,37 @@ def geodesic_bcirc_oracle(a_slices, b_slices, t, null_rtol=1e-10):
     return root @ ((q * w**t) @ q.conj().T) @ root
 
 
+def geodesic_traces_mpmath(a_data, b_data, ts, null_rtol, dps=40):
+    """Traces of A #_t B = S (S^-1 C S^-1)^t S, S = A^(1/2), at each t in ``ts``, on the dense
+    block-circulant matrices in ``mpmath`` at ``dps`` digits, where C is B's clamp: B's
+    eigenvalues at most ``null_rtol`` times its largest one, negative ones included, are set to
+    0.  The middle factor's eigenvalues at most 10^(-dps/2) times its largest are C's null space
+    and count as 0, so its power at t = 0 is still the identity.  Every root is from
+    ``mpmath.eigh``; the traces are rounded to floats."""
+    import mpmath
+
+    def dense(data):
+        return mpmath.matrix(oracle_bcirc([data[:, :, k] for k in range(data.shape[2])]).tolist())
+
+    def spectral(x, f):
+        w, q = mpmath.eigh((x + x.H) / 2)
+        return q * mpmath.diag([f(v, max(w)) for v in w]) * q.H
+
+    with mpmath.workdps(dps):
+        a, b = dense(a_data), dense(b_data)
+        clamp = spectral(b, lambda v, top: 0 if v <= null_rtol * top else v)
+        root = spectral(a, lambda v, top: mpmath.sqrt(v))
+        inv_root = spectral(a, lambda v, top: 1 / mpmath.sqrt(v))
+        w, q = mpmath.eigh(inv_root * clamp * inv_root)
+        cols = root * q
+        w = [0 if v <= mpmath.mpf(10) ** (-dps // 2) * max(w) else v for v in w]
+        return np.array([
+            float(mpmath.re(mpmath.fsum(w[i] ** mpmath.mpf(t) * mpmath.fsum(
+                abs(cols[j, i]) ** 2 for j in range(cols.rows)) for i in range(len(w)))))
+            for t in ts
+        ])
+
+
 def random_spd_matrix(rng, n):
     g = rng.standard_normal((n, n))
     return g @ g.T + 0.05 * np.eye(n)
