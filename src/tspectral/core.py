@@ -369,20 +369,34 @@ def _bad_entry(raw: list, kind: str, path) -> ParseError:
 
 
 # orjson prints the same shortest round-trip digits as float.__repr__ (Ryu and
-# Gay's dtoa) in another layout: |x| in [1e-5, 1e-4) positionally (0.000015,
-# repr 1.5e-05), and exponents with no "+" and no zero padding (1e16, 1e-7;
-# repr 1e+16, 1e-07).  _BAND moves the first into orjson's own scientific
-# layout (1.5e-5), then _EXPONENT rewrites every exponent into repr's.
-# "0.0000" also occurs inside tokens (10.00003), so _BAND matches only at a
-# token start, after "[", "," or a sign; its literal comes first so that re
-# searches for it.
-_BAND = re.compile(rb"0\.0000(?<=[\[,-]0\.0000)(\d)(\d*)")
+# Gay's dtoa) in another layout: exponents with no "+" and no zero padding (1e16,
+# 1e-7; repr 1e+16, 1e-07), which _EXPONENT rewrites into repr's, and |x| in
+# [1e-5, 1e-4) positionally (0.000015, repr 1.5e-05).  A double prints in that
+# band exactly when it lies between the doubles 1e-5 and 1e-4, so the writer
+# finds those entries by magnitude and puts repr's token in place of each alone.
 _EXPONENT = re.compile(rb"e-?\d+")
 _REPR_EXPONENT = {b"e%d" % k: b"e%+03d" % k for k in range(-324, 309)}
 
 
-def _band_scientific(match: re.Match) -> bytes:
-    return match[1] + (b"." + match[2] if match[2] else b"") + b"e-5"
+def _band_in_repr(body: bytes, flat: np.ndarray) -> bytes:
+    """``body``, orjson's dump of ``flat`` (floats, or [re, im] rows), with the token of
+    each number in [1e-5, 1e-4) replaced by its ``repr``.  Number i of ``flat`` starts
+    after the i-th comma (and the "[" of its row, if it opens one) and ends at the next
+    comma (or the "]" that closes its row or the list)."""
+    values = flat.ravel()
+    mag = np.abs(values)
+    band = np.flatnonzero((mag >= 1e-5) & (mag < 1e-4))
+    if band.size == 0:
+        return body
+    rows = flat.ndim == 2
+    commas = np.flatnonzero(np.frombuffer(body, np.uint8) == ord(","))
+    starts = np.append(0, commas)[band] + 1 + (rows & (band % 2 == 0))
+    ends = np.append(commas, len(body) - 1)[band] - (rows & (band % 2 == 1))
+    tokens = [repr(x).encode() for x in values[band].tolist()]
+    kept = [body[i:j] for i, j in zip([0, *ends.tolist()], [*starts.tolist(), len(body)])]
+    pieces = [b""] * (len(kept) + len(tokens))
+    pieces[::2], pieces[1::2] = kept, tokens
+    return b"".join(pieces)
 
 
 def write_tensor(t: Tensor3, path) -> None:
@@ -402,13 +416,9 @@ def write_tensor(t: Tensor3, path) -> None:
     if t.kind == "complex":
         flat = flat.view(np.float64).reshape(-1, 2)  # [re, im] rows
     body = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)
-    # A double prints in [1e-5, 1e-4) exactly when it lies between the doubles
-    # 1e-5 and 1e-4, so this skips the scan of most files.
-    mag = np.abs(flat)
-    if np.any((mag >= 1e-5) & (mag < 1e-4)):
-        body = _BAND.sub(_band_scientific, body)
-    if b"e" in body:
+    if b"e" in body:  # before the band's tokens go in, in repr's layout already
         body = _EXPONENT.sub(lambda match: _REPR_EXPONENT[match[0]], body)
+    body = _band_in_repr(body, flat)
     head = b'{"dims": [%d, %d, %d], "kind": "%s", "data": ' % (t.m, t.n, t.p, t.kind.encode())
     with open(path, "wb") as fh:
         fh.writelines((head, body.replace(b",", b", "), b"}\n"))  # no joined copy

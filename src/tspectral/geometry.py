@@ -22,9 +22,10 @@ The log-Euclidean distance never leaves the Fourier domain:
 The geodesic is set up once per operand pair, from any factor A = L * L^H:
 G(t) = L * (L^(-1) * B * L^(-H))^t * L^H is the same tensor as the formula
 above.  In the pair gate, each operand's Hermitian check is the residual of
-:func:`~tspectral.spectral.is_hermitian`, and its eigenvalues give A's
-positive-definiteness verdict and B's PSD verdict; one Cholesky
-factorization per Fourier slice then gives L, and one eigendecomposition
+:func:`~tspectral.spectral.is_hermitian`; A's positive-definiteness verdict is
+a shifted Cholesky certificate, with A's eigenvalues only where it fails, and
+B's eigenvalues give its PSD verdict.  One Cholesky factorization per Fourier
+slice then gives L, and one eigendecomposition
 M = L^(-1) * B * L^(-H) = Q * W * Q^H follows.  With X = L * Q, Fourier slice k
 of G(t) is X_k diag(w_k^t) X_k^H, so a trace sample costs O(np):
 tr G(t) = sum_k sum_i w_ik^t ||X_k e_i||^2.  M gets no verdict of its own:
@@ -171,12 +172,12 @@ def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFac
         a = a + regularize * identity(a.n, a.p)
     hint = "(pass regularize=eps to shift explicitly)"
     try:
-        (eig_a, _), (eig_b, _) = _decompose_pair(a, b, "geodesic", ("positive definite", "PSD"),
-                                                 vectors=False)
+        a_stack, (eig_b, _) = _decompose_pair(a, b, "geodesic", ("positive definite", "PSD"),
+                                              vectors=False)
     except SingularityError as exc:  # A's requirement, the only definite one
         raise SingularityError(f"{exc} {hint}") from None
     try:
-        chol = np.linalg.cholesky(eig_a._stack)
+        chol = np.linalg.cholesky(a_stack)
     except np.linalg.LinAlgError as exc:  # roundoff beyond the PD verdict's margin
         raise SingularityError("geodesic requires A positive definite; "
                                f"its Cholesky factorization failed {hint}") from exc
@@ -189,11 +190,11 @@ def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFac
     inv_chol = np.linalg.inv(chol)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite M raises below
         mid = inv_chol @ b_stack @ _adjoint(inv_chol)
-        eig_m = _stack_eig(0.5 * (mid + _adjoint(mid)), a.p, eig_a._kind)
+        eig_m = _stack_eig(0.5 * (mid + _adjoint(mid)), a.p, eig_b._kind)
     if not (np.isfinite(mid).all() and np.isfinite(eig_m._w).all()):
         raise NumericError("the result overflowed: L^(-1) B L^(-H) is not finite")
     w = np.where(w_b <= tol, 0.0, np.maximum(eig_m._w, 0.0))
-    return _GeodesicFactors(chol @ eig_m._q_stack, w, eig_a._kind, a.p)
+    return _GeodesicFactors(chol @ eig_m._q_stack, w, eig_b._kind, a.p)
 
 
 def geodesic(a: Tensor3, b: Tensor3, t: float, regularize: float = 0.0) -> Tensor3:
@@ -220,10 +221,11 @@ def geodesic_trace_profile(
 ) -> GeodesicProfile:
     """Traces of the geodesic at ``num_samples`` uniform t in [0, 1].
 
-    Per Fourier slice, A is factored once as L L^H (eigenvalues for its
-    checks, then Cholesky) and M = L^(-1) B L^(-H) is decomposed once; after
-    that each sample costs O(np) (``keep_tensors=True`` adds one O(n^3 p)
-    slice product and an inverse FFT per sample).  M takes B's PSD verdict and
+    Per Fourier slice, A is factored once as L L^H (after a shifted Cholesky
+    that certifies it positive definite, or its eigenvalues where that fails)
+    and M = L^(-1) B L^(-H) is decomposed once; after that each sample costs
+    O(np) (``keep_tensors=True`` adds one O(n^3 p) slice product and an
+    inverse FFT per sample).  M takes B's PSD verdict and
     null space (see ``NULL_EIGENVALUE_RTOL``): for singular B every G(t) with
     t > 0 has B's rank, and roundoff is not raised to the power t.
     Preconditions and errors are those of :func:`geodesic`.

@@ -17,6 +17,11 @@ once for one object passed as both, and each operand's PSD or PD requirement, A'
 is checked.  The :class:`EigFactors` keep that stack for the callers' traces and give the
 PSD and PD verdicts, the only place where ``PSD_RTOL`` and ``PD_RTOL`` meet a spectrum,
 and the stacks Q diag(f(w)) Q^H that callers build from them.
+An operand that the pair needs positive definite for its stack alone (the geodesic's A)
+is first offered to :func:`_pd_certified`, the certificate of the PD rule: a Cholesky
+factorization of each slice shifted by ``PD_RTOL`` and a margin for the rounding of both
+routes (``PD_CERTIFICATE_MARGIN``).  Where it succeeds, the eigenvalue verdict would pass,
+so no eigensolve runs; where it fails, the eigenvalues decide, with the verdict's error.
 The verdict-then-clamp rule lives there too: ``EigFactors._require`` raises on a failed
 verdict, else returns the eigenvalues clamped at 0, so no caller clips a spectrum of its own
 but the geodesic, whose M = L^(-1) B L^(-H) takes B's verdict (see
@@ -79,6 +84,8 @@ HERMITIAN_RTOL = 1e-10
 PSD_RTOL = 1e-9
 # PD above PD_RTOL: still over that roundoff, so a singular tensor is never taken as PD.
 PD_RTOL = 1e-12
+# tau over PD_RTOL * max(1, u), in (n + 1)^2 eps u: Cholesky's error takes 1, eigvalsh's the rest.
+PD_CERTIFICATE_MARGIN = 8.0
 
 
 @dataclass(frozen=True)
@@ -276,16 +283,31 @@ def _stack_eig(stack: np.ndarray, p: int, kind: str, vectors: bool = True) -> Ei
     return EigFactors(w[..., ::-1], q, stack, p, kind)
 
 
-def _decompose(t, op: str, vectors: bool = True, check: HermitianCheck | None = None,
-               kind: str | None = None, name: str = "A") -> EigFactors:
-    """The one gate to a Hermitian operand's spectrum: :func:`is_hermitian` of a
-    tensor, or of every item of a batch of tensor data (..., n, n, p), raising a
-    :class:`PreconditionError` that names ``op`` and the operand ``name``, then the factors of
-    :func:`_stack_eig` on its Fourier stack, which they keep.  Each call runs both
-    once; a caller that holds the operand's check passes it as ``check``.  ``kind``
-    is the kind of the product the factors serve (default the operand's own), which
-    the factors take: a real operand is solved on its rfft half, and for
-    ``"complex"`` its factors, stack included, are put on all p slices."""
+def _pd_certified(stack: np.ndarray) -> bool:
+    """Whether one batched Cholesky factorization of every A_k - tau I succeeds on this
+    Hermitian Fourier stack (or batch of them), with u the largest slice Frobenius norm,
+    at least every |lambda| of the stack, and tau = PD_RTOL * max(1, u) +
+    PD_CERTIFICATE_MARGIN * (n + 1)^2 eps u.  Success puts every lambda above tau less
+    Cholesky's backward error (Rump, BIT 46 (2006); Higham (2002), ch. 10), so the
+    positive definiteness verdict that ``eigvalsh`` would give on the stack passes.
+    False says nothing: the eigenvalues decide.  An overflowed u is never certified."""
+    n = stack.shape[-1]
+    with np.errstate(over="ignore"):
+        u = float(np.linalg.norm(stack, axis=(-2, -1)).max())
+    tau = PD_RTOL * max(1.0, u) + PD_CERTIFICATE_MARGIN * (n + 1) ** 2 * np.finfo(float).eps * u
+    if not math.isfinite(tau):
+        return False
+    try:
+        np.linalg.cholesky(stack - tau * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _hermitian_stack(t, op: str, check: HermitianCheck | None = None, name: str = "A"):
+    """:func:`is_hermitian` of a tensor, or of every item of a batch of tensor data
+    (..., n, n, p), raising a :class:`PreconditionError` that names ``op`` and the operand
+    ``name``; then its own Fourier stack.  A caller that holds the check passes it as ``check``."""
     check = is_hermitian(t) if check is None else check
     bad = _first_failure(check.ok)
     if bad is not None:
@@ -293,25 +315,59 @@ def _decompose(t, op: str, vectors: bool = True, check: HermitianCheck | None = 
             f"{op} requires a Hermitian tensor {name}: residual "
             f"{np.ravel(check.residual)[bad]:.3e} exceeds {HERMITIAN_RTOL:.0e} * ||{name}||_F"
         )
-    p, own = t.shape[-1], _product_kind(t)
-    factors = _stack_eig(_to_stack(t), p, own, vectors)
-    if own == "real" and kind == "complex":
+    return _to_stack(t)
+
+
+def _widens(t, kind: str | None) -> bool:
+    """Whether operand ``t``, stacked on its rfft half, serves a product on all p slices."""
+    return kind == "complex" and _product_kind(t) == "real"
+
+
+def _solve(t, stack: np.ndarray, vectors: bool, kind: str | None) -> EigFactors:
+    """The factors of :func:`_stack_eig` on ``stack``, operand ``t``'s own Fourier stack, in
+    the product's ``kind``: for a real operand of a complex product they are put, stack
+    included, on all p slices."""
+    p = t.shape[-1]
+    factors = _stack_eig(stack, p, _product_kind(t), vectors)
+    if _widens(t, kind):
         full = [x if x is None else _all_slices(x, p) for x in (factors._q_stack, factors._stack)]
         factors = EigFactors(_all_slices(factors._w, p, axis=-2), *full, p, kind)
     return factors
 
 
+def _decompose(t, op: str, vectors: bool = True, check: HermitianCheck | None = None,
+               kind: str | None = None, name: str = "A") -> EigFactors:
+    """The one gate to a Hermitian operand's spectrum: the check of :func:`_hermitian_stack`,
+    then the factors of :func:`_stack_eig` on its Fourier stack, which they keep.  Each call
+    runs both once.  ``kind`` is the kind of the product the factors serve (default the
+    operand's own), which the factors take: a real operand is solved on its rfft half, and
+    for ``"complex"`` its factors are put on all p slices."""
+    return _solve(t, _hermitian_stack(t, op, check, name), vectors, kind)
+
+
 def _decompose_pair(a, b, op: str, need=(None, None), vectors: bool = True, error=None):
-    """The one gate to a pair's spectra: equal shapes, then (factors, w) of A, then of B (tensors or
-    data batches), by :func:`_decompose` in their product's kind, once for one object as both: w is
-    ``_w``, or where ``need`` is "PSD" or "positive definite", ``_require``'s, raising ``error``."""
+    """The one gate to a pair's spectra: equal shapes, then the entry of A, then of B (tensors
+    or data batches), each checked and transformed once, also for one object as both.  An entry
+    is (factors, w) of :func:`_decompose` in the pair's product kind: w is ``_w``, or where
+    ``need`` is "PSD" or "positive definite", ``_require``'s, raising ``error``.  An operand
+    required positive definite without ``vectors`` (the geodesic's A) is wanted for its verdict
+    and stack alone: its entry is that stack, in the product's kind.  :func:`_pd_certified`
+    on its own stack passes it with no eigensolve; where the certificate fails, the
+    eigenvalues of :func:`_stack_eig` decide, as for every other requirement."""
     _require_same_shape(a, b, op)
     pair, kind = [], _product_kind(a, b)
     for t, name, required in zip((a, b), "AB", need):
-        f = pair[0][0] if pair and b is a else _decompose(t, op, vectors, kind=kind, name=name)
-        w = f._w if required is None else f._require(
+        if not (pair and b is a):
+            stack, factors = _hermitian_stack(t, op, name=name), None
+        stack_only = required == "positive definite" and not vectors
+        if stack_only and factors is None and _pd_certified(stack):
+            pair.append(_all_slices(stack, t.shape[-1]) if _widens(t, kind) else stack)
+            continue
+        if factors is None:
+            factors = _solve(t, stack, vectors, kind)
+        w = factors._w if required is None else factors._require(
             f"{op} requires {name} {required}", required == "positive definite", error)
-        pair.append((f, w))
+        pair.append(factors._stack if stack_only else (factors, w))
     return pair
 
 

@@ -108,3 +108,21 @@ def random_pd_tensor(rng, n, p, bump=0.5):
     from tspectral import identity
 
     return random_psd_tensor(rng, n, p) + bump * identity(n, p)
+
+
+def every_slice(a0, p):
+    """The n x n x p tensor whose first frontal slice is a0 and whose others are 0:
+    each of its Fourier slices is a0."""
+    data = np.zeros(a0.shape + (p,), a0.dtype)
+    data[..., 0] = a0
+    return Tensor3(data)
+
+
+def certificate_shift(stack):
+    """(u, tau) of spectral._pd_certified on a Fourier stack: u the largest slice Frobenius
+    norm, tau = PD_RTOL * max(1, u) + PD_CERTIFICATE_MARGIN * (n + 1)^2 eps u."""
+    from tspectral.spectral import PD_CERTIFICATE_MARGIN, PD_RTOL
+
+    n, u = stack.shape[-1], float(np.linalg.norm(stack, axis=(-2, -1)).max())
+    margin = PD_CERTIFICATE_MARGIN * (n + 1) ** 2 * np.finfo(float).eps * u
+    return u, PD_RTOL * max(1.0, u) + margin

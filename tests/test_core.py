@@ -664,6 +664,34 @@ def test_written_bytes_equal_json_dumps_after_an_exponent(tmp_path, data):
     assert path.read_bytes() == _dumps_reference(t)
 
 
+# Numbers in [1e-5, 1e-4), which orjson prints positionally and repr does not: the
+# writer puts repr's token in place of each such number alone, wherever it stands.
+_BAND_ROWS = {
+    "first": [3e-5, 1.0, 2.5, -1.0],
+    "after_comma": [1.0, 3e-5, 2.5, -1.0],
+    "negative": [1.0, 2.5, -4.5e-5, -1.0],
+    "last": [1.0, 2.5, -1.0, 9.999999999999999e-05],
+    "adjacent": [1.0, 2e-5, -3e-5, 1.0],
+    "all": [1e-5, -2e-5, 6.103515625e-05, -9.9e-5],
+    "mid_token_zeros": [10.00003, 2e-5, -100.00001, 10.00003],
+    "beside_exponents": [1e-7, 5e-5, 1e22, -5e-5],
+}
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("row", _BAND_ROWS.values(), ids=_BAND_ROWS.keys())
+def test_band_entries_take_repr_tokens(tmp_path, kind, row):
+    """Each row as real entries, or as two [re, im] pairs, so that a band number is a
+    pair's real part, its imaginary part, or both."""
+    values = np.array(row * 2)
+    if kind == "complex":
+        values = values.view(np.complex128)
+    t = Tensor3(values.reshape(1, 1, -1))
+    path = tmp_path / "t.json"
+    write_tensor(t, path)
+    assert path.read_bytes() == _dumps_reference(t)
+
+
 class TestNonFiniteWrite:
     """A tensor file holds finite numbers only: write_tensor refuses what
     read_tensor would reject, before the file is opened."""

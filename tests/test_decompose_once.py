@@ -28,6 +28,7 @@ from tspectral import (
     dist_bures_wasserstein,
     dist_log_euclidean,
     extremal_ratio_witness,
+    geodesic,
     geodesic_trace_profile,
     hermitian_eig,
     identity,
@@ -41,6 +42,7 @@ from tspectral import (
 )
 from tspectral import bounds, cli, geometry, spectral
 from tspectral.cli import main
+from conftest import certificate_shift, every_slice
 
 _COUNTED = {
     np.linalg: ("eigh", "eigvalsh", "eig", "eigvals"),
@@ -134,16 +136,75 @@ def test_dist_log_euclidean(calls, complex_b):
 
 
 def test_geodesic_trace_profile(calls):
-    """A's checks need its eigenvalues alone and its factor is a Cholesky one:
-    eigvalsh of A and of B, one Cholesky of A, then one eigh of M."""
+    """A's verdict is a shifted Cholesky certificate and its factor a Cholesky one:
+    two Cholesky factorizations of A, eigvalsh of B alone, then one eigh of M."""
     a = random_psd(3, 5, 4) + identity(3, 5)
     b = random_psd(3, 5, 5)
     calls.clear()
     geodesic_trace_profile(a, b, 11)
     assert calls["is_hermitian"] == 2
-    assert (calls["eigh"], calls["eigvalsh"], _eigensolves(calls)) == (1, 2, 3)
-    assert calls["cholesky"] == 1
+    assert (calls["eigh"], calls["eigvalsh"], _eigensolves(calls)) == (1, 1, 2)
+    assert calls["cholesky"] == 2
     assert _forward_transforms(calls) == 2
+
+
+def _inside_the_margin(p):
+    """A positive definite by the verdict, whose lambda_min lies midway between
+    PD_RTOL * max(1, u) and the certificate's shift tau, in a rotated basis."""
+    q, _ = np.linalg.qr(np.random.default_rng(33).standard_normal((3, 3)))
+    u, tau = certificate_shift(np.diag([1.0, 0.5, 0.0])[None])
+    a0 = (q * [1.0, 0.5, 0.5 * (spectral.PD_RTOL * u + tau)]) @ q.T
+    return every_slice(0.5 * (a0 + a0.T), p)
+
+
+def test_a_inside_the_certificate_margin_takes_the_eigenvalue_verdict(calls, monkeypatch):
+    """PD_RTOL * max(1, u) < lambda_min < tau: A passes the PD rule but not the certificate,
+    so its eigvalsh decides, and the profile is the eigenvalue route's, bit for bit."""
+    a, b = _inside_the_margin(4), random_psd(3, 4, 7)
+    stack = spectral._to_stack(a)
+    w = np.linalg.eigvalsh(stack)
+    u, tau = certificate_shift(stack)
+    assert spectral.PD_RTOL * max(1.0, w.max()) <= spectral.PD_RTOL * max(1.0, u) < w.min() < tau
+    calls.clear()
+    got = geodesic_trace_profile(a, b, 5, keep_tensors=True)
+    assert (calls["eigh"], calls["eigvalsh"], calls["cholesky"]) == (1, 2, 2)
+    monkeypatch.setattr(spectral, "_pd_certified", lambda stack: False)
+    want = geodesic_trace_profile(a, b, 5, keep_tensors=True)
+    assert got.traces.tobytes() == want.traces.tobytes()
+    assert all(x.data.tobytes() == y.data.tobytes() for x, y in zip(got.tensors, want.tensors))
+
+
+@pytest.mark.parametrize("inside_margin", [False, True], ids=["certified", "inside_margin"])
+def test_geodesic_of_a_with_itself(calls, inside_margin):
+    """One object as A and B is checked and transformed once.  B's PSD verdict needs
+    eigenvalues: a certified A leaves them to B's eigvalsh; an A inside the margin has
+    its own, which B's verdict reuses."""
+    a = _inside_the_margin(4) if inside_margin else random_psd(3, 4, 4) + identity(3, 4)
+    calls.clear()
+    g = geodesic(a, a, 0.3)
+    assert calls["is_hermitian"] == 1 and _forward_transforms(calls) == 1
+    assert (calls["eigh"], calls["eigvalsh"], calls["cholesky"]) == (1, 1, 2)
+    if not inside_margin:  # G(t) = A; at cond(A) = 1e12, M = I only to about 1e-4
+        np.testing.assert_allclose(g.data, a.data, rtol=0, atol=1e-12 * np.abs(a.data).max())
+
+
+def test_real_a_is_certified_on_its_rfft_half(calls, monkeypatch):
+    """A real A of a complex pair is certified on its own rfft half, then widened to
+    all p slices for its factor; the profile is that of A cast to complex."""
+    a, b = random_psd(3, 5, 4) + identity(3, 5), random_psd(3, 5, 5) * (1.0 + 0j)
+    shapes, factor = [], np.linalg.cholesky
+
+    def recording(stack):
+        shapes.append(stack.shape)
+        return factor(stack)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    calls.clear()
+    got = geodesic_trace_profile(a, b, 5).traces
+    assert shapes == [(3, 3, 3), (5, 3, 3)]
+    assert (calls["eigh"], calls["eigvalsh"], _eigensolves(calls)) == (1, 1, 2)
+    want = geodesic_trace_profile(a * (1.0 + 0j), b, 5).traces
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 _TRACE_BOUNDS = [

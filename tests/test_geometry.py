@@ -29,8 +29,15 @@ from tspectral import (
     write_tensor,
 )
 from tspectral.cli import main
-from tspectral.spectral import PSD_RTOL
-from conftest import random_pd_tensor, random_psd_tensor, random_tensor
+from tspectral.spectral import PD_RTOL, PSD_RTOL, _pd_certified, _stack_eig
+from tspectral.transform import _to_stack
+from conftest import (
+    certificate_shift,
+    every_slice,
+    random_pd_tensor,
+    random_psd_tensor,
+    random_tensor,
+)
 from helpers_oracles import (
     bw_bcirc_mpmath,
     geodesic_bcirc_oracle,
@@ -614,3 +621,76 @@ def test_overflowing_m_is_a_numeric_failure(tmp_path, capsys):
     assert main(["geodesic", str(fa), str(fb), "--samples", "3", "-o", str(out)]) == 1
     assert "numeric failure: the result overflowed" in capsys.readouterr().err
     assert not out.exists()
+
+
+# A's positive definiteness: a shifted Cholesky certificate decides it where it succeeds,
+# the eigenvalue verdict everywhere else, with the verdict's text.
+@pytest.mark.parametrize("lam_min", [PD_RTOL, 0.9 * PD_RTOL], ids=["at_rule", "below_rule"])
+def test_a_at_or_below_the_pd_rule_raises_the_verdict_text(lam_min, tmp_path, capsys):
+    """Every Fourier slice of A is diag(1, 0.5, lam_min), whose eigenvalues and Cholesky
+    factorization are exact: lam_min <= PD_RTOL * lambda_max fails the rule."""
+    a, b = every_slice(np.diag([1.0, 0.5, lam_min]), 3), random_psd(3, 3, 0)
+    text = (f"geodesic requires A positive definite; min eigenvalue {lam_min:.3e} "
+            "(pass regularize=eps to shift explicitly)")
+    with pytest.raises(SingularityError) as caught:
+        geodesic_trace_profile(a, b, 5)
+    assert str(caught.value) == text
+    fa, fb, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "profile.csv"
+    write_tensor(a, fa)
+    write_tensor(b, fb)
+    assert main(["geodesic", str(fa), str(fb), "--samples", "5", "-o", str(out)]) == 2
+    assert text in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_hermitian_a_is_refused_before_it_is_certified():
+    """A's lower triangle is 2 I, which a Cholesky factorization (reading that triangle
+    alone) would take as positive definite: the Hermitian check refuses A first."""
+    a = every_slice(2.0 * np.eye(3) + np.triu(np.ones((3, 3)), 1), 2)
+    text = (f"geodesic requires a Hermitian tensor A: residual {is_hermitian(a).residual:.3e} "
+            "exceeds 1e-10 * ||A||_F")
+    with pytest.raises(PreconditionError) as caught:
+        geodesic(a, identity(3, 2), 0.5)
+    assert str(caught.value) == text
+
+
+def _hermitian_tensor(rng, n, p, complex_kind, lam_max, lam_min):
+    """A tensor whose Fourier slice 0 has the spectrum lam_max ... lam_min (geometric) and
+    whose other slices have spectra drawn in [lam_min, lam_max], in random bases; for a
+    real tensor, slice p - k is the conjugate of slice k."""
+    full = np.empty((p, n, n), complex)
+    for k in range(p // 2 + 1 if not complex_kind else p):
+        real = not complex_kind and k in (0, p - k)
+        x = rng.standard_normal((n, n)) + (0.0 if real else 1j * rng.standard_normal((n, n)))
+        q, _ = np.linalg.qr(x)
+        lam = (np.geomspace(lam_max, lam_min, n) if k == 0
+               else lam_max * (lam_min / lam_max) ** rng.uniform(0.0, 1.0, n))
+        full[k] = 0.5 * ((q * lam) @ q.conj().T + ((q * lam) @ q.conj().T).conj().T)
+        if not complex_kind:
+            full[-k] = full[k].conj()
+    data = np.moveaxis(np.fft.ifft(full, axis=0), 0, -1)
+    return Tensor3(data if complex_kind else data.real)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), p=st.integers(1, 8), complex_kind=st.booleans(),
+       log_ratio=st.floats(-14.0, 0.0), log_scale=st.floats(-150.0, 150.0),
+       at_rule=st.none() | st.floats(-1e-3, 1e-3), seed=st.integers(0, 2**32 - 1))
+def test_every_certified_a_passes_the_pd_verdict(n, p, complex_kind, log_ratio, log_scale,
+                                                 at_rule, seed):
+    """Wherever the certificate passes A's own Fourier stack, the eigvalsh verdict on that
+    stack is positive definite; and where eigvalsh puts lambda_min above twice the
+    certificate's shift, the certificate passes.  A's spectra span c to c * ratio, or with
+    ``at_rule`` end at PD_RTOL * max(1, c) * (1 + at_rule), the rule's edge."""
+    c = 10.0**log_scale
+    ratio = 10.0**log_ratio if at_rule is None else min(
+        1.0, PD_RTOL * max(1.0, c) * (1.0 + at_rule) / c)
+    a = _hermitian_tensor(np.random.default_rng(seed), n, p, complex_kind, c, c * ratio)
+    stack = _to_stack(a)
+    w = _stack_eig(stack, p, a.kind, vectors=False)
+    _, tau = certificate_shift(stack)
+    certified = _pd_certified(stack)
+    if certified:
+        assert w._verdict(definite=True).ok
+    if w._w.min() > 2.0 * tau:
+        assert certified

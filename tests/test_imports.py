@@ -252,11 +252,14 @@ def test_stray_fft_is_reported(tmp_path):
 # general stacks and the dense oracle in t_eigenvalues.
 EIGENSOLVERS = ("eigh", "eigvalsh", "eig", "eigvals")
 EIGENSOLVER_HOMES = {("spectral.py", "_stack_eig"), ("spectral.py", "t_eigenvalues")}
+# The homes of every Cholesky factorization: the certificate of the PD rule in spectral,
+# and the geodesic's factor of A, which that rule has passed; no second PD rule elsewhere.
+CHOLESKY_HOMES = {("spectral.py", "_pd_certified"), ("geometry.py", "_geodesic_factors")}
 
 
-def _eigensolver_uses(src: Path) -> list[tuple[str, str, int]]:
-    """(file, top-level definition or ``<module>``, line) of every reference to a
-    numpy eigensolver in the modules of ``src``: an attribute named as one, of any
+def _linalg_uses(src: Path, names=EIGENSOLVERS) -> list[tuple[str, str, int]]:
+    """(file, top-level definition or ``<module>``, line) of every reference to one of the
+    numpy functions ``names`` in the modules of ``src``: an attribute named as one, of any
     object (``np.linalg.eigh``, an alias's ``la.eigh``), called or not, and every
     import of one (or ``*``) from a numpy module."""
     found = []
@@ -265,10 +268,10 @@ def _eigensolver_uses(src: Path) -> list[tuple[str, str, int]]:
             owner = getattr(top, "name", "<module>")
             for node in ast.walk(top):
                 if isinstance(node, ast.Attribute):
-                    hit = node.attr in EIGENSOLVERS
+                    hit = node.attr in names
                 elif isinstance(node, ast.ImportFrom):
                     hit = (node.module or "").split(".")[0] == "numpy" and any(
-                        a.name in (*EIGENSOLVERS, "*") for a in node.names
+                        a.name in (*names, "*") for a in node.names
                     )
                 else:
                     continue
@@ -279,7 +282,7 @@ def _eigensolver_uses(src: Path) -> list[tuple[str, str, int]]:
 
 def test_every_eigensolve_runs_in_spectral():
     """A hook on ``_stack_eig`` and ``t_eigenvalues`` sees every eigensolve."""
-    uses = _eigensolver_uses(SRC)
+    uses = _linalg_uses(SRC)
     assert {(name, owner) for name, owner, _ in uses} == EIGENSOLVER_HOMES
 
 
@@ -293,12 +296,30 @@ def test_stray_eigensolver_is_reported(tmp_path):
         "import numpy.linalg as la\nfrom numpy.linalg import eig\n\nSOLVE = la.eigvals\n\n\n"
         "def verify(s):\n    return np.linalg.eigvals(s).real.min()\n"
     )
-    assert [use for use in _eigensolver_uses(tmp_path) if use[:2] not in EIGENSOLVER_HOMES] == [
+    assert [use for use in _linalg_uses(tmp_path) if use[:2] not in EIGENSOLVER_HOMES] == [
         ("cli.py", "<module>", 2),
         ("cli.py", "<module>", 4),
         ("cli.py", "verify", 8),
         ("spectral.py", "Slices", 14),
     ]
+
+
+def test_every_cholesky_runs_in_its_homes():
+    uses = _linalg_uses(SRC, ("cholesky",))
+    assert {(name, owner) for name, owner, _ in uses} == CHOLESKY_HOMES
+
+
+def test_stray_cholesky_is_reported(tmp_path):
+    (tmp_path / "spectral.py").write_text(
+        "import numpy as np\n\n\ndef _pd_certified(s):\n    return np.linalg.cholesky(s)\n\n\n"
+        "def t_function(s):\n    return np.linalg.cholesky(s)\n"
+    )
+    (tmp_path / "geometry.py").write_text(
+        "from numpy.linalg import cholesky\n\n\ndef _geodesic_factors(s):\n"
+        "    return np.linalg.cholesky(s)\n"
+    )
+    stray = [use for use in _linalg_uses(tmp_path, ("cholesky",)) if use[:2] not in CHOLESKY_HOMES]
+    assert stray == [("geometry.py", "<module>", 1), ("spectral.py", "t_function", 9)]
 
 
 # The one home of the shape rules: core's _require_square and _require_same_shape.

@@ -483,8 +483,8 @@ def test_mixed_kinds_match_the_complex_cast(n, p, singular_b, seed):
     """A real PD A meets a complex PSD B, in both orders: each geometry call
     gives, to roundoff, what it gives with A cast to complex, and A is still
     solved on its p // 2 + 1 rfft slices (B and M on all p).  The geodesic
-    needs only the eigenvalues of its first operand, whose factor is a
-    Cholesky one, so its solves start with an eigvalsh."""
+    certifies its first operand positive definite by a shifted Cholesky and
+    factors it by Cholesky, so its solves are B's eigvalsh and M's eigh."""
     rng = np.random.default_rng(seed)
     a = _psd(rng, n, p, "real", shift=0.5)
     b = _psd(rng, n, p, "complex", rank=max(n - 1, 1)) if singular_b else \
@@ -502,15 +502,15 @@ def test_mixed_kinds_match_the_complex_cast(n, p, singular_b, seed):
     cases = [  # (call, operands, solves on the mixed pair)
         (dist_bures_wasserstein, (a, b), [half, full]),
         (dist_bures_wasserstein, (b, a), [full, half]),
-        (profile, (a, b), [a_values, b_values, full]),
-        (midpoint, (a, b), [a_values, b_values, full]),
+        (profile, (a, b), [b_values, full]),
+        (midpoint, (a, b), [b_values, full]),
     ]
     if not singular_b:  # B is positive definite as well
         cases += [
             (dist_log_euclidean, (a, b), [half, full]),
             (dist_log_euclidean, (b, a), [full, half]),
-            (profile, (b, a), [b_values, a_values, full]),
-            (midpoint, (b, a), [b_values, a_values, full]),
+            (profile, (b, a), [a_values, full]),
+            (midpoint, (b, a), [a_values, full]),
         ]
     for call, (x, y), solves in cases:
         got, seen = _stack_shapes(lambda: call(x, y))
