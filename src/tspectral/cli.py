@@ -339,13 +339,14 @@ def _trace_sqrt(x: np.ndarray) -> np.ndarray:
 def _decide_bw_axioms(*gaussians: np.ndarray) -> np.ndarray:
     """d = dist_bures_wasserstein is a metric on A, B, C = M * M^T: d(A, B) >= 0 and
     symmetric, d(A, A) = 0 and d(A, C) <= d(A, B) + d(B, C).  A, B and C are checked
-    and decomposed once each: A and B as d(A, B) checks them, C as d(C, C) does."""
+    and factored once each: A and B as d(A, B) checks them, C as d(C, C) does."""
     a, b, c = (_gram(m) for m in gaussians)
-    ops = [*_decompose_pair(a, b, "dist_bures_wasserstein", ("PSD", "PSD")),
-           _decompose_pair(c, c, "dist_bures_wasserstein", ("PSD", "PSD"))[0]]
+    need = ("PSD", "PSD")
+    roots = [*_decompose_pair(a, b, "dist_bures_wasserstein", need, roots="AB"),
+             _decompose_pair(c, c, "dist_bures_wasserstein", need, roots="AB")[0]]
 
     def dist(x: int, y: int) -> np.ndarray:
-        return _bures_wasserstein(ops[x], ops[y])
+        return _bures_wasserstein(roots[x], roots[y], a.shape[-1])
 
     dab = dist(0, 1)
     return (

@@ -11,11 +11,15 @@ geodesic ``G(t) = A^(1/2) * (A^(-1/2) * B * A^(-1/2))^t * A^(1/2)``.
 Hermitian, PSD and positive-definiteness decisions are made in
 :mod:`tspectral.spectral`, whose :func:`~tspectral.spectral._decompose_pair` is the pair
 rule: each operand is checked, decomposed and required PSD (or positive definite) once,
-errors name ``A`` or ``B``, and log A and the factor R_A = Q W^(1/2) of A = Q W Q^H are
-built from its factors as Fourier stacks.  The BW distance is the Procrustes sum of
-squares min over unitary U of ||R_A - R_B U||_F^2, never the difference of traces above.
-A real operand of a complex product is solved on its rfft half and handed over on all p
-slices; every sum over slices is :func:`~tspectral.transform._slice_sum`.
+errors name ``A`` or ``B``, and log A is built from its factors as a Fourier stack.  The
+BW distance takes the gate's root entries, stacks R_A with R_A R_A^H = A_k on each slice:
+the Cholesky factor of an operand that the shifted Cholesky certificate passes (two
+``cholesky`` per operand and no eigensolve), else R_A = Q W^(1/2) of the ``eigh``
+A_k = Q W Q^H that gave its PSD verdict.  The distance is then the Procrustes sum of
+squares min over unitary U of ||R_A - R_B U||_F^2, from one batched ``svd`` of R_A^H R_B,
+never the difference of traces above.  A real operand of a complex product is factored
+on its rfft half and handed over on all p slices; every sum over slices is
+:func:`~tspectral.transform._slice_sum`.
 The log-Euclidean distance never leaves the Fourier domain:
 ||T||_F^2 = sum_k ||T_k||_F^2 over the p Fourier slices.
 
@@ -24,8 +28,8 @@ G(t) = L * (L^(-1) * B * L^(-H))^t * L^H is the same tensor as the formula
 above.  In the pair gate, each operand's Hermitian check is the residual of
 :func:`~tspectral.spectral.is_hermitian`; A's positive-definiteness verdict is
 a shifted Cholesky certificate, with A's eigenvalues only where it fails, and
-B's eigenvalues give its PSD verdict.  One Cholesky factorization per Fourier
-slice then gives L, and one eigendecomposition
+B's eigenvalues give its PSD verdict.  A's root entry, one Cholesky
+factorization per Fourier slice, is L, and one eigendecomposition
 M = L^(-1) * B * L^(-H) = Q * W * Q^H follows.  With X = L * Q, Fourier slice k
 of G(t) is X_k diag(w_k^t) X_k^H, so a trace sample costs O(np):
 tr G(t) = sum_k sum_i w_ik^t ||X_k e_i||^2.  M gets no verdict of its own:
@@ -112,26 +116,28 @@ def dist_bures_wasserstein(a: Tensor3, b: Tensor3, convention: str = "bcirc") ->
     It is evaluated in its Procrustes form d(A, B) = min over unitary U of
     ||A^(1/2) - B^(1/2) * U||_F (Bhatia, Jain and Lim, Expo. Math. 37 (2019),
     Thm 1), slice-wise in the Fourier domain.  Any factors R_A R_A^H = A_k and
-    R_B R_B^H = B_k serve in place of the roots; with A_k = Q W Q^H they are
-    R_A = Q W^(1/2), so one eigendecomposition per operand serves both its PSD
-    check and its factor.  With the SVD R_A^H R_B = X S Y^H the minimum is
-    ||R_A X - R_B Y||_F, a sum of squares: it is never negative, and near
-    pairs (B close to A) keep their digits, where tr A + tr B - 2 tr(...)^(1/2)
-    cancels.  Under ``convention="slice1"`` d^2 is divided by p.
+    R_B R_B^H = B_k serve in place of the roots: the pair gate gives each
+    operand's root entry, the Cholesky factor of an operand certified positive
+    definite (two Cholesky factorizations, the certificate's and the factor's,
+    and no eigensolve), else R = Q W^(1/2) from the eigendecomposition
+    A_k = Q W Q^H that decided its PSD verdict.  With the SVD R_A^H R_B = X S Y^H
+    the minimum is ||R_A X - R_B Y||_F, a sum of squares: it is never negative,
+    and near pairs (B close to A) keep their digits, where
+    tr A + tr B - 2 tr (...)^(1/2) cancels.  Under ``convention="slice1"`` d^2 is
+    divided by p.
     """
-    pair = _decompose_pair(a, b, "dist_bures_wasserstein", ("PSD", "PSD"))
-    return float(_bures_wasserstein(*pair, _convention_scale(convention, a.p)))
+    scale = _convention_scale(convention, a.p)
+    roots = _decompose_pair(a, b, "dist_bures_wasserstein", ("PSD", "PSD"), roots="AB")
+    return float(_bures_wasserstein(*roots, a.p, scale))
 
 
-def _bures_wasserstein(checked_a: tuple, checked_b: tuple, scale: float = 1.0):
+def _bures_wasserstein(root_a: np.ndarray, root_b: np.ndarray, p: int, scale: float = 1.0):
     """d(A, B) of :func:`dist_bures_wasserstein`, per item for batches, from the
-    :func:`_decompose_pair` (factors, clamped eigenvalues) of PSD A and B on the same slices."""
-    (fa, wa), (fb, wb) = checked_a, checked_b
-    root_a = fa._q_stack * np.sqrt(wa)[..., None, :]
-    root_b = fb._q_stack * np.sqrt(wb)[..., None, :]
+    :func:`_decompose_pair` root entries R_A and R_B of PSD A and B, stacks on the same
+    slices of p: one batched ``svd`` of R_A^H R_B."""
     x, _, yh = np.linalg.svd(_adjoint(root_a) @ root_b)
     sq_norms = np.sum(np.abs(root_a @ x - root_b @ _adjoint(yh)) ** 2, axis=(-2, -1))
-    return np.sqrt(scale * _slice_sum(sq_norms, fa._p))
+    return np.sqrt(scale * _slice_sum(sq_norms, p))
 
 
 def dist_log_euclidean(a: Tensor3, b: Tensor3, convention: str = "bcirc") -> float:
@@ -140,11 +146,12 @@ def dist_log_euclidean(a: Tensor3, b: Tensor3, convention: str = "bcirc") -> flo
     log A and log B stay Fourier stacks: ||T||_F^2 is the sum over the p
     Fourier slices of ||T_k||_F^2, so no inverse transform is needed.
     """
+    scale = _convention_scale(convention, a.p)
     pair = _decompose_pair(a, b, "dist_log_euclidean", ("positive definite", "positive definite"))
     log_a, log_b = (f._apply(np.log(w)) for f, w in pair)
     sq_norms = np.sum(np.abs(log_a - log_b) ** 2, axis=(1, 2))  # per Fourier slice
     sq_norm = float(_slice_sum(sq_norms, a.p))
-    return math.sqrt(_convention_scale(convention, a.p) * sq_norm)
+    return math.sqrt(scale * sq_norm)
 
 
 @dataclass(frozen=True)
@@ -165,22 +172,18 @@ class _GeodesicFactors:
 
 
 def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFactors:
-    """Validate A and B, factor A = L L^H and decompose M = L^(-1) B L^(-H), once each."""
+    """Validate A and B, take A = L L^H from the pair gate's root entry and decompose
+    M = L^(-1) B L^(-H), once each."""
     if not 0.0 <= regularize < math.inf:
         raise DomainError(f"regularize must be finite and >= 0, got {regularize!r}")
     if regularize > 0.0:
         a = a + regularize * identity(a.n, a.p)
     hint = "(pass regularize=eps to shift explicitly)"
     try:
-        a_stack, (eig_b, _) = _decompose_pair(a, b, "geodesic", ("positive definite", "PSD"),
-                                              vectors=False)
+        chol, (eig_b, _) = _decompose_pair(a, b, "geodesic", ("positive definite", "PSD"),
+                                           vectors=False, roots="A")
     except SingularityError as exc:  # A's requirement, the only definite one
         raise SingularityError(f"{exc} {hint}") from None
-    try:
-        chol = np.linalg.cholesky(a_stack)
-    except np.linalg.LinAlgError as exc:  # roundoff beyond the PD verdict's margin
-        raise SingularityError("geodesic requires A positive definite; "
-                               f"its Cholesky factorization failed {hint}") from exc
     w_b, b_stack = eig_b._w, eig_b._stack
     tol = a.n * NULL_EIGENVALUE_RTOL * max(w_b.max(), 0.0)  # see NULL_EIGENVALUE_RTOL
     if (neg := (w_b < -tol).any(axis=-1)).any():  # B's clamp, on the slices that need it

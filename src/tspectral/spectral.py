@@ -17,11 +17,16 @@ once for one object passed as both, and each operand's PSD or PD requirement, A'
 is checked.  The :class:`EigFactors` keep that stack for the callers' traces and give the
 PSD and PD verdicts, the only place where ``PSD_RTOL`` and ``PD_RTOL`` meet a spectrum,
 and the stacks Q diag(f(w)) Q^H that callers build from them.
-An operand that the pair needs positive definite for its stack alone (the geodesic's A)
-is first offered to :func:`_pd_certified`, the certificate of the PD rule: a Cholesky
-factorization of each slice shifted by ``PD_RTOL`` and a margin for the rounding of both
-routes (``PD_CERTIFICATE_MARGIN``).  Where it succeeds, the eigenvalue verdict would pass,
-so no eigensolve runs; where it fails, the eigenvalues decide, with the verdict's error.
+A caller that needs an operand only through a factor R_k R_k^H = A_k (both operands of the
+Bures-Wasserstein distance, the geodesic's A) asks the pair gate for its root entry.  The
+operand is first offered to :func:`_pd_certified`, the certificate of the PD rule: a
+Cholesky factorization of each slice shifted by ``PD_RTOL`` and a margin for the rounding of
+both routes (``PD_CERTIFICATE_MARGIN``).  Where it succeeds, the eigenvalue verdict would
+pass, so no eigensolve runs and R is :func:`_cholesky_root`, a second Cholesky
+factorization, of the stack itself; where it fails, the eigenvalues decide, with the
+verdict's error, and R is the Cholesky factor after a positive definiteness verdict, else
+Q diag(sqrt(w)) of the ``eigh`` that gave the PSD one.  Every Cholesky factorization of the
+package runs in those two functions.
 The verdict-then-clamp rule lives there too: ``EigFactors._require`` raises on a failed
 verdict, else returns the eigenvalues clamped at 0, so no caller clips a spectrum of its own
 but the geodesic, whose M = L^(-1) B L^(-H) takes B's verdict (see
@@ -345,29 +350,56 @@ def _decompose(t, op: str, vectors: bool = True, check: HermitianCheck | None = 
     return _solve(t, _hermitian_stack(t, op, check, name), vectors, kind)
 
 
-def _decompose_pair(a, b, op: str, need=(None, None), vectors: bool = True, error=None):
+def _cholesky_root(t, stack: np.ndarray, kind: str) -> np.ndarray | None:
+    """One batched Cholesky factorization L_k L_k^H = A_k of operand ``t``'s own Fourier
+    stack, in the product's ``kind``; None where a slice does not factor."""
+    try:
+        root = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        return None
+    return _all_slices(root, t.shape[-1]) if _widens(t, kind) else root
+
+
+def _decompose_pair(a, b, op: str, need=(None, None), vectors: bool = True, error=None,
+                    roots: str = ""):
     """The one gate to a pair's spectra: equal shapes, then the entry of A, then of B (tensors
     or data batches), each checked and transformed once, also for one object as both.  An entry
     is (factors, w) of :func:`_decompose` in the pair's product kind: w is ``_w``, or where
-    ``need`` is "PSD" or "positive definite", ``_require``'s, raising ``error``.  An operand
-    required positive definite without ``vectors`` (the geodesic's A) is wanted for its verdict
-    and stack alone: its entry is that stack, in the product's kind.  :func:`_pd_certified`
-    on its own stack passes it with no eigensolve; where the certificate fails, the
-    eigenvalues of :func:`_stack_eig` decide, as for every other requirement."""
+    ``need`` is "PSD" or "positive definite", ``_require``'s, raising ``error``.
+
+    An operand named in ``roots`` (with a requirement) gets a root entry instead: a stack R in
+    the product's kind with R_k R_k^H = A_k on every slice.  Where A is known positive
+    definite, R is :func:`_cholesky_root` of its own stack: :func:`_pd_certified` passes it,
+    which implies the verdict, with no eigensolve, or a positive definiteness verdict of
+    :func:`_stack_eig` (values only without ``vectors``) did.  A failed Cholesky factorization
+    there raises ``error`` (default SingularityError).  Everywhere else R = Q diag(sqrt(w))
+    from the ``eigh`` that gave the verdict."""
     _require_same_shape(a, b, op)
     pair, kind = [], _product_kind(a, b)
     for t, name, required in zip((a, b), "AB", need):
-        if not (pair and b is a):
+        wants_root, definite = name in roots, required == "positive definite"
+        if not pair or b is not a:
             stack, factors = _hermitian_stack(t, op, name=name), None
-        stack_only = required == "positive definite" and not vectors
-        if stack_only and factors is None and _pd_certified(stack):
-            pair.append(_all_slices(stack, t.shape[-1]) if _widens(t, kind) else stack)
+        elif (required, wants_root) == (need[0], "A" in roots):  # the same entry again
+            pair.append(pair[0])
             continue
-        if factors is None:
-            factors = _solve(t, stack, vectors, kind)
-        w = factors._w if required is None else factors._require(
-            f"{op} requires {name} {required}", required == "positive definite", error)
-        pair.append(factors._stack if stack_only else (factors, w))
+        root = None
+        if wants_root and factors is None and _pd_certified(stack):
+            root = _cholesky_root(t, stack, kind)  # None, in theory only: the eigenvalues decide
+        if root is None:
+            eigh_root = wants_root and not definite
+            if factors is None:
+                factors = _solve(t, stack, vectors or eigh_root, kind)
+            w = factors._w if required is None else factors._require(
+                f"{op} requires {name} {required}", definite, error)
+            if eigh_root:
+                root = factors._q_stack * np.sqrt(w)[..., None, :]
+            elif wants_root:
+                root = _cholesky_root(t, stack, kind)
+                if root is None:  # roundoff beyond the verdict's margin
+                    raise (error or SingularityError)(f"{op} requires {name} positive "
+                                                      "definite; its Cholesky factorization failed")
+        pair.append((factors, w) if root is None else root)
     return pair
 
 

@@ -1,8 +1,9 @@
 """Each public call checks, transforms and decomposes each operand once.
 
 The counts are taken by wrapping ``spectral.is_hermitian`` wherever the
-package holds it, spectral's own ``_stack_eig``, the numpy eigensolvers and
-the forward and inverse FFTs, for the duration of one public call.  Traces of
+package holds it, spectral's own ``_stack_eig``, the numpy eigensolvers, numpy's
+Cholesky factorization and the forward and inverse FFTs, for the duration of one
+public call.  Traces of
 t-products are taken on the Fourier stacks that the operands' decompositions
 hold, so the bounds run no forward FFT beyond one per operand and no inverse
 FFT at all.  Nothing is
@@ -43,6 +44,7 @@ from tspectral import (
 from tspectral import bounds, cli, geometry, spectral
 from tspectral.cli import main
 from conftest import certificate_shift, every_slice
+from helpers_oracles import bw_bcirc_mpmath
 
 _COUNTED = {
     np.linalg: ("eigh", "eigvalsh", "eig", "eigvals"),
@@ -72,7 +74,7 @@ def calls(monkeypatch):
             monkeypatch.setattr(module, "is_hermitian", counting(check, "is_hermitian"))
     # the one Hermitian solver, as _decompose and t_eigenvalues reach it
     monkeypatch.setattr(spectral, "_stack_eig", counting(spectral._stack_eig, "_stack_eig"))
-    # the geodesic's factor of A, not an eigensolve
+    # the certificate of the PD rule and the factor of a root entry, not eigensolves
     monkeypatch.setattr(np.linalg, "cholesky", counting(np.linalg.cholesky, "cholesky"))
     # an rfft half's data widened to all p slices
     monkeypatch.setattr(spectral, "_all_slices", counting(spectral._all_slices, "_all_slices"))
@@ -188,10 +190,8 @@ def test_geodesic_of_a_with_itself(calls, inside_margin):
         np.testing.assert_allclose(g.data, a.data, rtol=0, atol=1e-12 * np.abs(a.data).max())
 
 
-def test_real_a_is_certified_on_its_rfft_half(calls, monkeypatch):
-    """A real A of a complex pair is certified on its own rfft half, then widened to
-    all p slices for its factor; the profile is that of A cast to complex."""
-    a, b = random_psd(3, 5, 4) + identity(3, 5), random_psd(3, 5, 5) * (1.0 + 0j)
+def _recording_cholesky(monkeypatch):
+    """The shapes of the stacks that np.linalg.cholesky is called on, as the calls run."""
     shapes, factor = [], np.linalg.cholesky
 
     def recording(stack):
@@ -199,12 +199,81 @@ def test_real_a_is_certified_on_its_rfft_half(calls, monkeypatch):
         return factor(stack)
 
     monkeypatch.setattr(np.linalg, "cholesky", recording)
+    return shapes
+
+
+def test_real_a_is_certified_on_its_rfft_half(calls, monkeypatch):
+    """A real A of a complex pair is certified and factored on its own rfft half, and its
+    factor is widened to all p slices; the profile is that of A cast to complex."""
+    a, b = random_psd(3, 5, 4) + identity(3, 5), random_psd(3, 5, 5) * (1.0 + 0j)
+    shapes = _recording_cholesky(monkeypatch)
     calls.clear()
     got = geodesic_trace_profile(a, b, 5).traces
-    assert shapes == [(3, 3, 3), (5, 3, 3)]
+    assert shapes == [(3, 3, 3), (3, 3, 3)]
     assert (calls["eigh"], calls["eigvalsh"], _eigensolves(calls)) == (1, 1, 2)
     want = geodesic_trace_profile(a * (1.0 + 0j), b, 5).traces
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_real_operand_of_a_complex_bw_pair_is_factored_on_its_rfft_half(calls, monkeypatch):
+    """d(A, B) for a real A and a complex B certifies and factors A on its 3 rfft slices and
+    B on all 5, with no eigensolve; the distance is that of A cast to complex."""
+    a, b = random_psd(3, 5, 4) + identity(3, 5), random_psd(3, 5, 5) * (1.0 + 0j)
+    shapes = _recording_cholesky(monkeypatch)
+    calls.clear()
+    got = dist_bures_wasserstein(a, b)
+    assert shapes == [(3, 3, 3)] * 2 + [(5, 3, 3)] * 2
+    assert _eigensolves(calls) == 0
+    assert got == pytest.approx(dist_bures_wasserstein(a * (1.0 + 0j), b), rel=1e-12)
+
+
+def test_singular_b_takes_its_bw_root_from_eigh(calls):
+    """B of rank 2 in 4 x 4 slices fails the certificate (one Cholesky attempt), so its root
+    is Q diag(sqrt(w)) of one eigh, while A's is a Cholesky factor; d matches the trace
+    formula on bcirc at 50 digits."""
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(34)
+    m = rng.standard_normal((4, 2, 6))
+    a, b = random_psd(4, 6, 3) + identity(4, 6), tspectral.tprod_fft(
+        Tensor3(m), tspectral.conj_transpose(Tensor3(m)))
+    calls.clear()
+    got = dist_bures_wasserstein(a, b)
+    assert (calls["eigh"], _eigensolves(calls), calls["cholesky"]) == (1, 1, 3)
+    # B's null eigenvalues carry roundoff of eps tr B, whose square roots enter R_B: the
+    # error is of sqrt(eps tr B), as at the eigh roots of every B (0.48 the worst of 30 seeds)
+    tol = 4.0 * np.sqrt(np.finfo(float).eps * tspectral.trace(b))
+    assert abs(got - bw_bcirc_mpmath(a.data, b.data)) <= tol
+
+
+def test_certified_operand_that_does_not_factor_takes_its_root_from_eigh(monkeypatch):
+    """A PSD operand whose certificate passed but whose own Cholesky factorization fails
+    takes the eigh root, as an uncertified one does, bit for bit; the geodesic's A, required
+    positive definite, raises the factorization's error (test_geometry pins its text)."""
+    a, b = random_psd(3, 4, 1), random_psd(3, 4, 2)
+    monkeypatch.setattr(spectral, "_pd_certified", lambda stack: False)
+    want = dist_bures_wasserstein(a, b)
+
+    def failing(stack):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(spectral, "_pd_certified", lambda stack: True)
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    assert dist_bures_wasserstein(a, b) == want
+    with pytest.raises(SingularityError, match="its Cholesky factorization failed"):
+        geodesic(a + identity(3, 4), b, 0.5)
+
+
+@pytest.mark.parametrize("dist", [dist_bures_wasserstein, dist_log_euclidean])
+def test_unknown_convention_is_refused_before_the_pair_gate(calls, dist):
+    """An unknown trace convention raises ValueError, as dist_frobenius does, before any
+    check or factorization: also on a pair that is not Hermitian."""
+    good = random_psd(3, 4, 1) + identity(3, 4)
+    bad = Tensor3(np.random.default_rng(21).standard_normal((3, 3, 4)))
+    for a, b in ((bad, bad), (good, good), (good, good * 2.0)):
+        calls.clear()
+        with pytest.raises(ValueError, match="unknown trace convention 'other'"):
+            dist(a, b, convention="other")
+        assert (calls["is_hermitian"], _eigensolves(calls), calls["cholesky"]) == (0, 0, 0)
 
 
 _TRACE_BOUNDS = [
@@ -291,14 +360,14 @@ def test_kyfan_group_decides_from_eigenvalues(calls):
 
 
 def _per_call(calls, *thunks):
-    """(checks, eigh, eigvalsh, all eigensolves) of each call, run one after another."""
+    """(checks, eigh, eigvalsh, all eigensolves, cholesky) of each call, run one after
+    another."""
     counts = []
     for thunk in thunks:
         calls.clear()
         thunk()
-        counts.append(
-            (calls["is_hermitian"], calls["eigh"], calls["eigvalsh"], _eigensolves(calls))
-        )
+        counts.append((calls["is_hermitian"], calls["eigh"], calls["eigvalsh"],
+                       _eigensolves(calls), calls["cholesky"]))
     return counts
 
 
@@ -307,8 +376,9 @@ def test_tensor_holds_its_data_alone():
 
 
 def test_dist_bures_wasserstein_in_sequence(calls):
-    """d(A, B) and d(B, A) check and decompose each operand once; d(A, A) passes
-    one object as both operands, so it checks and decomposes A once."""
+    """d(A, B) and d(B, A) check and factor each operand once: a positive definite operand
+    is certified by one Cholesky factorization and factored by another, with no
+    eigensolve; d(A, A) passes one object as both operands, so it does so for A once."""
     a = random_psd(3, 4, 9)
     b = random_psd(3, 4, 10)
     counts = _per_call(
@@ -317,13 +387,14 @@ def test_dist_bures_wasserstein_in_sequence(calls):
         lambda: dist_bures_wasserstein(b, a),
         lambda: dist_bures_wasserstein(a, a),
     )
-    assert counts == [(2, 2, 0, 2)] * 2 + [(1, 1, 0, 1)]
+    assert counts == [(2, 0, 0, 0, 4)] * 2 + [(1, 0, 0, 0, 2)]
 
 
 def test_one_object_as_both_operands_is_decomposed_once(calls):
     """Every bound, distance and geodesic given one object as A and B checks and
-    decomposes it once: the bounds need its eigenvalues, the distances its vectors,
-    and the geodesic its eigenvalues, then one eigh of M = L^(-1) A L^(-H)."""
+    decomposes it once: the bounds need its eigenvalues, the BW distance its certified
+    Cholesky factor, the log-Euclidean one its vectors, and the geodesic its certified
+    Cholesky factor and its eigenvalues, then one eigh of M = L^(-1) A L^(-H)."""
     a = random_psd(3, 4, 19) + identity(3, 4)
     counts = _per_call(
         calls,
@@ -335,7 +406,8 @@ def test_one_object_as_both_operands_is_decomposed_once(calls):
         lambda: dist_log_euclidean(a, a),
         lambda: geometry.geodesic(a, a, 0.5),
     )
-    assert counts == [(1, 0, 1, 1)] * 4 + [(1, 1, 0, 1)] * 2 + [(1, 1, 1, 2)]
+    assert counts == ([(1, 0, 1, 1, 0)] * 4
+                      + [(1, 0, 0, 0, 2), (1, 1, 0, 1, 0), (1, 1, 1, 2, 2)])
 
 
 def test_ky_fan_max_then_min(calls):
@@ -343,7 +415,7 @@ def test_ky_fan_max_then_min(calls):
     counts = _per_call(
         calls, lambda: ky_fan_sum(h, 2, which="max"), lambda: ky_fan_sum(h, 2, which="min")
     )
-    assert counts == [(1, 1, 0, 1)] * 2
+    assert counts == [(1, 1, 0, 1, 0)] * 2
 
 
 def test_values_then_vectors(calls):
@@ -352,13 +424,13 @@ def test_values_then_vectors(calls):
     counts = _per_call(
         calls, lambda: is_psd(t), lambda: t_function(t, "sqrt"), lambda: psd_factor(t)
     )
-    assert counts == [(1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 0, 1)]
+    assert counts == [(1, 0, 1, 1, 0), (1, 1, 0, 1, 0), (1, 1, 0, 1, 0)]
 
 
 def test_t_eigenvalues_after_hermitian_eig(calls):
     h = cli._random_hermitian(3, 4, np.random.default_rng(13))
     counts = _per_call(calls, lambda: hermitian_eig(h), lambda: t_eigenvalues(h))
-    assert counts == [(1, 1, 0, 1), (1, 0, 1, 1)]
+    assert counts == [(1, 1, 0, 1, 0), (1, 0, 1, 1, 0)]
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -477,35 +549,37 @@ def test_failed_requirement_on_a_comes_before_b_is_checked(calls, name):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_bw_axioms_trial_decomposes_each_tensor_once(calls, seed):
-    """Five distances over three tensors: three checks and three eigh."""
+    """Five distances over three positive definite tensors: three checks, no eigensolve,
+    and two Cholesky factorizations of each tensor, its certificate and its factor."""
     assert cli.sweep_trial("bw-metric-axioms", seed, 0)
     assert calls["is_hermitian"] == 3
-    assert (calls["eigh"], _eigensolves(calls)) == (3, 3)
+    assert (calls["eigh"], _eigensolves(calls), calls["cholesky"]) == (0, 0, 6)
 
 
 def test_bw_axioms_group_decomposes_each_tensor_once(calls):
-    """A whole shape group costs what one trial does: three Hermitian checks and
-    three eigh, for five distances on each trial."""
+    """A whole shape group costs what one trial does: three Hermitian checks, no
+    eigensolve and six Cholesky factorizations, for five distances on each trial."""
     draw, decide, _ = cli._SWEEPS["bw-metric-axioms"]
     draws = [draw(np.random.default_rng((0, trial))) for trial in range(40)]
     group = [arrays for key, arrays in draws if key == draws[0][0]]
     calls.clear()
     assert decide(*cli._stacked(group)).all() and len(group) > 3
     assert calls["is_hermitian"] == 3
-    assert (calls["eigh"], _eigensolves(calls)) == (3, 3)
+    assert (calls["eigh"], _eigensolves(calls), calls["cholesky"]) == (0, 0, 6)
 
 
-@pytest.mark.parametrize("op, eighs", [("kyfan", 1), ("bw-dist", 2)])
-def test_bench_decomposes_on_every_call(calls, op, eighs):
-    """Every timed call of ``bench --op kyfan|bw-dist`` runs its eigensolves:
-    a call on the tensors of the call before would reuse their factors."""
+@pytest.mark.parametrize("op, want", [("kyfan", (1, 1, 0)), ("bw-dist", (0, 0, 4))],
+                         ids=["kyfan", "bw-dist"])
+def test_bench_decomposes_on_every_call(calls, op, want):
+    """Every timed call of ``bench --op kyfan|bw-dist`` runs its factorizations (eigh,
+    all eigensolves, cholesky): a call on the tensors of the call before would reuse them."""
     run = cli._bench_callable(op, 8, 16, 0)
     counts = []
     for _ in range(3):
         calls.clear()
         run()
-        counts.append((calls["eigh"], _eigensolves(calls)))
-    assert counts == [(eighs, eighs)] * 3
+        counts.append((calls["eigh"], _eigensolves(calls), calls["cholesky"]))
+    assert counts == [want] * 3
 
 
 def _column(n, p):

@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from tspectral import (
     trace,
     write_tensor,
 )
+from tspectral import spectral
 from tspectral.cli import main
 from tspectral.spectral import PD_RTOL, PSD_RTOL, _pd_certified, _stack_eig
 from tspectral.transform import _to_stack
@@ -694,3 +696,34 @@ def test_every_certified_a_passes_the_pd_verdict(n, p, complex_kind, log_ratio, 
         assert w._verdict(definite=True).ok
     if w._w.min() > 2.0 * tau:
         assert certified
+
+
+# |d(A, B) - d_exact| over cond(A) * eps * sqrt(tr A + tr B): a factor's backward error
+# eps ||A|| moves d by at most about eps ||A|| / sqrt(lambda_min(A)); 1.3 was the worst seen.
+BW_ROOT_ROUNDOFFS = 16
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 4), p=st.integers(1, 4), kind=st.sampled_from(["real", "complex", "mixed"]),
+       log_cond=st.floats(0.0, 8.0), log_gap=st.none() | st.floats(-8.0, -2.0),
+       swap=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_cholesky_roots_match_mpmath_and_the_eigh_roots(n, p, kind, log_cond, log_gap, swap,
+                                                        seed):
+    """d(A, B) from the pair gate's roots (Cholesky factors where an operand is certified
+    positive definite) against the trace formula on bcirc at 50 digits, and against the same
+    call with every root taken from eigh.  A has condition number 10^log_cond; B is a random
+    Gram tensor E, or with ``log_gap`` the near pair A + 10^log_gap E; mixed pairs meet a
+    real A with a complex E; ``swap`` passes them as (B, A)."""
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(seed)
+    cond = 10.0**log_cond
+    a = _hermitian_tensor(rng, n, p, kind == "complex", 1.0, 1.0 / cond)
+    e = _exact_hermitian_psd(rng, n, p, kind != "real")
+    b = e if log_gap is None else a + 10.0**log_gap * e
+    x, y = (b, a) if swap else (a, b)
+    got = dist_bures_wasserstein(x, y)
+    with mock.patch.object(spectral, "_pd_certified", lambda stack: False):
+        eigh_roots = dist_bures_wasserstein(x, y)
+    tol = BW_ROOT_ROUNDOFFS * cond * np.finfo(float).eps * math.sqrt(np.real(trace(a) + trace(b)))
+    assert abs(got - bw_bcirc_mpmath(x.data, y.data)) <= tol
+    assert abs(got - eigh_roots) <= tol

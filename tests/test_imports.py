@@ -252,9 +252,9 @@ def test_stray_fft_is_reported(tmp_path):
 # general stacks and the dense oracle in t_eigenvalues.
 EIGENSOLVERS = ("eigh", "eigvalsh", "eig", "eigvals")
 EIGENSOLVER_HOMES = {("spectral.py", "_stack_eig"), ("spectral.py", "t_eigenvalues")}
-# The homes of every Cholesky factorization: the certificate of the PD rule in spectral,
-# and the geodesic's factor of A, which that rule has passed; no second PD rule elsewhere.
-CHOLESKY_HOMES = {("spectral.py", "_pd_certified"), ("geometry.py", "_geodesic_factors")}
+# The homes of every Cholesky factorization, both in spectral: the certificate of the PD
+# rule, and the factor of a root entry, which that rule has passed; no second PD rule.
+CHOLESKY_HOMES = {("spectral.py", "_pd_certified"), ("spectral.py", "_cholesky_root")}
 
 
 def _linalg_uses(src: Path, names=EIGENSOLVERS) -> list[tuple[str, str, int]]:
@@ -312,6 +312,7 @@ def test_every_cholesky_runs_in_its_homes():
 def test_stray_cholesky_is_reported(tmp_path):
     (tmp_path / "spectral.py").write_text(
         "import numpy as np\n\n\ndef _pd_certified(s):\n    return np.linalg.cholesky(s)\n\n\n"
+        "def _cholesky_root(s):\n    return np.linalg.cholesky(s)\n\n\n"
         "def t_function(s):\n    return np.linalg.cholesky(s)\n"
     )
     (tmp_path / "geometry.py").write_text(
@@ -319,7 +320,8 @@ def test_stray_cholesky_is_reported(tmp_path):
         "    return np.linalg.cholesky(s)\n"
     )
     stray = [use for use in _linalg_uses(tmp_path, ("cholesky",)) if use[:2] not in CHOLESKY_HOMES]
-    assert stray == [("geometry.py", "<module>", 1), ("spectral.py", "t_function", 9)]
+    assert stray == [("geometry.py", "<module>", 1), ("geometry.py", "_geodesic_factors", 5),
+                     ("spectral.py", "t_function", 13)]
 
 
 # The one home of the shape rules: core's _require_square and _require_same_shape.

@@ -62,7 +62,7 @@ from tspectral import (
 from tspectral import bounds, core, geometry, spectral, transform
 from tspectral.core import _conj_transpose_data, _norm
 from tspectral.geometry import _bures_wasserstein
-from tspectral.spectral import _decompose, _decompose_pair, _stack_eig
+from tspectral.spectral import _decompose, _decompose_pair, _pd_certified, _stack_eig
 from tspectral.transform import _adjoint, _all_slices, _from_stack, _stack_trace, _to_stack
 from helpers_oracles import (
     assert_multiset_close,
@@ -460,7 +460,7 @@ def test_ky_fan_sum_matches_dense_twin(n, p, kind, which, k, seed):
 
 
 def _stack_shapes(call):
-    """call() and the (solver, stack shape) of each eigh and eigvalsh it runs."""
+    """call() and the (solver, stack shape) of each eigh, eigvalsh and cholesky it runs."""
     solves = []
 
     def recording(name):
@@ -473,7 +473,8 @@ def _stack_shapes(call):
         return solve
 
     with mock.patch.object(np.linalg, "eigh", recording("eigh")), \
-            mock.patch.object(np.linalg, "eigvalsh", recording("eigvalsh")):
+            mock.patch.object(np.linalg, "eigvalsh", recording("eigvalsh")), \
+            mock.patch.object(np.linalg, "cholesky", recording("cholesky")):
         return call(), solves
 
 
@@ -482,9 +483,11 @@ def _stack_shapes(call):
 def test_mixed_kinds_match_the_complex_cast(n, p, singular_b, seed):
     """A real PD A meets a complex PSD B, in both orders: each geometry call
     gives, to roundoff, what it gives with A cast to complex, and A is still
-    solved on its p // 2 + 1 rfft slices (B and M on all p).  The geodesic
-    certifies its first operand positive definite by a shifted Cholesky and
-    factors it by Cholesky, so its solves are B's eigvalsh and M's eigh."""
+    factored on its p // 2 + 1 rfft slices (B and M on all p).  A positive definite
+    root entry (the BW distance's operands, the geodesic's first operand) is a shifted
+    Cholesky certificate, then a Cholesky factor; a singular B fails the certificate
+    and takes its BW root from eigh.  The geodesic's other solves are B's eigvalsh and
+    M's eigh."""
     rng = np.random.default_rng(seed)
     a = _psd(rng, n, p, "real", shift=0.5)
     b = _psd(rng, n, p, "complex", rank=max(n - 1, 1)) if singular_b else \
@@ -492,6 +495,11 @@ def test_mixed_kinds_match_the_complex_cast(n, p, singular_b, seed):
     a_cast = Tensor3(a.data.astype(complex))
     half, full = ("eigh", (p // 2 + 1, n, n)), ("eigh", (p, n, n))
     a_values, b_values = ("eigvalsh", half[1]), ("eigvalsh", full[1])
+    a_root, b_root = [("cholesky", half[1])] * 2, [("cholesky", full[1])] * 2
+    b_certified = _pd_certified(_to_stack(b))
+    if n > 1 or not singular_b:  # a "singular" B of n = 1 has rank 1, and may be certified
+        assert b_certified == (not singular_b)
+    b_bw = b_root if b_certified else [("cholesky", full[1]), full]
 
     def profile(x, y):
         return geodesic_trace_profile(x, y, 5).traces
@@ -500,17 +508,17 @@ def test_mixed_kinds_match_the_complex_cast(n, p, singular_b, seed):
         return geodesic(x, y, 0.5).data
 
     cases = [  # (call, operands, solves on the mixed pair)
-        (dist_bures_wasserstein, (a, b), [half, full]),
-        (dist_bures_wasserstein, (b, a), [full, half]),
-        (profile, (a, b), [b_values, full]),
-        (midpoint, (a, b), [b_values, full]),
+        (dist_bures_wasserstein, (a, b), [*a_root, *b_bw]),
+        (dist_bures_wasserstein, (b, a), [*b_bw, *a_root]),
+        (profile, (a, b), [*a_root, b_values, full]),
+        (midpoint, (a, b), [*a_root, b_values, full]),
     ]
     if not singular_b:  # B is positive definite as well
         cases += [
             (dist_log_euclidean, (a, b), [half, full]),
             (dist_log_euclidean, (b, a), [full, half]),
-            (profile, (b, a), [a_values, full]),
-            (midpoint, (b, a), [a_values, full]),
+            (profile, (b, a), [*b_root, a_values, full]),
+            (midpoint, (b, a), [*b_root, a_values, full]),
         ]
     for call, (x, y), solves in cases:
         got, seen = _stack_shapes(lambda: call(x, y))
@@ -832,8 +840,8 @@ def test_batch_kernels_equal_per_item_calls(batch, n, p, kind, seed):
     # complex, so a real batch meets a complex one and goes on all p slices
     partners = [_psd(rng, n, p, "complex") for _ in range(batch)]
     partner = np.stack([t.data for t in partners])
-    pair = _decompose_pair(data, partner, "dist_bures_wasserstein", ("PSD", "PSD"))
-    dist = _bures_wasserstein(*pair)
+    roots = _decompose_pair(data, partner, "dist_bures_wasserstein", ("PSD", "PSD"), roots="AB")
+    dist = _bures_wasserstein(*roots, p)
     for i in range(batch):
         want = dist_bures_wasserstein(items[i], partners[i])
         assert dist[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
