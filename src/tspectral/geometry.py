@@ -13,13 +13,13 @@ Hermitian, PSD and positive-definiteness decisions are made in
 rule: each operand is checked, decomposed and required PSD (or positive definite) once,
 errors name ``A`` or ``B``, and log A is built from its factors as a Fourier stack.  The
 BW distance takes the gate's root entries, stacks R_A with R_A R_A^H = A_k on each slice:
-the Cholesky factor of an operand that the shifted Cholesky certificate passes (two
-``cholesky`` per operand and no eigensolve), else R_A = Q W^(1/2) of the ``eigh``
-A_k = Q W Q^H that gave its PSD verdict.  The distance is then the Procrustes sum of
-squares min over unitary U of ||R_A - R_B U||_F^2, from one batched ``svd`` of R_A^H R_B,
-never the difference of traces above.  A real operand of a complex product is factored
-on its rfft half and handed over on all p slices; every sum over slices is
-:func:`~tspectral.transform._slice_sum`.
+the Cholesky factor of an operand whose own Cholesky factorization succeeds, which is also
+its PSD verdict (one ``cholesky`` per operand and no eigensolve), else R_A = Q W^(1/2) of the
+``eigh`` A_k = Q W Q^H that gives its PSD verdict, null eigenvalues set to 0.  The distance
+is then the Procrustes sum of squares min over unitary U of ||R_A - R_B U||_F^2, from one
+batched ``svd`` of R_A^H R_B, never the difference of traces above.  A real operand of a
+complex product is factored on its rfft half and handed over on all p slices; every sum
+over slices is :func:`~tspectral.transform._slice_sum`.
 The log-Euclidean distance never leaves the Fourier domain:
 ||T||_F^2 = sum_k ||T_k||_F^2 over the p Fourier slices.
 
@@ -28,12 +28,13 @@ G(t) = L * (L^(-1) * B * L^(-H))^t * L^H is the same tensor as the formula
 above.  In the pair gate, each operand's Hermitian check is the residual of
 :func:`~tspectral.spectral.is_hermitian`; A's positive-definiteness verdict is
 a shifted Cholesky certificate, with A's eigenvalues only where it fails, and
-B's eigenvalues give its PSD verdict.  A's root entry, one Cholesky
-factorization per Fourier slice, is L, and one eigendecomposition
+B's eigenvalues give its PSD verdict.  A's root entry is L, one Cholesky
+factorization per Fourier slice after the certificate, else Q W^(1/2) of the
+``eigh`` that gave A's verdict; one eigendecomposition
 M = L^(-1) * B * L^(-H) = Q * W * Q^H follows.  With X = L * Q, Fourier slice k
 of G(t) is X_k diag(w_k^t) X_k^H, so a trace sample costs O(np):
 tr G(t) = sum_k sum_i w_ik^t ||X_k e_i||^2.  M gets no verdict of its own:
-B's PSD verdict and null space decide M's (see ``NULL_EIGENVALUE_RTOL``), so
+B's PSD verdict and null space decide M's (see :func:`_geodesic_factors`), so
 every B that :func:`~tspectral.spectral.is_psd` accepts has a geodesic, to B's
 clamp where B has an eigenvalue in the verdict's negative margin.
 
@@ -51,7 +52,7 @@ import numpy as np
 
 from .core import Tensor3, _require_same_shape, frobenius_norm, identity
 from .errors import DomainError, NumericError, ShapeError, SingularityError
-from .spectral import _decompose_pair, _stack_eig
+from .spectral import _decompose_pair, _null_tolerance, _stack_eig
 from .spectral import t_eigenvalues  # noqa: F401  (perfbench's tracing check reads it here)
 from .transform import _adjoint, _from_stack, _slice_sum
 
@@ -65,17 +66,6 @@ __all__ = [
 ]
 
 _CONVENTIONS = ("bcirc", "slice1")
-
-# An eigenvalue of B at most n * eps * lambda_max(B) counts as 0 (numpy's matrix_rank rule).
-# M = L^(-1) B L^(-H) is congruent to B, so by Sylvester's law of inertia each Fourier slice of
-# M has B's inertia: B's PSD verdict is M's, and M's eigenvalue i (both spectra descending) is
-# set to 0 where B's is null, so for singular B every G(t) with t > 0 has B's rank, also when A
-# is ill-conditioned.  A slice where B has an eigenvalue below -n * eps * lambda_max(B), inside
-# is_psd's margin, is clamped before M is formed: zeroing M's eigenvalue alone would leave that
-# eigenvalue, amplified by up to cond(A), in G(1).  Any other negative eigenvalue of M is
-# roundoff of forming it, about eps ||B|| / lambda_min(A), and is clamped at 0.
-NULL_EIGENVALUE_RTOL = float(np.finfo(np.float64).eps)
-
 
 def _convention_scale(convention: str, p: int) -> float:
     if convention not in _CONVENTIONS:
@@ -117,14 +107,14 @@ def dist_bures_wasserstein(a: Tensor3, b: Tensor3, convention: str = "bcirc") ->
     ||A^(1/2) - B^(1/2) * U||_F (Bhatia, Jain and Lim, Expo. Math. 37 (2019),
     Thm 1), slice-wise in the Fourier domain.  Any factors R_A R_A^H = A_k and
     R_B R_B^H = B_k serve in place of the roots: the pair gate gives each
-    operand's root entry, the Cholesky factor of an operand certified positive
-    definite (two Cholesky factorizations, the certificate's and the factor's,
-    and no eigensolve), else R = Q W^(1/2) from the eigendecomposition
-    A_k = Q W Q^H that decided its PSD verdict.  With the SVD R_A^H R_B = X S Y^H
-    the minimum is ||R_A X - R_B Y||_F, a sum of squares: it is never negative,
-    and near pairs (B close to A) keep their digits, where
-    tr A + tr B - 2 tr (...)^(1/2) cancels.  Under ``convention="slice1"`` d^2 is
-    divided by p.
+    operand's root entry, the Cholesky factor of an operand whose Cholesky
+    factorization succeeds, which is also its PSD verdict (one factorization and
+    no eigensolve), else R = Q W^(1/2) from the eigendecomposition
+    A_k = Q W Q^H that decides its PSD verdict, null eigenvalues set to 0.  With
+    the SVD R_A^H R_B = X S Y^H the minimum is ||R_A X - R_B Y||_F, a sum of
+    squares: it is never negative, and near pairs (B close to A) keep their
+    digits, where tr A + tr B - 2 tr (...)^(1/2) cancels.  Under
+    ``convention="slice1"`` d^2 is divided by p.
     """
     scale = _convention_scale(convention, a.p)
     roots = _decompose_pair(a, b, "dist_bures_wasserstein", ("PSD", "PSD"), roots="AB")
@@ -180,33 +170,38 @@ def _geodesic_factors(a: Tensor3, b: Tensor3, regularize: float) -> _GeodesicFac
         a = a + regularize * identity(a.n, a.p)
     hint = "(pass regularize=eps to shift explicitly)"
     try:
-        chol, (eig_b, _) = _decompose_pair(a, b, "geodesic", ("positive definite", "PSD"),
+        root, (eig_b, _) = _decompose_pair(a, b, "geodesic", ("positive definite", "PSD"),
                                            vectors=False, roots="A")
     except SingularityError as exc:  # A's requirement, the only definite one
         raise SingularityError(f"{exc} {hint}") from None
+    # M = L^(-1) B L^(-H) has B's inertia (Sylvester), so M's eigenvalue i (both descending) is 0
+    # where B's is null: G(t > 0) has B's rank.  B's slices with an eigenvalue below -tol are
+    # clamped first, else cond(A) would amplify it in G(1); M's other negative eigenvalues are
+    # roundoff of forming it, about eps ||B|| / lambda_min(A), and are clamped at 0.
     w_b, b_stack = eig_b._w, eig_b._stack
-    tol = a.n * NULL_EIGENVALUE_RTOL * max(w_b.max(), 0.0)  # see NULL_EIGENVALUE_RTOL
+    tol = _null_tolerance(w_b)
     if (neg := (w_b < -tol).any(axis=-1)).any():  # B's clamp, on the slices that need it
         clamp = _stack_eig(b_stack[neg], a.p, eig_b._kind)
         b_stack = b_stack.copy()
         b_stack[neg] = clamp._apply(np.maximum(clamp._w, 0.0))
-    inv_chol = np.linalg.inv(chol)
+    inv_root = np.linalg.inv(root)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite M raises below
-        mid = inv_chol @ b_stack @ _adjoint(inv_chol)
+        mid = inv_root @ b_stack @ _adjoint(inv_root)
         eig_m = _stack_eig(0.5 * (mid + _adjoint(mid)), a.p, eig_b._kind)
     if not (np.isfinite(mid).all() and np.isfinite(eig_m._w).all()):
         raise NumericError("the result overflowed: L^(-1) B L^(-H) is not finite")
     w = np.where(w_b <= tol, 0.0, np.maximum(eig_m._w, 0.0))
-    return _GeodesicFactors(chol @ eig_m._q_stack, w, eig_b._kind, a.p)
+    return _GeodesicFactors(root @ eig_m._q_stack, w, eig_b._kind, a.p)
 
 
 def geodesic(a: Tensor3, b: Tensor3, t: float, regularize: float = 0.0) -> Tensor3:
     """Point on the geodesic G(t) = A^(1/2) (A^(-1/2) B A^(-1/2))^t A^(1/2).
 
-    It is computed as L (L^(-1) B L^(-H))^t L^H from the Cholesky factor
-    A = L L^H of each Fourier slice, the same tensor.  ``a`` must be positive
-    definite (its inverse appears in the formula); singular ``a`` raises
-    rather than being silently shifted.
+    It is computed as L (L^(-1) B L^(-H))^t L^H from a factor A = L L^H of
+    each Fourier slice (its Cholesky factor, or Q W^(1/2) of its
+    eigendecomposition where Cholesky does not certify it), the same tensor.
+    ``a`` must be positive definite (its inverse appears in the formula);
+    singular ``a`` raises rather than being silently shifted.
     Passing a finite ``regularize=eps > 0`` explicitly adds ``eps * I`` to ``a``
     first.  ``b`` must be PSD and ``t`` must lie in [0, 1].
     """
@@ -224,12 +219,12 @@ def geodesic_trace_profile(
 ) -> GeodesicProfile:
     """Traces of the geodesic at ``num_samples`` uniform t in [0, 1].
 
-    Per Fourier slice, A is factored once as L L^H (after a shifted Cholesky
-    that certifies it positive definite, or its eigenvalues where that fails)
+    Per Fourier slice, A is factored once as L L^H (by Cholesky after a shifted
+    Cholesky certifies it positive definite, else from its eigendecomposition)
     and M = L^(-1) B L^(-H) is decomposed once; after that each sample costs
     O(np) (``keep_tensors=True`` adds one O(n^3 p) slice product and an
     inverse FFT per sample).  M takes B's PSD verdict and
-    null space (see ``NULL_EIGENVALUE_RTOL``): for singular B every G(t) with
+    null space (see :func:`_geodesic_factors`): for singular B every G(t) with
     t > 0 has B's rank, and roundoff is not raised to the power t.
     Preconditions and errors are those of :func:`geodesic`.
     """

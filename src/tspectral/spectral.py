@@ -18,19 +18,20 @@ is checked.  The :class:`EigFactors` keep that stack for the callers' traces and
 PSD and PD verdicts, the only place where ``PSD_RTOL`` and ``PD_RTOL`` meet a spectrum,
 and the stacks Q diag(f(w)) Q^H that callers build from them.
 A caller that needs an operand only through a factor R_k R_k^H = A_k (both operands of the
-Bures-Wasserstein distance, the geodesic's A) asks the pair gate for its root entry.  The
-operand is first offered to :func:`_pd_certified`, the certificate of the PD rule: a
-Cholesky factorization of each slice shifted by ``PD_RTOL`` and a margin for the rounding of
-both routes (``PD_CERTIFICATE_MARGIN``).  Where it succeeds, the eigenvalue verdict would
-pass, so no eigensolve runs and R is :func:`_cholesky_root`, a second Cholesky
-factorization, of the stack itself; where it fails, the eigenvalues decide, with the
-verdict's error, and R is the Cholesky factor after a positive definiteness verdict, else
-Q diag(sqrt(w)) of the ``eigh`` that gave the PSD one.  Every Cholesky factorization of the
-package runs in those two functions.
+Bures-Wasserstein distance, the geodesic's A) asks the pair gate for its root entry.  For a
+PSD requirement, R is one Cholesky factorization of the operand's own stack,
+:func:`_cholesky_root`, whose success is also the PSD verdict (Cholesky's backward error puts
+lambda_min within the verdict's margin).  For a positive definite one, the operand is first
+offered to :func:`_pd_certified`, the certificate of the PD rule: a Cholesky factorization of
+each slice shifted by ``PD_RTOL`` and a margin for the rounding of both routes
+(``PD_CERTIFICATE_MARGIN``); where it succeeds, the eigenvalue verdict would pass, and R is
+:func:`_cholesky_root`.  No eigensolve runs on either route.  Every other root, where the
+factorization fails, is Q diag(sqrt(w)) of the ``eigh`` that gives the verdict, with its error,
+and with the null eigenvalues of :func:`_null_tolerance` set to 0.  Every Cholesky
+factorization of the package runs in those two functions.
 The verdict-then-clamp rule lives there too: ``EigFactors._require`` raises on a failed
 verdict, else returns the eigenvalues clamped at 0, so no caller clips a spectrum of its own
-but the geodesic, whose M = L^(-1) B L^(-H) takes B's verdict (see
-``geometry.NULL_EIGENVALUE_RTOL``).
+but the geodesic, whose M = L^(-1) B L^(-H) takes B's verdict and null space.
 
 Each call checks, transforms and decomposes each of its operands once, and
 keeps nothing: a :class:`~tspectral.core.Tensor3` carries its data alone, so
@@ -91,6 +92,8 @@ PSD_RTOL = 1e-9
 PD_RTOL = 1e-12
 # tau over PD_RTOL * max(1, u), in (n + 1)^2 eps u: Cholesky's error takes 1, eigvalsh's the rest.
 PD_CERTIFICATE_MARGIN = 8.0
+# An eigenvalue at most n eps max(lambda_max, 0) counts as 0 (numpy's matrix_rank rule).
+NULL_EIGENVALUE_RTOL = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -309,6 +312,13 @@ def _pd_certified(stack: np.ndarray) -> bool:
     return True
 
 
+def _null_tolerance(w: np.ndarray) -> np.ndarray:
+    """n * NULL_EIGENVALUE_RTOL * max(lambda_max, 0) per item of eigenvalues w (..., p', n),
+    shaped to broadcast against w: an eigenvalue at or below it counts as 0."""
+    lam_max = w.max(axis=(-2, -1), keepdims=True)
+    return w.shape[-1] * NULL_EIGENVALUE_RTOL * np.maximum(lam_max, 0.0)
+
+
 def _hermitian_stack(t, op: str, check: HermitianCheck | None = None, name: str = "A"):
     """:func:`is_hermitian` of a tensor, or of every item of a batch of tensor data
     (..., n, n, p), raising a :class:`PreconditionError` that names ``op`` and the operand
@@ -368,12 +378,11 @@ def _decompose_pair(a, b, op: str, need=(None, None), vectors: bool = True, erro
     ``need`` is "PSD" or "positive definite", ``_require``'s, raising ``error``.
 
     An operand named in ``roots`` (with a requirement) gets a root entry instead: a stack R in
-    the product's kind with R_k R_k^H = A_k on every slice.  Where A is known positive
-    definite, R is :func:`_cholesky_root` of its own stack: :func:`_pd_certified` passes it,
-    which implies the verdict, with no eigensolve, or a positive definiteness verdict of
-    :func:`_stack_eig` (values only without ``vectors``) did.  A failed Cholesky factorization
-    there raises ``error`` (default SingularityError).  Everywhere else R = Q diag(sqrt(w))
-    from the ``eigh`` that gave the verdict."""
+    the product's kind with R_k R_k^H = A_k on every slice.  R is :func:`_cholesky_root` of its
+    own stack, with no eigensolve, where that factorization decides the requirement: for PSD
+    its success is the verdict (for n <= 749, see below); for positive definite
+    :func:`_pd_certified` passes first.  Every other root is Q diag(sqrt(w)) from the ``eigh``
+    that gave the verdict, with the null eigenvalues of :func:`_null_tolerance` set to 0."""
     _require_same_shape(a, b, op)
     pair, kind = [], _product_kind(a, b)
     for t, name, required in zip((a, b), "AB", need):
@@ -383,23 +392,20 @@ def _decompose_pair(a, b, op: str, need=(None, None), vectors: bool = True, erro
         elif (required, wants_root) == (need[0], "A" in roots):  # the same entry again
             pair.append(pair[0])
             continue
-        root = None
-        if wants_root and factors is None and _pd_certified(stack):
-            root = _cholesky_root(t, stack, kind)  # None, in theory only: the eigenvalues decide
-        if root is None:
-            eigh_root = wants_root and not definite
-            if factors is None:
-                factors = _solve(t, stack, vectors or eigh_root, kind)
-            w = factors._w if required is None else factors._require(
-                f"{op} requires {name} {required}", definite, error)
-            if eigh_root:
-                root = factors._q_stack * np.sqrt(w)[..., None, :]
-            elif wants_root:
-                root = _cholesky_root(t, stack, kind)
-                if root is None:  # roundoff beyond the verdict's margin
-                    raise (error or SingularityError)(f"{op} requires {name} positive "
-                                                      "definite; its Cholesky factorization failed")
-        pair.append((factors, w) if root is None else root)
+        # Cholesky's success on A puts lambda_min above -(n + 1)^2 eps lambda_max: with eigvalsh's
+        # rounding, within PD_CERTIFICATE_MARGIN times that, the PSD verdict passes for n <= 749.
+        if wants_root and (_pd_certified(stack) if definite else PD_CERTIFICATE_MARGIN
+                           * (stack.shape[-1] + 1) ** 2 * np.finfo(float).eps <= PSD_RTOL):
+            if (root := _cholesky_root(t, stack, kind)) is not None:
+                pair.append(root)
+                continue
+        if factors is None:
+            factors = _solve(t, stack, vectors or wants_root, kind)
+        w = factors._w if required is None else factors._require(
+            f"{op} requires {name} {required}", definite, error)
+        if wants_root:
+            w = np.where(w > _null_tolerance(w), w, 0.0)
+        pair.append(factors._q_stack * np.sqrt(w)[..., None, :] if wants_root else (factors, w))
     return pair
 
 

@@ -161,7 +161,8 @@ def _inside_the_margin(p):
 
 def test_a_inside_the_certificate_margin_takes_the_eigenvalue_verdict(calls, monkeypatch):
     """PD_RTOL * max(1, u) < lambda_min < tau: A passes the PD rule but not the certificate,
-    so its eigvalsh decides, and the profile is the eigenvalue route's, bit for bit."""
+    so one eigh of A gives its verdict and its root, and the profile is the eigenvalue
+    route's, bit for bit: 2 eigh (A and M), B's eigvalsh and the failed certificate."""
     a, b = _inside_the_margin(4), random_psd(3, 4, 7)
     stack = spectral._to_stack(a)
     w = np.linalg.eigvalsh(stack)
@@ -169,23 +170,25 @@ def test_a_inside_the_certificate_margin_takes_the_eigenvalue_verdict(calls, mon
     assert spectral.PD_RTOL * max(1.0, w.max()) <= spectral.PD_RTOL * max(1.0, u) < w.min() < tau
     calls.clear()
     got = geodesic_trace_profile(a, b, 5, keep_tensors=True)
-    assert (calls["eigh"], calls["eigvalsh"], calls["cholesky"]) == (1, 2, 2)
+    assert (calls["eigh"], calls["eigvalsh"], calls["cholesky"]) == (2, 1, 1)
     monkeypatch.setattr(spectral, "_pd_certified", lambda stack: False)
     want = geodesic_trace_profile(a, b, 5, keep_tensors=True)
     assert got.traces.tobytes() == want.traces.tobytes()
     assert all(x.data.tobytes() == y.data.tobytes() for x, y in zip(got.tensors, want.tensors))
 
 
-@pytest.mark.parametrize("inside_margin", [False, True], ids=["certified", "inside_margin"])
-def test_geodesic_of_a_with_itself(calls, inside_margin):
+@pytest.mark.parametrize("inside_margin, want", [(False, (1, 1, 2)), (True, (2, 0, 1))],
+                         ids=["certified", "inside_margin"])
+def test_geodesic_of_a_with_itself(calls, inside_margin, want):
     """One object as A and B is checked and transformed once.  B's PSD verdict needs
     eigenvalues: a certified A leaves them to B's eigvalsh; an A inside the margin has
-    its own, which B's verdict reuses."""
+    its own from the eigh that gives its root, which B's verdict reuses.  (eigh, eigvalsh,
+    cholesky) count M's eigh and A's certificate."""
     a = _inside_the_margin(4) if inside_margin else random_psd(3, 4, 4) + identity(3, 4)
     calls.clear()
     g = geodesic(a, a, 0.3)
     assert calls["is_hermitian"] == 1 and _forward_transforms(calls) == 1
-    assert (calls["eigh"], calls["eigvalsh"], calls["cholesky"]) == (1, 1, 2)
+    assert (calls["eigh"], calls["eigvalsh"], calls["cholesky"]) == want
     if not inside_margin:  # G(t) = A; at cond(A) = 1e12, M = I only to about 1e-4
         np.testing.assert_allclose(g.data, a.data, rtol=0, atol=1e-12 * np.abs(a.data).max())
 
@@ -216,21 +219,22 @@ def test_real_a_is_certified_on_its_rfft_half(calls, monkeypatch):
 
 
 def test_real_operand_of_a_complex_bw_pair_is_factored_on_its_rfft_half(calls, monkeypatch):
-    """d(A, B) for a real A and a complex B certifies and factors A on its 3 rfft slices and
-    B on all 5, with no eigensolve; the distance is that of A cast to complex."""
+    """d(A, B) for a real A and a complex B factors A on its 3 rfft slices and B on all 5,
+    one Cholesky factorization each and no eigensolve; the distance is that of A cast to
+    complex."""
     a, b = random_psd(3, 5, 4) + identity(3, 5), random_psd(3, 5, 5) * (1.0 + 0j)
     shapes = _recording_cholesky(monkeypatch)
     calls.clear()
     got = dist_bures_wasserstein(a, b)
-    assert shapes == [(3, 3, 3)] * 2 + [(5, 3, 3)] * 2
+    assert shapes == [(3, 3, 3), (5, 3, 3)]
     assert _eigensolves(calls) == 0
     assert got == pytest.approx(dist_bures_wasserstein(a * (1.0 + 0j), b), rel=1e-12)
 
 
 def test_singular_b_takes_its_bw_root_from_eigh(calls):
-    """B of rank 2 in 4 x 4 slices fails the certificate (one Cholesky attempt), so its root
-    is Q diag(sqrt(w)) of one eigh, while A's is a Cholesky factor; d matches the trace
-    formula on bcirc at 50 digits."""
+    """B of rank 2 in 4 x 4 slices does not factor (one Cholesky attempt), so its root is
+    Q diag(sqrt(w)) of one eigh, while A's is a Cholesky factor; d matches the trace formula
+    on bcirc at 50 digits."""
     pytest.importorskip("mpmath")
     rng = np.random.default_rng(34)
     m = rng.standard_normal((4, 2, 6))
@@ -238,29 +242,42 @@ def test_singular_b_takes_its_bw_root_from_eigh(calls):
         Tensor3(m), tspectral.conj_transpose(Tensor3(m)))
     calls.clear()
     got = dist_bures_wasserstein(a, b)
-    assert (calls["eigh"], _eigensolves(calls), calls["cholesky"]) == (1, 1, 3)
-    # B's null eigenvalues carry roundoff of eps tr B, whose square roots enter R_B: the
-    # error is of sqrt(eps tr B), as at the eigh roots of every B (0.48 the worst of 30 seeds)
+    assert (calls["eigh"], _eigensolves(calls), calls["cholesky"]) == (1, 1, 2)
+    # B as stored has null eigenvalues of roundoff, about eps tr B, whose square roots move the
+    # exact d: the error is of sqrt(eps tr B) (0.33 the worst of 30 seeds)
     tol = 4.0 * np.sqrt(np.finfo(float).eps * tspectral.trace(b))
     assert abs(got - bw_bcirc_mpmath(a.data, b.data)) <= tol
 
 
-def test_certified_operand_that_does_not_factor_takes_its_root_from_eigh(monkeypatch):
-    """A PSD operand whose certificate passed but whose own Cholesky factorization fails
-    takes the eigh root, as an uncertified one does, bit for bit; the geodesic's A, required
-    positive definite, raises the factorization's error (test_geometry pins its text)."""
-    a, b = random_psd(3, 4, 1), random_psd(3, 4, 2)
+@pytest.mark.parametrize("n, want", [(749, (0, 0, 1)), (750, (1, 1, 0))], ids=["749", "750"])
+def test_cholesky_is_the_psd_verdict_up_to_n_749(calls, n, want):
+    """A Cholesky factorization's success is the PSD verdict while PD_CERTIFICATE_MARGIN
+    (n + 1)^2 eps, its backward error with eigvalsh's, is within PSD_RTOL: up to n = 749.
+    A larger operand takes its root from eigh: (eigh, all eigensolves, cholesky)."""
+    a = identity(n, 1) + Tensor3(np.diag(np.linspace(0.0, 1.0, n))[:, :, None])
+    calls.clear()
+    assert dist_bures_wasserstein(a, a) <= 1e-9
+    assert (calls["eigh"], _eigensolves(calls), calls["cholesky"]) == want
+
+
+def test_certified_a_that_does_not_factor_takes_its_root_from_eigh(calls, monkeypatch):
+    """An A that the certificate passes but whose own Cholesky factorization fails takes
+    the fallback of every root: one eigh gives its positive definiteness verdict and
+    Q diag(sqrt(w)), bit for bit as for an A that fails the certificate."""
+    a, b = random_psd(3, 4, 1) + identity(3, 4), random_psd(3, 4, 2)
     monkeypatch.setattr(spectral, "_pd_certified", lambda stack: False)
-    want = dist_bures_wasserstein(a, b)
+    want = geodesic_trace_profile(a, b, 5, keep_tensors=True)
 
     def failing(stack):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
     monkeypatch.setattr(spectral, "_pd_certified", lambda stack: True)
     monkeypatch.setattr(np.linalg, "cholesky", failing)
-    assert dist_bures_wasserstein(a, b) == want
-    with pytest.raises(SingularityError, match="its Cholesky factorization failed"):
-        geodesic(a + identity(3, 4), b, 0.5)
+    calls.clear()
+    got = geodesic_trace_profile(a, b, 5, keep_tensors=True)
+    assert (calls["eigh"], calls["eigvalsh"], _eigensolves(calls)) == (2, 1, 3)
+    assert got.traces.tobytes() == want.traces.tobytes()
+    assert all(x.data.tobytes() == y.data.tobytes() for x, y in zip(got.tensors, want.tensors))
 
 
 @pytest.mark.parametrize("dist", [dist_bures_wasserstein, dist_log_euclidean])
@@ -376,9 +393,9 @@ def test_tensor_holds_its_data_alone():
 
 
 def test_dist_bures_wasserstein_in_sequence(calls):
-    """d(A, B) and d(B, A) check and factor each operand once: a positive definite operand
-    is certified by one Cholesky factorization and factored by another, with no
-    eigensolve; d(A, A) passes one object as both operands, so it does so for A once."""
+    """d(A, B) and d(B, A) check and factor each operand once: the Cholesky factorization of
+    a positive definite operand is its PSD verdict and its root, with no eigensolve;
+    d(A, A) passes one object as both operands, so it does so for A once."""
     a = random_psd(3, 4, 9)
     b = random_psd(3, 4, 10)
     counts = _per_call(
@@ -387,13 +404,13 @@ def test_dist_bures_wasserstein_in_sequence(calls):
         lambda: dist_bures_wasserstein(b, a),
         lambda: dist_bures_wasserstein(a, a),
     )
-    assert counts == [(2, 0, 0, 0, 4)] * 2 + [(1, 0, 0, 0, 2)]
+    assert counts == [(2, 0, 0, 0, 2)] * 2 + [(1, 0, 0, 0, 1)]
 
 
 def test_one_object_as_both_operands_is_decomposed_once(calls):
     """Every bound, distance and geodesic given one object as A and B checks and
-    decomposes it once: the bounds need its eigenvalues, the BW distance its certified
-    Cholesky factor, the log-Euclidean one its vectors, and the geodesic its certified
+    decomposes it once: the bounds need its eigenvalues, the BW distance its Cholesky
+    factor, the log-Euclidean one its vectors, and the geodesic its certified
     Cholesky factor and its eigenvalues, then one eigh of M = L^(-1) A L^(-H)."""
     a = random_psd(3, 4, 19) + identity(3, 4)
     counts = _per_call(
@@ -407,7 +424,7 @@ def test_one_object_as_both_operands_is_decomposed_once(calls):
         lambda: geometry.geodesic(a, a, 0.5),
     )
     assert counts == ([(1, 0, 1, 1, 0)] * 4
-                      + [(1, 0, 0, 0, 2), (1, 1, 0, 1, 0), (1, 1, 1, 2, 2)])
+                      + [(1, 0, 0, 0, 1), (1, 1, 0, 1, 0), (1, 1, 1, 2, 2)])
 
 
 def test_ky_fan_max_then_min(calls):
@@ -550,25 +567,25 @@ def test_failed_requirement_on_a_comes_before_b_is_checked(calls, name):
 @pytest.mark.parametrize("seed", range(4))
 def test_bw_axioms_trial_decomposes_each_tensor_once(calls, seed):
     """Five distances over three positive definite tensors: three checks, no eigensolve,
-    and two Cholesky factorizations of each tensor, its certificate and its factor."""
+    and one Cholesky factorization of each tensor, its PSD verdict and its root."""
     assert cli.sweep_trial("bw-metric-axioms", seed, 0)
     assert calls["is_hermitian"] == 3
-    assert (calls["eigh"], _eigensolves(calls), calls["cholesky"]) == (0, 0, 6)
+    assert (calls["eigh"], _eigensolves(calls), calls["cholesky"]) == (0, 0, 3)
 
 
 def test_bw_axioms_group_decomposes_each_tensor_once(calls):
     """A whole shape group costs what one trial does: three Hermitian checks, no
-    eigensolve and six Cholesky factorizations, for five distances on each trial."""
+    eigensolve and three Cholesky factorizations, for five distances on each trial."""
     draw, decide, _ = cli._SWEEPS["bw-metric-axioms"]
     draws = [draw(np.random.default_rng((0, trial))) for trial in range(40)]
     group = [arrays for key, arrays in draws if key == draws[0][0]]
     calls.clear()
     assert decide(*cli._stacked(group)).all() and len(group) > 3
     assert calls["is_hermitian"] == 3
-    assert (calls["eigh"], _eigensolves(calls), calls["cholesky"]) == (0, 0, 6)
+    assert (calls["eigh"], _eigensolves(calls), calls["cholesky"]) == (0, 0, 3)
 
 
-@pytest.mark.parametrize("op, want", [("kyfan", (1, 1, 0)), ("bw-dist", (0, 0, 4))],
+@pytest.mark.parametrize("op, want", [("kyfan", (1, 1, 0)), ("bw-dist", (0, 0, 2))],
                          ids=["kyfan", "bw-dist"])
 def test_bench_decomposes_on_every_call(calls, op, want):
     """Every timed call of ``bench --op kyfan|bw-dist`` runs its factorizations (eigh,

@@ -96,6 +96,11 @@ def _exact_hermitian_psd(rng, n, p, complex_kind):
     return (g + conj_transpose(g)) * 0.5
 
 
+# d(S, S) over eps * sqrt(tr S) for a singular S: 0.42 was the worst of 20 rank-2 4 x 4 x 1024
+# tensors, where the square roots of S's roundoff null eigenvalues gave up to 2.3e5.
+SELF_DISTANCE_ROUNDOFFS = 4
+
+
 class TestBuresWasserstein:
     def test_self_distance(self):
         rng = np.random.default_rng(271)
@@ -179,6 +184,33 @@ class TestBuresWasserstein:
         for seed in range(50):
             a = c * random_psd(4, 8, seed)
             assert dist_bures_wasserstein(a, a) <= 1e-6 * math.sqrt(trace(a))
+
+    def test_self_distance_of_a_singular_tensor(self):
+        """A rank-2 4 x 4 x 1024 tensor S does not factor, so its root comes from eigh, whose
+        null eigenvalues are set to 0: d(S, S) stays at roundoff, where their square roots,
+        about sqrt(eps ||S||), would enter R_S."""
+        for seed in range(20):
+            m = Tensor3(np.random.default_rng(seed).standard_normal((4, 2, 1024)))
+            s = tprod_fft(m, conj_transpose(m))
+            s = 0.5 * (s + conj_transpose(s))
+            tol = SELF_DISTANCE_ROUNDOFFS * np.finfo(float).eps * math.sqrt(trace(s))
+            assert dist_bures_wasserstein(s, s) <= tol
+
+    @pytest.mark.parametrize("name", ["A", "B"])
+    def test_operand_beyond_the_psd_margin_raises_the_verdict_text(self, name, tmp_path, capsys):
+        """An operand whose min eigenvalue is -1.01 PSD_RTOL lambda_max does not factor, and
+        its eigenvalue verdict raises DomainError with the verdict's text; the CLI exits 2."""
+        bad, good = every_slice(np.diag([1.0, 0.5, -1.01 * PSD_RTOL]), 3), random_psd(3, 3, 0)
+        a, b = (bad, good) if name == "A" else (good, bad)
+        text = f"dist_bures_wasserstein requires {name} PSD; min eigenvalue -1.010e-09"
+        with pytest.raises(DomainError) as caught:
+            dist_bures_wasserstein(a, b)
+        assert str(caught.value) == text
+        fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+        write_tensor(a, fa)
+        write_tensor(b, fb)
+        assert main(["dist", "--metric", "bw", str(fa), str(fb)]) == 2
+        assert text in capsys.readouterr().err
 
     @pytest.mark.parametrize("c", [1e-12, 1e12])
     def test_scale_covariance(self, c):
@@ -586,28 +618,28 @@ def test_profile_errors(case, error, fix, a2, tmp_path, capsys):
         assert cli(fixed) == 0
 
 
-def test_failed_cholesky_is_a_singular_start(monkeypatch, tmp_path, capsys):
-    """A Cholesky failure on an A that passed the positive definiteness verdict
-    (roundoff at the verdict's margin) raises SingularityError with the same
-    requirement, and the CLI exits 2."""
+def test_a_that_does_not_factor_takes_its_root_from_eigh(monkeypatch, tmp_path, capsys):
+    """With every Cholesky factorization failing, A's positive definiteness verdict and its
+    root L = Q diag(sqrt(w)) come from one eigh: the profile matches the certified one to
+    roundoff, and the CLI exits 0 with the same samples."""
     rng = np.random.default_rng(402)
     a, b = random_pd_tensor(rng, 3, 4), random_psd_tensor(rng, 3, 4)
-    fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+    fa, fb, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "profile.csv"
     write_tensor(a, fa)
     write_tensor(b, fb)
+    want = geodesic_trace_profile(a, b, 5).traces
+    assert main(["geodesic", str(fa), str(fb), "--samples", "5", "-o", str(out)]) == 0
+    want_csv = np.loadtxt(out, delimiter=",", skiprows=1)
 
     def failing(stack):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
     monkeypatch.setattr(np.linalg, "cholesky", failing)
-    with pytest.raises(SingularityError, match=re.escape(
-            "geodesic requires A positive definite; its Cholesky factorization failed "
-            "(pass regularize=eps to shift explicitly)")):
-        geodesic_trace_profile(a, b, 5)
-    out = tmp_path / "profile.csv"
-    assert main(["geodesic", str(fa), str(fb), "--samples", "5", "-o", str(out)]) == 2
-    assert "Cholesky" in capsys.readouterr().err
-    assert not out.exists()
+    np.testing.assert_allclose(geodesic_trace_profile(a, b, 5).traces, want, rtol=1e-12)
+    out.unlink()
+    assert main(["geodesic", str(fa), str(fb), "--samples", "5", "-o", str(out)]) == 0
+    np.testing.assert_allclose(np.loadtxt(out, delimiter=",", skiprows=1), want_csv, rtol=1e-12)
+    assert capsys.readouterr().err == ""
 
 
 def test_overflowing_m_is_a_numeric_failure(tmp_path, capsys):
@@ -656,10 +688,11 @@ def test_non_hermitian_a_is_refused_before_it_is_certified():
     assert str(caught.value) == text
 
 
-def _hermitian_tensor(rng, n, p, complex_kind, lam_max, lam_min):
-    """A tensor whose Fourier slice 0 has the spectrum lam_max ... lam_min (geometric) and
-    whose other slices have spectra drawn in [lam_min, lam_max], in random bases; for a
-    real tensor, slice p - k is the conjugate of slice k."""
+def _hermitian_tensor(rng, n, p, complex_kind, lam_max, lam_min, last=None):
+    """A tensor whose Fourier slice 0 has the spectrum lam_max ... lam_min (geometric), its
+    smallest eigenvalue replaced by ``last`` if given, and whose other slices have spectra
+    drawn in [lam_min, lam_max], in random bases; for a real tensor, slice p - k is the
+    conjugate of slice k."""
     full = np.empty((p, n, n), complex)
     for k in range(p // 2 + 1 if not complex_kind else p):
         real = not complex_kind and k in (0, p - k)
@@ -667,6 +700,8 @@ def _hermitian_tensor(rng, n, p, complex_kind, lam_max, lam_min):
         q, _ = np.linalg.qr(x)
         lam = (np.geomspace(lam_max, lam_min, n) if k == 0
                else lam_max * (lam_min / lam_max) ** rng.uniform(0.0, 1.0, n))
+        if k == 0 and last is not None:
+            lam[-1] = last
         full[k] = 0.5 * ((q * lam) @ q.conj().T + ((q * lam) @ q.conj().T).conj().T)
         if not complex_kind:
             full[-k] = full[k].conj()
@@ -698,6 +733,30 @@ def test_every_certified_a_passes_the_pd_verdict(n, p, complex_kind, log_ratio, 
         assert certified
 
 
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), p=st.integers(1, 8), complex_kind=st.booleans(),
+       log_ratio=st.floats(-14.0, 0.0), log_scale=st.floats(-150.0, 150.0),
+       end=st.sampled_from(["zero", "roundoff", "rule"]), k=st.integers(1, 64),
+       at_rule=st.floats(-1e-3, 1e-3), seed=st.integers(0, 2**32 - 1))
+def test_every_stack_that_factors_passes_the_psd_verdict(n, p, complex_kind, log_ratio,
+                                                         log_scale, end, k, at_rule, seed):
+    """Wherever np.linalg.cholesky factors a Hermitian Fourier stack, the eigvalsh PSD verdict
+    on that stack passes, so a PSD root entry takes that success as the verdict.  Spectra span
+    c to c * ratio, and slice 0's ends at 0, at -k n eps c (roundoff), or at
+    -PSD_RTOL * max(1, c) * (1 + at_rule), the rule's edge."""
+    c = 10.0**log_scale
+    last = {"zero": 0.0, "roundoff": -k * n * np.finfo(float).eps * c,
+            "rule": -PSD_RTOL * max(1.0, c) * (1.0 + at_rule)}[end]
+    a = _hermitian_tensor(np.random.default_rng(seed), n, p, complex_kind, c,
+                          c * 10.0**log_ratio, last)
+    stack = _to_stack(a)
+    try:
+        np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        return
+    assert _stack_eig(stack, p, a.kind, vectors=False)._verdict().ok
+
+
 # |d(A, B) - d_exact| over cond(A) * eps * sqrt(tr A + tr B): a factor's backward error
 # eps ||A|| moves d by at most about eps ||A|| / sqrt(lambda_min(A)); 1.3 was the worst seen.
 BW_ROOT_ROUNDOFFS = 16
@@ -709,9 +768,9 @@ BW_ROOT_ROUNDOFFS = 16
        swap=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_cholesky_roots_match_mpmath_and_the_eigh_roots(n, p, kind, log_cond, log_gap, swap,
                                                         seed):
-    """d(A, B) from the pair gate's roots (Cholesky factors where an operand is certified
-    positive definite) against the trace formula on bcirc at 50 digits, and against the same
-    call with every root taken from eigh.  A has condition number 10^log_cond; B is a random
+    """d(A, B) from the pair gate's roots (Cholesky factors where an operand factors) against
+    the trace formula on bcirc at 50 digits, and against the same call with every root taken
+    from eigh.  A has condition number 10^log_cond; B is a random
     Gram tensor E, or with ``log_gap`` the near pair A + 10^log_gap E; mixed pairs meet a
     real A with a complex E; ``swap`` passes them as (B, A)."""
     pytest.importorskip("mpmath")
@@ -722,7 +781,7 @@ def test_cholesky_roots_match_mpmath_and_the_eigh_roots(n, p, kind, log_cond, lo
     b = e if log_gap is None else a + 10.0**log_gap * e
     x, y = (b, a) if swap else (a, b)
     got = dist_bures_wasserstein(x, y)
-    with mock.patch.object(spectral, "_pd_certified", lambda stack: False):
+    with mock.patch.object(spectral, "_cholesky_root", lambda t, stack, kind: None):
         eigh_roots = dist_bures_wasserstein(x, y)
     tol = BW_ROOT_ROUNDOFFS * cond * np.finfo(float).eps * math.sqrt(np.real(trace(a) + trace(b)))
     assert abs(got - bw_bcirc_mpmath(x.data, y.data)) <= tol
